@@ -3,11 +3,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke test bench bench-report
+.PHONY: verify unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke e2e-smoke e2e test bench bench-report
 
 # Tier-1 gate: the full test suite plus the profiler, perf, mixed-precision,
-# service, and chaos smoke checks.
-verify: unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke
+# service, chaos, and end-to-end-benchmark smoke checks.
+verify: unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke e2e-smoke
 
 # The full unit/integration/property suite, fail-fast.
 unit:
@@ -58,6 +58,16 @@ service-smoke:
 chaos-smoke:
 	$(PYTHON) -m pytest -x -q tests/ginkgo/test_chaos.py
 	$(PYTHON) benchmarks/bench_chaos.py --smoke
+
+# The end-to-end benchmark's own tests (harness, workloads, catalog) —
+# `unit` only collects tests/, so CI runs these here (~15 s).
+e2e-smoke:
+	$(PYTHON) -m pytest -q benchmarks/e2e/tests
+
+# All six end-to-end workloads at quick size, with tables (not in verify:
+# wall-clock numbers belong to a quiet machine, not a CI gate).
+e2e:
+	$(PYTHON) -m benchmarks.e2e.run --quick
 
 test: verify
 

@@ -16,9 +16,7 @@ and gates:
 * **Blocking contract intact** — blocking CG's residual history stays
   byte-identical to its single-rank run, network notwithstanding;
 * **Relaxed contract pinned** — pipelined CG's history matches blocking
-  CG within ``PIPELINED_RTOL`` over the shared prefix, and s-step GMRES
-  converges to the same tolerance with at most ``1/s`` of the blocking
-  reduction count (plus setup).
+  CG within ``PIPELINED_RTOL`` over the shared prefix.
 
 Standalone::
 
@@ -76,7 +74,7 @@ def make_system(n, seed=1234):
 
 def run_solver(
     mat, rhs, solver_name, max_iters, tol,
-    num_ranks=NUM_RANKS, overlap=True, profile=False, **solver_kwargs
+    num_ranks=NUM_RANKS, overlap=True, profile=False,
 ):
     """One simulated-network solve; returns (history, stats, trace)."""
     _fresh_state()
@@ -88,8 +86,7 @@ def run_solver(
     b = pg.distributed.vector(dev, part, rhs, comm=dist.comm)
     x = pg.distributed.zeros_like(b)
     handle = getattr(pg.distributed, solver_name)(
-        dev, dist, max_iters=max_iters, reduction_factor=tol,
-        **solver_kwargs,
+        dev, dist, max_iters=max_iters, reduction_factor=tol
     )
     sim0 = dev.clock.now
     trace = None
@@ -155,21 +152,8 @@ def run(n=2048, max_iters=2000, tol=1e-9, out_path="BENCH_overlap.json"):
             "tolerance"
         )
 
-    # s-step GMRES: the reduction-count side of the story.
-    gmres_hist, gmres, _ = run_solver(
-        mat, rhs, "gmres", max_iters, tol, overlap=False
-    )
-    sstep_hist, sstep, _ = run_solver(
-        mat, rhs, "sstep_gmres", max_iters, tol, s_step=4
-    )
-    s_cycles = -(-sstep["iterations"] // 4) + 1
-    if sstep["num_reductions"] > s_cycles + 2:
-        failures.append(
-            f"s-step GMRES performed {sstep['num_reductions']} "
-            f"reductions, expected <= {s_cycles + 2}"
-        )
-    if sstep_hist[-1] > gmres_hist[-1] * 10 and sstep_hist[-1] > tol * np.linalg.norm(rhs):
-        failures.append("s-step GMRES converged worse than blocking GMRES")
+    # Blocking GMRES on the same network (informational row).
+    _, gmres, _ = run_solver(mat, rhs, "gmres", max_iters, tol, overlap=False)
 
     report = {
         "benchmark": "overlap_pipelined_vs_blocking",
@@ -183,7 +167,6 @@ def run(n=2048, max_iters=2000, tol=1e-9, out_path="BENCH_overlap.json"):
         "blocking_cg": blocking,
         "pipelined_cg": pipelined,
         "blocking_gmres": gmres,
-        "sstep_gmres": sstep,
         "comm_hidden_spans": hidden_spans,
         "history_matches_single_rank": blocking_hist.tobytes()
         == single_hist.tobytes(),
@@ -212,7 +195,6 @@ def run(n=2048, max_iters=2000, tol=1e-9, out_path="BENCH_overlap.json"):
     _line("blocking CG", blocking)
     _line("pipelined CG", pipelined)
     _line("blocking GMRES", gmres)
-    _line("s-step GMRES", sstep)
     print(
         f"pipelined speedup {speedup:5.2f}x (gate {MIN_SPEEDUP:.2f}x), "
         f"{hidden_spans} comm_hidden spans, "

@@ -28,7 +28,6 @@ from repro.ginkgo.distributed import (
     DistributedCg,
     DistributedGmres,
     DistributedPipelinedCg,
-    DistributedSStepGmres,
 )
 from repro.ginkgo.distributed import Matrix as DistributedMatrix
 from repro.ginkgo.distributed import Vector as DistributedVector
@@ -86,7 +85,6 @@ _DISTRIBUTED_SOLVER_FACTORIES = {
     "distributed_cg": DistributedCg,
     "distributed_gmres": DistributedGmres,
     "distributed_pipelined_cg": DistributedPipelinedCg,
-    "distributed_sstep_gmres": DistributedSStepGmres,
 }
 
 _SOLVER_FACTORIES = {

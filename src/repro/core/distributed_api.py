@@ -37,7 +37,6 @@ __all__ = [
     "partition",
     "pipelined_cg",
     "sequential_ranks",
-    "sstep_gmres",
     "vector",
     "zeros_like",
 ]
@@ -246,15 +245,3 @@ def pipelined_cg(device, mtx, **kwargs) -> DistributedSolverHandle:
     hide the halo exchanges.
     """
     return _make_solver("distributed_pipelined_cg", device, mtx, **kwargs)
-
-
-def sstep_gmres(device, mtx, s_step=4, **kwargs) -> DistributedSolverHandle:
-    """s-step (communication-avoiding) GMRES: one reduction per cycle.
-
-    Each ``s_step``-long cycle performs a single Gram-matrix all-reduce
-    instead of two reductions per iteration; residual histories are
-    tolerance-pinned against blocking GMRES (see DESIGN.md).
-    """
-    return _make_solver(
-        "distributed_sstep_gmres", device, mtx, s_step=s_step, **kwargs
-    )

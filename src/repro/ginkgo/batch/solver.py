@@ -9,12 +9,15 @@ is paid once per *batch* instead of once per system.
 Per-system stopping uses *compaction*: systems that converge (or break
 down) are scattered back to the caller's solution block and removed from
 the leading ``[:m]`` active region of every state buffer, so the
-remaining systems keep iterating with no masked dead work.  The batched
-kernels are chosen so each system's arithmetic is bit-identical to the
-scalar solvers (einsum contractions over per-system slices, identical
-coefficient casting, identical operation order); residual histories of a
-batched solve therefore match ``K`` sequential scalar solves exactly —
-this is pinned by tests.
+remaining systems keep iterating with no masked dead work.  Batched CG
+and BiCGSTAB are the scalar recurrences
+(:mod:`repro.ginkgo.solver.recurrence`) instantiated over
+:class:`_Head` — the active-head view of a stacked state tensor — with
+the compaction as a driver around ``step``; residual histories of a
+batched solve therefore match ``K`` sequential scalar solves exactly, by
+construction.  GMRES alone keeps a batched body of its own
+(:class:`BatchGmresSolver`): its per-wave regrouping is a different
+schedule, not a different vector type.
 
 On a multi-threaded :class:`~repro.ginkgo.executor.OmpExecutor` the
 batched SpMV splits the active systems into contiguous per-thread
@@ -31,32 +34,40 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
-from repro.ginkgo.lin_op import LinOpFactory
-from repro.ginkgo.solver.base import _normalise_criteria
-from repro.ginkgo.solver.cg import _safe_divide
+from repro.ginkgo.solver.base import SolverFactory
+from repro.ginkgo.solver.bicgstab import BicgstabRecurrence
+from repro.ginkgo.solver.cg import CgRecurrence
 from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM
+from repro.ginkgo.solver.kernels import gmres_finalize
 from repro.ginkgo.solver.workspace import Workspace
 from repro.perfmodel import KernelCost, blas1_cost, dot_cost
 
 
 class _ActiveSystems:
-    """The compacted active set's block-diagonal system operator.
+    """The compacted active set: its system operator and preconditioner.
 
     Owns a pooled ``(K, nnz)`` copy of the batch's matrix values whose
-    leading ``[:m]`` rows always hold the active systems, and the SciPy
-    block-diagonal operator(s) over them.  On a multi-threaded
-    ``OmpExecutor`` the active set is split into contiguous per-thread
-    sub-batches; each SpMV then runs the chunks concurrently on the
-    executor's pool while recording one aggregate batched kernel.
+    leading ``[:count]`` rows always hold the active systems, the SciPy
+    block-diagonal operator(s) over them, and the matching rows of the
+    preconditioner state.  On a multi-threaded ``OmpExecutor`` the
+    active set is split into contiguous per-thread sub-batches; each
+    SpMV then runs the chunks concurrently on the executor's pool while
+    recording one aggregate batched kernel.
+
+    A recurrence sees :meth:`spmv` as ``A`` and :meth:`precondition` as
+    ``M`` (each wrapped in a :class:`_HeadOperator`).
     """
 
-    def __init__(self, ws: Workspace, matrix: BatchCsr) -> None:
+    def __init__(self, ws: Workspace, matrix: BatchCsr, precond) -> None:
         self._exec = matrix.executor
         self._mat = matrix
+        self._precond = precond
+        self._pstate = None
         self._vals = ws.tensor(
             "batch.vals", matrix.values.shape, matrix.values.dtype
         )
-        self._count = 0
+        #: Number of active systems (the head length of every state tensor).
+        self.count = 0
         self._ops = []
 
     def reset(self, ids: np.ndarray) -> None:
@@ -68,16 +79,23 @@ class _ActiveSystems:
                 "batch_pack", m * self._mat.nnz, self._mat.value_bytes, 2
             )
         )
+        self._pstate = self._precond.gather_state(ids)
         self._rebuild(m)
 
     def compact(self, keep_idx: np.ndarray) -> None:
         """Keep only the active positions in ``keep_idx`` (in order)."""
         m = keep_idx.size
         self._vals[:m] = self._vals[keep_idx]
+        if self._pstate is not None:
+            self._pstate = self._pstate[keep_idx]
         self._rebuild(m)
 
+    def precondition(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst[k] = M[k]^{-1} src[k]`` over the active head."""
+        self._precond.apply_state(self._pstate, src, dst, self.count)
+
     def _rebuild(self, count: int) -> None:
-        self._count = count
+        self.count = count
         self._ops = []
         if count == 0:
             return
@@ -97,12 +115,10 @@ class _ActiveSystems:
                 (lo, hi, self._mat.block_operator(hi - lo, self._vals[lo:hi]))
             )
 
-    def spmv(self, src: np.ndarray, dst: np.ndarray, count: int, num_rhs: int):
+    def spmv(self, src: np.ndarray, dst: np.ndarray) -> None:
         """``dst[k] = A[k] @ src[k]`` over the active head — one kernel."""
-        if count != self._count:
-            raise GinkgoError(
-                f"active operator holds {self._count} systems, asked for {count}"
-            )
+        count = self.count
+        num_rhs = src.shape[2]
         n = self._mat.size.rows
         c = self._mat.size.cols
         xs = src[:count].reshape(count * c, num_rhs)
@@ -148,44 +164,114 @@ class _ActiveSystems:
                 )
 
 
-class BatchSolverFactory(LinOpFactory):
+class _HeadOperator:
+    """One active-set kernel as a recurrence operand (``A`` or ``M``)."""
+
+    def __init__(self, kernel) -> None:
+        self._kernel = kernel
+
+    def apply(self, b: "_Head", x: "_Head") -> None:
+        self._kernel(b._data, x._data)
+
+
+class _Head:
+    """Active-head view of one pooled ``(K, n, cols)`` state tensor.
+
+    The batched instance of the vector API the recurrences are written
+    against: every operation covers the leading ``active.count`` systems
+    of ``data`` in one NumPy call and records one batched kernel.
+    Coefficients are ``(count, cols)`` arrays — one per system and
+    column — cast and broadcast exactly as ``Dense`` casts its
+    per-column row, so each system's arithmetic is the scalar solve's.
+    """
+
+    def __init__(self, active: _ActiveSystems, data: np.ndarray) -> None:
+        self._active = active
+        self._data = data
+
+    @property
+    def executor(self):
+        return self._active._exec
+
+    @property
+    def head(self) -> np.ndarray:
+        return self._data[: self._active.count]
+
+    def _coef(self, alpha):
+        arr = np.asarray(alpha)
+        if arr.ndim == 0:
+            return self._data.dtype.type(arr)
+        return arr.astype(self._data.dtype, copy=False)[:, None, :]
+
+    def _record(self, name: str, num_vectors: int) -> None:
+        """One batched streaming kernel over the active head."""
+        _, n, cols = self._data.shape
+        self._active._exec.run(
+            blas1_cost(
+                name, self._active.count * n * cols,
+                self._data.dtype.itemsize, num_vectors,
+            )
+        )
+
+    def mark_modified(self) -> None:
+        """Nothing derives from a state tensor, so nothing to invalidate."""
+
+    def scratch(self, ws: Workspace, name: str, copy: bool = False) -> "_Head":
+        out = _Head(
+            self._active, ws.tensor(name, self._data.shape, self._data.dtype)
+        )
+        if copy:
+            exec_ = self._active._exec
+            exec_.copy_into(exec_, self.head, out.head)
+        return out
+
+    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
+        op(0, self._active.count, *(self._coef(c) for c in coefficients))
+        self._record(name, num_vectors)
+
+    def copy_values_from(self, other: "_Head") -> None:
+        np.copyto(self.head, other.head)
+        self._record("copy", 2)
+
+    def scale(self, alpha) -> None:
+        head = self.head
+        head *= self._coef(alpha)
+        self._record("scale", 2)
+
+    def add_scaled(self, alpha, other: "_Head") -> None:
+        a = self._coef(alpha)
+        head = self.head
+        if np.ndim(a) == 0 and a == 1.0:
+            head += other.head
+        else:
+            head += a * other.head
+        self._record("add_scaled", 3)
+
+    def sub_scaled(self, alpha, other: "_Head") -> None:
+        self.add_scaled(-np.asarray(alpha), other)
+
+    def compute_dot(self, other: "_Head") -> np.ndarray:
+        """Per-system, per-column dot products, shape ``(count, cols)``."""
+        result = np.einsum("kij,kij->kj", self.head, other.head)
+        _, n, cols = self._data.shape
+        self._active._exec.run(
+            dot_cost(n, self._data.dtype.itemsize, self._active.count * cols)
+        )
+        return result
+
+    def compute_norm2(self) -> np.ndarray:
+        return np.sqrt(self.compute_dot(self).astype(np.float64))
+
+
+class BatchSolverFactory(SolverFactory):
     """Factory holding batched-solver parameters.
 
     Accepts exactly the scalar :class:`SolverFactory` options — the same
     criterion factories, a *batched* preconditioner (factory or generated
     operator), and ``strict_breakdown`` — so scalar solver configurations
-    port to the batched API unchanged.
+    port to the batched API unchanged; ``generate`` takes a
+    :class:`BatchCsr`.
     """
-
-    solver_class: type | None = None
-    parameter_names: tuple = ()
-
-    def __init__(
-        self,
-        exec_,
-        criteria=None,
-        preconditioner=None,
-        strict_breakdown: bool = False,
-        **params,
-    ) -> None:
-        super().__init__(exec_)
-        unknown = set(params) - set(self.parameter_names)
-        if unknown:
-            raise GinkgoError(
-                f"{type(self).__name__} got unknown parameters {sorted(unknown)}; "
-                f"accepted: {sorted(self.parameter_names)}"
-            )
-        self.criteria = _normalise_criteria(criteria)
-        self.preconditioner = preconditioner
-        self.strict_breakdown = bool(strict_breakdown)
-        self.params = params
-
-    def generate(self, batch_matrix: BatchCsr):
-        if self.solver_class is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not define solver_class"
-            )
-        return self.solver_class(self, batch_matrix)
 
 
 class BatchIterativeSolver:
@@ -197,6 +283,9 @@ class BatchIterativeSolver:
     :meth:`add_system_logger` — and returning a
     :class:`~repro.ginkgo.batch.stop.BatchStatus`.
     """
+
+    #: The method's scalar recurrence (wave-scheduled GMRES has none).
+    recurrence: type | None = None
 
     def __init__(self, factory: BatchSolverFactory, matrix: BatchCsr) -> None:
         if not matrix.size.is_square:
@@ -405,10 +494,10 @@ class BatchIterativeSolver:
             # Initial residual r0 = b - A x0, one batched kernel each.
             R = ws.tensor_like("batch.r", B)
             AX = ws.tensor("batch.spmv_tmp", B.shape, B.dtype)
-            ops = _ActiveSystems(ws, mat)
+            ops = _ActiveSystems(ws, mat, self._preconditioner)
             ids = np.arange(K, dtype=np.int64)
             ops.reset(ids)
-            ops.spmv(X, AX, K, cols)
+            ops.spmv(X, AX)
             R += B.dtype.type(-1.0) * AX
             initial_resnorm = np.sqrt(
                 np.einsum("kij,kij->kj", R, R).astype(np.float64)
@@ -431,7 +520,7 @@ class BatchIterativeSolver:
                 if ids.size < K:
                     R[: ids.size] = R[ids]
                     ops.compact(ids)
-                self._iterate_batch(B, X, R, AX, ids, ops)
+                self._iterate_batch(B, X, R, ids, ops)
             for s in range(K):
                 self._log_system(s, "apply_completed", b=b, x=x)
         finally:
@@ -443,193 +532,88 @@ class BatchIterativeSolver:
             raise SolverBreakdown(*self._first_breakdown)
         return self.status
 
-    def _iterate_batch(self, B, X, R, AX, ids, ops) -> None:
-        raise NotImplementedError
+    def _iterate_batch(self, B, X, R, ids, ops) -> None:
+        """Drive :attr:`recurrence` over the active head with compaction.
+
+        ``R`` holds the active systems' initial residuals in its head;
+        ``ids[i]`` is the system at head position ``i``.  After every
+        step, systems the monitor stopped are scattered back to ``X``
+        and the survivors' carried state is gathered to the front.
+        """
+        exec_ = self._exec
+        _, n, cols = B.shape
+        x = _Head(ops, self._workspace.tensor("batch.x", B.shape, B.dtype))
+        x.head[:] = X[ids]
+        x._record("batch_pack", 2)
+        keep = None
+
+        def monitor(iteration, norms) -> bool:
+            nonlocal keep
+            keep = self._monitor(iteration, norms, ids)
+            return not keep.any()
+
+        rec = self.recurrence(
+            _HeadOperator(ops.spmv), _HeadOperator(ops.precondition),
+            None, x, _Head(ops, R), self._workspace, monitor,
+        )
+        iteration, stopped = 0, False
+        while True:
+            iteration, stopped = rec.step(iteration)
+            if keep.all():
+                continue
+            drop_idx = np.flatnonzero(~keep)
+            X[ids[drop_idx]] = x._data[drop_idx]
+            exec_.run(
+                blas1_cost(
+                    "batch_scatter", drop_idx.size * n * cols,
+                    B.dtype.itemsize, 2,
+                )
+            )
+            if stopped:
+                return
+            keep_idx = np.flatnonzero(keep)
+            m = keep_idx.size
+            for name in rec.vectors:
+                data = getattr(rec, name)._data
+                data[:m] = data[keep_idx]
+            for name in rec.scalars:
+                value = getattr(rec, name)
+                if value is not None:
+                    setattr(rec, name, value[keep_idx])
+            ids = ids[keep_idx]
+            ops.compact(keep_idx)
 
 
 class BatchCgSolver(BatchIterativeSolver):
-    """Lockstep-batched CG, bit-compatible with :class:`CgSolver`."""
+    """Lockstep-batched CG: :class:`CgRecurrence` over the active head."""
 
-    def _iterate_batch(self, B, X, R, AX, ids, ops) -> None:
-        exec_ = self._exec
-        ws = self._workspace
-        precond = self._preconditioner
-        K, n, cols = B.shape
-        dtype = B.dtype
-        vb = dtype.itemsize
-        m = ids.size
-
-        Xc = ws.tensor("batch.x", B.shape, dtype)
-        Xc[:m] = X[ids]
-        exec_.run(blas1_cost("batch_pack", m * n * cols, vb, 2))
-        pstate = precond.gather_state(ids)
-        Z = ws.tensor("cg.z", B.shape, dtype)
-        P = ws.tensor("cg.p", B.shape, dtype)
-        Q = ws.tensor("cg.q", B.shape, dtype)
-        precond.apply_state(pstate, R, Z, m)
-        exec_.copy_into(exec_, Z[:m], P[:m])
-        rz = np.einsum("kij,kij->kj", R[:m], Z[:m])
-        exec_.run(dot_cost(n, vb, m * cols))
-
-        iteration = 0
-        while True:
-            iteration += 1
-            ops.spmv(P, Q, m, cols)
-            pq = np.einsum("kij,kij->kj", P[:m], Q[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            alpha = _safe_divide(rz, pq)
-            a = alpha.astype(dtype, copy=False)[:, None, :]
-            # Fused cg_step_2: x += alpha p ; r -= alpha q.
-            Xc[:m] += a * P[:m]
-            R[:m] -= a * Q[:m]
-            exec_.run(blas1_cost("cg_step_2", m * n * cols, vb, 6))
-            res_norm = np.sqrt(
-                np.einsum("kij,kij->kj", R[:m], R[:m]).astype(np.float64)
-            )
-            exec_.run(dot_cost(n, vb, m * cols))
-            keep = self._monitor(iteration, res_norm, ids)
-            if not keep.all():
-                keep_idx = np.flatnonzero(keep)
-                drop_idx = np.flatnonzero(~keep)
-                X[ids[drop_idx]] = Xc[drop_idx]
-                exec_.run(
-                    blas1_cost("batch_scatter", drop_idx.size * n * cols, vb, 2)
-                )
-                m = keep_idx.size
-                if m == 0:
-                    return
-                for arr in (Xc, R, P):
-                    arr[:m] = arr[keep_idx]
-                rz = rz[keep_idx]
-                if pstate is not None:
-                    pstate = pstate[keep_idx]
-                ids = ids[keep_idx]
-                ops.compact(keep_idx)
-            precond.apply_state(pstate, R, Z, m)
-            rz_new = np.einsum("kij,kij->kj", R[:m], Z[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            beta = _safe_divide(rz_new, rz)
-            bc = beta.astype(dtype, copy=False)[:, None, :]
-            # Fused cg_step_1: p = z + beta p.
-            P[:m] *= bc
-            P[:m] += Z[:m]
-            exec_.run(blas1_cost("cg_step_1", m * n * cols, vb, 3))
-            rz = rz_new
+    recurrence = CgRecurrence
 
 
 class BatchBicgstabSolver(BatchIterativeSolver):
-    """Lockstep-batched BiCGSTAB, bit-compatible with :class:`BicgstabSolver`."""
+    """Lockstep-batched BiCGSTAB: :class:`BicgstabRecurrence` over the active head."""
 
-    def _iterate_batch(self, B, X, R, AX, ids, ops) -> None:
-        exec_ = self._exec
-        ws = self._workspace
-        precond = self._preconditioner
-        K, n, cols = B.shape
-        dtype = B.dtype
-        vb = dtype.itemsize
-        m = ids.size
-
-        Xc = ws.tensor("batch.x", B.shape, dtype)
-        Xc[:m] = X[ids]
-        exec_.run(blas1_cost("batch_pack", m * n * cols, vb, 2))
-        pstate = precond.gather_state(ids)
-        Rtld = ws.tensor("bicgstab.r_tld", B.shape, dtype)
-        exec_.copy_into(exec_, R[:m], Rtld[:m])
-        P = ws.tensor("bicgstab.p", B.shape, dtype)
-        exec_.copy_into(exec_, R[:m], P[:m])
-        Phat = ws.tensor("bicgstab.p_hat", B.shape, dtype)
-        Shat = ws.tensor("bicgstab.s_hat", B.shape, dtype)
-        V = ws.tensor("bicgstab.v", B.shape, dtype)
-        S = ws.tensor("bicgstab.s", B.shape, dtype)
-        T = ws.tensor("bicgstab.t", B.shape, dtype)
-        rho_old = None
-        alpha = np.ones((m, cols))
-        omega = np.ones((m, cols))
-
-        iteration = 0
-        while True:
-            iteration += 1
-            rho = np.einsum("kij,kij->kj", Rtld[:m], R[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            if rho_old is not None:
-                beta = _safe_divide(rho * alpha, rho_old * omega)
-                # p = r + beta * (p - omega * v), as three fused updates.
-                P[:m] += (-omega.astype(dtype, copy=False))[:, None, :] * V[:m]
-                exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-                P[:m] *= beta.astype(dtype, copy=False)[:, None, :]
-                exec_.run(blas1_cost("scale", m * n * cols, vb, 2))
-                P[:m] += R[:m]
-                exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-            precond.apply_state(pstate, P, Phat, m)
-            ops.spmv(Phat, V, m, cols)
-            rtv = np.einsum("kij,kij->kj", Rtld[:m], V[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            alpha = _safe_divide(rho, rtv)
-            # s = r - alpha v
-            np.copyto(S[:m], R[:m])
-            exec_.run(blas1_cost("copy", m * n * cols, vb, 2))
-            S[:m] += (-alpha.astype(dtype, copy=False))[:, None, :] * V[:m]
-            exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-            # Half-step norm (cost parity with the scalar solver).
-            np.sqrt(np.einsum("kij,kij->kj", S[:m], S[:m]).astype(np.float64))
-            exec_.run(dot_cost(n, vb, m * cols))
-            precond.apply_state(pstate, S, Shat, m)
-            ops.spmv(Shat, T, m, cols)
-            tt = np.einsum("kij,kij->kj", T[:m], T[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            ts = np.einsum("kij,kij->kj", T[:m], S[:m])
-            exec_.run(dot_cost(n, vb, m * cols))
-            omega = _safe_divide(ts, tt)
-            Xc[:m] += alpha.astype(dtype, copy=False)[:, None, :] * Phat[:m]
-            exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-            Xc[:m] += omega.astype(dtype, copy=False)[:, None, :] * Shat[:m]
-            exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-            # r = s - omega t
-            np.copyto(R[:m], S[:m])
-            exec_.run(blas1_cost("copy", m * n * cols, vb, 2))
-            R[:m] += (-omega.astype(dtype, copy=False))[:, None, :] * T[:m]
-            exec_.run(blas1_cost("add_scaled", m * n * cols, vb, 3))
-            rho_old = rho
-            res_norm = np.sqrt(
-                np.einsum("kij,kij->kj", R[:m], R[:m]).astype(np.float64)
-            )
-            exec_.run(dot_cost(n, vb, m * cols))
-            keep = self._monitor(iteration, res_norm, ids)
-            if not keep.all():
-                keep_idx = np.flatnonzero(keep)
-                drop_idx = np.flatnonzero(~keep)
-                X[ids[drop_idx]] = Xc[drop_idx]
-                exec_.run(
-                    blas1_cost("batch_scatter", drop_idx.size * n * cols, vb, 2)
-                )
-                m = keep_idx.size
-                if m == 0:
-                    return
-                for arr in (Xc, R, Rtld, P, V):
-                    arr[:m] = arr[keep_idx]
-                alpha = alpha[keep_idx]
-                omega = omega[keep_idx]
-                rho_old = rho_old[keep_idx]
-                if pstate is not None:
-                    pstate = pstate[keep_idx]
-                ids = ids[keep_idx]
-                ops.compact(keep_idx)
+    recurrence = BicgstabRecurrence
 
 
 class BatchGmresSolver(BatchIterativeSolver):
-    """Wave-batched restarted GMRES, bit-compatible with :class:`GmresSolver`.
+    """Wave-batched restarted GMRES — the one batched body kept apart.
 
     Because systems leave a restart cycle at different inner iterations,
     the batch runs in *waves*: every unfinished system starts a restart
     cycle together; systems that stop (or hit a lucky breakdown) are
     finalized per system with the exact scalar back-substitution and
-    removed, and the survivors regroup into the next wave.
+    removed, and the survivors regroup into the next wave.  That
+    regrouping is a different *schedule* from
+    :class:`~repro.ginkgo.solver.gmres.GmresRecurrence`'s cycle, not the
+    same cycle over a different vector type, so this stays a second
+    copy of the Arnoldi–Givens arithmetic; its bit-identity with the
+    scalar solver is pinned by tests rather than held by construction.
     """
 
-    def _iterate_batch(self, B, X, R, AX, ids, ops) -> None:
+    def _iterate_batch(self, B, X, R, ids, ops) -> None:
         exec_ = self._exec
         ws = self._workspace
-        precond = self._preconditioner
         K, n, cols = B.shape
         dtype = B.dtype
         vb = dtype.itemsize
@@ -655,13 +639,12 @@ class BatchGmresSolver(BatchIterativeSolver):
             ops.reset(wids)
             Xw[:w] = X[wids]
             exec_.run(blas1_cost("batch_pack", w * n, vb, 2))
-            pstate = precond.gather_state(wids)
             # Preconditioned residual r = M^{-1}(b - A x).
             Wt[:w] = B[wids]
             exec_.run(blas1_cost("copy", w * n, vb, 2))
-            ops.spmv(Xw, Rt, w, 1)
+            ops.spmv(Xw, Rt)
             Wt[:w] += dtype.type(-1.0) * Rt[:w]
-            precond.apply_state(pstate, Wt, Rt, w)
+            ops.precondition(Wt, Rt)
             beta = np.sqrt(
                 np.einsum("kij,kij->kj", Rt[:w], Rt[:w]).astype(np.float64)
             )[:, 0]
@@ -682,8 +665,6 @@ class BatchGmresSolver(BatchIterativeSolver):
                 Xw[:w] = Xw[keep_idx]
                 Rt[:w] = Rt[keep_idx]
                 beta = beta[keep_idx]
-                if pstate is not None:
-                    pstate = pstate[keep_idx]
                 ops.compact(keep_idx)
                 if w == 0:
                     unfinished = np.zeros(0, dtype=np.int64)
@@ -701,8 +682,8 @@ class BatchGmresSolver(BatchIterativeSolver):
             for j in range(m_dim):
                 # w = M^{-1} A v_j
                 Wt[:w, :, 0] = basis3[:w, :, j]
-                ops.spmv(Wt, Rt, w, 1)
-                precond.apply_state(pstate, Rt, Wt, w)
+                ops.spmv(Wt, Rt)
+                ops.precondition(Rt, Wt)
                 # Fused multi-dot + rank update (lockstep Gram-Schmidt).
                 coeffs = np.einsum(
                     "kij,ki->kj", basis3[:w, :, : j + 1], Wt[:w, :, 0]
@@ -763,8 +744,12 @@ class BatchGmresSolver(BatchIterativeSolver):
                 if drop.any():
                     inner = j + 1
                     for i in np.flatnonzero(drop):
-                        self._finalize_system(
-                            basis3[i], h3[i], g3[i], Xw[i], inner, vb
+                        # This system's contiguous slices have the scalar
+                        # solver's shapes and strides, so the two small
+                        # BLAS products are bitwise a sequential solve's.
+                        gmres_finalize(
+                            exec_, basis3[i], h3[i], g3[i],
+                            np.zeros(inner), Xw[i][:, 0], vb,
                         )
                         sid = int(wids[i])
                         X[sid] = Xw[i]
@@ -783,8 +768,6 @@ class BatchGmresSolver(BatchIterativeSolver):
                     cos3 = cos3[keep_idx]
                     sin3 = sin3[keep_idx]
                     g3 = g3[keep_idx]
-                    if pstate is not None:
-                        pstate = pstate[keep_idx]
                     ops.compact(keep_idx)
                     if w == 0:
                         break
@@ -792,39 +775,15 @@ class BatchGmresSolver(BatchIterativeSolver):
                 # Krylov space exhausted: finalize the survivors and send
                 # them into the next restart wave.
                 for i in range(w):
-                    self._finalize_system(
-                        basis3[i], h3[i], g3[i], Xw[i], m_dim, vb
+                    gmres_finalize(
+                        exec_, basis3[i], h3[i], g3[i],
+                        np.zeros(m_dim), Xw[i][:, 0], vb,
                     )
                     sid = int(wids[i])
                     X[sid] = Xw[i]
                     exec_.run(blas1_cost("batch_scatter", n, vb, 2))
                     restart.append(sid)
             unfinished = np.asarray(sorted(restart), dtype=np.int64)
-
-    def _finalize_system(self, basis2, h2, g1, x2, inner, vb) -> None:
-        """Per-system triangular solve + solution update (exact scalar ops).
-
-        ``basis2``/``h2``/``g1``/``x2`` are this system's contiguous
-        slices of the wave tensors; their shapes and strides match the
-        scalar solver's arrays, so the two small BLAS products here are
-        bitwise identical to a sequential solve.
-        """
-        exec_ = self._exec
-        y = np.zeros(inner)
-        for i in range(inner - 1, -1, -1):
-            y[i] = (
-                g1[i] - h2[i, i + 1 : inner] @ y[i + 1 : inner]
-            ) / h2[i, i]
-        exec_.run(
-            KernelCost(
-                "hessenberg_trsv",
-                flops=float(inner * inner),
-                bytes=8.0 * inner * inner,
-                launches=max(inner, 1),
-            )
-        )
-        x2[:, 0] += basis2[:, :inner] @ y
-        exec_.run(blas1_cost("gmres_x_update", basis2.shape[0] * inner, vb, 2))
 
 
 class BatchCg(BatchSolverFactory):

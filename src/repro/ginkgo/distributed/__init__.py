@@ -24,8 +24,6 @@ from repro.ginkgo.distributed.solver import (
     DistributedIterativeSolver,
     DistributedPipelinedCg,
     DistributedPipelinedCgSolver,
-    DistributedSStepGmres,
-    DistributedSStepGmresSolver,
 )
 from repro.ginkgo.distributed.vector import (
     Vector,
@@ -42,8 +40,6 @@ __all__ = [
     "DistributedIterativeSolver",
     "DistributedPipelinedCg",
     "DistributedPipelinedCgSolver",
-    "DistributedSStepGmres",
-    "DistributedSStepGmresSolver",
     "InflightExchange",
     "Matrix",
     "Partition",

@@ -53,6 +53,10 @@ from repro.perfmodel.comm import (
 )
 
 
+class StateCorrupted(GinkgoError):
+    """A reduction result was poisoned by injected corruption."""
+
+
 class InflightExchange:
     """Handle of one posted non-blocking exchange (allreduce or halo).
 
@@ -165,13 +169,7 @@ class InflightExchange:
             if fault.kind == "straggler":
                 comm._extra_delay(injector.stall_seconds, "straggler_delay")
             elif fault.kind == "corruption":
-                if self._payload is not None:
-                    poisoned = injector.corrupt(np.asarray(self._payload))
-                    comm.executor._log(
-                        "data_corrupted",
-                        index=fault.index,
-                        flat_index=poisoned,
-                    )
+                comm._poison(injector, fault, self._payload)
             elif fault.kind == "duplicate":
                 # The retransmitted copy pays the full exchange again.
                 comm._extra_delay(self._request.seconds, "halo_duplicate")
@@ -224,6 +222,10 @@ class Communicator:
         self.num_posted = 0
         #: Posted-but-unwaited exchange handles, in post order.
         self._inflight: list = []
+        #: Armed by a checkpoint/replay driver for the span of its loop:
+        #: a NaN-corrupted reduction then raises instead of flowing on
+        #: into the iteration (where it would end as a breakdown).
+        self.detect_corruption = False
 
     @property
     def executor(self):
@@ -257,6 +259,25 @@ class Communicator:
             victim = injector.choose(self.num_ranks)
             self._announce(fault, rank=victim)
             raise RankFailure(victim, op=label)
+
+    def _poison(self, injector, fault, payload) -> None:
+        """Land an ``allreduce`` corruption fault in the reduced payload.
+
+        This is where the all-reduce result is produced, so it is also
+        where corruption is detected: with :attr:`detect_corruption`
+        armed, a result the fault turned non-finite raises
+        :class:`StateCorrupted`.  Only NaN-mode corruption is detectable
+        this way; a finite bit flip passes through silently, exactly
+        like real silent data corruption (see DESIGN.md).
+        """
+        if payload is None:
+            return
+        poisoned = injector.corrupt(np.asarray(payload))
+        self._exec._log(
+            "data_corrupted", index=fault.index, flat_index=poisoned
+        )
+        if self.detect_corruption and not np.all(np.isfinite(payload)):
+            raise StateCorrupted(f"all-reduce payload corrupted ({fault.detail})")
 
     def _extra_delay(self, seconds: float, label: str) -> None:
         """Charge injected extra time under the ``fault`` trace category."""
@@ -306,13 +327,7 @@ class Communicator:
                 self._extra_delay(injector.stall_seconds, "straggler_delay")
             else:  # corruption
                 self._announce(fault)
-                if payload is not None:
-                    poisoned = injector.corrupt(np.asarray(payload))
-                    self._exec._log(
-                        "data_corrupted",
-                        index=fault.index,
-                        flat_index=poisoned,
-                    )
+                self._poison(injector, fault, payload)
         return seconds
 
     def halo_exchange(

@@ -237,8 +237,6 @@ class Matrix(LinOp):
         #: entries in storage order, so this matvec is bitwise identical
         #: to the per-rank block matvecs.
         self._stacked: sp.csr_matrix | None = None
-        #: Cached infinity norm (the operator is immutable).
-        self._inf_norm: float | None = None
 
     def _stacked_matrix(self) -> sp.csr_matrix:
         if self._stacked is None:
@@ -342,36 +340,6 @@ class Matrix(LinOp):
     def ghost_columns(self, rank: int) -> np.ndarray:
         """Sorted global column indices rank ``rank`` must receive."""
         return self._ghost_cols[rank]
-
-    def infinity_norm(self) -> float:
-        """Max absolute row sum — the Gershgorin bound on ``|lambda|``.
-
-        The s-step solvers scale their Krylov basis by this bound to keep
-        the monomial basis conditioned *without* per-vector norm
-        reductions.  Each rank reduces its own rows (one streaming pass
-        over the values) and a single scalar max-allreduce combines them;
-        the operator is immutable, so the result is cached and later
-        calls are free.
-        """
-        if self._inf_norm is None:
-            best = 0.0
-            for block in self._row_blocks:
-                if block.nnz:
-                    row_sums = np.abs(block).sum(axis=1)
-                    best = max(best, float(row_sums.max()))
-            self._exec.run(
-                KernelCost(
-                    "inf_norm",
-                    flops=float(self._nnz),
-                    bytes=float(self._nnz * self.value_bytes),
-                    launches=1,
-                )
-            )
-            self._comm.all_reduce(
-                np.dtype(np.float64).itemsize, label="all_reduce_inf_norm"
-            )
-            self._inf_norm = best
-        return self._inf_norm
 
     def to_scipy(self) -> sp.csr_matrix:
         """Reassemble the global operator (for tests and IO)."""

@@ -1,65 +1,48 @@
-"""Distributed Krylov solvers (CG and GMRES) over simulated ranks.
+"""Distributed Krylov solvers (CG, pipelined CG, GMRES) over simulated ranks.
 
-Each blocking solver mirrors its scalar counterpart *operation for
-operation*:
+The blocking solvers are the scalar recurrences
+(:class:`~repro.ginkgo.solver.cg.CgRecurrence`,
+:class:`~repro.ginkgo.solver.gmres.GmresRecurrence`) instantiated over
+:class:`~repro.ginkgo.distributed.vector.Vector` — the way Ginkgo's
+distributed solvers are its solver templates applied to
+``distributed::Vector``.  Everything rank-specific lives behind the
+vector and matrix (rank-partitioned ``elementwise`` kernels, halo
+exchanges, reductions evaluated in global element order while the
+communicator charges the all-reduce), so a distributed residual history
+is bitwise the scalar solver's on the undistributed system, for any rank
+count, by construction (see DESIGN.md, "Krylov core").
 
-* rank-local work (SpMV, fused vector updates, copies) runs through the
-  distributed :class:`~repro.ginkgo.distributed.matrix.Matrix` and
-  rank-partitioned elementwise kernels — thread-parallel on
-  ``OmpExecutor``, elementwise identical to the scalar kernels;
-* every global reduction (dots, norms, the GMRES multi-dot) evaluates in
-  global element order — the same einsum contraction the scalar path
-  uses — while the communicator charges the all-reduce;
-* the iteration *sequence* (order of applies, dots, fused steps, monitor
-  checks) is copied from ``CgSolver._iterate`` and
-  ``GmresSolver._solve_column`` line for line.
-
-Consequence: a distributed solve produces a residual history bitwise
-identical to the scalar solver on the undistributed system, for any rank
-count — the property the distributed benchmark gates on.
-
-Communication-hiding variants
------------------------------
-Two solvers restructure the Krylov recurrences to attack the global
-reductions that dominate high-latency solves (ROADMAP item 4):
-
-* :class:`DistributedPipelinedCgSolver` — Ghysels–Vanroose pipelined CG.
-  The three reductions of a blocking CG iteration collapse into one
-  fused all-reduce of ``(r,u)``, ``(w,u)`` and ``(r,r)``, posted
-  *non-blocking* and overlapped with the next preconditioner apply and
-  SpMV; the extra vector recurrences (``z, q, s, p``) keep the
-  iteration mathematically equivalent to CG in exact arithmetic.
-* :class:`DistributedSStepGmresSolver` — s-step (communication-avoiding)
-  GMRES.  Each restart cycle builds ``s`` monomial Krylov basis vectors
-  scaled by the matrix's Gershgorin bound (reduction-free), then a
-  *single* Gram-matrix all-reduce of ``(s+1)^2`` doubles serves all
-  ``s`` iterations: prefix solves of the normal equations yield the
-  per-iteration residual estimates and the optimal update.
-
-Both relax the bitwise contract: reassociating reductions changes
-rounding, so their residual histories track the blocking reference only
-to a pinned tolerance (see DESIGN.md).  The blocking solvers above are
-untouched and keep byte identity.
+Pipelined CG
+------------
+:class:`PipelinedCgRecurrence` (Ghysels–Vanroose) is a recurrence of its
+own — a different algorithm, not a reduction policy: the three
+reductions of a blocking CG iteration collapse into one fused all-reduce
+of ``(r,u)``, ``(w,u)`` and ``(r,r)``, posted *non-blocking* and
+overlapped with the next preconditioner apply and SpMV; the extra vector
+recurrences (``z, q, s, p``) keep the iteration mathematically
+equivalent to CG in exact arithmetic.  Reassociating reductions changes
+rounding, so its residual history tracks blocking CG only to a pinned
+tolerance (see DESIGN.md).
 
 Fault tolerance
 ---------------
 When the executor injects faults (:class:`~repro.ginkgo.fault.FaultyExecutor`),
-the solvers arm a checkpoint/replay recovery driver (:class:`_Recovery`):
+the solve is driven by a checkpoint/replay driver (:class:`_Recovery`)
+*around* the recurrence's ``step`` — no recurrence knows about it:
 
-* CG checkpoints ``(x, r, p, rz)`` every ``checkpoint_every`` iterations;
-  GMRES checkpoints ``x`` at each restart-cycle start (the cycle replays
+* Every ``checkpoint_every`` steps it snapshots the recurrence's carried
+  state (CG: ``x, r, p`` and ``rz``; pipelined CG: its eight vectors plus
+  ``(prev_gamma, alpha)``; GMRES: ``x`` — a restart cycle replays
   deterministically from ``x``, so the cycle start *is* an exact
-  checkpoint).  Pipelined CG checkpoints its full eight-vector
-  recurrence state plus ``(prev_gamma, alpha)``; s-step GMRES, like
-  GMRES, checkpoints ``x`` at cycle starts.  On the non-blocking path
-  faults surface at ``wait()`` time, so a replay reposts and re-waits
-  the exchange deterministically.
-* A dropped halo / corrupted all-reduce restores the checkpoint and
+  checkpoint).  On the non-blocking path faults surface at ``wait()``
+  time, so a replay reposts and re-waits the exchange deterministically.
+* A dropped halo / corrupted all-reduce (detected where the payload is
+  produced: :meth:`Communicator._poison`) restores the checkpoint and
   replays; a :class:`RankFailure` first shrinks the partition over the
   survivors (``Partition.shrink`` + ``Communicator.shrink`` +
   ``Matrix.repartition``), poisons the lost rows, restores them from the
   checkpoint, then replays.
-* Replayed iterations reproduce the original arithmetic exactly, and a
+* Replayed steps reproduce the original arithmetic exactly, and a
   replay-aware monitor wrapper suppresses duplicate logging, so the
   residual history stays bit-identical to a fault-free run — even across
   a shrink, because fused-mode reductions evaluate in global element
@@ -72,6 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ginkgo.distributed.comm import StateCorrupted
 from repro.ginkgo.distributed.matrix import Matrix
 from repro.ginkgo.distributed.vector import Vector
 from repro.ginkgo.exceptions import (
@@ -81,28 +65,15 @@ from repro.ginkgo.exceptions import (
 )
 from repro.ginkgo.fault import injector_of
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
-from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM
-from repro.ginkgo.solver.kernels import (
-    _bc,
-    gmres_multidot,
-    gmres_update,
-    record_fused,
-)
+from repro.ginkgo.solver.cg import CgRecurrence
+from repro.ginkgo.solver.gmres import GmresRecurrence
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 from repro.perfmodel import KernelCost
-
-#: Payload bytes of one scalar reduction result (always float64).
-_REDUCE_BYTES = np.dtype(np.float64).itemsize
-
-
-class _StateCorrupted(GinkgoError):
-    """Internal: a reduction result was poisoned by injected corruption."""
-
 
 #: Failures the checkpoint/replay driver can absorb.  RankFailure is a
 #: CommunicationError subclass; device-side CudaErrors are *not* here —
 #: they stay the retry/fallback layer's job.
-RECOVERABLE = (CommunicationError, _StateCorrupted)
+RECOVERABLE = (CommunicationError, StateCorrupted)
 
 
 class _Recovery:
@@ -111,10 +82,10 @@ class _Recovery:
     Armed only when the solver's executor carries a
     :class:`~repro.ginkgo.fault.FaultInjector` and ``checkpoint_every``
     is positive; fault-free solves pay nothing.  Checkpoints are host
-    copies of the tracked arenas (the ranks share one address space, so
-    one copy models every rank checkpointing its block); save/restore
-    time is charged as streaming kernels with injection paused — the
-    checkpoint path itself is assumed reliable.
+    copies of the recurrence's carried arenas (the ranks share one
+    address space, so one copy models every rank checkpointing its
+    block); save/restore time is charged as streaming kernels with
+    injection paused — the checkpoint path itself is assumed reliable.
     """
 
     @staticmethod
@@ -136,80 +107,14 @@ class _Recovery:
         self._x = x
         self._every = every
         self.budget = budget
-        self._tracked: dict[str, Vector] = {"x": x}
-        self._snap_vectors: dict[str, np.ndarray] = {}
-        self._snap_scalars: dict = {}
-        self._last_saved: int | None = None
         # The right-hand side is never checkpointed per iteration: it is
         # immutable, so one snapshot restores a failed rank's rows.
         self._b_snapshot = b._data.copy()
-        self._seen_faults = len(injector.injected)
         self._decisions: dict[int, bool] = {}
         self.events: list[dict] = []
         solver.num_checkpoints = 0
         solver.num_recoveries = 0
         solver.recovery_events = self.events
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def track(self, **vectors: Vector) -> None:
-        """Register solver vectors whose arenas checkpoints must cover."""
-        self._tracked.update(vectors)
-
-    def due(self, iteration: int) -> bool:
-        return (
-            iteration != self._last_saved
-            and (iteration - 1) % self._every == 0
-        )
-
-    def due_cycle(self, iteration: int) -> bool:
-        """Cycle-granularity variant (GMRES): every new cycle start."""
-        return iteration != self._last_saved
-
-    def checkpoint(self, iteration: int, **scalars) -> None:
-        """Snapshot the tracked arenas + iteration-local scalars."""
-        self._snap_vectors = {
-            name: vec._data.copy() for name, vec in self._tracked.items()
-        }
-        self._snap_scalars = {
-            "iteration": iteration,
-            **{
-                key: value.copy() if isinstance(value, np.ndarray) else value
-                for key, value in scalars.items()
-            },
-        }
-        self._last_saved = iteration
-        nbytes = sum(s.nbytes for s in self._snap_vectors.values())
-        with self._injector.paused():
-            self._exec.run(
-                KernelCost(
-                    "checkpoint_save", 0.0, 2.0 * nbytes, launches=1
-                )
-            )
-        self._solver.num_checkpoints += 1
-
-    # ------------------------------------------------------------------
-    # detection
-    # ------------------------------------------------------------------
-    def verify(self, value) -> None:
-        """Raise when a fresh all-reduce corruption poisoned ``value``.
-
-        Only NaN-mode corruption is detectable this way; a finite bit
-        flip passes through silently, exactly like real silent data
-        corruption (see the fault-tolerance contract in DESIGN.md).
-        """
-        new = self._injector.injected[self._seen_faults:]
-        if not new:
-            return
-        self._seen_faults = len(self._injector.injected)
-        poisoned = any(
-            f.site == "allreduce" and f.kind == "corruption" for f in new
-        )
-        if poisoned and not np.all(
-            np.isfinite(np.asarray(value, dtype=np.float64))
-        ):
-            raise _StateCorrupted("all-reduce payload corrupted")
 
     def wrap_monitor(self, monitor):
         """Memoize monitor decisions so replays never double-log."""
@@ -223,16 +128,66 @@ class _Recovery:
 
         return replay_aware
 
+    def drive(self, recurrence: Recurrence) -> None:
+        """Step ``recurrence`` to its stop, absorbing recoverable failures.
+
+        Checkpoints every ``checkpoint_every`` steps (CG iterations /
+        GMRES restart cycles); a failed step restores the last
+        checkpoint and replays from bit-exact state.  Corruption
+        detection is armed on the communicator for exactly this loop.
+        """
+        comm = self._solver.comm
+        comm.detect_corruption = True
+        try:
+            iteration, stopped = 0, False
+            since_checkpoint = self._every
+            while not stopped:
+                if since_checkpoint >= self._every:
+                    self._checkpoint(iteration, recurrence)
+                    since_checkpoint = 0
+                try:
+                    iteration, stopped = recurrence.step(iteration)
+                    since_checkpoint += 1
+                except RECOVERABLE as exc:
+                    iteration = self._recover(exc, recurrence)
+                    since_checkpoint = 0
+        finally:
+            comm.detect_corruption = False
+
+    # ------------------------------------------------------------------
+    # checkpointing
+    # ------------------------------------------------------------------
+    def _checkpoint(self, iteration: int, recurrence: Recurrence) -> None:
+        """Snapshot the carried arenas + scalars at ``iteration``."""
+        self._snap_vectors = {
+            name: getattr(recurrence, name)._data.copy()
+            for name in recurrence.vectors
+        }
+        # Scalars are rebound each step, never mutated: references do.
+        self._snap_scalars = {
+            name: getattr(recurrence, name) for name in recurrence.scalars
+        }
+        self._snap_iteration = iteration
+        nbytes = sum(s.nbytes for s in self._snap_vectors.values())
+        with self._injector.paused():
+            self._exec.run(
+                KernelCost(
+                    "checkpoint_save", 0.0, 2.0 * nbytes, launches=1
+                )
+            )
+        self._solver.num_checkpoints += 1
+
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def recover(self, exc: Exception) -> dict:
-        """Absorb ``exc``: shrink if a rank died, restore, return scalars.
+    def _recover(self, exc: Exception, recurrence: Recurrence) -> int:
+        """Absorb ``exc``: shrink if a rank died, restore the checkpoint.
 
-        Raises ``exc`` again once the recovery budget is exhausted (the
+        Returns the checkpointed iteration to resume from.  Raises
+        ``exc`` again once the recovery budget is exhausted (the
         retry/fallback layer then owns the failure).
         """
-        if self.budget < 1 or not self._snap_vectors:
+        if self.budget < 1:
             raise exc
         self.budget -= 1
         solver = self._solver
@@ -245,11 +200,11 @@ class _Recovery:
         with self._injector.paused():
             if isinstance(exc, RankFailure):
                 self._shrink(exc.rank)
-            self._restore()
+            self._restore(recurrence)
         detail = {
             "event": event,
             "error": type(exc).__name__,
-            "iteration": self._snap_scalars.get("iteration"),
+            "iteration": self._snap_iteration,
             "ranks": solver.comm.num_ranks,
         }
         self.events.append(detail)
@@ -260,7 +215,7 @@ class _Recovery:
             ranks=detail["ranks"],
             recoveries=solver.num_recoveries,
         )
-        return dict(self._snap_scalars)
+        return self._snap_iteration
 
     def _shrink(self, failed_rank: int) -> None:
         solver = self._solver
@@ -270,12 +225,8 @@ class _Recovery:
         solver.comm.shrink(failed_rank)
         solver._matrix.repartition(survivors, lost_rows=lost)
         lo, hi = lost
-        seen: set[int] = set()
-        for vec in (self._b, self._x, *self._tracked.values(),
-                    *solver._vpool.values()):
-            if id(vec) in seen:
-                continue
-            seen.add(id(vec))
+        # Every carried and scratch vector is pooled in the workspace.
+        for vec in (self._b, self._x, *solver.workspace.vectors()):
             vec.repartition(survivors)
             # The failed rank's block is gone: poison it so any read
             # before restore/overwrite surfaces as a breakdown instead
@@ -284,42 +235,18 @@ class _Recovery:
                 vec._data[lo:hi] = np.nan
         np.copyto(self._b._data[lo:hi], self._b_snapshot[lo:hi])
 
-    def _restore(self) -> None:
+    def _restore(self, recurrence: Recurrence) -> None:
         nbytes = 0
         for name, snap in self._snap_vectors.items():
-            vec = self._tracked[name]
+            vec = getattr(recurrence, name)
             np.copyto(vec._data, snap)
             vec.mark_modified()
             nbytes += snap.nbytes
+        for name, value in self._snap_scalars.items():
+            setattr(recurrence, name, value)
         self._exec.run(
             KernelCost("checkpoint_restore", 0.0, 2.0 * nbytes, launches=1)
         )
-        self._seen_faults = len(self._injector.injected)
-
-
-def dist_cg_step_1(p: Vector, z: Vector, beta) -> None:
-    """Fused ``p = z + beta * p``, rank-parallel; matches ``cg_step_1``."""
-    b = _bc(beta, p.dtype)
-    pd, zd = p._data, z._data
-
-    def op(lo, hi):
-        pd[lo:hi] *= b
-        pd[lo:hi] += zd[lo:hi]
-
-    p._rankwise_elementwise("cg_step_1", op, 3)
-
-
-def dist_cg_step_2(x: Vector, r: Vector, p: Vector, q: Vector, alpha) -> None:
-    """Fused ``x += alpha p ; r -= alpha q``; matches ``cg_step_2``."""
-    a = _bc(alpha, x.dtype)
-    xd, rd, pd, qd = x._data, r._data, p._data, q._data
-
-    def op(lo, hi):
-        xd[lo:hi] += a * pd[lo:hi]
-        rd[lo:hi] -= a * qd[lo:hi]
-
-    x._rankwise_elementwise("cg_step_2", op, 6)
-    r.mark_modified()
 
 
 def _pcg_local_dots(r: Vector, u: Vector, w: Vector) -> np.ndarray:
@@ -331,7 +258,6 @@ def _pcg_local_dots(r: Vector, u: Vector, w: Vector) -> np.ndarray:
     amortise.  Returns the stacked ``(3, cols)`` float64 payload for the
     single all-reduce.
     """
-    exec_ = r._exec
     rows, cols = r._data.shape
     result = np.stack(
         [
@@ -340,7 +266,7 @@ def _pcg_local_dots(r: Vector, u: Vector, w: Vector) -> np.ndarray:
             np.einsum("ij,ij->j", r._data, r._data),
         ]
     ).astype(np.float64, copy=False)
-    exec_.run(
+    r.executor.run(
         KernelCost(
             "pipelined_cg_dots",
             flops=6.0 * rows * cols,
@@ -351,7 +277,7 @@ def _pcg_local_dots(r: Vector, u: Vector, w: Vector) -> np.ndarray:
     return result
 
 
-def dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta) -> None:
+def pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta) -> None:
     """Fused Ghysels–Vanroose recurrence update, rank-parallel.
 
     One streaming kernel updating all eight recurrence vectors from the
@@ -363,13 +289,11 @@ def dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta) -> None:
     The auxiliary updates read ``w``/``u`` *before* their own updates
     run, matching the paper's ordering.
     """
-    a = _bc(alpha, x.dtype)
-    bt = _bc(beta, x.dtype)
     zd, qd, sd, pd = z._data, q._data, s._data, p._data
     xd, rd, ud, wd = x._data, r._data, u._data, w._data
     md, nd = m._data, n._data
 
-    def op(lo, hi):
+    def op(lo, hi, a, bt):
         zd[lo:hi] *= bt
         zd[lo:hi] += nd[lo:hi]
         qd[lo:hi] *= bt
@@ -383,145 +307,13 @@ def dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta) -> None:
         ud[lo:hi] -= a * qd[lo:hi]
         wd[lo:hi] -= a * zd[lo:hi]
 
-    x._rankwise_elementwise("pipelined_cg_step", op, 18)
+    x.elementwise("pipelined_cg_step", op, 18, alpha, beta)
     for vec in (z, q, s, p, r, u, w):
         vec.mark_modified()
 
 
-class DistributedIterativeSolver(IterativeSolver):
-    """Base of the distributed solvers: pooled Vectors, shared comm."""
-
-    def __init__(self, factory: SolverFactory, matrix) -> None:
-        if not isinstance(matrix, Matrix):
-            raise GinkgoError(
-                f"{type(self).__name__} requires a distributed Matrix, "
-                f"got {type(matrix).__name__}"
-            )
-        if factory.preconditioner is not None:
-            raise GinkgoError(
-                "distributed solvers currently support only "
-                "preconditioner=None (the implicit Identity); distributed "
-                "preconditioners are not implemented"
-            )
-        super().__init__(factory, matrix)
-        self._vpool: dict[str, Vector] = {}
-
-    @property
-    def partition(self):
-        return self._matrix.partition
-
-    @property
-    def comm(self):
-        return self._matrix.comm
-
-    def _vector(self, name: str, like: Vector, copy: bool = False) -> Vector:
-        """Pooled distributed Vector shaped like ``like``.
-
-        All pooled vectors charge their reductions on the matrix's
-        communicator so a solve's comm counters aggregate in one place.
-        """
-        vec = self._vpool.get(name)
-        if (
-            vec is None
-            or vec.size != like.size
-            or vec.dtype != like.dtype
-            or vec.partition != like.partition
-        ):
-            vec = Vector.zeros(
-                self._exec,
-                like.partition,
-                cols=like.size.cols,
-                dtype=like.dtype,
-                comm=self._matrix.comm,
-            )
-            self._vpool[name] = vec
-        if copy:
-            vec.copy_values_from(like)
-        return vec
-
-    def _check_distributed_operands(self, b, x) -> None:
-        for name, vec in (("b", b), ("x", x)):
-            if not isinstance(vec, Vector):
-                raise GinkgoError(
-                    f"{type(self).__name__} operates on distributed "
-                    f"Vectors; operand {name} is {type(vec).__name__}"
-                )
-            if vec.partition != self._matrix.partition:
-                raise GinkgoError(
-                    f"operand {name} uses a different partition than the "
-                    f"system matrix"
-                )
-
-    def _apply_impl(self, b: Vector, x: Vector) -> None:
-        self._check_distributed_operands(b, x)
-        super()._apply_impl(b, x)
-
-    def _initial_residual_buffer(self, b: Vector) -> Vector:
-        return self._vector("base.r0", b, copy=True)
-
-    def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
-        tmp = self._vector("base.advanced_tmp", x, copy=True)
-        self._apply_impl(b, tmp)
-        x.scale(beta)
-        x.add_scaled(alpha, tmp)
-
-
-class DistributedCgSolver(DistributedIterativeSolver):
-    """Distributed CG; iteration sequence copied from ``CgSolver``.
-
-    Under fault injection the loop checkpoints ``(x, r, p, rz)`` every
-    ``checkpoint_every`` iterations and absorbs recoverable failures by
-    restoring the checkpoint and replaying — see :class:`_Recovery`.
-    """
-
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        recovery = _Recovery.arm(self, b, x)
-        z = self._vector("cg.z", r)
-        M.apply(r, z)
-        p = self._vector("cg.p", z, copy=True)
-        q = self._vector("cg.q", r)
-        rz = r.compute_dot(z)
-        if recovery is not None:
-            recovery.track(r=r, p=p)
-            monitor = recovery.wrap_monitor(monitor)
-
-        iteration = 0
-        while True:
-            iteration += 1
-            if recovery is not None and recovery.due(iteration):
-                recovery.checkpoint(iteration, rz=rz)
-            try:
-                A.apply(p, q)
-                pq = p.compute_dot(q)
-                if recovery is not None:
-                    recovery.verify(pq)
-                alpha = _safe_divide(rz, pq)
-                dist_cg_step_2(x, r, p, q, alpha)
-                res_norm = r.compute_norm2()
-                if recovery is not None:
-                    recovery.verify(res_norm)
-                if monitor(iteration, res_norm):
-                    return
-                M.apply(r, z)
-                rz_new = r.compute_dot(z)
-                if recovery is not None:
-                    recovery.verify(rz_new)
-                beta = _safe_divide(rz_new, rz)
-                dist_cg_step_1(p, z, beta)
-                rz = rz_new
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                # Resume at the checkpointed iteration: the loop header
-                # re-increments, so the replayed iteration recomputes
-                # from bit-exact state.
-                iteration = scalars["iteration"] - 1
-                rz = scalars["rz"]
-
-
-class DistributedPipelinedCgSolver(DistributedIterativeSolver):
-    """Pipelined CG (Ghysels & Vanroose): one overlapped reduction/iter.
+class PipelinedCgRecurrence(Recurrence):
+    """Pipelined CG (Ghysels & Vanroose): one overlapped reduction/step.
 
     Blocking CG pays three all-reduces per iteration (``p.q``, the
     residual norm, ``r.z``), each a synchronisation point.  The
@@ -536,413 +328,147 @@ class DistributedPipelinedCgSolver(DistributedIterativeSolver):
     match blocking CG only to rounding-level tolerance (pinned in the
     tests/benchmark, documented in DESIGN.md), and the recurrence for
     ``r`` drifts from the true residual ``b - A x`` a few digits earlier
-    than blocking CG under loss of orthogonality.  The monitored
-    residual of iteration ``i`` is computed by the reduction of pass
-    ``i + 1`` (pipeline depth 1), so a converged solve performs one
-    extra overlapped SpMV.
-
-    Under fault injection the loop checkpoints the eight-vector
-    recurrence state plus ``(prev_gamma, alpha)`` every
-    ``checkpoint_every`` iterations; wait-time failures restore and
-    replay exactly like blocking CG.
+    than blocking CG under loss of orthogonality.  One step is one pass;
+    the monitored residual of iteration ``i`` is computed by the
+    reduction of pass ``i + 1`` (pipeline depth 1), so a converged solve
+    performs one extra overlapped SpMV.
     """
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        recovery = _Recovery.arm(self, b, x)
-        comm = self._matrix.comm
-        u = self._vector("pcg.u", r)
-        M.apply(r, u)
-        w = self._vector("pcg.w", r)
-        A.apply(u, w)
-        m = self._vector("pcg.m", r)
-        n = self._vector("pcg.n", r)
+    vectors = ("x", "r", "u", "w", "z", "q", "s", "p")
+    scalars = ("prev_gamma", "alpha")
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.u = r.scratch(ws, "pcg.u")
+        M.apply(r, self.u)
+        self.w = r.scratch(ws, "pcg.w")
+        A.apply(self.u, self.w)
+        self.m = r.scratch(ws, "pcg.m")
+        self.n = r.scratch(ws, "pcg.n")
         # The auxiliary recurrences start at zero (beta_0 = 0 makes the
         # first update a plain copy, but a stale NaN from a previous
         # broken-down solve would survive `0 * NaN`).
-        z = self._vector("pcg.z", r).fill(0.0)
-        q = self._vector("pcg.q", r).fill(0.0)
-        s = self._vector("pcg.s", r).fill(0.0)
-        p = self._vector("pcg.p", r).fill(0.0)
-        if recovery is not None:
-            recovery.track(r=r, u=u, w=w, z=z, q=q, s=s, p=p)
-            monitor = recovery.wrap_monitor(monitor)
+        self.z = r.scratch(ws, "pcg.z").fill(0.0)
+        self.q = r.scratch(ws, "pcg.q").fill(0.0)
+        self.s = r.scratch(ws, "pcg.s").fill(0.0)
+        self.p = r.scratch(ws, "pcg.p").fill(0.0)
+        self.prev_gamma = None
+        self.alpha = None
 
-        iteration = 0
-        prev_gamma = None
-        alpha = None
-        while True:
-            iteration += 1
-            if recovery is not None and recovery.due(iteration):
-                recovery.checkpoint(
-                    iteration, prev_gamma=prev_gamma, alpha=alpha
+    def step(self, passes: int) -> tuple:
+        r, u, w, m, n = self.r, self.u, self.w, self.m, self.n
+        passes += 1
+        # Fused local dots, then ONE non-blocking all-reduce …
+        reduced = _pcg_local_dots(r, u, w)
+        request = r.iall_reduce(reduced, "iallreduce_pcg")
+        # … hidden behind the next preconditioner apply + SpMV
+        # (the point of the pipelined formulation).
+        self.M.apply(w, m)
+        self.A.apply(m, n)
+        request.wait()
+        gamma, delta, rr = reduced
+        # Pipeline depth 1: this pass's reduction delivers the
+        # residual of the *previous* pass's update.
+        if passes > 1 and self.monitor(passes - 1, np.sqrt(rr)):
+            return passes, True
+        if self.prev_gamma is None:
+            beta = np.zeros_like(gamma)
+            alpha = safe_divide(gamma, delta)
+        else:
+            beta = safe_divide(gamma, self.prev_gamma)
+            alpha = safe_divide(
+                gamma, delta - safe_divide(beta * gamma, self.alpha)
+            )
+        pcg_step(
+            self.z, self.q, self.s, self.p, self.x, r, u, w, m, n,
+            alpha, beta,
+        )
+        self.prev_gamma, self.alpha = gamma, alpha
+        return passes, False
+
+
+class DistributedIterativeSolver(IterativeSolver):
+    """A Krylov recurrence instantiated over distributed Vectors.
+
+    Under fault injection the recurrence is stepped by the
+    checkpoint/replay driver (:class:`_Recovery`) instead of the plain
+    loop.
+    """
+
+    def __init__(self, factory: SolverFactory, matrix) -> None:
+        if not isinstance(matrix, Matrix):
+            raise GinkgoError(
+                f"{type(self).__name__} requires a distributed Matrix, "
+                f"got {type(matrix).__name__}"
+            )
+        if factory.preconditioner is not None:
+            raise GinkgoError(
+                "distributed solvers currently support only "
+                "preconditioner=None (the implicit Identity); distributed "
+                "preconditioners are not implemented"
+            )
+        super().__init__(factory, matrix)
+
+    @property
+    def partition(self):
+        return self._matrix.partition
+
+    @property
+    def comm(self):
+        return self._matrix.comm
+
+    def _apply_impl(self, b: Vector, x: Vector) -> None:
+        for name, vec in (("b", b), ("x", x)):
+            if not isinstance(vec, Vector):
+                raise GinkgoError(
+                    f"{type(self).__name__} operates on distributed "
+                    f"Vectors; operand {name} is {type(vec).__name__}"
                 )
-            try:
-                # Fused local dots, then ONE non-blocking all-reduce …
-                reduced = _pcg_local_dots(r, u, w)
-                request = comm.iallreduce(
-                    reduced.size * _REDUCE_BYTES,
-                    label="iallreduce_pcg",
-                    payload=reduced,
+            if vec.partition != self._matrix.partition:
+                raise GinkgoError(
+                    f"operand {name} uses a different partition than the "
+                    f"system matrix"
                 )
-                # … hidden behind the next preconditioner apply + SpMV
-                # (the point of the pipelined formulation).
-                M.apply(w, m)
-                A.apply(m, n)
-                request.wait()
-                if recovery is not None:
-                    recovery.verify(reduced)
-                gamma, delta, rr = reduced
-                res_norm = np.sqrt(rr)
-                # Pipeline depth 1: this pass's reduction delivers the
-                # residual of the *previous* pass's update.
-                if iteration > 1 and monitor(iteration - 1, res_norm):
-                    return
-                if prev_gamma is None:
-                    beta = np.zeros_like(gamma)
-                    alpha = _safe_divide(gamma, delta)
-                else:
-                    beta = _safe_divide(gamma, prev_gamma)
-                    alpha = _safe_divide(
-                        gamma, delta - _safe_divide(beta * gamma, alpha)
-                    )
-                dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta)
-                prev_gamma = gamma
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                iteration = scalars["iteration"] - 1
-                prev_gamma = scalars["prev_gamma"]
-                alpha = scalars["alpha"]
+        super()._apply_impl(b, x)
+
+    def _initial_residual_buffer(self, b: Vector) -> Vector:
+        # Every scratch vector derives from this one, so all of a
+        # solve's reductions charge the matrix's communicator and its
+        # comm counters aggregate in one place.
+        return b.scratch(
+            self._workspace, "base.r0", copy=True, comm=self._matrix.comm
+        )
+
+    def _iterate(self, A, M, b, x, r, monitor) -> None:
+        recovery = _Recovery.arm(self, b, x)
+        if recovery is None:
+            return super()._iterate(A, M, b, x, r, monitor)
+        recovery.drive(
+            self._recurrence(A, M, b, x, r, recovery.wrap_monitor(monitor))
+        )
+
+
+class DistributedCgSolver(DistributedIterativeSolver):
+    """Distributed CG: :class:`CgRecurrence` over distributed Vectors."""
+
+    recurrence = CgRecurrence
+
+
+class DistributedPipelinedCgSolver(DistributedIterativeSolver):
+    """Pipelined CG: :class:`PipelinedCgRecurrence` over distributed Vectors."""
+
+    recurrence = PipelinedCgRecurrence
 
 
 class DistributedGmresSolver(DistributedIterativeSolver):
     """Distributed restarted GMRES (single right-hand side).
 
-    The Krylov basis and Hessenberg matrix are replicated host-side (as
-    in the scalar solver's workspace arrays); basis updates run through
-    the same fused kernels, and the three per-iteration reductions (the
-    restart norm, the multi-dot, and the candidate norm) each charge one
-    all-reduce.
+    :class:`GmresRecurrence` over distributed Vectors: the three
+    per-iteration reductions (the restart norm, the multi-dot, and the
+    candidate norm) each charge one all-reduce.
     """
 
-    def _iterate(self, A, M, b, x, r0, monitor) -> None:
-        krylov_dim = int(
-            self._factory.params.get("krylov_dim", DEFAULT_KRYLOV_DIM)
-        )
-        if krylov_dim < 1:
-            raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        if b.size.cols != 1:
-            raise GinkgoError(
-                "distributed GMRES supports a single right-hand side, "
-                f"got {b.size.cols} columns"
-            )
-        exec_ = self._exec
-        comm = self._matrix.comm
-        ws = self._workspace
-        n = b.size.rows
-        m = krylov_dim
-        total_iteration = 0
-        w = self._vector("gmres.w", b)
-        r = self._vector("gmres.r", b)
-        recovery = _Recovery.arm(self, b, x)
-        if recovery is not None:
-            # The whole cycle replays deterministically from x, so the
-            # cycle start is an exact checkpoint: only x is snapshotted.
-            monitor = recovery.wrap_monitor(monitor)
-
-        while True:
-            if recovery is not None and recovery.due_cycle(total_iteration):
-                recovery.checkpoint(total_iteration)
-            try:
-                stopped = self._cycle(
-                    A, M, b, x, monitor, w, r, ws, n, m,
-                    total_iteration, recovery,
-                )
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                total_iteration = scalars["iteration"]
-                continue
-            if stopped is None:
-                return
-            total_iteration, stopped = stopped
-            if stopped:
-                return
-            # Otherwise: restart.
-
-    def _cycle(
-        self, A, M, b, x, monitor, w, r, ws, n, m, total_iteration, recovery
-    ):
-        """One restart cycle; returns None on a zero residual, else
-        ``(total_iteration, stopped)``."""
-        exec_ = self._exec
-        comm = self._matrix.comm
-        if True:
-            # Preconditioned residual r = M^{-1}(b - A x).
-            w.copy_values_from(b)
-            A.apply_advanced(-1.0, x, 1.0, w)
-            M.apply(w, r)
-            beta = float(r.compute_norm2()[0])
-            if recovery is not None:
-                recovery.verify(beta)
-            if beta == 0.0:
-                monitor(total_iteration, 0.0)
-                return None
-            basis = ws.array("gmres.basis", (n, m + 1))
-            basis[:, 0] = r._data[:, 0] / beta
-            record_fused(exec_, "gmres_init", n, b.value_bytes, 2)
-            hessenberg = ws.array("gmres.hessenberg", (m + 1, m))
-            givens_cos = ws.array("gmres.givens_cos", m)
-            givens_sin = ws.array("gmres.givens_sin", m)
-            g = ws.array("gmres.g", m + 1)
-            g[0] = beta
-
-            inner = 0
-            stopped = False
-            for j in range(m):
-                # w = M^{-1} A v_j
-                w._data[:, 0] = basis[:, j]
-                A.apply(w, r)
-                M.apply(r, w)
-                # Fused multi-dot: locally a single einsum contraction in
-                # global element order, globally one all-reduce of the
-                # j+1 coefficients.
-                coeffs = gmres_multidot(basis, w, j + 1)
-                comm.all_reduce(
-                    (j + 1) * _REDUCE_BYTES,
-                    label="all_reduce_multidot",
-                    payload=coeffs,
-                )
-                if recovery is not None:
-                    recovery.verify(coeffs)
-                hessenberg[: j + 1, j] = coeffs
-                gmres_update(basis, w, coeffs, j + 1)
-                h_next = float(w.compute_norm2()[0])
-                if recovery is not None:
-                    recovery.verify(h_next)
-                hessenberg[j + 1, j] = h_next
-                if h_next != 0.0:
-                    basis[:, j + 1] = w._data[:, 0] / h_next
-                    record_fused(exec_, "gmres_scale", n, b.value_bytes, 2)
-                for i in range(j):
-                    hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-                    hessenberg[i, j] = (
-                        givens_cos[i] * hi + givens_sin[i] * hi1
-                    )
-                    hessenberg[i + 1, j] = (
-                        -givens_sin[i] * hi + givens_cos[i] * hi1
-                    )
-                denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-                if denom == 0.0:
-                    givens_cos[j], givens_sin[j] = 1.0, 0.0
-                else:
-                    givens_cos[j] = hessenberg[j, j] / denom
-                    givens_sin[j] = hessenberg[j + 1, j] / denom
-                hessenberg[j, j] = denom
-                hessenberg[j + 1, j] = 0.0
-                g[j + 1] = -givens_sin[j] * g[j]
-                g[j] = givens_cos[j] * g[j]
-                # The Givens updates run redundantly on every rank (they
-                # are O(m) host work), so no communication is charged.
-                exec_.run(
-                    KernelCost(
-                        "givens_update", 6.0 * m, 24.0 * m, launches=3
-                    )
-                )
-
-                residual_norm = abs(g[j + 1])
-                inner = j + 1
-                total_iteration += 1
-                exec_.run(
-                    KernelCost("residual_check", 0.0, 64.0, launches=4)
-                )
-                stopped = monitor(total_iteration, residual_norm)
-                if stopped or h_next == 0.0:
-                    break
-
-            y = ws.array("gmres.y", inner)
-            for i in range(inner - 1, -1, -1):
-                y[i] = (
-                    g[i] - hessenberg[i, i + 1 : inner] @ y[i + 1 : inner]
-                ) / hessenberg[i, i]
-            exec_.run(
-                KernelCost(
-                    "hessenberg_trsv",
-                    flops=float(inner * inner),
-                    bytes=8.0 * inner * inner,
-                    launches=max(inner, 1),
-                )
-            )
-            x._data[:, 0] += basis[:, :inner] @ y
-            x.mark_modified()
-            record_fused(
-                exec_, "gmres_x_update", n * inner, b.value_bytes, 2
-            )
-            return total_iteration, stopped
-
-
-#: Default s-step cycle length: the monomial basis loses roughly one
-#: decimal digit of conditioning per power, so small cycles are the
-#: practical regime (Hoemmen 2010 reaches further only with Newton bases).
-DEFAULT_S_STEP = 4
-
-
-class DistributedSStepGmresSolver(DistributedIterativeSolver):
-    """s-step (communication-avoiding) GMRES: one reduction per cycle.
-
-    Each restart cycle of length ``s``:
-
-    1. computes the preconditioned residual ``r = M^{-1}(b - A x)``;
-    2. builds the monomial Krylov basis ``p_0 = r``,
-       ``p_{i+1} = M^{-1}(A p_i) / rho`` with ``rho`` the matrix's
-       Gershgorin bound (:meth:`Matrix.infinity_norm` — no per-vector
-       norm reductions);
-    3. all-reduces the Gram matrix ``G = P^T P`` — ``(s+1)^2`` doubles,
-       the cycle's *only* global reduction;
-    4. for ``k = 1..s`` solves the normal equations on the leading
-       ``k x k`` corner of ``G`` (redundant O(s^3) host work on every
-       rank): since ``A M^{-1} p_i = rho p_{i+1}`` exactly, the update
-       ``x += P[:, :k] (y / rho)`` has preconditioned residual
-       ``P (e_0 - S y)`` whose norm is ``sqrt(G[0,0] - y^T G[1:,0])`` —
-       the per-iteration residual estimate fed to the monitor;
-    5. applies the best update and restarts (re-deriving the true
-       residual, which bounds the estimate drift per cycle).
-
-    The estimates reassociate the orthogonalisation arithmetic, so
-    residual histories track blocking GMRES only to a pinned tolerance;
-    conditioning of the monomial basis limits ``s`` to small values
-    (default 4).  Checkpoint/recovery is cycle-granular, exactly like
-    blocking GMRES: cycles replay deterministically from ``x``.
-    """
-
-    def _iterate(self, A, M, b, x, r0, monitor) -> None:
-        s = int(self._factory.params.get("s_step", DEFAULT_S_STEP))
-        if s < 1:
-            raise GinkgoError(f"s_step must be >= 1, got {s}")
-        if b.size.cols != 1:
-            raise GinkgoError(
-                "distributed s-step GMRES supports a single right-hand "
-                f"side, got {b.size.cols} columns"
-            )
-        ws = self._workspace
-        n = b.size.rows
-        w = self._vector("sstep.w", b)
-        r = self._vector("sstep.r", b)
-        pk = self._vector("sstep.pk", b)
-        rho = self._matrix.infinity_norm() or 1.0
-        total_iteration = 0
-        recovery = _Recovery.arm(self, b, x)
-        if recovery is not None:
-            monitor = recovery.wrap_monitor(monitor)
-
-        while True:
-            if recovery is not None and recovery.due_cycle(total_iteration):
-                recovery.checkpoint(total_iteration)
-            try:
-                stopped = self._cycle(
-                    A, M, b, x, monitor, w, r, pk, ws, n, s, rho,
-                    total_iteration, recovery,
-                )
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                total_iteration = scalars["iteration"]
-                continue
-            if stopped is None:
-                return
-            total_iteration, stopped = stopped
-            if stopped:
-                return
-            # Otherwise: restart with the next s-step cycle.
-
-    def _cycle(
-        self, A, M, b, x, monitor, w, r, pk, ws, n, s, rho,
-        total_iteration, recovery,
-    ):
-        """One s-step cycle; returns None on a zero residual, else
-        ``(total_iteration, stopped)``."""
-        exec_ = self._exec
-        comm = self._matrix.comm
-        # Preconditioned residual r = M^{-1}(b - A x).
-        w.copy_values_from(b)
-        A.apply_advanced(-1.0, x, 1.0, w)
-        M.apply(w, r)
-        basis = ws.array("sstep.basis", (n, s + 1))
-        basis[:, 0] = r._data[:, 0]
-        record_fused(exec_, "sstep_init", n, b.value_bytes, 2)
-        inv_rho = 1.0 / rho
-        for i in range(s):
-            # p_{i+1} = M^{-1}(A p_i) / rho — matrix work only, no
-            # reductions; the halo exchanges ride the overlap path when
-            # the matrix has it enabled.
-            pk._data[:, 0] = basis[:, i]
-            pk.mark_modified()
-            A.apply(pk, w)
-            M.apply(w, pk)
-            basis[:, i + 1] = pk._data[:, 0] * inv_rho
-            record_fused(exec_, "sstep_basis_scale", n, b.value_bytes, 2)
-        # The cycle's single global reduction: every inner iteration's
-        # orthogonalisation state in one (s+1)^2 payload.
-        gram = basis.T @ basis
-        exec_.run(
-            KernelCost(
-                "sstep_gram",
-                flops=2.0 * n * (s + 1) ** 2,
-                bytes=float(n * (s + 1) * b.value_bytes + gram.nbytes),
-                launches=1,
-            )
-        )
-        comm.all_reduce(
-            gram.size * _REDUCE_BYTES,
-            label="all_reduce_gram",
-            payload=gram,
-        )
-        if recovery is not None:
-            recovery.verify(gram)
-        if gram[0, 0] == 0.0:
-            monitor(total_iteration, 0.0)
-            return None
-
-        y = None
-        inner = 0
-        stopped = False
-        for k in range(1, s + 1):
-            corner = gram[1 : k + 1, 1 : k + 1]
-            rhs = gram[1 : k + 1, 0]
-            try:
-                yk = np.linalg.solve(corner, rhs)
-            except np.linalg.LinAlgError:
-                # Degenerate basis (Krylov space exhausted): fall back
-                # to the minimum-norm least-squares coefficients.
-                yk = np.linalg.lstsq(corner, rhs, rcond=None)[0]
-            residual_norm = np.sqrt(
-                max(float(gram[0, 0] - rhs @ yk), 0.0)
-            )
-            # The prefix solves are O(s^3) redundant host work on every
-            # rank, like the blocking solver's Givens updates.
-            exec_.run(
-                KernelCost(
-                    "sstep_normal_solve",
-                    flops=float(k**3) / 3.0 + 2.0 * k * k,
-                    bytes=8.0 * (k + 1) * (k + 1),
-                    launches=2,
-                )
-            )
-            y = yk
-            inner = k
-            total_iteration += 1
-            exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
-            stopped = monitor(total_iteration, residual_norm)
-            if stopped:
-                break
-
-        x._data[:, 0] += basis[:, :inner] @ (y * inv_rho)
-        x.mark_modified()
-        record_fused(exec_, "sstep_x_update", n * inner, b.value_bytes, 2)
-        return total_iteration, stopped
+    recurrence = GmresRecurrence
 
 
 class DistributedCg(SolverFactory):
@@ -964,8 +490,8 @@ class DistributedGmres(SolverFactory):
 
     Parameters:
         krylov_dim: Restart length (default 30, as in the scalar solver).
-        checkpoint_every: Checkpoint period under fault injection
-            (GMRES checkpoints at restart-cycle starts; 0 disables).
+        checkpoint_every: Checkpoint period under fault injection, in
+            restart cycles (default 1; 0 disables recovery).
         max_recoveries: Recoverable failures absorbed per solve before
             the error propagates (default 8).
     """
@@ -986,19 +512,3 @@ class DistributedPipelinedCg(SolverFactory):
 
     solver_class = DistributedPipelinedCgSolver
     parameter_names = ("checkpoint_every", "max_recoveries")
-
-
-class DistributedSStepGmres(SolverFactory):
-    """s-step GMRES factory: one all-reduce per ``s_step`` iterations.
-
-    Parameters:
-        s_step: Cycle length / basis size (default 4; the monomial basis
-            limits practical values to single digits).
-        checkpoint_every: Checkpoint period under fault injection
-            (cycle-granular, like blocking GMRES; 0 disables).
-        max_recoveries: Recoverable failures absorbed per solve before
-            the error propagates (default 8).
-    """
-
-    solver_class = DistributedSStepGmresSolver
-    parameter_names = ("s_step", "checkpoint_every", "max_recoveries")

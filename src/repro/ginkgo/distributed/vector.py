@@ -35,8 +35,11 @@ from repro.ginkgo.exceptions import (
     GinkgoError,
 )
 from repro.ginkgo.lin_op import LinOp
-from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.matrix.dense import Dense, _coef
 from repro.perfmodel import blas1_cost, dot_cost
+
+#: Payload bytes of one scalar reduction result (always float64).
+_REDUCE_BYTES = np.dtype(np.float64).itemsize
 
 #: When True, every rank dispatches its kernels independently (the
 #: ``sequential_ranks`` baseline) instead of through fused regions.
@@ -255,11 +258,16 @@ class Vector(LinOp):
             for rank, (lo, hi) in enumerate(self._partition.ranges)
         ]
 
-    def _rankwise_elementwise(self, name: str, op, num_vectors: int) -> None:
-        """Run ``op(lo, hi)`` per rank as one fused streaming kernel."""
+    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
+        """Run ``op(lo, hi, *coefficients)`` per rank as one fused kernel.
+
+        The rank-aware form of ``Dense.elementwise``: same ``op``, same
+        coefficient broadcasting, one task per rank's row block.
+        """
+        coefs = tuple(_coef(c, self.dtype) for c in coefficients)
 
         def make_task(lo, hi):
-            return lambda: op(lo, hi)
+            return lambda: op(lo, hi, *coefs)
 
         tasks = [make_task(lo, hi) for lo, hi in self._partition.ranges]
         cost = blas1_cost(
@@ -272,14 +280,14 @@ class Vector(LinOp):
             cost,
             tasks,
             self._rank_parts(),
-            fused=lambda: op(0, self._size.rows),
+            fused=lambda: op(0, self._size.rows, *coefs),
         )
         self.mark_modified()
 
     def fill(self, value) -> "Vector":
         """Set every entry to ``value``."""
         data = self._data
-        self._rankwise_elementwise(
+        self.elementwise(
             "fill", lambda lo, hi: data[lo:hi].fill(value), 1
         )
         return self
@@ -288,7 +296,7 @@ class Vector(LinOp):
         """Overwrite this vector's values with ``other``'s (same shape)."""
         self._check_compatible(other, "copy_values_from")
         src, dst = other._data, self._data
-        self._rankwise_elementwise(
+        self.elementwise(
             "copy", lambda lo, hi: np.copyto(dst[lo:hi], src[lo:hi]), 2
         )
         return self
@@ -301,7 +309,7 @@ class Vector(LinOp):
         def op(lo, hi):
             data[lo:hi] *= a
 
-        self._rankwise_elementwise("scale", op, 2)
+        self.elementwise("scale", op, 2)
         return self
 
     def add_scaled(self, alpha, other: "Vector") -> "Vector":
@@ -313,7 +321,7 @@ class Vector(LinOp):
         def op(lo, hi):
             dst[lo:hi] += a * src[lo:hi]
 
-        self._rankwise_elementwise("add_scaled", op, 3)
+        self.elementwise("add_scaled", op, 3)
         return self
 
     # ------------------------------------------------------------------
@@ -328,23 +336,36 @@ class Vector(LinOp):
         partial results.
         """
         self._check_compatible(other, "compute_dot")
-        result = self._reduce("ij,ij->j", other)
-        self._comm.all_reduce(
-            self._size.cols * np.dtype(np.float64).itemsize,
-            label="all_reduce_dot",
-            payload=result,
+        return self.all_reduce(
+            self._reduce("ij,ij->j", other), "all_reduce_dot"
         )
-        return result
 
     def compute_norm2(self) -> np.ndarray:
         """Column-wise Euclidean norms, globally reduced."""
-        result = np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64))
-        self._comm.all_reduce(
-            self._size.cols * np.dtype(np.float64).itemsize,
-            label="all_reduce_norm",
-            payload=result,
+        return self.all_reduce(
+            np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64)),
+            "all_reduce_norm",
         )
-        return result
+
+    def all_reduce(self, payload: np.ndarray, label: str) -> np.ndarray:
+        """Charge the all-reduce of a locally reduced ``payload``.
+
+        The payload is already the global result (see the module
+        docstring); this is where the communicator charges the exchange,
+        injects faults, and — when a recovery driver armed detection —
+        raises on a NaN-corrupted result.  Each entry travels as one
+        float64.
+        """
+        self._comm.all_reduce(
+            payload.size * _REDUCE_BYTES, label=label, payload=payload
+        )
+        return payload
+
+    def iall_reduce(self, payload: np.ndarray, label: str):
+        """Post the non-blocking all-reduce of ``payload``; returns its handle."""
+        return self._comm.iallreduce(
+            payload.size * _REDUCE_BYTES, label=label, payload=payload
+        )
 
     def _reduce(self, contraction: str, other: "Vector") -> np.ndarray:
         """Contract the arenas, charging the reduction's kernel cost.
@@ -371,6 +392,36 @@ class Vector(LinOp):
         result = np.einsum(contraction, self._data, other._data)
         self._exec.run(cost)
         return result
+
+    # ------------------------------------------------------------------
+    # scratch
+    # ------------------------------------------------------------------
+    def scratch(self, ws, name: str, copy: bool = False, comm=None) -> "Vector":
+        """Pooled work vector shaped and partitioned like this one.
+
+        Pooled in the solver's workspace ``ws`` like any ``Dense``
+        scratch.  It charges its reductions on ``comm`` (default: this
+        vector's communicator); with ``copy`` it starts as a copy of
+        this vector.
+        """
+        vec, _ = ws.pooled(
+            name,
+            lambda held: (
+                held.size == self._size
+                and held.dtype == self.dtype
+                and held.partition == self._partition
+            ),
+            lambda: Vector.zeros(
+                self._exec,
+                self._partition,
+                cols=self._size.cols,
+                dtype=self.dtype,
+                comm=comm or self._comm,
+            ),
+        )
+        if copy:
+            vec.copy_values_from(self)
+        return vec
 
     # ------------------------------------------------------------------
     # recovery

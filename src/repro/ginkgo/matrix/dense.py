@@ -322,6 +322,36 @@ class Dense(LinOp):
         return result
 
     # ------------------------------------------------------------------
+    # Krylov-core hooks (see repro.ginkgo.solver.recurrence)
+    # ------------------------------------------------------------------
+    def scratch(self, ws, name: str, copy: bool = False) -> "Dense":
+        """Pooled work vector shaped like this one, from workspace ``ws``.
+
+        With ``copy`` it starts as a copy of this vector and charges what
+        ``clone()`` charges; otherwise its contents are unspecified.
+        """
+        if copy:
+            return ws.dense_like(name, self)
+        return ws.dense(name, self._size, self.dtype)
+
+    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
+        """Run ``op(lo, hi, *coefficients)`` as one fused streaming kernel.
+
+        ``op`` updates rows ``[lo, hi)`` of the operands it closes over;
+        coefficients arrive broadcastable (scalar or per-column row).
+        Records one kernel touching ``num_vectors`` vector operands.
+        """
+        op(0, self._size.rows, *(_coef(c, self.dtype) for c in coefficients))
+        self._exec.run(
+            blas1_cost(name, self._size.num_elements, self.value_bytes, num_vectors)
+        )
+        self.mark_modified()
+
+    def all_reduce(self, payload, label: str):
+        """Globally reduce a locally reduced ``payload``: already global."""
+        return payload
+
+    # ------------------------------------------------------------------
     # structural operations
     # ------------------------------------------------------------------
     def transpose(self) -> "Dense":

@@ -8,6 +8,7 @@ from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.lin_op import Identity, LinOp, LinOpFactory
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver.recurrence import Recurrence, iterate
 from repro.ginkgo.solver.workspace import Workspace
 from repro.ginkgo.stop import (
     Combined,
@@ -91,6 +92,9 @@ class IterativeSolver(LinOp):
 
     #: Whether the solver requires a square system matrix.
     requires_square = True
+    #: The method's :class:`Recurrence`, for solvers written against the
+    #: Krylov core; the others override :meth:`_iterate`.
+    recurrence: type | None = None
 
     _profile_category = "solver"
 
@@ -168,10 +172,14 @@ class IterativeSolver(LinOp):
     def _apply_impl(self, b: Dense, x: Dense) -> None:
         self.breakdown = False
         self.timed_out = False
+        self._solve(b, x, self._exec.clock.now)
+
+    def _solve(self, b, x, start_time: float) -> None:
+        """One monitored solve of ``A x = b`` whose clock started at ``start_time``."""
         context = CriterionContext(
             rhs_norm=b.compute_norm2(),
             clock=self._exec.clock,
-            start_time=self._exec.clock.now,
+            start_time=start_time,
         )
         # Initial residual r0 = b - A x0 (pooled; charges like b.clone()).
         r = self._initial_residual_buffer(b)
@@ -242,24 +250,28 @@ class IterativeSolver(LinOp):
         self._iterate(self._matrix, self._preconditioner, b, x, r, monitor)
 
     def _initial_residual_buffer(self, b):
-        """Pooled buffer initialised to a copy of ``b``.
-
-        Hook for subclasses whose vectors are not plain ``Dense`` (the
-        distributed solvers return a pooled distributed Vector here).
-        """
-        return self._workspace.dense_like("base.r0", b)
+        """Pooled buffer initialised to a copy of ``b``."""
+        return b.scratch(self._workspace, "base.r0", copy=True)
 
     def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
-        tmp = self._workspace.dense_like("base.advanced_tmp", x)
+        tmp = x.scratch(self._workspace, "base.advanced_tmp", copy=True)
         self._apply_impl(b, tmp)
         x.scale(beta)
         x.add_scaled(alpha, tmp)
 
     # ------------------------------------------------------------------
-    # to implement
+    # the iteration: a recurrence plus a driver, or an override
     # ------------------------------------------------------------------
+    def _recurrence(self, A, M, b, x, r, monitor) -> Recurrence:
+        """This solve's recurrence, with the factory parameters it accepts."""
+        params = self._factory.params
+        return self.recurrence(
+            A, M, b, x, r, self._workspace, monitor,
+            **{k: params[k] for k in self.recurrence.parameters if k in params},
+        )
+
     def _iterate(self, A, M, b, x, r, monitor) -> None:
-        """Run the iteration.
+        """Run the iteration (by default: drive :attr:`recurrence` plainly).
 
         Args:
             A: System matrix LinOp.
@@ -270,4 +282,6 @@ class IterativeSolver(LinOp):
             monitor: ``monitor(iteration, residual_norm) -> bool``; call
                 once per iteration, stop when it returns True.
         """
-        raise NotImplementedError
+        if self.recurrence is None:
+            raise NotImplementedError
+        iterate(self._recurrence(A, M, b, x, r, monitor))

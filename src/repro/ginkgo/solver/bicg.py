@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.ginkgo.exceptions import NotSupported
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
+from repro.ginkgo.solver.recurrence import safe_divide
 
 
 class BicgSolver(IterativeSolver):
@@ -41,7 +41,7 @@ class BicgSolver(IterativeSolver):
             A.apply(p, q)
             At.apply(p2, q2)
             pq = p2.compute_dot(q)
-            alpha = _safe_divide(rz, pq)
+            alpha = safe_divide(rz, pq)
             x.add_scaled(alpha, p)
             r.sub_scaled(alpha, q)
             r2.sub_scaled(alpha, q2)
@@ -51,7 +51,7 @@ class BicgSolver(IterativeSolver):
             M.apply(r, z)
             M.apply(r2, z2)
             rz_new = r2.compute_dot(z)
-            beta = _safe_divide(rz_new, rz)
+            beta = safe_divide(rz_new, rz)
             p.scale(beta)
             p.add_scaled(1.0, z)
             p2.scale(beta)

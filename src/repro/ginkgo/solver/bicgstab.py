@@ -2,59 +2,71 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
+
+
+class BicgstabRecurrence(Recurrence):
+    """van der Vorst's BiCGSTAB; one step is one iteration.
+
+    Carries ``x, r, r_tld, p, v`` and the coefficients
+    ``alpha, omega, rho_old`` (all None before the first iteration).
+    """
+
+    vectors = ("x", "r", "r_tld", "p", "v")
+    scalars = ("alpha", "omega", "rho_old")
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.r_tld = r.scratch(ws, "bicgstab.r_tld", copy=True)
+        self.p = r.scratch(ws, "bicgstab.p", copy=True)
+        self.p_hat = r.scratch(ws, "bicgstab.p_hat")
+        self.s_hat = r.scratch(ws, "bicgstab.s_hat")
+        self.v = r.scratch(ws, "bicgstab.v")
+        self.s = r.scratch(ws, "bicgstab.s")
+        self.t = r.scratch(ws, "bicgstab.t")
+        self.rho_old = None
+        self.alpha = None
+        self.omega = None
+
+    def step(self, iteration: int) -> tuple:
+        A, M, x, r, r_tld, p, v = (
+            self.A, self.M, self.x, self.r, self.r_tld, self.p, self.v
+        )
+        p_hat, s_hat, s, t = self.p_hat, self.s_hat, self.s, self.t
+        rho = r_tld.compute_dot(r)
+        if self.rho_old is not None:
+            beta = safe_divide(rho * self.alpha, self.rho_old * self.omega)
+            # p = r + beta * (p - omega * v)
+            p.sub_scaled(self.omega, v)
+            p.scale(beta)
+            p.add_scaled(1.0, r)
+        M.apply(p, p_hat)
+        A.apply(p_hat, v)
+        alpha = safe_divide(rho, r_tld.compute_dot(v))
+        # s = r - alpha v
+        s.copy_values_from(r)
+        s.sub_scaled(alpha, v)
+        # Half-step norm (Ginkgo evaluates it for the early exit).
+        s.compute_norm2()
+        M.apply(s, s_hat)
+        A.apply(s_hat, t)
+        tt = t.compute_dot(t)
+        omega = safe_divide(t.compute_dot(s), tt)
+        x.add_scaled(alpha, p_hat)
+        x.add_scaled(omega, s_hat)
+        # r = s - omega t
+        r.copy_values_from(s)
+        r.sub_scaled(omega, t)
+        self.alpha, self.omega, self.rho_old = alpha, omega, rho
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
 
 
 class BicgstabSolver(IterativeSolver):
-    """Generated BiCGSTAB operator (van der Vorst's algorithm)."""
+    """Generated BiCGSTAB operator: :class:`BicgstabRecurrence` over ``Dense``."""
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        ws = self._workspace
-        r_tld = ws.dense_like("bicgstab.r_tld", r)
-        p = ws.dense_like("bicgstab.p", r)
-        p_hat = ws.dense("bicgstab.p_hat", r.size, r.dtype)
-        s_hat = ws.dense("bicgstab.s_hat", r.size, r.dtype)
-        v = ws.dense("bicgstab.v", r.size, r.dtype)
-        s = ws.dense("bicgstab.s", r.size, r.dtype)
-        t = ws.dense("bicgstab.t", r.size, r.dtype)
-        rho_old = None
-        alpha = np.ones(r.size.cols)
-        omega = np.ones(r.size.cols)
-
-        iteration = 0
-        while True:
-            iteration += 1
-            rho = r_tld.compute_dot(r)
-            if rho_old is not None:
-                beta = _safe_divide(rho * alpha, rho_old * omega)
-                # p = r + beta * (p - omega * v)
-                p.sub_scaled(omega, v)
-                p.scale(beta)
-                p.add_scaled(1.0, r)
-            M.apply(p, p_hat)
-            A.apply(p_hat, v)
-            alpha = _safe_divide(rho, r_tld.compute_dot(v))
-            # s = r - alpha v
-            s.copy_values_from(r)
-            s.sub_scaled(alpha, v)
-            # Early exit on half-step convergence.
-            s_norm = s.compute_norm2()
-            M.apply(s, s_hat)
-            A.apply(s_hat, t)
-            tt = t.compute_dot(t)
-            omega = _safe_divide(t.compute_dot(s), tt)
-            x.add_scaled(alpha, p_hat)
-            x.add_scaled(omega, s_hat)
-            # r = s - omega t
-            r.copy_values_from(s)
-            r.sub_scaled(omega, t)
-            rho_old = rho
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
+    recurrence = BicgstabRecurrence
 
 
 class Bicgstab(SolverFactory):

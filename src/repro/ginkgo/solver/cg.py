@@ -7,57 +7,58 @@ independently in one apply.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
+from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
-def _safe_divide(num, den):
-    """Elementwise num/den with 0 where den == 0 (breakdown guard)."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    out = np.zeros_like(num)
-    mask = den != 0
-    np.divide(num, den, out=out, where=mask)
-    return out
+class CgRecurrence(Recurrence):
+    """CG with Ginkgo's fused step kernels; carries ``x, r, p`` and ``rz``.
 
+    One step is one iteration ending at its residual check, so the
+    direction update ``p = z + beta p`` that closes iteration ``i`` opens
+    step ``i + 1`` — the kernel sequence is the textbook loop's.
+    """
 
-class CgSolver(IterativeSolver):
-    """Generated CG operator (fused step kernels, as in Ginkgo)."""
+    vectors = ("x", "r", "p")
+    scalars = ("rz",)
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.z = r.scratch(ws, "cg.z")
+        M.apply(r, self.z)
+        self.p = self.z.scratch(ws, "cg.p", copy=True)
+        self.q = r.scratch(ws, "cg.q")
+        self.rz = r.compute_dot(self.z)
+
+    def step(self, iteration: int) -> tuple:
         from repro.ginkgo.lazy import fused_step
-        from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
 
-        ws = self._workspace
-        exec_ = self._exec
-        z = ws.dense("cg.z", r.size, r.dtype)
-        M.apply(r, z)
-        p = ws.dense_like("cg.p", z)
-        q = ws.dense("cg.q", r.size, r.dtype)
-        rz = r.compute_dot(z)
-
-        iteration = 0
-        while True:
-            iteration += 1
-            A.apply(p, q)
-            pq = p.compute_dot(q)
-            alpha = _safe_divide(rz, pq)
-            # cg_step_2 is one fused kernel standing in for the two eager
-            # axpys (x += alpha p, r -= alpha q) — mark it as a fused
-            # region so attribution counts the amortisation.
-            with fused_step(exec_, "cg::step_2", ops_replaced=2):
-                cg_step_2(x, r, p, q, alpha)
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
-            M.apply(r, z)
+        x, r, p, q, z = self.x, self.r, self.p, self.q, self.z
+        exec_ = x.executor
+        if iteration:
+            self.M.apply(r, z)
             rz_new = r.compute_dot(z)
-            beta = _safe_divide(rz_new, rz)
+            beta = safe_divide(rz_new, self.rz)
             # cg_step_1 fuses the scale+add of p = z + beta p.
             with fused_step(exec_, "cg::step_1", ops_replaced=2):
                 cg_step_1(p, z, beta)
-            rz = rz_new
+            self.rz = rz_new
+        self.A.apply(p, q)
+        alpha = safe_divide(self.rz, p.compute_dot(q))
+        # cg_step_2 is one fused kernel standing in for the two eager
+        # axpys (x += alpha p, r -= alpha q) — mark it as a fused
+        # region so attribution counts the amortisation.
+        with fused_step(exec_, "cg::step_2", ops_replaced=2):
+            cg_step_2(x, r, p, q, alpha)
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
+
+
+class CgSolver(IterativeSolver):
+    """Generated CG operator: :class:`CgRecurrence` over ``Dense``."""
+
+    recurrence = CgRecurrence
 
 
 class Cg(SolverFactory):

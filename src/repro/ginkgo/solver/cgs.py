@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
+from repro.ginkgo.solver.recurrence import safe_divide
 
 
 class CgsSolver(IterativeSolver):
@@ -40,14 +40,14 @@ class CgsSolver(IterativeSolver):
         while True:
             iteration += 1
             rho = r_tld.compute_dot(r)
-            beta = _safe_divide(rho, rho_old)
+            beta = safe_divide(rho, rho_old)
             # Fused: u = r + beta q ; p = u + beta (q + beta p).
             cgs_step_1(u, p, r, q, beta)
             # v = A M^{-1} p
             M.apply(p, u_hat)
             A.apply(u_hat, v)
             sigma = r_tld.compute_dot(v)
-            alpha = _safe_divide(rho, sigma)
+            alpha = safe_divide(rho, sigma)
             # Fused: q = u - alpha v ; t = u + q.
             cgs_step_2(q, t, u, v, alpha)
             # x += alpha M^{-1} t ; r -= alpha A M^{-1} t.

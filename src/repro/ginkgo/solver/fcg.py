@@ -8,7 +8,7 @@ preconditioners that change between iterations.
 from __future__ import annotations
 
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
+from repro.ginkgo.solver.recurrence import safe_divide
 
 
 class FcgSolver(IterativeSolver):
@@ -28,7 +28,7 @@ class FcgSolver(IterativeSolver):
             iteration += 1
             A.apply(p, q)
             pq = p.compute_dot(q)
-            alpha = _safe_divide(rz, pq)
+            alpha = safe_divide(rz, pq)
             x.add_scaled(alpha, p)
             r.sub_scaled(alpha, q)
             res_norm = r.compute_norm2()
@@ -39,7 +39,7 @@ class FcgSolver(IterativeSolver):
             diff = ws.dense_like("fcg.diff", r)
             diff.sub_scaled(1.0, r_old)
             rz_new = diff.compute_dot(z)
-            beta = _safe_divide(rz_new, rz)
+            beta = safe_divide(rz_new, rz)
             p.scale(beta)
             p.add_scaled(1.0, z)
             r_old.copy_values_from(r)

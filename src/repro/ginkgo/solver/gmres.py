@@ -21,166 +21,176 @@ import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
+from repro.ginkgo.solver.kernels import (
+    gmres_finalize,
+    gmres_multidot,
+    gmres_update,
+    record_fused,
+)
+from repro.ginkgo.solver.recurrence import Recurrence
+from repro.perfmodel import KernelCost
 
 #: Default Krylov dimension, matching Ginkgo and the paper's restart of 30.
 DEFAULT_KRYLOV_DIM = 30
 
 
-class GmresSolver(IterativeSolver):
-    """Generated GMRES operator (left-preconditioned)."""
+class GmresRecurrence(Recurrence):
+    """Left-preconditioned restarted GMRES for one right-hand side.
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        krylov_dim = int(self._factory.params.get("krylov_dim", DEFAULT_KRYLOV_DIM))
-        if krylov_dim < 1:
+    One step is one restart cycle (Arnoldi with Givens rotations, the
+    residual reported to the monitor after every Hessenberg update).  A
+    cycle starts from ``x`` alone — the residual is recomputed — so ``x``
+    is the whole carried state.  The Krylov basis and Hessenberg matrix
+    are host-side workspace arrays (replicated on every rank when the
+    vectors are distributed).
+    """
+
+    vectors = ("x",)
+    parameters = ("krylov_dim",)
+
+    def __init__(
+        self, A, M, b, x, r, ws, monitor, krylov_dim=DEFAULT_KRYLOV_DIM
+    ) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.krylov_dim = int(krylov_dim)
+        if self.krylov_dim < 1:
             raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        # Each right-hand-side column builds its own Krylov space and is
-        # solved to its own stopping verdict.  The column operands are
-        # cached writable views into b/x, so per-column results land in x
-        # directly and the wrapper objects are reused across restarts.
-        ws = self._workspace
+        if b.size.cols != 1:
+            raise GinkgoError(
+                "the GMRES recurrence runs a single right-hand side, "
+                f"got {b.size.cols} columns"
+            )
+        self.w = r.scratch(ws, "gmres.w")
+
+    def step(self, iteration: int) -> tuple:
+        from repro.ginkgo.lazy import fused_step
+
+        A, M, b, x, w, r, ws = (
+            self.A, self.M, self.b, self.x, self.w, self.r, self.ws
+        )
+        exec_ = x.executor
+        n = b.size.rows
+        m = self.krylov_dim
+        # Preconditioned residual r = M^{-1}(b - A x).
+        w.copy_values_from(b)
+        A.apply_advanced(-1.0, x, 1.0, w)
+        M.apply(w, r)
+        beta = float(r.compute_norm2()[0])
+        if beta == 0.0:
+            self.monitor(iteration, 0.0)
+            return iteration, True
+        # Krylov basis block (device-resident workspace in Ginkgo);
+        # pooled across restart cycles, columns, and apply() calls.
+        basis = ws.array("gmres.basis", (n, m + 1))
+        basis[:, 0] = r._data[:, 0] / beta
+        record_fused(exec_, "gmres_init", n, b.value_bytes, 2)
+        hessenberg = ws.array("gmres.hessenberg", (m + 1, m))
+        givens_cos = ws.array("gmres.givens_cos", m)
+        givens_sin = ws.array("gmres.givens_sin", m)
+        g = ws.array("gmres.g", m + 1)
+        g[0] = beta
+
+        inner = 0
+        stopped = False
+        for j in range(m):
+            # w = M^{-1} A v_j
+            w._data[:, 0] = basis[:, j]
+            A.apply(w, r)
+            M.apply(r, w)
+            # Gram-Schmidt via Ginkgo's fused multi-dot + rank update:
+            # each collapses j+1 eager dots / axpys into one kernel, so
+            # mark the pair as a fused region for attribution.
+            with fused_step(
+                exec_, "gmres::orthogonalize", ops_replaced=2 * (j + 1)
+            ):
+                coeffs = gmres_multidot(basis, w, j + 1)
+                hessenberg[: j + 1, j] = coeffs
+                gmres_update(basis, w, coeffs, j + 1)
+            h_next = float(w.compute_norm2()[0])
+            hessenberg[j + 1, j] = h_next
+            if h_next != 0.0:
+                basis[:, j + 1] = w._data[:, 0] / h_next
+                record_fused(exec_, "gmres_scale", n, b.value_bytes, 2)
+            # Apply the accumulated Givens rotations to column j, then
+            # compute and apply the new rotation (on-device in Ginkgo;
+            # redundantly on every rank when distributed — O(m) work).
+            for i in range(j):
+                hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
+                hessenberg[i, j] = givens_cos[i] * hi + givens_sin[i] * hi1
+                hessenberg[i + 1, j] = -givens_sin[i] * hi + givens_cos[i] * hi1
+            denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
+            if denom == 0.0:
+                givens_cos[j], givens_sin[j] = 1.0, 0.0
+            else:
+                givens_cos[j] = hessenberg[j, j] / denom
+                givens_sin[j] = hessenberg[j + 1, j] / denom
+            hessenberg[j, j] = denom
+            hessenberg[j + 1, j] = 0.0
+            g[j + 1] = -givens_sin[j] * g[j]
+            g[j] = givens_cos[j] * g[j]
+            # Givens rotation generation + application to the
+            # Hessenberg column and the residual vector g: three tiny
+            # device kernels in Ginkgo's implementation.
+            exec_.run(
+                KernelCost("givens_update", 6.0 * m, 24.0 * m, launches=3)
+            )
+
+            residual_norm = abs(g[j + 1])
+            inner = j + 1
+            iteration += 1
+            # Ginkgo checks the residual after EVERY Hessenberg update
+            # (restart-1 more checks per cycle than CuPy): a small
+            # device kernel updates the estimate and the host reads the
+            # stopping status back.
+            exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
+            stopped = self.monitor(iteration, residual_norm)
+            if stopped or h_next == 0.0:
+                break
+
+        gmres_finalize(
+            exec_, basis, hessenberg, g, ws.array("gmres.y", inner),
+            x._data[:, 0], b.value_bytes,
+        )
+        x.mark_modified()
+        return iteration, stopped
+
+
+class GmresSolver(IterativeSolver):
+    """Generated GMRES operator: :class:`GmresRecurrence` over ``Dense``."""
+
+    recurrence = GmresRecurrence
+
+    def _solve(self, b, x, start_time: float) -> None:
         cols = b.size.cols
+        if cols == 1:
+            return super()._solve(b, x, start_time)
+        # Each right-hand-side column builds its own Krylov space and is
+        # solved to its own verdict against its own baseline; the reported
+        # status is the aggregate.  The column operands are cached
+        # writable views into b/x, so results land in x directly.
+        ws = self._workspace
+        verdicts = []
         for c in range(cols):
-            self._solve_column(
-                A,
-                M,
+            super()._solve(
                 ws.column_view(f"gmres.b[{c}]", b, c),
                 ws.column_view(f"gmres.x[{c}]", x, c),
-                krylov_dim,
-                monitor if cols == 1 else _ColumnMonitor(monitor, c, cols),
+                start_time,
             )
-
-    def _solve_column(self, A, M, b, x, krylov_dim, monitor) -> bool:
-        from repro.ginkgo.lazy import fused_step
-        from repro.ginkgo.solver.kernels import (
-            gmres_multidot,
-            gmres_update,
-            record_fused,
-        )
-        from repro.perfmodel import KernelCost, blas1_cost
-
-        exec_ = self._exec
-        ws = self._workspace
-        n = b.size.rows
-        m = krylov_dim
-        total_iteration = 0
-        w = ws.dense("gmres.w", b.size, b.dtype)
-        r = ws.dense("gmres.r", b.size, b.dtype)
-
-        while True:
-            # Preconditioned residual r = M^{-1}(b - A x).
-            w.copy_values_from(b)
-            A.apply_advanced(-1.0, x, 1.0, w)
-            M.apply(w, r)
-            beta = float(r.compute_norm2()[0])
-            if beta == 0.0:
-                monitor(total_iteration, 0.0)
-                return True
-            # Krylov basis block (device-resident workspace in Ginkgo);
-            # pooled across restart cycles, columns, and apply() calls.
-            basis = ws.array("gmres.basis", (n, m + 1))
-            basis[:, 0] = r._data[:, 0] / beta
-            record_fused(exec_, "gmres_init", n, b.value_bytes, 2)
-            hessenberg = ws.array("gmres.hessenberg", (m + 1, m))
-            givens_cos = ws.array("gmres.givens_cos", m)
-            givens_sin = ws.array("gmres.givens_sin", m)
-            g = ws.array("gmres.g", m + 1)
-            g[0] = beta
-
-            inner = 0
-            stopped = False
-            for j in range(m):
-                # w = M^{-1} A v_j
-                w._data[:, 0] = basis[:, j]
-                A.apply(w, r)
-                M.apply(r, w)
-                # Gram-Schmidt via Ginkgo's fused multi-dot + rank update:
-                # each collapses j+1 eager dots / axpys into one kernel, so
-                # mark the pair as a fused region for attribution.
-                with fused_step(
-                    exec_, "gmres::orthogonalize", ops_replaced=2 * (j + 1)
-                ):
-                    coeffs = gmres_multidot(basis, w, j + 1)
-                    hessenberg[: j + 1, j] = coeffs
-                    gmres_update(basis, w, coeffs, j + 1)
-                h_next = float(w.compute_norm2()[0])
-                hessenberg[j + 1, j] = h_next
-                if h_next != 0.0:
-                    basis[:, j + 1] = w._data[:, 0] / h_next
-                    record_fused(exec_, "gmres_scale", n, b.value_bytes, 2)
-                # Apply the accumulated Givens rotations to column j, then
-                # compute and apply the new rotation (on-device in Ginkgo).
-                for i in range(j):
-                    hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-                    hessenberg[i, j] = givens_cos[i] * hi + givens_sin[i] * hi1
-                    hessenberg[i + 1, j] = -givens_sin[i] * hi + givens_cos[i] * hi1
-                denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-                if denom == 0.0:
-                    givens_cos[j], givens_sin[j] = 1.0, 0.0
-                else:
-                    givens_cos[j] = hessenberg[j, j] / denom
-                    givens_sin[j] = hessenberg[j + 1, j] / denom
-                hessenberg[j, j] = denom
-                hessenberg[j + 1, j] = 0.0
-                g[j + 1] = -givens_sin[j] * g[j]
-                g[j] = givens_cos[j] * g[j]
-                # Givens rotation generation + application to the
-                # Hessenberg column and the residual vector g: three tiny
-                # device kernels in Ginkgo's implementation.
-                exec_.run(
-                    KernelCost(
-                        "givens_update", 6.0 * m, 24.0 * m, launches=3
-                    )
-                )
-
-                residual_norm = abs(g[j + 1])
-                inner = j + 1
-                total_iteration += 1
-                # Ginkgo checks the residual after EVERY Hessenberg update
-                # (restart-1 more checks per cycle than CuPy): a small
-                # device kernel updates the estimate and the host reads the
-                # stopping status back.
-                exec_.run(
-                    KernelCost("residual_check", 0.0, 64.0, launches=4)
-                )
-                stopped = monitor(total_iteration, residual_norm)
-                if stopped or h_next == 0.0:
-                    break
-
-            # Solve the small triangular system R y = g ON THE DEVICE —
-            # low parallelism makes this a per-row dependency chain of
-            # small kernels (CuPy instead solves it on the CPU).
-            y = ws.array("gmres.y", inner)
-            for i in range(inner - 1, -1, -1):
-                y[i] = (
-                    g[i] - hessenberg[i, i + 1 : inner] @ y[i + 1 : inner]
-                ) / hessenberg[i, i]
-            exec_.run(
-                KernelCost(
-                    "hessenberg_trsv",
-                    flops=float(inner * inner),
-                    bytes=8.0 * inner * inner,
-                    launches=max(inner, 1),
+            verdicts.append(
+                (
+                    self.converged,
+                    self.num_iterations,
+                    self.final_residual_norm,
+                    self.breakdown,
+                    self.timed_out,
                 )
             )
-            # x += V y (one fused GEMV-style kernel).
-            x._data[:, 0] += basis[:, :inner] @ y
-            record_fused(exec_, "gmres_x_update", n * inner, b.value_bytes, 2)
-            if stopped:
-                return True
-            # Otherwise: restart.
-
-
-class _ColumnMonitor:
-    """Scales multi-RHS column iterations into the shared monitor."""
-
-    def __init__(self, monitor, column: int, total_columns: int) -> None:
-        self._monitor = monitor
-        self._column = column
-        self._total = total_columns
-
-    def __call__(self, iteration: int, residual_norm) -> bool:
-        # Report per-column progress; only the last column's verdict stops.
-        return self._monitor(iteration, residual_norm)
+        converged, iterations, norms, breakdown, timed_out = zip(*verdicts)
+        self.converged = all(converged)
+        self.num_iterations = max(iterations)
+        self.final_residual_norm = float(np.max(norms))
+        self.breakdown = any(breakdown)
+        self.timed_out = any(timed_out)
 
 
 class Gmres(SolverFactory):

@@ -5,22 +5,19 @@ kernel (``cg::step_1``, ``cgs::step_2``, ...) rather than a chain of BLAS-1
 calls — a key reason its Krylov iterations launch far fewer kernels than
 Python-dispatched frameworks (the effect measured in the paper's Fig. 3c).
 
-These helpers perform the update numerically on the Dense operands' buffers
-and record exactly one kernel with the combined byte traffic.
+These helpers perform the update numerically on the operands' buffers and
+record exactly one kernel with the combined byte traffic.  The CG steps
+and the GMRES orthogonalisation pair run through the vector hooks
+(``elementwise`` / ``all_reduce``), so the same definition serves
+``Dense``, ``distributed.Vector`` and the batched active head.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.matrix.dense import Dense
-from repro.perfmodel import blas1_cost
-
-
-def _bc(coef, dtype):
-    """Broadcastable coefficient: scalar or (1, k) row of per-column values."""
-    arr = np.asarray(coef, dtype=dtype)
-    return arr if arr.ndim == 0 else arr.reshape(1, -1)
+from repro.ginkgo.matrix.dense import Dense, _coef
+from repro.perfmodel import KernelCost, blas1_cost
 
 
 def record_fused(exec_, name: str, length: int, value_bytes: int, num_vectors: int) -> None:
@@ -28,25 +25,34 @@ def record_fused(exec_, name: str, length: int, value_bytes: int, num_vectors: i
     exec_.run(blas1_cost(name, length, value_bytes, num_vectors))
 
 
-def cg_step_1(p: Dense, z: Dense, beta) -> None:
+def cg_step_1(p, z, beta) -> None:
     """Fused ``p = z + beta * p`` (one kernel, 3 vector operands)."""
-    b = _bc(beta, p.dtype)
-    p._data *= b
-    p._data += z._data
-    record_fused(p.executor, "cg_step_1", p.size.num_elements, p.value_bytes, 3)
+    pd, zd = p._data, z._data
+
+    def op(lo, hi, b):
+        ps = pd[lo:hi]  # a view: `pd[lo:hi] *= b` also copies the block back
+        ps *= b
+        ps += zd[lo:hi]
+
+    p.elementwise("cg_step_1", op, 3, beta)
 
 
-def cg_step_2(x: Dense, r: Dense, p: Dense, q: Dense, alpha) -> None:
+def cg_step_2(x, r, p, q, alpha) -> None:
     """Fused ``x += alpha p ; r -= alpha q`` (one kernel, 6 operands)."""
-    a = _bc(alpha, x.dtype)
-    x._data += a * p._data
-    r._data -= a * q._data
-    record_fused(x.executor, "cg_step_2", x.size.num_elements, x.value_bytes, 6)
+    xd, rd, pd, qd = x._data, r._data, p._data, q._data
+
+    def op(lo, hi, a):
+        xs, rs = xd[lo:hi], rd[lo:hi]
+        xs += a * pd[lo:hi]
+        rs -= a * qd[lo:hi]
+
+    x.elementwise("cg_step_2", op, 6, alpha)
+    r.mark_modified()
 
 
 def cgs_step_1(u: Dense, p: Dense, r: Dense, q: Dense, beta) -> None:
     """Fused ``u = r + beta q ; p = u + beta (q + beta p)`` (one kernel)."""
-    b = _bc(beta, u.dtype)
+    b = _coef(beta, u.dtype)
     u._data[...] = r._data + b * q._data
     p._data[...] = u._data + b * (q._data + b * p._data)
     record_fused(u.executor, "cgs_step_1", u.size.num_elements, u.value_bytes, 6)
@@ -54,7 +60,7 @@ def cgs_step_1(u: Dense, p: Dense, r: Dense, q: Dense, beta) -> None:
 
 def cgs_step_2(q: Dense, t: Dense, u: Dense, v: Dense, alpha) -> None:
     """Fused ``q = u - alpha v ; t = u + q`` (one kernel)."""
-    a = _bc(alpha, q.dtype)
+    a = _coef(alpha, q.dtype)
     q._data[...] = u._data - a * v._data
     t._data[...] = u._data + q._data
     record_fused(q.executor, "cgs_step_2", q.size.num_elements, q.value_bytes, 5)
@@ -62,19 +68,21 @@ def cgs_step_2(q: Dense, t: Dense, u: Dense, v: Dense, alpha) -> None:
 
 def cgs_step_3(x: Dense, r: Dense, u_hat: Dense, w: Dense, alpha) -> None:
     """Fused ``x += alpha u_hat ; r -= alpha w`` (one kernel)."""
-    a = _bc(alpha, x.dtype)
+    a = _coef(alpha, x.dtype)
     x._data += a * u_hat._data
     r._data -= a * w._data
     record_fused(x.executor, "cgs_step_3", x.size.num_elements, x.value_bytes, 6)
 
 
-def gmres_multidot(basis_block, w: Dense, count: int):
+def gmres_multidot(basis_block, w, count: int):
     """Fused multi-dot: coefficients of ``w`` against ``count`` basis vectors.
 
     One batched reduction kernel (plus its finalisation pass), as in
     Ginkgo's ``gmres::multi_dot``.  Evaluated as an einsum contraction so
     the per-system reduction order matches the batched lockstep kernels
-    bit-for-bit (BLAS gemv blocks its accumulation differently).
+    bit-for-bit (BLAS gemv blocks its accumulation differently).  A
+    distributed ``w`` then pays one all-reduce of the ``count``
+    coefficients.
     """
     coeffs = np.einsum("ij,i->j", basis_block[:, :count], w._data[:, 0])
     w.executor.run(
@@ -85,12 +93,40 @@ def gmres_multidot(basis_block, w: Dense, count: int):
             2,
         )
     )
-    return coeffs
+    return w.all_reduce(coeffs, "all_reduce_multidot")
 
 
-def gmres_update(basis_block, w: Dense, coeffs, count: int) -> None:
+def gmres_update(basis_block, w, coeffs, count: int) -> None:
     """Fused rank-``count`` update ``w -= V[:, :count] @ coeffs``."""
     w._data[:, 0] -= np.einsum("ij,j->i", basis_block[:, :count], coeffs)
     record_fused(
         w.executor, "gmres_update", w.size.rows * count, w.value_bytes, 2
+    )
+
+
+def gmres_finalize(exec_, basis_block, hessenberg, g, y, x_col, value_bytes: int) -> None:
+    """Close a restart cycle: solve ``R y = g``, then ``x += V y``.
+
+    ``y`` (zeroed, length = the cycle's inner iteration count) receives
+    the solution of the small triangular system, solved ON THE DEVICE —
+    low parallelism makes this a per-row dependency chain of small
+    kernels (CuPy instead solves it on the CPU); the solution update is
+    one fused GEMV-style kernel on the column ``x_col``.
+    """
+    inner = y.size
+    for i in range(inner - 1, -1, -1):
+        y[i] = (
+            g[i] - hessenberg[i, i + 1 : inner] @ y[i + 1 : inner]
+        ) / hessenberg[i, i]
+    exec_.run(
+        KernelCost(
+            "hessenberg_trsv",
+            flops=float(inner * inner),
+            bytes=8.0 * inner * inner,
+            launches=max(inner, 1),
+        )
+    )
+    x_col += basis_block[:, :inner] @ y
+    record_fused(
+        exec_, "gmres_x_update", basis_block.shape[0] * inner, value_bytes, 2
     )

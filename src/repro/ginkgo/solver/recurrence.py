@@ -1,0 +1,88 @@
+"""The Krylov core: each method's recurrence, written once.
+
+A :class:`Recurrence` carries its state explicitly — the vectors and
+scalars named in :attr:`Recurrence.vectors` / :attr:`Recurrence.scalars`
+— and advances it with :meth:`Recurrence.step`.  The arithmetic is
+written against the vector API that ``Dense``, ``distributed.Vector``
+and the batched active head share (``compute_dot``, ``compute_norm2``,
+``scale``, ``add_scaled``, ``copy_values_from``, ``fill``) plus three
+hooks each vector type implements:
+
+* ``scratch(ws, name, copy=False)`` — a pooled work vector of the same
+  type and shape, held in the solver's one :class:`Workspace`;
+* ``elementwise(name, op, num_vectors, *coefficients)`` — run
+  ``op(lo, hi, *coefficients)`` as one fused streaming kernel over the
+  vector's extent (all rows / rank by rank / the active systems);
+* ``all_reduce(payload, label)`` — globally reduce a locally reduced
+  payload (a no-op off the distributed path).
+
+Scalar, distributed and batched solves are three *instances* of one
+recurrence, bit-identical by construction; everything that is not
+arithmetic is a driver *around* ``step``: :func:`iterate` (plain), the
+distributed checkpoint/replay driver, the batched active-set compaction.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def safe_divide(num, den):
+    """Elementwise num/den with 0 where den == 0 (breakdown guard)."""
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    out = np.zeros_like(num)
+    mask = den != 0
+    np.divide(num, den, out=out, where=mask)
+    return out
+
+
+class Recurrence:
+    """One Krylov method: carried state plus a single ``step``.
+
+    Args:
+        A: System operator (``apply`` / ``apply_advanced``).
+        M: Preconditioner operator.
+        b: Right-hand side.
+        x: Solution / initial guess, updated in place.
+        r: Initial residual ``b - A x`` (owned by the recurrence from
+            here on).
+        ws: The solver's :class:`Workspace`; all scratch comes from it.
+        monitor: ``monitor(iteration, residual_norm) -> bool``; called
+            once per iteration, True means stop.
+    """
+
+    #: Attribute names of the vectors carried across steps — what a
+    #: checkpoint must save and an active-set compaction must gather.
+    vectors: tuple = ()
+    #: Attribute names of the carried scalars: per-column coefficient
+    #: arrays (None before their first assignment), rebound every step
+    #: and never mutated in place.
+    scalars: tuple = ()
+    #: Solver parameters the constructor accepts as keywords.
+    parameters: tuple = ()
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        self.A = A
+        self.M = M
+        self.b = b
+        self.x = x
+        self.r = r
+        self.ws = ws
+        self.monitor = monitor
+
+    def step(self, iteration: int) -> tuple:
+        """Advance from ``iteration`` completed iterations.
+
+        Returns ``(iteration, stopped)``: the new completed count and
+        whether the monitor asked to stop.  A step that raises leaves
+        the carried state replayable from its last checkpoint.
+        """
+        raise NotImplementedError
+
+
+def iterate(recurrence: Recurrence) -> None:
+    """The plain driver: step until the monitor says stop."""
+    iteration, stopped = 0, False
+    while not stopped:
+        iteration, stopped = recurrence.step(iteration)

@@ -54,8 +54,8 @@ class Workspace:
         self._exec = exec_
         #: Serialises slot bookkeeping under concurrent worker threads.
         self._lock = threading.RLock()
-        #: name -> pooled Dense (buffers allocated on ``exec_``).
-        self._dense: dict[str, Dense] = {}
+        #: name -> pooled Dense or distributed Vector (allocated on ``exec_``).
+        self._dense: dict = {}
         #: name -> host-side NumPy bookkeeping array.
         self._arrays: dict[str, np.ndarray] = {}
         #: name -> ((owner buffer id, column index), column wrapper Dense).
@@ -84,30 +84,46 @@ class Workspace:
                 fully overwrite before reading.
         """
         size = Dim.of(size)
+        dtype = np.dtype(dtype)
+        buf, hit = self.pooled(
+            name,
+            lambda held: held.size == size and held.dtype == dtype,
+            lambda: Dense.empty(self._exec, size, dtype),
+        )
+        if hit and zero:
+            # A fresh alloc is zero-initialised at no simulated cost;
+            # re-zeroing a reused buffer must be equally free, so this
+            # bypasses Dense.fill (which charges a blas1 kernel).
+            buf._data.fill(0)
+        return buf
+
+    def pooled(self, name: str, fits, make) -> tuple:
+        """``(vector, hit)`` for slot ``name``, rebuilt by ``make()`` on a miss.
+
+        The slot-type-agnostic form of :meth:`dense`: ``fits(held)`` says
+        whether the held vector can serve the request, ``make()`` builds
+        a replacement on this executor (the old allocation is freed).
+        Distributed vectors pool through here, so :meth:`clear` and
+        :attr:`bytes_held` see them like any ``Dense``.
+        """
         with self._lock:
             buf = self._dense.get(name)
-            hit = (
-                buf is not None
-                and buf.size == size
-                and buf.dtype == np.dtype(dtype)
-            )
-            if hit:
-                if zero:
-                    # A fresh alloc is zero-initialised at no simulated
-                    # cost; re-zeroing a reused buffer must be equally
-                    # free, so this bypasses Dense.fill (which charges a
-                    # blas1 kernel).
-                    buf._data.fill(0)
-            else:
+            hit = buf is not None and fits(buf)
+            if not hit:
                 if buf is not None:
                     self._exec.free(buf._data)
-                buf = Dense.empty(self._exec, size, dtype)
+                buf = make()
                 self._dense[name] = buf
         cachestats.record(
             "workspace", hit, clock=self._exec.clock,
             buffer=name, nbytes=buf._data.nbytes,
         )
-        return buf
+        return buf, hit
+
+    def vectors(self) -> tuple:
+        """Every pooled vector (recovery repartitions them after a shrink)."""
+        with self._lock:
+            return tuple(self._dense.values())
 
     def dense_like(self, name: str, src: Dense) -> Dense:
         """A pooled copy of ``src`` — the reusable form of ``src.clone()``.

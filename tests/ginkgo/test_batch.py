@@ -19,6 +19,7 @@ from repro.ginkgo.batch import (
     BatchLowerTrs,
     BatchUpperTrs,
 )
+from repro.ginkgo.distributed import DistributedCg, DistributedGmres
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.log import ConvergenceLogger, ProfilerHook
 from repro.ginkgo.matrix import Csr, Dense
@@ -26,9 +27,11 @@ from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import Bicgstab, Cg, Gmres
 from repro.ginkgo.stop import Divergence, Iteration, ResidualNorm
 from repro.ginkgo.executor import OmpExecutor, ReferenceExecutor
+from tests.ginkgo.test_distributed import distributed_history
 
 SCALAR = {"cg": Cg, "bicgstab": Bicgstab, "gmres": Gmres}
 BATCH = {"cg": BatchCg, "bicgstab": BatchBicgstab, "gmres": BatchGmres}
+DISTRIBUTED = {"cg": DistributedCg, "gmres": DistributedGmres}
 
 
 def make_batch(rng, n=30, K=6, spd=True):
@@ -138,7 +141,13 @@ class TestFormats:
 
 
 class TestBitIdentity:
-    """A batched solve must reproduce K sequential scalar solves exactly."""
+    """Every instance of a method reproduces the scalar solve exactly.
+
+    One seeded batch goes through each instance of the method's
+    recurrence — K sequential scalar solves, the lockstep batch, and
+    (where supported) system 0 distributed over 1 and 4 ranks — and all
+    residual histories and solutions must agree bit for bit.
+    """
 
     @pytest.mark.parametrize("name", ["cg", "bicgstab", "gmres"])
     @pytest.mark.parametrize("precond", [False, True])
@@ -154,6 +163,23 @@ class TestBitIdentity:
             assert status.num_iterations[k] == iters
             assert bool(status.converged[k]) == bool(conv)
             assert status.residual_norms[k] == bhist
+        if name in DISTRIBUTED and not precond:
+            hist, sol = scalar[0][:2]
+            for ranks in (1, 4):
+                _, dhist, dsol, _ = distributed_history(
+                    mats[0], bs[0], DISTRIBUTED[name], ranks, criteria=crit()
+                )
+                assert np.array(dhist).tobytes() == np.array(hist).tobytes(), ranks
+                assert dsol.tobytes() == sol.tobytes(), ranks
+
+    def test_instances_share_one_recurrence_object(self):
+        for name, scalar_cls in SCALAR.items():
+            recurrence = scalar_cls.solver_class.recurrence
+            assert recurrence.__name__.lower() == f"{name}recurrence"
+            if name in DISTRIBUTED:
+                assert DISTRIBUTED[name].solver_class.recurrence is recurrence
+            if name != "gmres":  # batched GMRES is wave-scheduled: own body
+                assert BATCH[name].solver_class.recurrence is recurrence
 
     def test_gmres_restart_waves_stay_identical(self, ref, rng):
         # krylov_dim smaller than the iteration count forces systems

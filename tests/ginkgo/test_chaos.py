@@ -321,23 +321,6 @@ class TestPipelinedRecovery:
         )
         assert fault_seconds > 0.0
 
-    def test_sstep_gmres_recovers_bit_identical(self, rng):
-        from repro.ginkgo.distributed import DistributedSStepGmres
-
-        mat, b, hist, x = self.fault_free(
-            rng, DistributedSStepGmres, s_step=4
-        )
-        ex, injector = faulty_omp(
-            schedule={"allreduce": [(3, "corruption")]}
-        )
-        solver, fhist, fx = dist_solve(
-            ex, mat, b, DistributedSStepGmres, s_step=4
-        )
-        assert solver.converged
-        assert solver.num_recoveries == 1
-        assert np.asarray(fhist).tobytes() == np.asarray(hist).tobytes()
-        assert fx.tobytes() == x.tobytes()
-
     def test_pipelined_budget_exhausts_truthfully(self, rng):
         from repro.ginkgo.distributed import DistributedPipelinedCg
 

@@ -62,6 +62,28 @@ class TestConvergenceSpd:
         solver.apply(Dense(ref, spd_small @ xstar), x)
         np.testing.assert_allclose(np.asarray(x), xstar, atol=1e-6)
 
+    def test_multi_rhs_gmres_status_aggregates_columns(self, ref, rng):
+        # Column 0 is hard (stops at the cap), column 1 trivial (one
+        # iteration): the verdict is the aggregate, not the last column's.
+        n = 200
+        tri = sp.diags(
+            [-np.ones(n - 1), 2.0001 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
+        )
+        mat = sp.block_diag([tri, sp.eye(n)]).tocsr()
+        b = np.zeros((2 * n, 2))
+        b[:n, 0] = rng.standard_normal(n)
+        b[n:, 1] = 1.0
+        solver = Gmres(
+            ref, criteria=Iteration(20) | ResidualNorm(1e-8), krylov_dim=10
+        ).generate(Csr.from_scipy(ref, mat))
+        x = Dense.zeros(ref, (2 * n, 2), np.float64)
+        solver.apply(Dense(ref, b), x)
+        residual = np.linalg.norm(b - mat @ np.asarray(x), axis=0)
+        assert residual[0] > 1e-2 * np.linalg.norm(b[:, 0])
+        assert not solver.converged
+        assert solver.num_iterations == 20
+        assert solver.final_residual_norm > 1e-8 * np.linalg.norm(b[:, 0])
+
     def test_nonzero_initial_guess(self, ref, spd_small, rng):
         xstar = rng.standard_normal((spd_small.shape[0], 1))
         x0 = xstar + 0.01 * rng.standard_normal(xstar.shape)
