@@ -1,9 +1,14 @@
 """Shared machinery of the sparse matrix formats.
 
-Each concrete format stores its own arrays (executor-tagged) but delegates
-the numerical SpMV to a cached SciPy view, while the *timing* comes from the
-format-specific roofline cost.  SciPy cannot multiply ``float16`` matrices,
-so half-precision kernels compute in ``float32`` and round back — the same
+Each concrete format stores its own arrays (executor-tagged).  Everything
+structural is resolved once per data generation into a cached SciPy view of
+that storage, so ``apply`` is one compiled kernel call: CSR walks
+``csr_matvec(s)`` over its own arrays, COO over a cached CSR conversion, ELL
+over its padded block read as a constant-stride CSR; SELL-P walks
+``coo_matvec`` over its slots with a per-slot row array; Hybrid is its ELL
+part plus its COO part.  The *timing* comes from the format-specific
+roofline cost.  SciPy cannot multiply ``float16`` matrices, so
+half-precision kernels compute in ``float32`` and round back — the same
 behaviour as Ginkgo's half-precision kernels, which accumulate in a wider
 type.
 """
@@ -18,7 +23,7 @@ from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.executor import Executor
 from repro.ginkgo.lin_op import LinOp
-from repro.perfmodel import spmv_cost
+from repro.perfmodel import conversion_cost, spmv_cost
 
 #: Value types supported by the engine (paper Table 1).
 SUPPORTED_VALUE_DTYPES = (np.float16, np.float32, np.float64)
@@ -70,6 +75,8 @@ class SparseBase(LinOp):
         self._value_dtype = check_value_dtype(value_dtype)
         self._index_dtype = check_index_dtype(index_dtype)
         self._scipy_cache: sp.spmatrix | None = None
+        #: (data_version, count) of :meth:`_count_nonzero_values`.
+        self._nonzero_values: tuple | None = None
 
     # ------------------------------------------------------------------
     # properties
@@ -93,6 +100,19 @@ class SparseBase(LinOp):
     @property
     def nnz(self) -> int:
         raise NotImplementedError
+
+    def _count_nonzero_values(self) -> int:
+        """``nnz`` of a padded format: nonzeros among the stored slots.
+
+        Memoised on the data generation — every ``apply`` prices its
+        kernel with ``nnz``, and a scan of the padded block per apply
+        costs as much as the product itself.
+        """
+        memo = self._nonzero_values
+        if memo is None or memo[0] != self._data_version:
+            memo = (self._data_version, int(np.count_nonzero(self._values)))
+            self._nonzero_values = memo
+        return memo[1]
 
     @property
     def density(self) -> float:
@@ -203,6 +223,27 @@ class SparseBase(LinOp):
     # ------------------------------------------------------------------
     # shared conversions
     # ------------------------------------------------------------------
+    def convert_to_csr(self, strategy: str = "load_balance"):
+        """Convert to :class:`~repro.ginkgo.matrix.csr.Csr` (memoized)."""
+        from repro.ginkgo.matrix.csr import Csr
+
+        self._exec.run(
+            conversion_cost(
+                self._format_name, "csr", self._size.rows, self.nnz,
+                self.value_bytes, self.index_bytes,
+            )
+        )
+        return self._cached_derived(
+            f"convert_to_csr[{strategy}]",
+            lambda: Csr.from_scipy(
+                self._exec,
+                self._scipy_view(),
+                value_dtype=self._value_dtype,
+                index_dtype=self._index_dtype,
+                strategy=strategy,
+            ),
+        )
+
     def to_scipy(self) -> sp.spmatrix:
         """Copy out as a SciPy sparse matrix (host-side)."""
         return self._scipy_view().copy()

@@ -165,24 +165,3 @@ class Coo(SparseBase):
 
     def clone(self) -> "Coo":
         return self.copy_to(self._exec)
-
-    def convert_to_csr(self, strategy: str = "load_balance"):
-        """Convert to :class:`~repro.ginkgo.matrix.csr.Csr`."""
-        from repro.ginkgo.matrix.csr import Csr
-
-        self._exec.run(
-            conversion_cost(
-                "coo", "csr", self._size.rows, self.nnz,
-                self.value_bytes, self.index_bytes,
-            )
-        )
-        return self._cached_derived(
-            f"convert_to_csr[{strategy}]",
-            lambda: Csr.from_scipy(
-                self._exec,
-                self._scipy_view(),
-                value_dtype=self._value_dtype,
-                index_dtype=self._index_dtype,
-                strategy=strategy,
-            ),
-        )

@@ -1,9 +1,15 @@
 """ELLPACK format (``gko::matrix::Ell``).
 
-Stores a dense ``rows x max_row_nnz`` block of values and column indices,
-padded with zeros.  Regular row lengths make this format SIMD-friendly; the
-padding makes it wasteful for imbalanced matrices.  The SpMV here is a real
-vectorised ELL kernel (column-at-a-time gather), not a SciPy fallback.
+Stores a dense, row-major ``rows x max_row_nnz`` block of values and column
+indices, padded with value 0 / column 0.  Regular row lengths make this
+format SIMD-friendly; the padding makes it wasteful for imbalanced matrices.
+
+Row-major ELL storage *is* a CSR whose row pointer has the constant stride
+``width``, so the SpMV runs SciPy's compiled ``csr_matvec(s)`` over a
+zero-copy view of the stored block (``padded_view``, built once per data
+generation).  The kernel walks each row's slots in storage order — the
+entries in CSR order, then the padding, which adds ``0 * x[0]`` — so the
+result equals :class:`~repro.ginkgo.matrix.csr.Csr`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +20,12 @@ import scipy.sparse as sp
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension
 from repro.ginkgo.executor import Executor
-from repro.ginkgo.matrix.base import SparseBase, check_index_dtype, check_value_dtype
-from repro.perfmodel import conversion_cost
+from repro.ginkgo.matrix.base import (
+    SparseBase,
+    check_index_dtype,
+    check_value_dtype,
+    scipy_safe,
+)
 
 
 class Ell(SparseBase):
@@ -37,6 +47,11 @@ class Ell(SparseBase):
                 f"ELL block has {col_idxs.shape[0]} rows for a "
                 f"{size.rows}-row matrix"
             )
+        if col_idxs.size and not (
+            0 <= col_idxs.min() and col_idxs.max() < size.cols
+        ):
+            # The compiled kernel gathers x[col] unchecked.
+            raise BadDimension("ELL column indices exceed the matrix dimensions")
         super().__init__(
             exec_,
             size,
@@ -82,7 +97,7 @@ class Ell(SparseBase):
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self._values))
+        return self._count_nonzero_values()
 
     @property
     def stored_elements(self) -> int:
@@ -104,18 +119,23 @@ class Ell(SparseBase):
         return self._readonly(self._values)
 
     # ------------------------------------------------------------------
-    # SpMV: real vectorised ELL kernel
+    # SpMV: compiled CSR kernel over the padded block
     # ------------------------------------------------------------------
+    def _build_padded_view(self) -> sp.csr_matrix:
+        """The stored block as a constant-stride CSR (float16 as float32)."""
+        rows, width = self._values.shape
+        return sp.csr_matrix(
+            (
+                scipy_safe(self._values).reshape(-1),
+                self._col_idxs.reshape(-1),
+                np.arange(rows + 1) * width,
+            ),
+            shape=self.shape,
+        )
+
     def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
-        compute = np.float32 if self._value_dtype == np.float16 else self._value_dtype
-        x = b.astype(compute, copy=False)
-        if self._values.shape[1] == 0:
-            return np.zeros((self._size.rows, x.shape[1]), dtype=self._value_dtype)
-        vals = self._values.astype(compute, copy=False)
-        # One gather of every referenced x row, then a contraction over
-        # the slot axis — the whole SpMV in two vector kernels (padding
-        # slots contribute value 0 * x[col 0]).
-        y = np.einsum("rk,rkj->rj", vals, x[self._col_idxs, :])
+        view = self._cached_derived("padded_view", self._build_padded_view)
+        y = view @ b.astype(view.dtype, copy=False)
         return y.astype(self._value_dtype, copy=False)
 
     def _to_scipy(self) -> sp.csr_matrix:
@@ -132,29 +152,8 @@ class Ell(SparseBase):
         )
 
     # ------------------------------------------------------------------
-    # conversions
+    # copies
     # ------------------------------------------------------------------
-    def convert_to_csr(self, strategy: str = "load_balance"):
-        """Convert to :class:`~repro.ginkgo.matrix.csr.Csr`."""
-        from repro.ginkgo.matrix.csr import Csr
-
-        self._exec.run(
-            conversion_cost(
-                "ell", "csr", self._size.rows, self.nnz,
-                self.value_bytes, self.index_bytes,
-            )
-        )
-        return self._cached_derived(
-            f"convert_to_csr[{strategy}]",
-            lambda: Csr.from_scipy(
-                self._exec,
-                self._scipy_view(),
-                value_dtype=self._value_dtype,
-                index_dtype=self._index_dtype,
-                strategy=strategy,
-            ),
-        )
-
     def copy_to(self, exec_: Executor) -> "Ell":
         """Return a copy resident on ``exec_``."""
         obj = Ell.__new__(Ell)

@@ -1,8 +1,11 @@
 """Hybrid ELL+COO format (``gko::matrix::Hybrid``).
 
 The regular part of each row (up to a percentile-based width) is stored in
-ELL; the irregular remainder spills into COO.  The SpMV applies both parts,
-which the cost model reflects as two kernels.
+ELL; the irregular remainder spills into COO.  The SpMV applies both parts
+— the ELL part's compiled kernel, then the COO part's accumulated on top —
+which the cost model reflects as two kernels.  A row that spills is summed
+as ``(ELL partial) + (COO partial)`` rather than entry by entry, so unlike
+ELL and SELL-P the result matches CSR's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from repro.ginkgo.executor import Executor
 from repro.ginkgo.matrix.base import SparseBase, check_index_dtype, check_value_dtype
 from repro.ginkgo.matrix.coo import Coo
 from repro.ginkgo.matrix.ell import Ell
-from repro.perfmodel import conversion_cost
 
 
 class Hybrid(SparseBase):
@@ -69,26 +71,27 @@ class Hybrid(SparseBase):
         row_nnz = np.diff(csr.indptr)
         width = int(np.quantile(row_nnz, percent)) if rows else 0
 
-        ell_cols = np.zeros((rows, max(width, 1)), dtype=index_dtype)
-        ell_vals = np.zeros((rows, max(width, 1)), dtype=value_dtype)
-        coo_r, coo_c, coo_v = [], [], []
-        for r in range(rows):
-            start, stop = csr.indptr[r], csr.indptr[r + 1]
-            n = stop - start
-            keep = min(n, width)
-            ell_cols[r, :keep] = csr.indices[start : start + keep]
-            ell_vals[r, :keep] = csr.data[start : start + keep]
-            if n > keep:
-                coo_r.extend([r] * (n - keep))
-                coo_c.extend(csr.indices[start + keep : stop])
-                coo_v.extend(csr.data[start + keep : stop])
+        # Entry k of a row stays in ELL slot k while k < width and spills
+        # to COO otherwise.  The row-major flattening of the slot mask
+        # enumerates the kept entries in CSR order (as in Ell.from_scipy);
+        # the spilled ones keep that order too.
+        ell_width = max(width, 1)
+        kept = np.minimum(row_nnz, width)
+        entry_slot = np.arange(csr.nnz) - np.repeat(csr.indptr[:-1], row_nnz)
+        keep = entry_slot < width
+        spill = ~keep
+        in_ell = np.arange(ell_width)[None, :] < kept[:, None]
+        ell_cols = np.zeros((rows, ell_width), dtype=index_dtype)
+        ell_vals = np.zeros((rows, ell_width), dtype=value_dtype)
+        ell_cols[in_ell] = csr.indices[keep]
+        ell_vals[in_ell] = csr.data[keep]
         ell = Ell(exec_, Dim(*csr.shape), ell_cols, ell_vals)
         coo = Coo(
             exec_,
             Dim(*csr.shape),
-            np.asarray(coo_r, dtype=index_dtype),
-            np.asarray(coo_c, dtype=index_dtype),
-            np.asarray(coo_v, dtype=value_dtype),
+            np.repeat(np.arange(rows, dtype=index_dtype), row_nnz - kept),
+            csr.indices[spill].astype(index_dtype),
+            csr.data[spill].astype(value_dtype),
         )
         return cls(exec_, Dim(*csr.shape), ell, coo)
 
@@ -111,11 +114,9 @@ class Hybrid(SparseBase):
     # SpMV: apply both parts
     # ------------------------------------------------------------------
     def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
-        y = self._ell._spmv_arrays(b).astype(
-            self._value_dtype, copy=False
-        )
+        y = self._ell._spmv_arrays(b)  # fresh array: accumulate in place
         if self._coo.nnz:
-            y = y + self._coo._spmv_arrays(b).reshape(y.shape)
+            y += self._coo._spmv_arrays(b)
         return y
 
     def _to_scipy(self) -> sp.csr_matrix:
@@ -123,24 +124,3 @@ class Hybrid(SparseBase):
         if self._coo.nnz:
             out = (out + self._coo._to_scipy().tocsr()).tocsr()
         return out
-
-    def convert_to_csr(self, strategy: str = "load_balance"):
-        """Convert to :class:`~repro.ginkgo.matrix.csr.Csr`."""
-        from repro.ginkgo.matrix.csr import Csr
-
-        self._exec.run(
-            conversion_cost(
-                "hybrid", "csr", self._size.rows, self.nnz,
-                self.value_bytes, self.index_bytes,
-            )
-        )
-        return self._cached_derived(
-            f"convert_to_csr[{strategy}]",
-            lambda: Csr.from_scipy(
-                self._exec,
-                self._scipy_view(),
-                value_dtype=self._value_dtype,
-                index_dtype=self._index_dtype,
-                strategy=strategy,
-            ),
-        )

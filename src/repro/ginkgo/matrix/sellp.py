@@ -3,7 +3,16 @@
 Rows are grouped into slices of ``slice_size``; each slice is padded to its
 own maximum row length, avoiding ELL's global padding blow-up on imbalanced
 matrices.  We store the real sliced layout (per-slice column-major blocks,
-exactly like Ginkgo) and run the SpMV slice by slice.
+exactly like Ginkgo): entry ``k`` of local row ``l`` of slice ``s`` lives in
+slot ``slice_sets[s] + k * slice_size + l``.
+
+The row of a slot is thus a pure function of its position, so the stored
+``values`` / ``col_idxs`` *are* a COO once that per-slot row array exists.
+The SpMV runs SciPy's compiled ``coo_matvec`` over exactly that view
+(``slot_view``, built once per data generation, on the slice-padded row
+count and trimmed to ``rows`` after the product).  Slots of one row are
+visited in entry order, padding slots add ``0 * x[0]``, so the result equals
+:class:`~repro.ginkgo.matrix.csr.Csr`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +23,12 @@ import scipy.sparse as sp
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension
 from repro.ginkgo.executor import Executor
-from repro.ginkgo.matrix.base import SparseBase, check_index_dtype, check_value_dtype
-from repro.perfmodel import conversion_cost
+from repro.ginkgo.matrix.base import (
+    SparseBase,
+    check_index_dtype,
+    check_value_dtype,
+    scipy_safe,
+)
 
 DEFAULT_SLICE_SIZE = 32
 
@@ -131,7 +144,7 @@ class Sellp(SparseBase):
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self._values))
+        return self._count_nonzero_values()
 
     @property
     def stored_elements(self) -> int:
@@ -143,91 +156,53 @@ class Sellp(SparseBase):
 
     @property
     def slice_lengths(self) -> np.ndarray:
-        return self._slice_lengths
+        """Read-only view: the layout is fixed at construction."""
+        return self._readonly(self._slice_lengths)
 
     @property
     def slice_sets(self) -> np.ndarray:
-        return self._slice_sets
+        """Read-only view: the layout is fixed at construction."""
+        return self._readonly(self._slice_sets)
 
     @property
     def values(self) -> np.ndarray:
-        return self._values
+        """Read-only view; mutate via :meth:`writable_values` + mark_modified."""
+        return self._readonly(self._values)
 
     @property
     def col_idxs(self) -> np.ndarray:
-        return self._col_idxs
+        """Read-only view; mutate via :meth:`writable_values` + mark_modified."""
+        return self._readonly(self._col_idxs)
 
     # ------------------------------------------------------------------
-    # SpMV: real sliced kernel
+    # SpMV: compiled COO kernel over the stored slots
     # ------------------------------------------------------------------
-    def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
-        compute = np.float32 if self._value_dtype == np.float16 else self._value_dtype
-        x = b.astype(compute, copy=False)
-        rows = self._size.rows
-        y = np.zeros((rows, x.shape[1]), dtype=compute)
+    def _slot_rows(self) -> np.ndarray:
+        """Row of every stored slot (``>= rows`` in the last slice's padding)."""
         ss = self._slice_size
-        lengths = np.asarray(self._slice_lengths)
-        if lengths.size == 0:
-            return y.astype(self._value_dtype, copy=False)
-        vals_all = self._values.astype(compute, copy=False)
-        # Slices sharing a padded length run as one batched gather +
-        # contraction; padding slots hold value 0 / column 0 and sum to
-        # nothing, and trailing padding *rows* are masked off the scatter.
-        for length in np.unique(lengths):
-            length = int(length)
-            if length == 0:
-                continue
-            sel = np.flatnonzero(lengths == length)
-            starts = self._slice_sets[sel].astype(np.int64)
-            offsets = (
-                starts[:, None, None]
-                + np.arange(length)[None, :, None] * ss
-                + np.arange(ss)[None, None, :]
-            )
-            cols = self._col_idxs[offsets]
-            acc = np.einsum("gkr,gkrj->grj", vals_all[offsets], x[cols, :])
-            row_idx = (sel[:, None] * ss + np.arange(ss)[None, :]).reshape(-1)
-            valid = row_idx < rows
-            y[row_idx[valid]] = acc.reshape(-1, x.shape[1])[valid]
+        slot_slice = np.repeat(
+            np.arange(self._slice_lengths.size), np.diff(self._slice_sets)
+        )
+        offset = np.arange(self._values.size) - self._slice_sets[slot_slice]
+        return slot_slice * ss + offset % ss
+
+    def _build_slot_view(self) -> sp.coo_matrix:
+        """The stored slots as a COO on the slice-padded row count."""
+        padded_rows = self._slice_lengths.size * self._slice_size
+        return sp.coo_matrix(
+            (scipy_safe(self._values), (self._slot_rows(), self._col_idxs)),
+            shape=(padded_rows, self._size.cols),
+        )
+
+    def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
+        view = self._cached_derived("slot_view", self._build_slot_view)
+        y = (view @ b.astype(view.dtype, copy=False))[: self._size.rows]
         return y.astype(self._value_dtype, copy=False)
 
     def _to_scipy(self) -> sp.csr_matrix:
-        ss = self._slice_size
-        nrows = self._size.rows
-        total = int(self._values.size)
-        if total == 0 or nrows == 0:
-            return sp.csr_matrix(self.shape, dtype=self._value_dtype)
-        # Invert the sliced layout for every slot at once: position p
-        # belongs to slice s (searchsorted handles empty slices), and
-        # within the slice the column-major offset decomposes into
-        # (entry k, local row).
-        pos = np.arange(total)
-        s = np.searchsorted(self._slice_sets, pos, side="right") - 1
-        offset = pos - self._slice_sets[s]
-        row = s * ss + offset % ss
-        mask = (self._values != 0) & (row < nrows)
+        row = self._slot_rows()
+        mask = (self._values != 0) & (row < self._size.rows)
         return sp.csr_matrix(
             (self._values[mask], (row[mask], self._col_idxs[mask])),
             shape=self.shape,
-        )
-
-    def convert_to_csr(self, strategy: str = "load_balance"):
-        """Convert to :class:`~repro.ginkgo.matrix.csr.Csr`."""
-        from repro.ginkgo.matrix.csr import Csr
-
-        self._exec.run(
-            conversion_cost(
-                "sellp", "csr", self._size.rows, self.nnz,
-                self.value_bytes, self.index_bytes,
-            )
-        )
-        return self._cached_derived(
-            f"convert_to_csr[{strategy}]",
-            lambda: Csr.from_scipy(
-                self._exec,
-                self._scipy_view(),
-                value_dtype=self._value_dtype,
-                index_dtype=self._index_dtype,
-                strategy=strategy,
-            ),
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +21,9 @@ HEADER_PREFIX = "%%MatrixMarket"
 FORMATS = ("coordinate", "array")
 FIELDS = ("real", "integer", "pattern")
 SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+#: Entries formatted per ``write``: keeps the writer's transient lists and
+#: text at a few MiB whatever the matrix size.
+WRITE_CHUNK = 1 << 14
 
 
 class MtxError(GinkgoError):
@@ -64,6 +68,8 @@ def read_mtx(path_or_file) -> sp.coo_matrix:
 
 
 def _read_stream(stream) -> sp.coo_matrix:
+    if not (hasattr(stream, "seekable") and stream.seekable()):
+        stream = io.StringIO(stream.read())  # entry lines may be read twice
     header = stream.readline()
     if not header.startswith(HEADER_PREFIX):
         raise MtxError(
@@ -103,6 +109,68 @@ def _read_coordinate(stream, size_line, field, symmetry) -> sp.coo_matrix:
         raise MtxError(
             f"negative dimensions in size line: {size_line.strip()!r}"
         )
+    start = stream.tell()
+    entries = _parse_entries(stream, field)
+    if entries is None or entries[0].size != nnz:
+        # Anything the bulk parser refused or miscounted is re-read line
+        # by line, which accepts what Python's int()/float() accept and
+        # raises the specific MtxError otherwise.
+        stream.seek(start)
+        entries = _scan_entries(stream, nnz, field)
+    r, c, v = entries
+    r -= 1  # MatrixMarket is 1-based
+    c -= 1
+    if np.any(r < 0) or np.any(c < 0) or np.any(r >= rows) or np.any(c >= cols):
+        raise MtxError("entry indices outside the declared dimensions")
+
+    if symmetry in ("symmetric", "skew-symmetric"):
+        # Mirror the off-diagonal entries into the upper triangle.
+        off = r != c
+        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
+        r, c, v = (
+            np.concatenate([r, c[off]]),
+            np.concatenate([c, r[off]]),
+            np.concatenate([v, sign * v[off]]),
+        )
+    return sp.coo_matrix((v, (r, c)), shape=(rows, cols))
+
+
+def _parse_entries(stream, field: str):
+    """Bulk-convert the entry lines; ``None`` when any line needs a closer look.
+
+    One compiled pass over the rest of the stream, read in bounded
+    chunks: ``np.loadtxt`` tokenises on whitespace, converts the first
+    two tokens of each line to ``int64`` and the third to ``float64``,
+    skips blank lines and ignores trailing tokens — the reading
+    :func:`_scan_entries` gives a well-formed line.  Comment lines, short
+    lines and non-numeric tokens make it raise (and an empty body warn),
+    which sends the caller to the line scan.
+    """
+    fields = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
+    if field == "pattern":
+        del fields[2]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                stream,
+                dtype=fields,
+                comments=None,
+                usecols=range(len(fields)),
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    values = np.ones(table.size) if field == "pattern" else table["value"]
+    return (
+        np.ascontiguousarray(table["row"]),
+        np.ascontiguousarray(table["col"]),
+        np.ascontiguousarray(values),
+    )
+
+
+def _scan_entries(stream, nnz: int, field: str):
+    """Entry-by-entry reader: the reference semantics and every error."""
     r = np.empty(nnz, dtype=np.int64)
     c = np.empty(nnz, dtype=np.int64)
     v = np.empty(nnz, dtype=np.float64)
@@ -129,21 +197,7 @@ def _read_coordinate(stream, size_line, field, symmetry) -> sp.coo_matrix:
         count += 1
     if count != nnz:
         raise MtxError(f"declared {nnz} entries but found {count}")
-    r -= 1  # MatrixMarket is 1-based
-    c -= 1
-    if np.any(r < 0) or np.any(c < 0) or np.any(r >= rows) or np.any(c >= cols):
-        raise MtxError("entry indices outside the declared dimensions")
-
-    if symmetry in ("symmetric", "skew-symmetric"):
-        # Mirror the off-diagonal entries into the upper triangle.
-        off = r != c
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        r, c, v = (
-            np.concatenate([r, c[off]]),
-            np.concatenate([c, r[off]]),
-            np.concatenate([v, sign * v[off]]),
-        )
-    return sp.coo_matrix((v, (r, c)), shape=(rows, cols))
+    return r, c, v
 
 
 def _read_array(stream, size_line, field, symmetry) -> sp.coo_matrix:
@@ -219,8 +273,17 @@ def write_mtx(path_or_file, matrix, symmetry: str = "general", comment: str = ""
         for line in comment.splitlines():
             handle.write(f"% {line}\n")
         handle.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        # Python scalars in bulk, a bounded chunk at a time: repr(float) of
+        # the exact float64 value round-trips every stored value, float32
+        # included.
+        for lo in range(0, coo.nnz, WRITE_CHUNK):
+            part = slice(lo, lo + WRITE_CHUNK)
+            entries = zip(
+                (coo.row[part] + 1).tolist(),
+                (coo.col[part] + 1).tolist(),
+                coo.data[part].astype(np.float64, copy=False).tolist(),
+            )
+            handle.write("".join([f"{i} {j} {v!r}\n" for i, j, v in entries]))
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.ginkgo.matrix import Csr
 from repro.ginkgo.mtx_io import (
+    WRITE_CHUNK,
     MtxError,
     read_mtx,
     read_mtx_string,
@@ -91,6 +92,68 @@ class TestRead:
         np.testing.assert_array_equal(
             read_mtx_string(text).toarray(), [[1.0, 2.0], [2.0, 3.0]]
         )
+
+
+class TestReadBulkAndScanAgree:
+    """The entry lines go through one bulk conversion, or — when any line
+    needs a closer look — through the line-by-line scan.  Both read a
+    file the same way; these bodies sit on either side of that switch."""
+
+    HEADER = "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+    WANT = [[1.5, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1e-300, 0.0]]
+
+    @pytest.mark.parametrize("body", [
+        "1 1 1.5\n2 3 -2\n3 2 1e-300\n",
+        "1 1 1.5 trailing tokens 9\n2 3 -2 % not a comment here\n3 2 1e-300 0\n",
+        "1 1 1.5\n% interleaved\n\n2 3 -2\n   \n%\n3 2 1e-300\n\n",
+        "1 1 1.5\r\n2 3 -2\r\n3 2 1e-300\r\n",
+        "  1\t1   1.5  \n+2 3 -2.\n3 2 1E-300",
+        "1 1 1_5e-1\n0_2 3 -2\n3 2 1e-300\n",  # int()/float() spellings
+    ], ids=["plain", "extra_tokens", "comments_and_blanks", "crlf",
+            "whitespace_no_final_newline", "python_only_spellings"])
+    def test_same_matrix(self, body):
+        mat = read_mtx_string(self.HEADER + body)
+        assert mat.data.dtype == np.float64
+        np.testing.assert_array_equal(mat.toarray(), self.WANT)
+
+    def test_pattern_symmetric_with_noise(self):
+        mat = read_mtx_string(
+            "%%MatrixMarket matrix coordinate pattern symmetric\r\n"
+            "% header comment\r\n"
+            "3 3 3\r\n1 1\r\n\r\n2 1 ignored\r\n% mid\r\n3 2\r\n"
+        )
+        np.testing.assert_array_equal(
+            mat.toarray(), [[1, 1, 0], [1, 0, 1], [0, 1, 0]]
+        )
+
+    def test_integer_field_values_are_float64(self):
+        mat = read_mtx_string(
+            "%%MatrixMarket matrix coordinate integer general\n"
+            "2 2 2\n1 1 7\n2 2 -3 extra\n"
+        )
+        assert mat.data.dtype == np.float64
+        np.testing.assert_array_equal(mat.toarray(), [[7, 0], [0, -3]])
+
+    def test_special_values_survive(self):
+        mat = read_mtx_string(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "1 4 4\n1 1 -0.0\n1 2 inf\n1 3 nan\n1 4 1e400\n"
+        )
+        assert np.signbit(mat.data[0]) and mat.data[0] == 0.0
+        assert mat.data[1] == np.inf and np.isnan(mat.data[2])
+        assert mat.data[3] == np.inf
+
+    @pytest.mark.parametrize("body, message", [
+        ("1 1 1.5\n2.0 3 -2\n3 2 1\n", "entry row index.*'2.0'"),
+        ("1 1 1.5\n2 3e0 -2\n3 2 1\n", "entry column index.*'3e0'"),
+        ("1 1 1.5\n2 3 -2\n% c\n3 2 1,5\n", "entry value.*'1,5'"),
+        ("1 1 1.5\n2 3\n3 2 1\n", "malformed entry: '2 3'"),
+        ("1 1 1.5\n2 3 -2\n3 2 1\n1 2 9 9\n", "more than the declared 3"),
+        ("1 1 1.5\n2 3 -2 3 2 1\n", "declared 3 entries but found 2"),
+    ])
+    def test_refused_lines_raise_the_scan_errors(self, body, message):
+        with pytest.raises(MtxError, match=message):
+            read_mtx_string(self.HEADER + body)
 
 
 class TestReadErrors:
@@ -239,6 +302,66 @@ class TestWrite:
     def test_invalid_symmetry(self):
         with pytest.raises(MtxError):
             write_mtx(io.StringIO(), np.eye(2), symmetry="hermitian")
+
+    def test_output_pinned_byte_for_byte(self):
+        """Indices 1-based in storage order, values as ``repr`` of the
+        exact float64 — shortest round-trip digits, signed zero kept."""
+        mat = sp.coo_matrix(
+            ([0.1, -0.0, 1e-300, 1e22, -1.0 / 3.0],
+             ([0, 0, 1, 2, 2], [0, 3, 1, 2, 0])),
+            shape=(3, 4),
+        )
+        buf = io.StringIO()
+        write_mtx(buf, mat, comment="pinned")
+        assert buf.getvalue() == (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% pinned\n"
+            "3 4 5\n"
+            "1 1 0.1\n"
+            "1 4 -0.0\n"
+            "2 2 1e-300\n"
+            "3 3 1e+22\n"
+            "3 1 -0.3333333333333333\n"
+        )
+
+    def test_float32_written_as_exact_float64(self):
+        values = np.array([0.1, 1.0 / 3.0, 16777216.0], dtype=np.float32)
+        mat = sp.coo_matrix((values, ([0, 1, 2], [0, 1, 2])), shape=(3, 3))
+        buf = io.StringIO()
+        write_mtx(buf, mat)
+        assert buf.getvalue().splitlines()[2:] == [
+            "1 1 0.10000000149011612",
+            "2 2 0.3333333432674408",
+            "3 3 16777216.0",
+        ]
+        back = read_mtx_string(buf.getvalue())
+        np.testing.assert_array_equal(back.data.astype(np.float32), values)
+
+    def test_chunked_write_equals_entry_by_entry(self, rng):
+        """The writer formats ``WRITE_CHUNK`` entries per write; the
+        text is what one ``f"{i + 1} {j + 1} {float(v)!r}"`` per entry
+        gives, across the chunk boundaries."""
+        nnz = 2 * WRITE_CHUNK + 3
+        mat = sp.coo_matrix(
+            (rng.standard_normal(nnz),
+             (rng.integers(0, 500, nnz), rng.integers(0, 700, nnz))),
+            shape=(500, 700),
+        )
+        buf = io.StringIO()
+        write_mtx(buf, mat)
+        want = "".join(
+            f"{i + 1} {j + 1} {float(v)!r}\n"
+            for i, j, v in zip(mat.row, mat.col, mat.data)
+        )
+        assert buf.getvalue().split("\n", 2)[2] == want
+
+    def test_empty_matrix_writes_header_only(self):
+        buf = io.StringIO()
+        write_mtx(buf, sp.coo_matrix((2, 3)))
+        assert buf.getvalue() == (
+            "%%MatrixMarket matrix coordinate real general\n2 3 0\n"
+        )
+        assert read_mtx_string(buf.getvalue()).nnz == 0
 
     def test_comment_written(self):
         buf = io.StringIO()

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 import repro as pg
 from repro.ginkgo.exceptions import GinkgoError
-from repro.ginkgo.matrix import Coo, Csr, Dense, Hybrid
+from repro.ginkgo.matrix import Coo, Csr, Dense, Hybrid, Sellp
 
 
 @pytest.fixture
@@ -73,6 +73,38 @@ class TestCoo:
         mtx.writable_values()[:] = original * 2.0
         mtx.mark_modified()
         np.testing.assert_array_equal(mtx.values, original * 2.0)
+
+
+class TestSellp:
+    def test_views_reject_writes(self, ref, small_sp):
+        mtx = Sellp.from_scipy(ref, small_sp, slice_size=4)
+        for view in (mtx.values, mtx.col_idxs, mtx.slice_lengths, mtx.slice_sets):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0
+
+    def test_views_still_read_correctly(self, ref, small_sp):
+        mtx = Sellp.from_scipy(ref, small_sp, slice_size=4)
+        assert np.count_nonzero(mtx.values) == small_sp.nnz
+        np.testing.assert_array_equal(
+            np.diff(mtx.slice_sets), mtx.slice_lengths * 4
+        )
+
+    @pytest.mark.parametrize("value_dtype", [np.float64, np.float16])
+    def test_stale_view_scenario_is_blocked(self, ref, small_sp, value_dtype):
+        """A write through ``values`` would leave the cached SpMV view
+        (for float16 a float32 *copy*) serving the old numbers."""
+        mtx = Sellp.from_scipy(ref, small_sp, value_dtype=value_dtype)
+        b = Dense(ref, np.ones((10, 1), dtype=value_dtype))
+        x = Dense.zeros(ref, (10, 1), value_dtype)
+        mtx.apply(b, x)  # builds the view
+        before = np.asarray(x).copy()
+        with pytest.raises(ValueError):
+            mtx.values[:] = 0.0
+        mtx.writable_values()[:] = 0.0
+        mtx.mark_modified()
+        mtx.apply(b, x)
+        assert np.any(before != 0) and not np.any(np.asarray(x))
 
 
 class TestDense:
