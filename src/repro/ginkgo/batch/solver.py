@@ -370,13 +370,14 @@ class BatchIterativeSolver:
     # ------------------------------------------------------------------
     # lockstep monitor
     # ------------------------------------------------------------------
-    def _monitor(self, iterations, norms, ids) -> np.ndarray:
+    def _monitor(self, iterations, norms, ids, breakdown=None) -> np.ndarray:
         """One lockstep convergence check over the systems in ``ids``.
 
         Performs, per system, exactly what the scalar solve's monitor
-        does — breakdown detection, history logging, criterion check,
-        final-status bookkeeping — and returns the boolean keep-mask of
-        systems that continue iterating.
+        does — breakdown detection (a NaN/Inf norm, or ``breakdown[i]``
+        for an exact breakdown the step met), history logging, criterion
+        check, final-status bookkeeping — and returns the boolean
+        keep-mask of systems that continue iterating.
         """
         status = self.status
         clock = self._exec.clock
@@ -387,6 +388,8 @@ class BatchIterativeSolver:
         )
         maxed = norms.max(axis=1)
         finite = np.isfinite(norms).all(axis=1)
+        if breakdown is not None:
+            finite &= ~breakdown
         keep = np.ones(m, dtype=bool)
         for i in np.flatnonzero(~finite):
             s = int(ids[i])
@@ -732,24 +735,27 @@ class BatchGmresSolver(BatchIterativeSolver):
                         launches=3,
                     )
                 )
-                residual_norm = np.abs(g3[:, j + 1])
+                # A zero pivot is an exact breakdown, as in the scalar
+                # cycle: the system closes on its first j columns and
+                # reports their residual |g[j]|.
+                residual_norm = np.abs(np.where(ok, g3[:, j + 1], g3[:, j]))
                 total_iteration[wids] += 1
                 exec_.run(
                     KernelCost("residual_check", 0.0, 64.0 * w, launches=4)
                 )
                 keep = self._monitor(
-                    total_iteration[wids], residual_norm[:, None], wids
+                    total_iteration[wids], residual_norm[:, None], wids,
+                    breakdown=~ok,
                 )
                 drop = (~keep) | (~nz)
                 if drop.any():
-                    inner = j + 1
                     for i in np.flatnonzero(drop):
                         # This system's contiguous slices have the scalar
                         # solver's shapes and strides, so the two small
                         # BLAS products are bitwise a sequential solve's.
                         gmres_finalize(
                             exec_, basis3[i], h3[i], g3[i],
-                            np.zeros(inner), Xw[i][:, 0], vb,
+                            np.zeros(j + 1 if ok[i] else j), Xw[i][:, 0], vb,
                         )
                         sid = int(wids[i])
                         X[sid] = Xw[i]

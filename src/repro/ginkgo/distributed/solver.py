@@ -119,10 +119,10 @@ class _Recovery:
     def wrap_monitor(self, monitor):
         """Memoize monitor decisions so replays never double-log."""
 
-        def replay_aware(iteration, residual_norm):
+        def replay_aware(iteration, residual_norm, breakdown=False):
             if iteration in self._decisions:
                 return self._decisions[iteration]
-            stop = monitor(iteration, residual_norm)
+            stop = monitor(iteration, residual_norm, breakdown)
             self._decisions[iteration] = stop
             return stop
 
@@ -429,6 +429,11 @@ class DistributedIterativeSolver(IterativeSolver):
                     f"operand {name} uses a different partition than the "
                     f"system matrix"
                 )
+        if self.recurrence.single_rhs and b.size.cols != 1:
+            raise GinkgoError(
+                f"{type(self).__name__} solves a single right-hand side, "
+                f"got {b.size.cols} columns"
+            )
         super()._apply_impl(b, x)
 
     def _initial_residual_buffer(self, b: Vector) -> Vector:
@@ -439,13 +444,11 @@ class DistributedIterativeSolver(IterativeSolver):
             self._workspace, "base.r0", copy=True, comm=self._matrix.comm
         )
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
+    def _driver(self, b, x, monitor) -> tuple:
         recovery = _Recovery.arm(self, b, x)
         if recovery is None:
-            return super()._iterate(A, M, b, x, r, monitor)
-        recovery.drive(
-            self._recurrence(A, M, b, x, r, recovery.wrap_monitor(monitor))
-        )
+            return super()._driver(b, x, monitor)
+        return recovery.drive, recovery.wrap_monitor(monitor)
 
 
 class DistributedCgSolver(DistributedIterativeSolver):

@@ -380,22 +380,6 @@ class Dense(LinOp):
             raise IndexError(f"column {index} out of range")
         return Dense(self._exec, self._data[:, index : index + 1])
 
-    def column_view(self, index: int) -> "Dense":
-        """Writable zero-copy view of one column as an ``n x 1`` Dense.
-
-        The view aliases this matrix's storage — writes through it land
-        here directly.  Wrapper objects are cached per column, so multi-RHS
-        loops acquire each column once instead of wrapping per access.
-        """
-        if not 0 <= index < self._size.cols:
-            raise IndexError(f"column {index} out of range")
-        views = self.__dict__.setdefault("_column_wrappers", {})
-        wrapper = views.get(index)
-        if wrapper is None:
-            wrapper = Dense._wrap(self._exec, self._data[:, index : index + 1])
-            views[index] = wrapper
-        return wrapper
-
     def row_slice(self, start: int, stop: int) -> "Dense":
         """Copy of rows ``[start, stop)``."""
         if not (0 <= start <= stop <= self._size.rows):

@@ -1,4 +1,15 @@
-"""Common machinery of the iterative solvers."""
+"""Common machinery of the iterative solvers.
+
+Every solver is its method's :class:`~repro.ginkgo.solver.recurrence.
+Recurrence` plus one monitored solve (:meth:`IterativeSolver._solve`):
+``r0 = b - A x0``, the iteration-0 check, then the recurrence handed to
+a driver — plain ``iterate``, or the distributed checkpoint/replay
+driver (:meth:`IterativeSolver._driver`).  A multi-column solve of a
+``single_rhs`` recurrence runs column by column, each column to its own
+verdict against its own baseline, and reports the aggregate: converged
+when every column is, the largest iteration count and residual norm,
+breakdown / timed out when any column is.
+"""
 
 from __future__ import annotations
 
@@ -92,8 +103,7 @@ class IterativeSolver(LinOp):
 
     #: Whether the solver requires a square system matrix.
     requires_square = True
-    #: The method's :class:`Recurrence`, for solvers written against the
-    #: Krylov core; the others override :meth:`_iterate`.
+    #: The method's :class:`Recurrence` (every concrete solver names one).
     recurrence: type | None = None
 
     _profile_category = "solver"
@@ -114,23 +124,28 @@ class IterativeSolver(LinOp):
         clock.push_span(f"{type(self).__name__}::generate", "generate")
         try:
             self._preconditioner = self._generate_preconditioner(
-                factory, matrix
+                factory.preconditioner, matrix
             )
         finally:
             clock.pop_span()
         # Scratch buffers persist across apply() calls and restart cycles;
         # the first solve populates the pool, later solves run allocation-free.
         self._workspace = Workspace(matrix.executor)
-        # Populated after each apply:
-        self.num_iterations = 0
-        self.converged = False
-        self.breakdown = False
-        self.timed_out = False
-        self.final_residual_norm = float("nan")
+        self._set_verdict()
+
+    def _set_verdict(
+        self, iterations=0, converged=False, residual_norm=float("nan"),
+        breakdown=False, timed_out=False,
+    ) -> None:
+        """Record an apply's outcome (reset at the start of every apply)."""
+        self.num_iterations = iterations
+        self.converged = converged
+        self.final_residual_norm = residual_norm
+        self.breakdown = breakdown
+        self.timed_out = timed_out
 
     @staticmethod
-    def _generate_preconditioner(factory: SolverFactory, matrix: LinOp) -> LinOp:
-        precond = factory.preconditioner
+    def _generate_preconditioner(precond, matrix: LinOp) -> LinOp:
         if precond is None:
             return Identity(matrix.executor, matrix.size.rows)
         if isinstance(precond, LinOp):
@@ -170,12 +185,33 @@ class IterativeSolver(LinOp):
     # LinOp interface
     # ------------------------------------------------------------------
     def _apply_impl(self, b: Dense, x: Dense) -> None:
-        self.breakdown = False
-        self.timed_out = False
         self._solve(b, x, self._exec.clock.now)
 
     def _solve(self, b, x, start_time: float) -> None:
         """One monitored solve of ``A x = b`` whose clock started at ``start_time``."""
+        if b.size.cols > 1 and self.recurrence.single_rhs:
+            # One column solve each, to its own verdict against its own
+            # baseline; the column operands are cached writable views
+            # into b/x, so results land in x directly.
+            ws = self._workspace
+            verdicts = []
+            for c in range(b.size.cols):
+                self._solve(
+                    ws.column_view(f"base.b[{c}]", b, c),
+                    ws.column_view(f"base.x[{c}]", x, c),
+                    start_time,
+                )
+                verdicts.append((
+                    self.num_iterations, self.converged,
+                    self.final_residual_norm, self.breakdown, self.timed_out,
+                ))
+            iterations, converged, norms, breakdown, timed_out = zip(*verdicts)
+            self._set_verdict(
+                max(iterations), all(converged), float(np.max(norms)),
+                any(breakdown), any(timed_out),
+            )
+            return
+        self._set_verdict()
         context = CriterionContext(
             rhs_norm=b.compute_norm2(),
             clock=self._exec.clock,
@@ -187,28 +223,25 @@ class IterativeSolver(LinOp):
         context.initial_resnorm = r.compute_norm2()
         criterion = self._factory.criteria.generate(context)
 
-        def monitor(iteration: int, residual_norm) -> bool:
+        def monitor(iteration: int, residual_norm, breakdown=False) -> bool:
             # Breakdown guard: a NaN/Inf residual means the iteration has
             # lost the plot (corrupted data, singular preconditioner, ...)
-            # and would otherwise silently spin to max_iters.
+            # and would otherwise silently spin to max_iters; a step that
+            # meets an exact breakdown reports its finite residual here.
             norms = np.asarray(residual_norm, dtype=np.float64)
-            if not np.all(np.isfinite(norms)):
-                self.num_iterations = iteration
-                self.converged = False
-                self.breakdown = True
-                self.final_residual_norm = float(np.max(norms))
+            worst = float(np.max(norms))
+            if breakdown or not np.all(np.isfinite(norms)):
+                self._set_verdict(iteration, False, worst, breakdown=True)
                 self._log(
                     "breakdown",
                     iteration=iteration,
                     residual_norm=residual_norm,
                 )
                 self._exec.clock.annotate(
-                    "breakdown",
-                    iteration=iteration,
-                    residual_norm=float(np.max(norms)),
+                    "breakdown", iteration=iteration, residual_norm=worst
                 )
                 if self._factory.strict_breakdown:
-                    raise SolverBreakdown(iteration, float(np.max(norms)))
+                    raise SolverBreakdown(iteration, worst)
                 return True
             self._log(
                 "iteration_complete",
@@ -228,14 +261,14 @@ class IterativeSolver(LinOp):
             self._exec.clock.annotate(
                 "iteration",
                 iteration=iteration,
-                residual_norm=float(np.max(norms)),
+                residual_norm=worst,
                 stopped=stop,
             )
             if stop:
-                self.num_iterations = iteration
-                self.converged = criterion.converged
-                self.timed_out = bool(getattr(criterion, "timed_out", False))
-                self.final_residual_norm = float(np.max(residual_norm))
+                self._set_verdict(
+                    iteration, criterion.converged, worst,
+                    timed_out=bool(getattr(criterion, "timed_out", False)),
+                )
                 if criterion.converged:
                     self._log(
                         "converged",
@@ -247,7 +280,8 @@ class IterativeSolver(LinOp):
         # Check the initial residual before iterating (already converged?).
         if monitor(0, context.initial_resnorm):
             return
-        self._iterate(self._matrix, self._preconditioner, b, x, r, monitor)
+        drive, monitor = self._driver(b, x, monitor)
+        drive(self._recurrence(b, x, r, monitor))
 
     def _initial_residual_buffer(self, b):
         """Pooled buffer initialised to a copy of ``b``."""
@@ -260,28 +294,17 @@ class IterativeSolver(LinOp):
         x.add_scaled(alpha, tmp)
 
     # ------------------------------------------------------------------
-    # the iteration: a recurrence plus a driver, or an override
+    # the iteration: a recurrence plus a driver
     # ------------------------------------------------------------------
-    def _recurrence(self, A, M, b, x, r, monitor) -> Recurrence:
+    def _recurrence(self, b, x, r, monitor) -> Recurrence:
         """This solve's recurrence, with the factory parameters it accepts."""
         params = self._factory.params
         return self.recurrence(
-            A, M, b, x, r, self._workspace, monitor,
+            self._matrix, self._preconditioner, b, x, r, self._workspace,
+            monitor,
             **{k: params[k] for k in self.recurrence.parameters if k in params},
         )
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        """Run the iteration (by default: drive :attr:`recurrence` plainly).
-
-        Args:
-            A: System matrix LinOp.
-            M: Preconditioner LinOp (Identity when none configured).
-            b: Right-hand side (n x k Dense).
-            x: Solution / initial guess, updated in place.
-            r: Initial residual ``b - A x`` (may be reused as workspace).
-            monitor: ``monitor(iteration, residual_norm) -> bool``; call
-                once per iteration, stop when it returns True.
-        """
-        if self.recurrence is None:
-            raise NotImplementedError
-        iterate(self._recurrence(A, M, b, x, r, monitor))
+    def _driver(self, b, x, monitor) -> tuple:
+        """``(drive, monitor)``: what steps this solve's recurrence to its stop."""
+        return iterate, monitor

@@ -6,57 +6,67 @@ system matrix for the shadow sequence.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ginkgo.exceptions import NotSupported
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.recurrence import safe_divide
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
-class BicgSolver(IterativeSolver):
-    """Generated BiCG operator."""
+class BicgRecurrence(Recurrence):
+    """BiCG; carries ``x, r``, the shadow residual ``r2``, ``p, p2`` and ``rz``.
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
+    One step is one iteration ending at its residual check; the direction
+    updates closing iteration ``i`` open step ``i + 1``.
+    """
+
+    vectors = ("x", "r", "r2", "p", "p2")
+    scalars = ("rz",)
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
         if not hasattr(A, "transpose"):
             raise NotSupported(
                 f"Bicg needs a transposable system matrix, got "
                 f"{type(A).__name__}"
             )
-        At = A.transpose()
-        ws = self._workspace
-        r2 = ws.dense_like("bicg.r2", r)  # shadow residual
-        z = ws.dense("bicg.z", r.size, r.dtype)
-        z2 = ws.dense("bicg.z2", r.size, r.dtype)
-        q = ws.dense("bicg.q", r.size, r.dtype)
-        q2 = ws.dense("bicg.q2", r.size, r.dtype)
-        M.apply(r, z)
-        M.apply(r2, z2)
-        p = ws.dense_like("bicg.p", z)
-        p2 = ws.dense_like("bicg.p2", z2)
-        rz = r2.compute_dot(z)
+        self.At = A.transpose()
+        self.r2 = r.scratch(ws, "bicg.r2", copy=True)
+        self.z = r.scratch(ws, "bicg.z")
+        self.z2 = r.scratch(ws, "bicg.z2")
+        self.q = r.scratch(ws, "bicg.q")
+        self.q2 = r.scratch(ws, "bicg.q2")
+        M.apply(r, self.z)
+        M.apply(self.r2, self.z2)
+        self.p = self.z.scratch(ws, "bicg.p", copy=True)
+        self.p2 = self.z2.scratch(ws, "bicg.p2", copy=True)
+        self.rz = self.r2.compute_dot(self.z)
 
-        iteration = 0
-        while True:
-            iteration += 1
-            A.apply(p, q)
-            At.apply(p2, q2)
-            pq = p2.compute_dot(q)
-            alpha = safe_divide(rz, pq)
-            x.add_scaled(alpha, p)
-            r.sub_scaled(alpha, q)
-            r2.sub_scaled(alpha, q2)
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
-            M.apply(r, z)
-            M.apply(r2, z2)
+    def step(self, iteration: int) -> tuple:
+        x, r, r2, p, p2 = self.x, self.r, self.r2, self.p, self.p2
+        z, z2, q, q2 = self.z, self.z2, self.q, self.q2
+        if iteration:
+            self.M.apply(r, z)
+            self.M.apply(r2, z2)
             rz_new = r2.compute_dot(z)
-            beta = safe_divide(rz_new, rz)
+            beta = safe_divide(rz_new, self.rz)
             p.scale(beta)
             p.add_scaled(1.0, z)
             p2.scale(beta)
             p2.add_scaled(1.0, z2)
-            rz = rz_new
+            self.rz = rz_new
+        self.A.apply(p, q)
+        self.At.apply(p2, q2)
+        alpha = safe_divide(self.rz, p2.compute_dot(q))
+        x.add_scaled(alpha, p)
+        r.sub_scaled(alpha, q)
+        r2.sub_scaled(alpha, q2)
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
+
+
+class BicgSolver(IterativeSolver):
+    """Generated BiCG operator: :class:`BicgRecurrence` over ``Dense``."""
+
+    recurrence = BicgRecurrence
 
 
 class Bicg(SolverFactory):

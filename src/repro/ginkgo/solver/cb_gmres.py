@@ -18,157 +18,76 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.accessor import arithmetic_dtype_for, value_dtype_for
-from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.matrix.base import check_value_dtype
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM
-from repro.perfmodel import KernelCost, blas1_cost
+from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM, GmresRecurrence
+from repro.ginkgo.solver.kernels import hessenberg_solve
+from repro.perfmodel import blas1_cost
+
+
+class CbGmresRecurrence(GmresRecurrence):
+    """GMRES's restart cycle over a basis stored in ``storage_precision``.
+
+    Host bookkeeping (Hessenberg, Givens, ``g``, ``y``) lives at the
+    working precision — a float32 solve must not leak float64 arrays —
+    and the basis decompresses into the arithmetic precision (float32 for
+    half working dtypes, like the engine's half kernels).  The multi-dot
+    and rank update are BLAS products against the decompressed basis
+    (not GMRES's einsum contraction).
+    """
+
+    parameters = ("krylov_dim", "storage_precision")
+
+    def __init__(
+        self, A, M, b, x, r, ws, monitor,
+        krylov_dim=DEFAULT_KRYLOV_DIM, storage_precision=np.float32,
+    ) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor, krylov_dim)
+        # ``value_dtype_for`` accepts every value-type spelling the config
+        # layer does ("float"/"float32"/...), not just numpy dtypes.
+        self.storage = check_value_dtype(value_dtype_for(storage_precision))
+        self.work_dtype = np.dtype(b.dtype)
+        self.arith = arithmetic_dtype_for(self.work_dtype)
+
+    def _charge(self, name: str, length: int) -> None:
+        """One basis kernel moving storage-precision bytes."""
+        self.x.executor.run(blas1_cost(name, length, self.storage.itemsize, 2))
+
+    def _start(self, r, beta: float):
+        n = r.size.rows
+        basis = self.ws.array(
+            "cb_gmres.basis", (n, self.krylov_dim + 1), dtype=self.storage
+        )
+        basis[:, 0] = (r._data[:, 0] / beta).astype(self.storage)
+        self._charge("cb_gmres_init", n)
+        return basis
+
+    def _load(self, basis, j: int, w) -> None:
+        w._data[:, 0] = basis[:, j].astype(self.arith)
+
+    def _orthogonalize(self, basis, w, count: int):
+        n = w.size.rows
+        coeffs = basis[:, :count].astype(self.arith).T @ w._data[:, 0]
+        self._charge("cb_gmres_multidot", n * count)
+        w._data[:, 0] -= basis[:, :count].astype(self.arith) @ coeffs
+        self._charge("cb_gmres_update", n * count)
+        return coeffs
+
+    def _extend(self, basis, w, j: int, h_next: float) -> None:
+        basis[:, j] = (w._data[:, 0] / h_next).astype(self.storage)
+        self._charge("cb_gmres_scale", w.size.rows)
+
+    def _close(self, basis, hessenberg, g, y) -> None:
+        x = self.x
+        hessenberg_solve(x.executor, hessenberg, g, y)
+        x._data[:, 0] += basis[:, : y.size].astype(self.arith) @ y
+        self._charge("cb_gmres_x_update", x.size.rows * y.size)
 
 
 class CbGmresSolver(IterativeSolver):
-    """Generated CB-GMRES operator (left-preconditioned)."""
+    """Generated CB-GMRES operator: :class:`CbGmresRecurrence` over ``Dense``."""
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        krylov_dim = int(
-            self._factory.params.get("krylov_dim", DEFAULT_KRYLOV_DIM)
-        )
-        if krylov_dim < 1:
-            raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        # ``value_dtype_for`` accepts every value-type spelling the config
-        # layer does ("float"/"float32"/...), not just numpy dtypes.
-        storage = check_value_dtype(
-            value_dtype_for(
-                self._factory.params.get("storage_precision", np.float32)
-            )
-        )
-        ws = self._workspace
-        for c in range(b.size.cols):
-            self._solve_column(
-                A,
-                M,
-                ws.column_view(f"cb_gmres.b[{c}]", b, c),
-                ws.column_view(f"cb_gmres.x[{c}]", x, c),
-                krylov_dim,
-                storage,
-                monitor,
-            )
-
-    def _solve_column(self, A, M, b, x, m, storage, monitor) -> bool:
-        exec_ = self._exec
-        ws = self._workspace
-        n = b.size.rows
-        storage_bytes = storage.itemsize
-        # Host bookkeeping (Hessenberg, Givens, g, y) lives at the working
-        # precision — a float32 solve must not leak float64 arrays — and
-        # the basis decompresses into the arithmetic precision (float32
-        # for half working dtypes, like the engine's half kernels).
-        work = np.dtype(b.dtype)
-        arith = arithmetic_dtype_for(work)
-        total_iteration = 0
-        w = ws.dense("cb_gmres.w", b.size, b.dtype)
-        r = ws.dense("cb_gmres.r", b.size, b.dtype)
-
-        while True:
-            w.copy_values_from(b)
-            A.apply_advanced(-1.0, x, 1.0, w)
-            M.apply(w, r)
-            beta = float(r.compute_norm2()[0])
-            if beta == 0.0:
-                monitor(total_iteration, 0.0)
-                return True
-            # The compressed basis: stored in `storage` precision.
-            basis = ws.array("cb_gmres.basis", (n, m + 1), dtype=storage)
-            basis[:, 0] = (r._data[:, 0] / beta).astype(storage)
-            exec_.run(blas1_cost("cb_gmres_init", n, storage_bytes, 2))
-            hessenberg = ws.array("cb_gmres.hessenberg", (m + 1, m), dtype=work)
-            givens_cos = ws.array("cb_gmres.givens_cos", m, dtype=work)
-            givens_sin = ws.array("cb_gmres.givens_sin", m, dtype=work)
-            g = ws.array("cb_gmres.g", m + 1, dtype=work)
-            g[0] = beta
-
-            inner = 0
-            stopped = False
-            for j in range(m):
-                # w = M^{-1} A v_j: decompress v_j to working precision.
-                w._data[:, 0] = basis[:, j].astype(arith)
-                A.apply(w, r)
-                M.apply(r, w)
-                # Fused multi-dot against the compressed basis: the reads
-                # move storage-precision bytes.
-                coeffs = basis[:, : j + 1].astype(arith).T @ w._data[:, 0]
-                exec_.run(
-                    blas1_cost(
-                        "cb_gmres_multidot", n * (j + 1), storage_bytes, 2
-                    )
-                )
-                hessenberg[: j + 1, j] = coeffs
-                w._data[:, 0] -= basis[:, : j + 1].astype(
-                    arith
-                ) @ coeffs
-                exec_.run(
-                    blas1_cost(
-                        "cb_gmres_update", n * (j + 1), storage_bytes, 2
-                    )
-                )
-                h_next = float(w.compute_norm2()[0])
-                hessenberg[j + 1, j] = h_next
-                if h_next != 0.0:
-                    basis[:, j + 1] = (w._data[:, 0] / h_next).astype(
-                        storage
-                    )
-                    exec_.run(
-                        blas1_cost("cb_gmres_scale", n, storage_bytes, 2)
-                    )
-                for i in range(j):
-                    hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-                    hessenberg[i, j] = (
-                        givens_cos[i] * hi + givens_sin[i] * hi1
-                    )
-                    hessenberg[i + 1, j] = (
-                        -givens_sin[i] * hi + givens_cos[i] * hi1
-                    )
-                denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-                if denom == 0.0:
-                    givens_cos[j], givens_sin[j] = 1.0, 0.0
-                else:
-                    givens_cos[j] = hessenberg[j, j] / denom
-                    givens_sin[j] = hessenberg[j + 1, j] / denom
-                hessenberg[j, j] = denom
-                hessenberg[j + 1, j] = 0.0
-                g[j + 1] = -givens_sin[j] * g[j]
-                g[j] = givens_cos[j] * g[j]
-                exec_.run(
-                    KernelCost("givens_update", 6.0 * m, 24.0 * m, launches=3)
-                )
-                exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
-
-                residual_norm = abs(g[j + 1])
-                inner = j + 1
-                total_iteration += 1
-                stopped = monitor(total_iteration, residual_norm)
-                if stopped or h_next == 0.0:
-                    break
-
-            y = ws.array("cb_gmres.y", inner, dtype=work)
-            for i in range(inner - 1, -1, -1):
-                y[i] = (
-                    g[i] - hessenberg[i, i + 1 : inner] @ y[i + 1 : inner]
-                ) / hessenberg[i, i]
-            exec_.run(
-                KernelCost(
-                    "hessenberg_trsv",
-                    flops=float(inner * inner),
-                    bytes=float(work.itemsize) * inner * inner,
-                    launches=max(inner, 1),
-                )
-            )
-            # x += V y, reading the compressed basis.
-            x._data[:, 0] += basis[:, :inner].astype(arith) @ y
-            exec_.run(
-                blas1_cost("cb_gmres_x_update", n * inner, storage_bytes, 2)
-            )
-            if stopped:
-                return True
+    recurrence = CbGmresRecurrence
 
 
 class CbGmres(SolverFactory):

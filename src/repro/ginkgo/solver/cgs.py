@@ -11,53 +11,59 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.recurrence import safe_divide
+from repro.ginkgo.solver.kernels import cgs_step_1, cgs_step_2, cgs_step_3
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
+
+
+class CgsRecurrence(Recurrence):
+    """Sonneveld's CGS, preconditioned; one step is one iteration.
+
+    Carries ``x, r``, the fixed shadow residual ``r_tld``, ``p, u, q`` and
+    ``rho_old``.
+    """
+
+    vectors = ("x", "r", "r_tld", "p", "u", "q")
+    scalars = ("rho_old",)
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.r_tld = r.scratch(ws, "cgs.r_tld", copy=True)
+        # p/u/q are READ in the first cgs_step_1 before being written, so
+        # they must come back zeroed on every apply.
+        self.p = ws.dense("cgs.p", r.size, r.dtype, zero=True)
+        self.u = ws.dense("cgs.u", r.size, r.dtype, zero=True)
+        self.q = ws.dense("cgs.q", r.size, r.dtype, zero=True)
+        self.v = r.scratch(ws, "cgs.v")
+        self.t = r.scratch(ws, "cgs.t")
+        self.u_hat = r.scratch(ws, "cgs.u_hat")
+        self.rho_old = np.ones(r.size.cols)
+
+    def step(self, iteration: int) -> tuple:
+        A, M, x, r, r_tld = self.A, self.M, self.x, self.r, self.r_tld
+        p, u, q, v, t, u_hat = self.p, self.u, self.q, self.v, self.t, self.u_hat
+        rho = r_tld.compute_dot(r)
+        beta = safe_divide(rho, self.rho_old)
+        # Fused: u = r + beta q ; p = u + beta (q + beta p).
+        cgs_step_1(u, p, r, q, beta)
+        # v = A M^{-1} p
+        M.apply(p, u_hat)
+        A.apply(u_hat, v)
+        alpha = safe_divide(rho, r_tld.compute_dot(v))
+        # Fused: q = u - alpha v ; t = u + q.
+        cgs_step_2(q, t, u, v, alpha)
+        # x += alpha M^{-1} t ; r -= alpha A M^{-1} t.
+        M.apply(t, u_hat)
+        A.apply(u_hat, v)
+        cgs_step_3(x, r, u_hat, v, alpha)
+        self.rho_old = rho
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
 
 
 class CgsSolver(IterativeSolver):
-    """Generated CGS operator (Sonneveld's algorithm, preconditioned)."""
+    """Generated CGS operator: :class:`CgsRecurrence` over ``Dense``."""
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        ws = self._workspace
-        r_tld = ws.dense_like("cgs.r_tld", r)  # fixed shadow residual r~0
-        # p/u/q are READ in the first cgs_step_1 before being written, so
-        # they must come back zeroed on every apply.
-        p = ws.dense("cgs.p", r.size, r.dtype, zero=True)
-        u = ws.dense("cgs.u", r.size, r.dtype, zero=True)
-        q = ws.dense("cgs.q", r.size, r.dtype, zero=True)
-        v = ws.dense("cgs.v", r.size, r.dtype)
-        t = ws.dense("cgs.t", r.size, r.dtype)
-        u_hat = ws.dense("cgs.u_hat", r.size, r.dtype)
-        rho_old = np.ones(r.size.cols)
-
-        from repro.ginkgo.solver.kernels import (
-            cgs_step_1,
-            cgs_step_2,
-            cgs_step_3,
-        )
-
-        iteration = 0
-        while True:
-            iteration += 1
-            rho = r_tld.compute_dot(r)
-            beta = safe_divide(rho, rho_old)
-            # Fused: u = r + beta q ; p = u + beta (q + beta p).
-            cgs_step_1(u, p, r, q, beta)
-            # v = A M^{-1} p
-            M.apply(p, u_hat)
-            A.apply(u_hat, v)
-            sigma = r_tld.compute_dot(v)
-            alpha = safe_divide(rho, sigma)
-            # Fused: q = u - alpha v ; t = u + q.
-            cgs_step_2(q, t, u, v, alpha)
-            # x += alpha M^{-1} t ; r -= alpha A M^{-1} t.
-            M.apply(t, u_hat)
-            A.apply(u_hat, v)
-            cgs_step_3(x, r, u_hat, v, alpha)
-            rho_old = rho
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
+    recurrence = CgsRecurrence
 
 
 class Cgs(SolverFactory):

@@ -8,42 +8,53 @@ preconditioners that change between iterations.
 from __future__ import annotations
 
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.recurrence import safe_divide
+from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
+
+
+class FcgRecurrence(Recurrence):
+    """FCG; carries ``x, r, p, r_old`` and ``rz``.
+
+    One step is one iteration ending at its residual check; as in CG,
+    the flexible direction update closing iteration ``i`` opens step
+    ``i + 1``.
+    """
+
+    vectors = ("x", "r", "p", "r_old")
+    scalars = ("rz",)
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.z = r.scratch(ws, "fcg.z")
+        M.apply(r, self.z)
+        self.p = self.z.scratch(ws, "fcg.p", copy=True)
+        self.q = r.scratch(ws, "fcg.q")
+        self.r_old = r.scratch(ws, "fcg.r_old", copy=True)
+        self.rz = r.compute_dot(self.z)
+
+    def step(self, iteration: int) -> tuple:
+        x, r, p, q, z = self.x, self.r, self.p, self.q, self.z
+        if iteration:
+            self.M.apply(r, z)
+            # Flexible beta: ((r - r_old), z) / rz.
+            diff = r.scratch(self.ws, "fcg.diff", copy=True)
+            diff.sub_scaled(1.0, self.r_old)
+            beta = safe_divide(diff.compute_dot(z), self.rz)
+            p.scale(beta)
+            p.add_scaled(1.0, z)
+            self.r_old.copy_values_from(r)
+            self.rz = r.compute_dot(z)
+        self.A.apply(p, q)
+        alpha = safe_divide(self.rz, p.compute_dot(q))
+        x.add_scaled(alpha, p)
+        r.sub_scaled(alpha, q)
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
 
 
 class FcgSolver(IterativeSolver):
-    """Generated FCG operator."""
+    """Generated FCG operator: :class:`FcgRecurrence` over ``Dense``."""
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        ws = self._workspace
-        z = ws.dense("fcg.z", r.size, r.dtype)
-        M.apply(r, z)
-        p = ws.dense_like("fcg.p", z)
-        q = ws.dense("fcg.q", r.size, r.dtype)
-        r_old = ws.dense_like("fcg.r_old", r)
-        rz = r.compute_dot(z)
-
-        iteration = 0
-        while True:
-            iteration += 1
-            A.apply(p, q)
-            pq = p.compute_dot(q)
-            alpha = safe_divide(rz, pq)
-            x.add_scaled(alpha, p)
-            r.sub_scaled(alpha, q)
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
-            M.apply(r, z)
-            # Flexible beta: ((r - r_old), z) / rz.
-            diff = ws.dense_like("fcg.diff", r)
-            diff.sub_scaled(1.0, r_old)
-            rz_new = diff.compute_dot(z)
-            beta = safe_divide(rz_new, rz)
-            p.scale(beta)
-            p.add_scaled(1.0, z)
-            r_old.copy_values_from(r)
-            rz = r.compute_dot(z)
+    recurrence = FcgRecurrence
 
 
 class Fcg(SolverFactory):

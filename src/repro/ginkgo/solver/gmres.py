@@ -22,6 +22,7 @@ import numpy as np
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import (
+    givens_update,
     gmres_finalize,
     gmres_multidot,
     gmres_update,
@@ -42,11 +43,15 @@ class GmresRecurrence(Recurrence):
     cycle starts from ``x`` alone — the residual is recomputed — so ``x``
     is the whole carried state.  The Krylov basis and Hessenberg matrix
     are host-side workspace arrays (replicated on every rank when the
-    vectors are distributed).
+    vectors are distributed); CB-GMRES overrides the five ``_`` basis
+    methods to store the basis compressed.
     """
 
     vectors = ("x",)
     parameters = ("krylov_dim",)
+    single_rhs = True
+    #: Precision of the host bookkeeping (Hessenberg, Givens, ``g``, ``y``).
+    work_dtype = np.float64
 
     def __init__(
         self, A, M, b, x, r, ws, monitor, krylov_dim=DEFAULT_KRYLOV_DIM
@@ -55,22 +60,15 @@ class GmresRecurrence(Recurrence):
         self.krylov_dim = int(krylov_dim)
         if self.krylov_dim < 1:
             raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        if b.size.cols != 1:
-            raise GinkgoError(
-                "the GMRES recurrence runs a single right-hand side, "
-                f"got {b.size.cols} columns"
-            )
         self.w = r.scratch(ws, "gmres.w")
 
     def step(self, iteration: int) -> tuple:
-        from repro.ginkgo.lazy import fused_step
-
         A, M, b, x, w, r, ws = (
             self.A, self.M, self.b, self.x, self.w, self.r, self.ws
         )
         exec_ = x.executor
-        n = b.size.rows
         m = self.krylov_dim
+        work = self.work_dtype
         # Preconditioned residual r = M^{-1}(b - A x).
         w.copy_values_from(b)
         A.apply_advanced(-1.0, x, 1.0, w)
@@ -79,118 +77,86 @@ class GmresRecurrence(Recurrence):
         if beta == 0.0:
             self.monitor(iteration, 0.0)
             return iteration, True
-        # Krylov basis block (device-resident workspace in Ginkgo);
-        # pooled across restart cycles, columns, and apply() calls.
-        basis = ws.array("gmres.basis", (n, m + 1))
-        basis[:, 0] = r._data[:, 0] / beta
-        record_fused(exec_, "gmres_init", n, b.value_bytes, 2)
-        hessenberg = ws.array("gmres.hessenberg", (m + 1, m))
-        givens_cos = ws.array("gmres.givens_cos", m)
-        givens_sin = ws.array("gmres.givens_sin", m)
-        g = ws.array("gmres.g", m + 1)
+        basis = self._start(r, beta)
+        hessenberg = ws.array("gmres.hessenberg", (m + 1, m), dtype=work)
+        givens_cos = ws.array("gmres.givens_cos", m, dtype=work)
+        givens_sin = ws.array("gmres.givens_sin", m, dtype=work)
+        g = ws.array("gmres.g", m + 1, dtype=work)
         g[0] = beta
 
-        inner = 0
-        stopped = False
         for j in range(m):
             # w = M^{-1} A v_j
-            w._data[:, 0] = basis[:, j]
+            self._load(basis, j, w)
             A.apply(w, r)
             M.apply(r, w)
-            # Gram-Schmidt via Ginkgo's fused multi-dot + rank update:
-            # each collapses j+1 eager dots / axpys into one kernel, so
-            # mark the pair as a fused region for attribution.
-            with fused_step(
-                exec_, "gmres::orthogonalize", ops_replaced=2 * (j + 1)
-            ):
-                coeffs = gmres_multidot(basis, w, j + 1)
-                hessenberg[: j + 1, j] = coeffs
-                gmres_update(basis, w, coeffs, j + 1)
+            hessenberg[: j + 1, j] = self._orthogonalize(basis, w, j + 1)
             h_next = float(w.compute_norm2()[0])
             hessenberg[j + 1, j] = h_next
             if h_next != 0.0:
-                basis[:, j + 1] = w._data[:, 0] / h_next
-                record_fused(exec_, "gmres_scale", n, b.value_bytes, 2)
-            # Apply the accumulated Givens rotations to column j, then
-            # compute and apply the new rotation (on-device in Ginkgo;
-            # redundantly on every rank when distributed — O(m) work).
-            for i in range(j):
-                hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-                hessenberg[i, j] = givens_cos[i] * hi + givens_sin[i] * hi1
-                hessenberg[i + 1, j] = -givens_sin[i] * hi + givens_cos[i] * hi1
-            denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-            if denom == 0.0:
-                givens_cos[j], givens_sin[j] = 1.0, 0.0
-            else:
-                givens_cos[j] = hessenberg[j, j] / denom
-                givens_sin[j] = hessenberg[j + 1, j] / denom
-            hessenberg[j, j] = denom
-            hessenberg[j + 1, j] = 0.0
-            g[j + 1] = -givens_sin[j] * g[j]
-            g[j] = givens_cos[j] * g[j]
-            # Givens rotation generation + application to the
-            # Hessenberg column and the residual vector g: three tiny
-            # device kernels in Ginkgo's implementation.
-            exec_.run(
-                KernelCost("givens_update", 6.0 * m, 24.0 * m, launches=3)
+                self._extend(basis, w, j + 1, h_next)
+            pivot = givens_update(
+                exec_, hessenberg, givens_cos, givens_sin, g, j
             )
-
-            residual_norm = abs(g[j + 1])
-            inner = j + 1
+            # A zero pivot closes the cycle on the first j columns.
+            inner = j + 1 if pivot else j
             iteration += 1
             # Ginkgo checks the residual after EVERY Hessenberg update
             # (restart-1 more checks per cycle than CuPy): a small
             # device kernel updates the estimate and the host reads the
             # stopping status back.
             exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
-            stopped = self.monitor(iteration, residual_norm)
+            stopped = self.monitor(
+                iteration, abs(g[inner]), breakdown=not pivot
+            )
             if stopped or h_next == 0.0:
                 break
 
+        self._close(basis, hessenberg, g, ws.array("gmres.y", inner, dtype=work))
+        return iteration, stopped
+
+    def _start(self, r, beta: float):
+        """The cycle's basis block (pooled) with ``v_0 = r / beta``."""
+        n = r.size.rows
+        basis = self.ws.array("gmres.basis", (n, self.krylov_dim + 1))
+        basis[:, 0] = r._data[:, 0] / beta
+        record_fused(r.executor, "gmres_init", n, r.value_bytes, 2)
+        return basis
+
+    def _load(self, basis, j: int, w) -> None:
+        """``w = v_j``."""
+        w._data[:, 0] = basis[:, j]
+
+    def _orthogonalize(self, basis, w, count: int):
+        """Gram-Schmidt ``w`` against ``count`` basis vectors; the coefficients."""
+        from repro.ginkgo.lazy import fused_step
+
+        # Ginkgo's fused multi-dot + rank update each collapse `count`
+        # eager dots / axpys into one kernel: a fused region.
+        with fused_step(
+            w.executor, "gmres::orthogonalize", ops_replaced=2 * count
+        ):
+            coeffs = gmres_multidot(basis, w, count)
+            gmres_update(basis, w, coeffs, count)
+        return coeffs
+
+    def _extend(self, basis, w, j: int, h_next: float) -> None:
+        """``v_j = w / h_next``."""
+        basis[:, j] = w._data[:, 0] / h_next
+        record_fused(w.executor, "gmres_scale", w.size.rows, w.value_bytes, 2)
+
+    def _close(self, basis, hessenberg, g, y) -> None:
+        """Solve the cycle's least-squares problem into ``y``; ``x += V y``."""
+        x = self.x
         gmres_finalize(
-            exec_, basis, hessenberg, g, ws.array("gmres.y", inner),
-            x._data[:, 0], b.value_bytes,
+            x.executor, basis, hessenberg, g, y, x._data[:, 0], x.value_bytes
         )
         x.mark_modified()
-        return iteration, stopped
 
 
 class GmresSolver(IterativeSolver):
     """Generated GMRES operator: :class:`GmresRecurrence` over ``Dense``."""
 
     recurrence = GmresRecurrence
-
-    def _solve(self, b, x, start_time: float) -> None:
-        cols = b.size.cols
-        if cols == 1:
-            return super()._solve(b, x, start_time)
-        # Each right-hand-side column builds its own Krylov space and is
-        # solved to its own verdict against its own baseline; the reported
-        # status is the aggregate.  The column operands are cached
-        # writable views into b/x, so results land in x directly.
-        ws = self._workspace
-        verdicts = []
-        for c in range(cols):
-            super()._solve(
-                ws.column_view(f"gmres.b[{c}]", b, c),
-                ws.column_view(f"gmres.x[{c}]", x, c),
-                start_time,
-            )
-            verdicts.append(
-                (
-                    self.converged,
-                    self.num_iterations,
-                    self.final_residual_norm,
-                    self.breakdown,
-                    self.timed_out,
-                )
-            )
-        converged, iterations, norms, breakdown, timed_out = zip(*verdicts)
-        self.converged = all(converged)
-        self.num_iterations = max(iterations)
-        self.final_residual_norm = float(np.max(norms))
-        self.breakdown = any(breakdown)
-        self.timed_out = any(timed_out)
 
 
 class Gmres(SolverFactory):

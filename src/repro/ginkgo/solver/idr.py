@@ -15,131 +15,130 @@ import numpy as np
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import record_fused
+from repro.ginkgo.solver.recurrence import Recurrence
+
+
+class IdrRecurrence(Recurrence):
+    """IDR(s) for one right-hand side; one step is one cycle.
+
+    A cycle is ``s`` biorthogonal updates against the fixed shadow space
+    ``P`` followed by the dimension-reduction step, the residual reported
+    to the monitor after each of the ``s + 1`` updates.  Carries ``x, r``,
+    the ``G`` / ``U`` blocks, the small matrix ``P^T G`` and ``omega``.
+    """
+
+    vectors = ("x", "r")
+    scalars = ("omega",)
+    parameters = ("subspace_dim", "deterministic", "kappa")
+    single_rhs = True
+
+    def __init__(
+        self, A, M, b, x, r, ws, monitor,
+        subspace_dim=2, deterministic=True, kappa=0.7,
+    ) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        s = int(subspace_dim)
+        if s < 1:
+            raise GinkgoError(f"subspace_dim must be >= 1, got {s}")
+        n = b.size.rows
+        s = min(s, n)
+        self.kappa = float(kappa)
+        # Shadow space P: random orthonormal block, fixed for the solve.
+        rng = np.random.default_rng(42 if deterministic else None)
+        self.p_block, _ = np.linalg.qr(rng.standard_normal((n, s)))
+        record_fused(x.executor, "idr_init_shadow", n * s, b.value_bytes, 2)
+        self.g_block = ws.array("idr.g_block", (n, s))
+        self.u_block = ws.array("idr.u_block", (n, s))
+        self.m_small = ws.array("idr.m_small", (s, s))
+        np.fill_diagonal(self.m_small, 1.0)
+        self.omega = 1.0
+        self.v = r.scratch(ws, "idr.v")
+        self.v_hat = r.scratch(ws, "idr.v_hat")
+        self.t = r.scratch(ws, "idr.t")
+
+    def _breakdown(self, iteration: int) -> tuple:
+        """Stop at a singular projection, reporting the true residual."""
+        return iteration, self.monitor(
+            iteration, float(self.r.compute_norm2()[0]), breakdown=True
+        )
+
+    def step(self, iteration: int) -> tuple:
+        A, M, x, r = self.A, self.M, self.x, self.r
+        v, v_hat, t = self.v, self.v_hat, self.t
+        p_block, g_block, u_block = self.p_block, self.g_block, self.u_block
+        m_small = self.m_small
+        exec_ = x.executor
+        n, s = p_block.shape
+        vb = r.value_bytes
+        # f = P^T r (one fused multi-dot kernel).
+        f = p_block.T @ r._data[:, 0]
+        record_fused(exec_, "idr_multidot", n * s, vb, 2)
+
+        for k in range(s):
+            # Solve the small lower-triangular system M[k:, k:] c = f[k:].
+            try:
+                c = np.linalg.solve(m_small[k:, k:], f[k:])
+            except np.linalg.LinAlgError:
+                return self._breakdown(iteration)
+            # v = r - G[:, k:] c  (fused rank-update).
+            v._data[:, 0] = r._data[:, 0] - g_block[:, k:] @ c
+            record_fused(exec_, "idr_update_v", n * (s - k), vb, 2)
+            M.apply(v, v_hat)
+            # U[:, k] = U[:, k:] c + omega * v_hat.
+            u_block[:, k] = u_block[:, k:] @ c + self.omega * v_hat._data[:, 0]
+            record_fused(exec_, "idr_update_u", n * (s - k), vb, 2)
+            # G[:, k] = A U[:, k].
+            v._data[:, 0] = u_block[:, k]
+            A.apply(v, t)
+            g_block[:, k] = t._data[:, 0]
+            # Bi-orthogonalise against P[:, :k].
+            for i in range(k):
+                alpha = (p_block[:, i] @ g_block[:, k]) / m_small[i, i]
+                g_block[:, k] -= alpha * g_block[:, i]
+                u_block[:, k] -= alpha * u_block[:, i]
+            if k:
+                record_fused(exec_, "idr_biortho", n * k, vb, 3)
+            m_small[k:, k] = p_block[:, k:].T @ g_block[:, k]
+            record_fused(exec_, "idr_m_update", n * (s - k), vb, 2)
+            if m_small[k, k] == 0.0:
+                return self._breakdown(iteration)
+            beta = f[k] / m_small[k, k]
+            # r -= beta G[:, k] ; x += beta U[:, k] (one fused kernel).
+            r._data[:, 0] -= beta * g_block[:, k]
+            x._data[:, 0] += beta * u_block[:, k]
+            record_fused(exec_, "idr_step", n, vb, 4)
+
+            iteration += 1
+            if self.monitor(iteration, float(r.compute_norm2()[0])):
+                return iteration, True
+            if k + 1 < s:
+                f[k + 1 :] -= beta * m_small[k + 1 :, k]
+
+        # Dimension-reduction step: omega from the (t, r) angle with
+        # Ginkgo's kappa safeguard against tiny omegas.
+        M.apply(r, v_hat)
+        A.apply(v_hat, t)
+        tt = float(t.compute_dot(t)[0])
+        tr = float(t.compute_dot(r)[0])
+        if tt == 0.0:
+            return self._breakdown(iteration)
+        omega = tr / tt
+        t_norm = np.sqrt(tt)
+        r_norm = float(r.compute_norm2()[0])
+        rho = abs(tr) / (t_norm * r_norm) if t_norm * r_norm else 0.0
+        if rho < self.kappa and rho > 0.0:
+            omega *= self.kappa / rho
+        self.omega = omega
+        x.add_scaled(omega, v_hat)
+        r.sub_scaled(omega, t)
+        iteration += 1
+        return iteration, self.monitor(iteration, float(r.compute_norm2()[0]))
 
 
 class IdrSolver(IterativeSolver):
-    """Generated IDR(s) operator (multi-RHS handled column by column)."""
+    """Generated IDR(s) operator: :class:`IdrRecurrence` over ``Dense``."""
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        s = int(self._factory.params.get("subspace_dim", 2))
-        if s < 1:
-            raise GinkgoError(f"subspace_dim must be >= 1, got {s}")
-        deterministic = bool(self._factory.params.get("deterministic", True))
-        kappa = float(self._factory.params.get("kappa", 0.7))
-        ws = self._workspace
-        for c in range(b.size.cols):
-            self._solve_column(
-                A,
-                M,
-                ws.column_view(f"idr.b[{c}]", b, c),
-                ws.column_view(f"idr.x[{c}]", x, c),
-                s,
-                deterministic,
-                kappa,
-                monitor,
-            )
-
-    def _solve_column(self, A, M, b, x, s, deterministic, kappa, monitor):
-        exec_ = self._exec
-        n = b.size.rows
-        s = min(s, n)
-
-        # Shadow space P: random orthonormal block, fixed for the solve.
-        seed = 42 if deterministic else None
-        rng = np.random.default_rng(seed)
-        p_block, _ = np.linalg.qr(rng.standard_normal((n, s)))
-        record_fused(exec_, "idr_init_shadow", n * s, b.value_bytes, 2)
-
-        # r = b - A x (recomputed; the caller's r may alias workspace).
-        ws = self._workspace
-        r = ws.dense_like("idr.r", b)
-        A.apply_advanced(-1.0, x, 1.0, r)
-
-        g_block = ws.array("idr.g_block", (n, s))
-        u_block = ws.array("idr.u_block", (n, s))
-        m_small = ws.array("idr.m_small", (s, s))
-        np.fill_diagonal(m_small, 1.0)
-        omega = 1.0
-        v = ws.dense("idr.v", b.size, b.dtype)
-        v_hat = ws.dense("idr.v_hat", b.size, b.dtype)
-        t = ws.dense("idr.t", b.size, b.dtype)
-
-        iteration = 0
-        while True:
-            # f = P^T r (one fused multi-dot kernel).
-            f = p_block.T @ r._data[:, 0]
-            record_fused(exec_, "idr_multidot", n * s, b.value_bytes, 2)
-
-            for k in range(s):
-                # Solve the small lower-triangular system M[k:, k:] c = f[k:].
-                try:
-                    c = np.linalg.solve(m_small[k:, k:], f[k:])
-                except np.linalg.LinAlgError:
-                    monitor(iteration, float(r.compute_norm2()[0]))
-                    return
-                # v = r - G[:, k:] c  (fused rank-update).
-                v._data[:, 0] = r._data[:, 0] - g_block[:, k:] @ c
-                record_fused(
-                    exec_, "idr_update_v", n * (s - k), b.value_bytes, 2
-                )
-                M.apply(v, v_hat)
-                # U[:, k] = U[:, k:] c + omega * v_hat.
-                u_block[:, k] = u_block[:, k:] @ c + omega * v_hat._data[:, 0]
-                record_fused(
-                    exec_, "idr_update_u", n * (s - k), b.value_bytes, 2
-                )
-                # G[:, k] = A U[:, k].
-                v._data[:, 0] = u_block[:, k]
-                A.apply(v, t)
-                g_block[:, k] = t._data[:, 0]
-                # Bi-orthogonalise against P[:, :k].
-                for i in range(k):
-                    alpha = (p_block[:, i] @ g_block[:, k]) / m_small[i, i]
-                    g_block[:, k] -= alpha * g_block[:, i]
-                    u_block[:, k] -= alpha * u_block[:, i]
-                if k:
-                    record_fused(
-                        exec_, "idr_biortho", n * k, b.value_bytes, 3
-                    )
-                m_small[k:, k] = p_block[:, k:].T @ g_block[:, k]
-                record_fused(exec_, "idr_m_update", n * (s - k),
-                             b.value_bytes, 2)
-                if m_small[k, k] == 0.0:
-                    monitor(iteration, float(r.compute_norm2()[0]))
-                    return
-                beta = f[k] / m_small[k, k]
-                # r -= beta G[:, k] ; x += beta U[:, k] (one fused kernel).
-                r._data[:, 0] -= beta * g_block[:, k]
-                x._data[:, 0] += beta * u_block[:, k]
-                record_fused(exec_, "idr_step", n, b.value_bytes, 4)
-
-                iteration += 1
-                res_norm = float(r.compute_norm2()[0])
-                if monitor(iteration, res_norm):
-                    return
-                if k + 1 < s:
-                    f[k + 1 :] -= beta * m_small[k + 1 :, k]
-
-            # Dimension-reduction step: omega from the (t, r) angle with
-            # Ginkgo's kappa safeguard against tiny omegas.
-            M.apply(r, v_hat)
-            A.apply(v_hat, t)
-            tt = float(t.compute_dot(t)[0])
-            tr = float(t.compute_dot(r)[0])
-            if tt == 0.0:
-                monitor(iteration, float(r.compute_norm2()[0]))
-                return
-            omega = tr / tt
-            t_norm = np.sqrt(tt)
-            r_norm = float(r.compute_norm2()[0])
-            rho = abs(tr) / (t_norm * r_norm) if t_norm * r_norm else 0.0
-            if rho < kappa and rho > 0.0:
-                omega *= kappa / rho
-            x.add_scaled(omega, v_hat)
-            r.sub_scaled(omega, t)
-            iteration += 1
-            if monitor(iteration, float(r.compute_norm2()[0])):
-                return
+    recurrence = IdrRecurrence
 
 
 class Idr(SolverFactory):

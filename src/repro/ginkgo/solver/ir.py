@@ -8,41 +8,57 @@ solves corrected in high precision.
 
 from __future__ import annotations
 
-from repro.ginkgo.lin_op import Identity, LinOp
+from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
+from repro.ginkgo.solver.recurrence import Recurrence
+
+
+class IrRecurrence(Recurrence):
+    """Richardson on ``x += relaxation * M r``; carries ``x`` and ``r``.
+
+    ``M`` is the inner solver.  One step is one iteration, which
+    recomputes the true residual ``r = b - A x``.
+    """
+
+    vectors = ("x", "r")
+
+    def __init__(self, A, M, b, x, r, ws, monitor, relaxation: float) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.relaxation = relaxation
+        self.correction = r.scratch(ws, "ir.correction")
+
+    def step(self, iteration: int) -> tuple:
+        x, r = self.x, self.r
+        self.M.apply(r, self.correction)
+        x.add_scaled(self.relaxation, self.correction)
+        r.copy_values_from(self.b)
+        self.A.apply_advanced(-1.0, x, 1.0, r)
+        iteration += 1
+        return iteration, self.monitor(iteration, r.compute_norm2())
 
 
 class IrSolver(IterativeSolver):
-    """Generated IR operator."""
+    """Generated IR operator: :class:`IrRecurrence` over ``Dense``."""
+
+    recurrence = IrRecurrence
 
     def __init__(self, factory, matrix) -> None:
         super().__init__(factory, matrix)
-        inner = factory.params.get("solver")
-        if inner is None:
-            self._inner = Identity(matrix.executor, matrix.size.rows)
-        elif isinstance(inner, LinOp):
-            self._inner = inner
-        else:
-            self._inner = inner.generate(matrix)
+        # The inner solver takes the preconditioner's place in the step.
+        self._inner = self._generate_preconditioner(
+            factory.params.get("solver"), matrix
+        )
         self._relaxation = float(factory.params.get("relaxation_factor", 1.0))
 
     @property
     def inner_solver(self) -> LinOp:
         return self._inner
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        correction = self._workspace.dense("ir.correction", r.size, r.dtype)
-        iteration = 0
-        while True:
-            iteration += 1
-            self._inner.apply(r, correction)
-            x.add_scaled(self._relaxation, correction)
-            # Recompute the true residual r = b - A x.
-            r.copy_values_from(b)
-            A.apply_advanced(-1.0, x, 1.0, r)
-            res_norm = r.compute_norm2()
-            if monitor(iteration, res_norm):
-                return
+    def _recurrence(self, b, x, r, monitor) -> Recurrence:
+        return IrRecurrence(
+            self._matrix, self._inner, b, x, r, self._workspace, monitor,
+            self._relaxation,
+        )
 
 
 class Ir(SolverFactory):

@@ -104,14 +104,38 @@ def gmres_update(basis_block, w, coeffs, count: int) -> None:
     )
 
 
-def gmres_finalize(exec_, basis_block, hessenberg, g, y, x_col, value_bytes: int) -> None:
-    """Close a restart cycle: solve ``R y = g``, then ``x += V y``.
+def givens_update(exec_, hessenberg, givens_cos, givens_sin, g, j: int) -> bool:
+    """Triangularise Hessenberg column ``j`` and rotate the residual vector ``g``.
 
-    ``y`` (zeroed, length = the cycle's inner iteration count) receives
-    the solution of the small triangular system, solved ON THE DEVICE —
-    low parallelism makes this a per-row dependency chain of small
-    kernels (CuPy instead solves it on the CPU); the solution update is
-    one fused GEMV-style kernel on the column ``x_col``.
+    The ``j`` accumulated Givens rotations, then the new one, applied to
+    the column and to ``g``: three tiny device kernels in Ginkgo (run
+    redundantly on every rank when distributed).  Returns False at a zero
+    pivot — an exact breakdown: the column vanished, and ``|g[j]|`` is the
+    least residual the cycle's Krylov space reaches.
+    """
+    m = givens_cos.size
+    for i in range(j):
+        hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
+        hessenberg[i, j] = givens_cos[i] * hi + givens_sin[i] * hi1
+        hessenberg[i + 1, j] = -givens_sin[i] * hi + givens_cos[i] * hi1
+    denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
+    exec_.run(KernelCost("givens_update", 6.0 * m, 24.0 * m, launches=3))
+    if denom == 0.0:
+        return False
+    givens_cos[j] = hessenberg[j, j] / denom
+    givens_sin[j] = hessenberg[j + 1, j] / denom
+    hessenberg[j, j] = denom
+    hessenberg[j + 1, j] = 0.0
+    g[j + 1] = -givens_sin[j] * g[j]
+    g[j] = givens_cos[j] * g[j]
+    return True
+
+
+def hessenberg_solve(exec_, hessenberg, g, y) -> None:
+    """Back-substitute ``R y = g`` into ``y`` (zeroed, one entry per column).
+
+    Solved ON THE DEVICE: low parallelism makes this a per-row dependency
+    chain of small kernels (CuPy instead solves it on the CPU).
     """
     inner = y.size
     for i in range(inner - 1, -1, -1):
@@ -122,10 +146,16 @@ def gmres_finalize(exec_, basis_block, hessenberg, g, y, x_col, value_bytes: int
         KernelCost(
             "hessenberg_trsv",
             flops=float(inner * inner),
-            bytes=8.0 * inner * inner,
+            bytes=float(hessenberg.itemsize) * inner * inner,
             launches=max(inner, 1),
         )
     )
+
+
+def gmres_finalize(exec_, basis_block, hessenberg, g, y, x_col, value_bytes: int) -> None:
+    """Close a restart cycle: :func:`hessenberg_solve`, then ``x_col += V y``."""
+    hessenberg_solve(exec_, hessenberg, g, y)
+    inner = y.size
     x_col += basis_block[:, :inner] @ y
     record_fused(
         exec_, "gmres_x_update", basis_block.shape[0] * inner, value_bytes, 2

@@ -10,105 +10,110 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
+from repro.ginkgo.solver.recurrence import Recurrence
 
 
-class MinresSolver(IterativeSolver):
-    """Generated MINRES operator (multi-RHS handled column by column)."""
+def _m_norm(r, y) -> float:
+    """``sqrt(r^T y)`` for ``y = M^{-1} r``: the Lanczos normalisation."""
+    rho = float(r.compute_dot(y)[0])
+    if rho < 0:
+        raise ValueError("MINRES preconditioner must be positive definite")
+    return np.sqrt(rho)
 
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        ws = self._workspace
-        stop = False
-        for c in range(b.size.cols):
-            stop = self._solve_column(
-                A,
-                M,
-                ws.column_view(f"minres.b[{c}]", b, c),
-                ws.column_view(f"minres.x[{c}]", x, c),
-                monitor,
-            )
-            if stop and b.size.cols == 1:
-                return
 
-    def _solve_column(self, A, M, b, x, monitor) -> bool:
-        exec_ = self._exec
-        ws = self._workspace
-        # r1 = b - A x ; y = M^{-1} r1.
-        r1 = ws.dense_like("minres.r1", b)
-        A.apply_advanced(-1.0, x, 1.0, r1)
-        y = ws.dense("minres.y", r1.size, r1.dtype)
-        M.apply(r1, y)
-        beta1 = float(r1.compute_dot(y)[0])
-        if beta1 < 0:
-            raise ValueError("MINRES preconditioner must be positive definite")
-        beta1 = np.sqrt(beta1)
-        if beta1 == 0.0:
-            monitor(0, 0.0)
-            return True
+class MinresRecurrence(Recurrence):
+    """MINRES for one right-hand side; one step is one Lanczos/QR update.
 
-        oldb, beta = 0.0, beta1
-        dbar, epsln = 0.0, 0.0
-        phibar = beta1
-        cs, sn = -1.0, 0.0
+    Carries the Lanczos vectors ``r`` (Paige–Saunders' ``r1``), ``r2`` and
+    ``y = M^{-1} r2``, the direction vectors ``w, w2`` and the QR scalars
+    ``oldb, beta, dbar, epsln, phibar, cs, sn``.  A third pooled buffer
+    rotates through the ``w`` roles.
+    """
+
+    vectors = ("x", "r", "r2", "y", "w", "w2")
+    scalars = ("oldb", "beta", "dbar", "epsln", "phibar", "cs", "sn")
+    single_rhs = True
+
+    def __init__(self, A, M, b, x, r, ws, monitor) -> None:
+        super().__init__(A, M, b, x, r, ws, monitor)
+        self.y = r.scratch(ws, "minres.y")
+        M.apply(r, self.y)
+        self.oldb, self.beta = 0.0, _m_norm(r, self.y)
+        self.dbar, self.epsln = 0.0, 0.0
+        self.phibar = self.beta
+        self.cs, self.sn = -1.0, 0.0
         # w/w2 are read with nonzero coefficients from iteration 2 on, so
         # pooled reuse must hand them back zeroed; `spare` rotates in as
         # the next w and is always fully overwritten first.
-        w = ws.dense("minres.w", r1.size, r1.dtype, zero=True)
-        w2 = ws.dense("minres.w2", r1.size, r1.dtype, zero=True)
-        spare = ws.dense("minres.w1", r1.size, r1.dtype)
-        r2 = ws.dense_like("minres.r2", r1)
-        v = ws.dense("minres.v", r1.size, r1.dtype)
-        tiny = np.finfo(np.float64).tiny
+        self.w = ws.dense("minres.w", r.size, r.dtype, zero=True)
+        self.w2 = ws.dense("minres.w2", r.size, r.dtype, zero=True)
+        self.spare = r.scratch(ws, "minres.w1")
+        self.r2 = r.scratch(ws, "minres.r2", copy=True)
+        self.v = r.scratch(ws, "minres.v")
 
-        iteration = 0
-        while True:
-            iteration += 1
-            # Lanczos step.
-            v.copy_values_from(y)
-            v.scale(1.0 / beta)
-            A.apply(v, y)
-            if iteration >= 2:
-                y.sub_scaled(beta / oldb, r1)
-            alfa = float(v.compute_dot(y)[0])
-            y.sub_scaled(alfa / beta, r2)
-            r1.copy_values_from(r2)
-            r2.copy_values_from(y)
-            M.apply(r2, y)
-            oldb = beta
-            beta = float(r2.compute_dot(y)[0])
-            if beta < 0:
-                raise ValueError(
-                    "MINRES preconditioner must be positive definite"
-                )
-            beta = np.sqrt(beta)
+    def step(self, iteration: int) -> tuple:
+        A, M, x, r1, r2, y, v = (
+            self.A, self.M, self.x, self.r, self.r2, self.y, self.v
+        )
+        beta, oldb = self.beta, self.oldb
+        if beta == 0.0:
+            # The Lanczos sequence ended on an invariant subspace: x is
+            # exact there.
+            self.monitor(iteration, 0.0)
+            return iteration, True
+        iteration += 1
+        # Lanczos step.
+        v.copy_values_from(y)
+        v.scale(1.0 / beta)
+        A.apply(v, y)
+        if iteration >= 2:
+            y.sub_scaled(beta / oldb, r1)
+        alfa = float(v.compute_dot(y)[0])
+        y.sub_scaled(alfa / beta, r2)
+        r1.copy_values_from(r2)
+        r2.copy_values_from(y)
+        M.apply(r2, y)
+        oldb, beta = beta, _m_norm(r2, y)
 
-            # QR update via Givens rotations.
-            oldeps = epsln
-            delta = cs * dbar + sn * alfa
-            gbar = sn * dbar - cs * alfa
-            epsln = sn * beta
-            dbar = -cs * beta
-            gamma = max(np.hypot(gbar, beta), tiny)
-            cs = gbar / gamma
-            sn = beta / gamma
-            phi = cs * phibar
-            phibar = sn * phibar
+        # QR update via Givens rotations.
+        cs, sn = self.cs, self.sn
+        oldeps = self.epsln
+        delta = cs * self.dbar + sn * alfa
+        gbar = sn * self.dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = np.hypot(gbar, beta)
+        if gamma == 0.0:
+            # Zero QR pivot: b has a component A cannot reach, so no
+            # update lowers phibar — an exact breakdown.
+            return iteration, self.monitor(
+                iteration, abs(self.phibar), breakdown=True
+            )
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * self.phibar
+        phibar = sn * self.phibar
 
-            # Solution update: w = (v - oldeps*w1 - delta*w2) / gamma.
-            # Three pooled buffers rotate through the w/w2/w1 roles; the
-            # vacated one becomes the next iteration's w.  copy_into
-            # charges the same transfer a fresh v.clone() would.
-            w1 = w2
-            w2 = w
-            w = spare
-            exec_.copy_into(v.executor, v._data, w._data)
-            w.sub_scaled(oldeps, w1)
-            w.sub_scaled(delta, w2)
-            w.scale(1.0 / gamma)
-            x.add_scaled(phi, w)
-            spare = w1
+        # Solution update: w = (v - oldeps*w1 - delta*w2) / gamma.  The
+        # three pooled buffers rotate through the w/w2/w1 roles; the
+        # vacated one becomes the next step's w.  copy_into charges the
+        # same transfer a fresh v.clone() would.
+        w1, w2, w = self.w2, self.w, self.spare
+        x.executor.copy_into(v.executor, v._data, w._data)
+        w.sub_scaled(oldeps, w1)
+        w.sub_scaled(delta, w2)
+        w.scale(1.0 / gamma)
+        x.add_scaled(phi, w)
+        self.w, self.w2, self.spare = w, w2, w1
+        self.oldb, self.beta, self.dbar, self.epsln = oldb, beta, dbar, epsln
+        self.phibar, self.cs, self.sn = phibar, cs, sn
+        return iteration, self.monitor(iteration, abs(phibar))
 
-            if monitor(iteration, abs(phibar)):
-                return True
+
+class MinresSolver(IterativeSolver):
+    """Generated MINRES operator: :class:`MinresRecurrence` over ``Dense``."""
+
+    recurrence = MinresRecurrence
 
 
 class Minres(SolverFactory):

@@ -16,10 +16,16 @@ hooks each vector type implements:
 * ``all_reduce(payload, label)`` — globally reduce a locally reduced
   payload (a no-op off the distributed path).
 
-Scalar, distributed and batched solves are three *instances* of one
-recurrence, bit-identical by construction; everything that is not
-arithmetic is a driver *around* ``step``: :func:`iterate` (plain), the
-distributed checkpoint/replay driver, the batched active-set compaction.
+All ten methods are recurrences: CG, FCG, BiCG, CGS, BiCGSTAB and IR
+step one iteration, MINRES one Lanczos/QR update, GMRES, CB-GMRES and
+IDR(s) one cycle.  A :attr:`Recurrence.single_rhs` recurrence solves one
+column; the solver splits multi-column solves.  Scalar, distributed and
+batched solves are three *instances* of one recurrence, bit-identical by
+construction; everything that is not arithmetic is a driver *around*
+``step``: :func:`iterate` (plain), the distributed checkpoint/replay
+driver, the batched active-set compaction.  A step that meets an exact
+breakdown (zero pivot, singular projection) reports the finite residual
+it reached with ``monitor(..., breakdown=True)`` and stops.
 """
 
 from __future__ import annotations
@@ -48,19 +54,23 @@ class Recurrence:
         r: Initial residual ``b - A x`` (owned by the recurrence from
             here on).
         ws: The solver's :class:`Workspace`; all scratch comes from it.
-        monitor: ``monitor(iteration, residual_norm) -> bool``; called
-            once per iteration, True means stop.
+        monitor: ``monitor(iteration, residual_norm, breakdown=False)
+            -> bool``; called once per iteration, True means stop.
+            ``breakdown=True`` reports an exact breakdown and always stops.
     """
 
     #: Attribute names of the vectors carried across steps — what a
     #: checkpoint must save and an active-set compaction must gather.
     vectors: tuple = ()
     #: Attribute names of the carried scalars: per-column coefficient
-    #: arrays (None before their first assignment), rebound every step
-    #: and never mutated in place.
+    #: arrays (None before their first assignment; plain floats in a
+    #: single-RHS recurrence), rebound every step and never mutated in
+    #: place.
     scalars: tuple = ()
     #: Solver parameters the constructor accepts as keywords.
     parameters: tuple = ()
+    #: Whether one instance solves exactly one right-hand-side column.
+    single_rhs: bool = False
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         self.A = A

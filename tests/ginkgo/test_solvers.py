@@ -12,17 +12,22 @@ from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import (
     Bicg,
     Bicgstab,
+    CbGmres,
     Cg,
     Cgs,
     Fcg,
     Gmres,
+    Idr,
     Ir,
     Minres,
 )
 from repro.ginkgo.stop import Iteration, ResidualNorm
 
 ALL_KRYLOV = [Cg, Fcg, Cgs, Bicg, Bicgstab, Gmres, Minres]
+ALL_SCALAR = ALL_KRYLOV + [CbGmres, Idr, Ir]
 CRIT = Iteration(800) | ResidualNorm(1e-11)
+#: Richardson needs damping on ``spd_small`` (eigenvalues in (2, 6)).
+SPD_PARAMS = {Ir: {"relaxation_factor": 0.25}}
 
 
 def _solve(factory_cls, ref, matrix, b_np, x0=None, **params):
@@ -53,16 +58,30 @@ class TestConvergenceSpd:
         assert solver.converged
         np.testing.assert_allclose(x, xstar, atol=1e-6)
 
-    @pytest.mark.parametrize("factory_cls", [Cg, Cgs, Gmres, Bicgstab])
+    @pytest.mark.parametrize("factory_cls", ALL_SCALAR)
     def test_multi_rhs(self, factory_cls, ref, spd_small, rng):
         xstar = rng.standard_normal((spd_small.shape[0], 3))
         mtx = Csr.from_scipy(ref, spd_small)
-        solver = factory_cls(ref, criteria=CRIT).generate(mtx)
+        solver = factory_cls(
+            ref, criteria=CRIT, **SPD_PARAMS.get(factory_cls, {})
+        ).generate(mtx)
         x = Dense.zeros(ref, (spd_small.shape[0], 3), np.float64)
         solver.apply(Dense(ref, spd_small @ xstar), x)
         np.testing.assert_allclose(np.asarray(x), xstar, atol=1e-6)
 
-    def test_multi_rhs_gmres_status_aggregates_columns(self, ref, rng):
+    @pytest.mark.parametrize(
+        "factory_cls, params",
+        [
+            (Gmres, {"krylov_dim": 10}),
+            (CbGmres, {"krylov_dim": 10}),
+            (Minres, {}),
+            (Idr, {}),
+        ],
+        ids=["gmres", "cb_gmres", "minres", "idr"],
+    )
+    def test_multi_rhs_gmres_status_aggregates_columns(
+        self, factory_cls, params, ref, rng
+    ):
         # Column 0 is hard (stops at the cap), column 1 trivial (one
         # iteration): the verdict is the aggregate, not the last column's.
         n = 200
@@ -73,8 +92,8 @@ class TestConvergenceSpd:
         b = np.zeros((2 * n, 2))
         b[:n, 0] = rng.standard_normal(n)
         b[n:, 1] = 1.0
-        solver = Gmres(
-            ref, criteria=Iteration(20) | ResidualNorm(1e-8), krylov_dim=10
+        solver = factory_cls(
+            ref, criteria=Iteration(20) | ResidualNorm(1e-8), **params
         ).generate(Csr.from_scipy(ref, mat))
         x = Dense.zeros(ref, (2 * n, 2), np.float64)
         solver.apply(Dense(ref, b), x)
@@ -83,6 +102,32 @@ class TestConvergenceSpd:
         assert not solver.converged
         assert solver.num_iterations == 20
         assert solver.final_residual_norm > 1e-8 * np.linalg.norm(b[:, 0])
+
+    @pytest.mark.parametrize("factory_cls", ALL_SCALAR)
+    def test_multi_rhs_column_order_does_not_matter(
+        self, factory_cls, ref, spd_small, rng
+    ):
+        # Columns of very different norms: each is solved against its
+        # own baseline, so swapping them swaps the solution and nothing
+        # else — no column is over-solved to the other's tolerance.
+        n = spd_small.shape[0]
+        xstar = rng.standard_normal((n, 2))
+        xstar[:, 1] *= 1e-6
+        results = []
+        for order in ([0, 1], [1, 0]):
+            solver = factory_cls(
+                ref, criteria=CRIT, **SPD_PARAMS.get(factory_cls, {})
+            ).generate(Csr.from_scipy(ref, spd_small))
+            x = Dense.zeros(ref, (n, 2), np.float64)
+            solver.apply(Dense(ref, spd_small @ xstar[:, order]), x)
+            results.append(
+                (solver.num_iterations, solver.converged, solver.breakdown)
+            )
+            np.testing.assert_allclose(
+                np.asarray(x), xstar[:, order], rtol=0, atol=1e-6
+            )
+        assert results[0] == results[1]
+        assert results[0][1]
 
     def test_nonzero_initial_guess(self, ref, spd_small, rng):
         xstar = rng.standard_normal((spd_small.shape[0], 1))

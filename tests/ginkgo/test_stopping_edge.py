@@ -5,6 +5,11 @@ criterion clamps it to 1.0 so the check is well defined and the solver
 stops at iteration 0 instead of dividing by zero.  An exact initial guess
 gives a zero initial residual with a nonzero baseline — also iteration 0.
 Every solver (scalar and batched) must handle both without breakdown.
+
+A singular, inconsistent system has no solution: every solver must end
+with ``breakdown`` or an honest ``converged=False``, a finite ``x`` and a
+finite residual norm no smaller than the true residual's lower bound —
+and a solver reused for it must not report the previous apply's verdict.
 """
 
 from __future__ import annotations
@@ -66,6 +71,22 @@ def spd(n=24):
     ).tocsr()
 
 
+def singular_probe(n=50):
+    """``diag(linspace(1, 3, n))`` with its last entry zeroed, and two RHS.
+
+    The first is consistent (supported where Richardson also converges);
+    the second, ``e_{n-1}``, lies outside the range: no ``x`` gets the
+    residual below 1.
+    """
+    diag = np.linspace(1.0, 3.0, n)
+    diag[-1] = 0.0
+    consistent = np.zeros((n, 1))
+    consistent[:10, 0] = diag[:10]
+    inconsistent = np.zeros((n, 1))
+    inconsistent[-1, 0] = 1.0
+    return sp.diags(diag).tocsr(), consistent, inconsistent
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR_SOLVERS), ids=str)
 class TestScalarStopping:
     def test_zero_rhs_stops_at_iteration_zero(self, ref, name):
@@ -97,6 +118,25 @@ class TestScalarStopping:
         # untouched.
         assert len(logger.residual_norms) == 1
         np.testing.assert_array_equal(x._data, exact)
+
+    def test_singular_inconsistent_system_reported_honestly(self, ref, name):
+        mat, consistent, inconsistent = singular_probe()
+        solver = SCALAR_SOLVERS[name](ref, criteria=crit()).generate(
+            Csr.from_scipy(ref, mat)
+        )
+        x = Dense(ref, np.zeros_like(consistent))
+        solver.apply(Dense(ref, consistent), x)
+        assert solver.converged
+        # The same solver again: this apply's verdict, not the last one's.
+        x = Dense(ref, np.zeros_like(inconsistent))
+        solver.apply(Dense(ref, inconsistent), x)
+        solution = np.asarray(x)
+        assert np.isfinite(solution).all()
+        assert not solver.converged
+        assert solver.num_iterations <= 100
+        assert np.isfinite(solver.final_residual_norm)
+        assert solver.final_residual_norm >= 1.0 - 1e-12
+        assert np.linalg.norm(inconsistent - mat @ solution) >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_SOLVERS), ids=str)
@@ -145,6 +185,29 @@ class TestBatchStopping:
         assert status.all_converged
         assert status.num_iterations[0] == 0
         assert (status.num_iterations[1:] > 0).all()
+
+    def test_singular_inconsistent_system_matches_scalar(self, ref, name):
+        mat, consistent, inconsistent = singular_probe()
+        batch = BATCH_SOLVERS[name](ref, criteria=crit()).generate(
+            BatchCsr.from_scipy_list(ref, [mat, mat])
+        )
+        scalar = SCALAR_SOLVERS[name.removeprefix("batch_")](
+            ref, criteria=crit()
+        ).generate(Csr.from_scipy(ref, mat))
+        rhs = [consistent, inconsistent]
+        x = BatchDense.zeros(ref, 2, consistent.shape, np.float64)
+        batch.apply(BatchDense.from_dense_list(ref, rhs), x)
+        status = batch.status
+        for k, b in enumerate(rhs):
+            xs = Dense(ref, np.zeros_like(b))
+            scalar.apply(Dense(ref, b), xs)
+            assert status.converged[k] == scalar.converged
+            assert status.breakdown[k] == scalar.breakdown
+            assert status.num_iterations[k] == scalar.num_iterations
+            assert status.final_residual_norm[k] == scalar.final_residual_norm
+            assert x._data[k].tobytes() == xs._data.tobytes()
+        assert status.converged[0] and not status.converged[1]
+        assert np.isfinite(x._data).all()
 
 
 class TestArrayLayouts:
