@@ -55,6 +55,10 @@ def collect(root: Path, skipped: list | None = None) -> list:
 
 
 def _fmt_speedup(report) -> str:
+    """``wall_speedup_x`` (reported, never gated) or the bare ``speedup``."""
+    wall = report.get("wall_speedup_x")
+    if wall is not None:
+        return f"{wall:.2f}x wall ({report.get('cpu_count', '?')} cpus)"
     speedup = report.get("speedup")
     gate = report.get("min_speedup_gate")
     if speedup is None:

@@ -28,7 +28,7 @@ from repro.ginkgo.executor import (
 from repro.ginkgo.matrix import Coo, Csr, Dense, Ell, Hybrid, Sellp
 from repro.ginkgo.solver import Bicgstab, Cg, Cgs, Fcg, Gmres, Minres
 from repro.ginkgo.stop import Iteration
-from repro.perfmodel.specs import AMD_MI100, INTEL_XEON_8368, NVIDIA_A100, DeviceSpec
+from repro.perfmodel.specs import NVIDIA_A100, DeviceSpec
 
 _FORMAT_CLASSES = {
     "csr": Csr,
@@ -162,12 +162,3 @@ class GinkgoNativeBackend(PyGinkgoBackend):
 
     display_name = "Ginkgo (native)"
     binding_overhead = False
-
-
-def backend_for_device(name: str, **kwargs) -> PyGinkgoBackend:
-    """Convenience: pyGinkgo backend on 'a100', 'mi100', or 'xeon8368'."""
-    specs = {"a100": NVIDIA_A100, "mi100": AMD_MI100, "xeon8368": INTEL_XEON_8368}
-    key = name.lower()
-    if key not in specs:
-        raise KeyError(f"unknown device {name!r}; available: {sorted(specs)}")
-    return PyGinkgoBackend(spec=specs[key], **kwargs)

@@ -125,10 +125,6 @@ class BatchDense:
         """Writable ``Dense`` view of system ``k`` (aliases the buffer)."""
         return Dense._wrap(self._exec, self._data[k])
 
-    def to_list(self) -> list:
-        """Host copies of every system's block."""
-        return [self._data[k].copy() for k in range(self.num_systems)]
-
     def fill(self, value) -> "BatchDense":
         self._data.fill(value)
         return self
@@ -364,15 +360,6 @@ class BatchCsr:
             self._values[k],
             strategy=self._strategy,
         )
-
-    def to_scipy_list(self) -> list:
-        return [
-            sp.csr_matrix(
-                (scipy_safe(self._values[k]), self._col_idxs, self._row_ptrs),
-                shape=self.shape,
-            )
-            for k in range(self.num_systems)
-        ]
 
     def diagonal(self) -> np.ndarray:
         """Per-system main diagonals, shape ``(K, rows)`` — vectorized.

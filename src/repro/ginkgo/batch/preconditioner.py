@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.ginkgo.accessor import arithmetic_dtype_for
 from repro.ginkgo.batch.matrix import BatchCsr
 from repro.ginkgo.exceptions import GinkgoError
 from repro.perfmodel import blas1_cost, factorization_cost, spmv_cost
@@ -75,12 +76,15 @@ class BatchJacobiOperator:
     def __init__(self, batch_matrix: BatchCsr) -> None:
         self._exec = batch_matrix.executor
         # Same arithmetic as the scalar Jacobi generation, vectorized
-        # over systems: invert in float64, zero diagonals stay zero.
-        diagonal = batch_matrix.diagonal().astype(np.float64)
+        # over systems: invert in the value type's arithmetic precision,
+        # zero diagonals stay zero, store at the value type.
+        value_type = batch_matrix.values.dtype
+        arith = arithmetic_dtype_for(value_type)
+        diagonal = batch_matrix.diagonal().astype(arith)
         inverse = np.zeros_like(diagonal)
         mask = diagonal != 0.0
         inverse[mask] = 1.0 / diagonal[mask]
-        self._inverse = inverse
+        self._inverse = inverse.astype(value_type).astype(arith)
         self._index_bytes = batch_matrix.index_bytes
         base = factorization_cost(
             "jacobi",

@@ -9,15 +9,15 @@ is paid once per *batch* instead of once per system.
 Per-system stopping uses *compaction*: systems that converge (or break
 down) are scattered back to the caller's solution block and removed from
 the leading ``[:m]`` active region of every state buffer, so the
-remaining systems keep iterating with no masked dead work.  Batched CG
-and BiCGSTAB are the scalar recurrences
+remaining systems keep iterating with no masked dead work.  Batched CG,
+BiCGSTAB and GMRES are the scalar recurrences
 (:mod:`repro.ginkgo.solver.recurrence`) instantiated over
 :class:`_Head` — the active-head view of a stacked state tensor — with
 the compaction as a driver around ``step``; residual histories of a
 batched solve therefore match ``K`` sequential scalar solves exactly, by
-construction.  GMRES alone keeps a batched body of its own
-(:class:`BatchGmresSolver`): its per-wave regrouping is a different
-schedule, not a different vector type.
+construction.  A GMRES system whose restart cycle closes alone (an
+invariant subspace, no stop) leaves the head like a stopped one and
+rejoins at the others' next restart point.
 
 On a multi-threaded :class:`~repro.ginkgo.executor.OmpExecutor` the
 batched SpMV splits the active systems into contiguous per-thread
@@ -37,10 +37,9 @@ from repro.ginkgo.fault import injector_of
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.bicgstab import BicgstabRecurrence
 from repro.ginkgo.solver.cg import CgRecurrence
-from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM
-from repro.ginkgo.solver.kernels import gmres_finalize
+from repro.ginkgo.solver.gmres import GmresRecurrence
 from repro.ginkgo.solver.workspace import Workspace
-from repro.perfmodel import KernelCost, blas1_cost, dot_cost
+from repro.perfmodel import blas1_cost, dot_cost
 
 
 class _ActiveSystems:
@@ -68,6 +67,8 @@ class _ActiveSystems:
         )
         #: Number of active systems (the head length of every state tensor).
         self.count = 0
+        #: ``ids[i]`` is the system at head position ``i``.
+        self.ids = np.zeros(0, dtype=np.int64)
         self._ops = []
 
     def reset(self, ids: np.ndarray) -> None:
@@ -80,6 +81,7 @@ class _ActiveSystems:
             )
         )
         self._pstate = self._precond.gather_state(ids)
+        self.ids = ids
         self._rebuild(m)
 
     def compact(self, keep_idx: np.ndarray) -> None:
@@ -88,6 +90,7 @@ class _ActiveSystems:
         self._vals[:m] = self._vals[keep_idx]
         if self._pstate is not None:
             self._pstate = self._pstate[keep_idx]
+        self.ids = self.ids[keep_idx]
         self._rebuild(m)
 
     def precondition(self, src: np.ndarray, dst: np.ndarray) -> None:
@@ -167,11 +170,20 @@ class _ActiveSystems:
 class _HeadOperator:
     """One active-set kernel as a recurrence operand (``A`` or ``M``)."""
 
-    def __init__(self, kernel) -> None:
+    def __init__(self, kernel, ws: Workspace) -> None:
         self._kernel = kernel
+        self._ws = ws
 
     def apply(self, b: "_Head", x: "_Head") -> None:
         self._kernel(b._data, x._data)
+
+    def apply_advanced(self, alpha, b: "_Head", beta, x: "_Head") -> None:
+        """``x = alpha op(b) + beta x``, rounded as ``Csr`` rounds it."""
+        tmp = x.scratch(self._ws, "batch.spmv_tmp")
+        self._kernel(b._data, tmp._data)
+        head = x.head
+        head *= head.dtype.type(beta)
+        head += head.dtype.type(alpha) * tmp.head
 
 
 class _Head:
@@ -262,6 +274,22 @@ class _Head:
     def compute_norm2(self) -> np.ndarray:
         return np.sqrt(self.compute_dot(self).astype(np.float64))
 
+    def all_reduce(self, payload, label: str):
+        """Per-system reductions are already complete."""
+        return payload
+
+
+class _Rows(_Head):
+    """The caller's ``(K, n, cols)`` block read at the active systems' rows.
+
+    The batched right-hand side: ``head`` gathers ``data[ids]``, so it
+    follows every compaction without being carried.
+    """
+
+    @property
+    def head(self) -> np.ndarray:
+        return self._data[self._active.ids]
+
 
 class BatchSolverFactory(SolverFactory):
     """Factory holding batched-solver parameters.
@@ -284,8 +312,8 @@ class BatchIterativeSolver:
     :class:`~repro.ginkgo.batch.stop.BatchStatus`.
     """
 
-    #: The method's scalar recurrence (wave-scheduled GMRES has none).
-    recurrence: type | None = None
+    #: The method's scalar recurrence (every concrete solver names one).
+    recurrence: type
 
     def __init__(self, factory: BatchSolverFactory, matrix: BatchCsr) -> None:
         if not matrix.size.is_square:
@@ -370,23 +398,35 @@ class BatchIterativeSolver:
     # ------------------------------------------------------------------
     # lockstep monitor
     # ------------------------------------------------------------------
-    def _monitor(self, iterations, norms, ids, breakdown=None) -> np.ndarray:
+    def _monitor(
+        self, iterations, norms, ids, breakdown=None, exact=None
+    ) -> np.ndarray:
         """One lockstep convergence check over the systems in ``ids``.
 
         Performs, per system, exactly what the scalar solve's monitor
         does — breakdown detection (a NaN/Inf norm, or ``breakdown[i]``
         for an exact breakdown the step met), history logging, criterion
         check, final-status bookkeeping — and returns the boolean
-        keep-mask of systems that continue iterating.
+        keep-mask of systems that continue iterating.  With an ``exact``
+        mask it only records the stop of those systems (``x`` exact at
+        an iteration already checked) and keeps the rest unchecked.
         """
         status = self.status
         clock = self._exec.clock
-        norms = np.asarray(norms, dtype=np.float64)
         m = ids.size
+        norms = np.asarray(norms, dtype=np.float64).reshape(m, -1)
         iterations = np.broadcast_to(
             np.asarray(iterations, dtype=np.int64), (m,)
         )
         maxed = norms.max(axis=1)
+        if exact is not None:
+            # As the scalar monitor: one read-back, no log, no verdict
+            # beyond the stop (the last check did not converge).
+            clock.synchronize()
+            for i in np.flatnonzero(exact):
+                status.num_iterations[ids[i]] = iterations[i]
+                status.final_residual_norm[ids[i]] = maxed[i]
+            return ~exact
         finite = np.isfinite(norms).all(axis=1)
         if breakdown is not None:
             finite &= ~breakdown
@@ -487,25 +527,18 @@ class BatchIterativeSolver:
             start_time = clock.now
             B = b.data
             X = x.data
-            n = mat.size.rows
-            cols = b.size.cols
-            vb = b.value_bytes
             rhs_norm = np.sqrt(
                 np.einsum("kij,kij->kj", B, B).astype(np.float64)
             )
-            exec_.run(dot_cost(n, vb, K * cols))
+            exec_.run(dot_cost(mat.size.rows, b.value_bytes, K * b.size.cols))
             # Initial residual r0 = b - A x0, one batched kernel each.
-            R = ws.tensor_like("batch.r", B)
-            AX = ws.tensor("batch.spmv_tmp", B.shape, B.dtype)
             ops = _ActiveSystems(ws, mat, self._preconditioner)
-            ids = np.arange(K, dtype=np.int64)
-            ops.reset(ids)
-            ops.spmv(X, AX)
-            R += B.dtype.type(-1.0) * AX
-            initial_resnorm = np.sqrt(
-                np.einsum("kij,kij->kj", R, R).astype(np.float64)
+            r = _Head(ops, ws.tensor_like("batch.r", B))
+            ops.reset(np.arange(K, dtype=np.int64))
+            _HeadOperator(ops.spmv, ws).apply_advanced(
+                -1.0, _Head(ops, X), 1.0, r
             )
-            exec_.run(dot_cost(n, vb, K * cols))
+            initial_resnorm = r.compute_norm2()
             self._criteria = BatchCriteria(
                 self._factory.criteria,
                 rhs_norm,
@@ -516,14 +549,14 @@ class BatchIterativeSolver:
             # Iteration-0 check: already-converged systems never iterate
             # and keep their initial guess, exactly like a scalar solve.
             keep = self._monitor(
-                np.zeros(K, dtype=np.int64), initial_resnorm, ids
+                np.zeros(K, dtype=np.int64), initial_resnorm, ops.ids
             )
-            ids = ids[np.flatnonzero(keep)]
-            if ids.size:
-                if ids.size < K:
-                    R[: ids.size] = R[ids]
-                    ops.compact(ids)
-                self._iterate_batch(B, X, R, ids, ops)
+            if keep.any():
+                if not keep.all():
+                    keep_idx = np.flatnonzero(keep)
+                    r.head[: keep_idx.size] = r.head[keep_idx]
+                    ops.compact(keep_idx)
+                self._iterate_batch(B, X, r, ops)
             for s in range(K):
                 self._log_system(s, "apply_completed", b=b, x=x)
         finally:
@@ -535,56 +568,89 @@ class BatchIterativeSolver:
             raise SolverBreakdown(*self._first_breakdown)
         return self.status
 
-    def _iterate_batch(self, B, X, R, ids, ops) -> None:
+    def _iterate_batch(self, B, X, r, ops) -> None:
         """Drive :attr:`recurrence` over the active head with compaction.
 
-        ``R`` holds the active systems' initial residuals in its head;
-        ``ids[i]`` is the system at head position ``i``.  After every
-        step, systems the monitor stopped are scattered back to ``X``
-        and the survivors' carried state is gathered to the front.
+        ``r`` holds the active systems' initial residuals.  After every
+        step, systems the monitor stopped are scattered back to ``X`` and
+        the survivors' carried state (vectors, per-system scalars and,
+        mid-cycle, the cycle arrays) is gathered to the front.  A system
+        whose restart cycle closed while the others' goes on is scattered
+        too, and rejoins from ``X`` at their next restart point;
+        ``offset`` keeps its own iteration count.
         """
         exec_ = self._exec
-        _, n, cols = B.shape
-        x = _Head(ops, self._workspace.tensor("batch.x", B.shape, B.dtype))
-        x.head[:] = X[ids]
+        ws = self._workspace
+        K, n, cols = B.shape
+        itemsize = B.dtype.itemsize
+        rec_cls = self.recurrence
+        if cols != 1 and rec_cls.single_rhs:
+            raise GinkgoError(
+                f"{type(self).__name__} solves a single right-hand side, "
+                f"got {cols} columns"
+            )
+        x = _Head(ops, ws.tensor("batch.x", B.shape, B.dtype))
+        x.head[:] = X[ops.ids]
         x._record("batch_pack", 2)
+        # A system's iteration count minus the run's, per system.
+        offset = np.zeros(K, dtype=np.int64)
         keep = None
 
-        def monitor(iteration, norms) -> bool:
+        def monitor(iteration, norms, breakdown=None, exact=None):
             nonlocal keep
-            keep = self._monitor(iteration, norms, ids)
-            return not keep.any()
-
-        rec = self.recurrence(
-            _HeadOperator(ops.spmv), _HeadOperator(ops.precondition),
-            None, x, _Head(ops, R), self._workspace, monitor,
-        )
-        iteration, stopped = 0, False
-        while True:
-            iteration, stopped = rec.step(iteration)
-            if keep.all():
-                continue
-            drop_idx = np.flatnonzero(~keep)
-            X[ids[drop_idx]] = x._data[drop_idx]
-            exec_.run(
-                blas1_cost(
-                    "batch_scatter", drop_idx.size * n * cols,
-                    B.dtype.itemsize, 2,
-                )
+            keep = self._monitor(
+                offset[ops.ids] + iteration, norms, ops.ids, breakdown, exact
             )
-            if stopped:
-                return
-            keep_idx = np.flatnonzero(keep)
-            m = keep_idx.size
-            for name in rec.vectors:
-                data = getattr(rec, name)._data
-                data[:m] = data[keep_idx]
-            for name in rec.scalars:
-                value = getattr(rec, name)
-                if value is not None:
-                    setattr(rec, name, value[keep_idx])
-            ids = ids[keep_idx]
-            ops.compact(keep_idx)
+            return ~keep
+
+        params = self._factory.params
+        rec = rec_cls(
+            _HeadOperator(ops.spmv, ws), _HeadOperator(ops.precondition, ws),
+            _Rows(ops, B), x, r, ws, monitor,
+            **{k: params[k] for k in rec_cls.parameters if k in params},
+        )
+        iteration = 0
+        parked = np.zeros(0, dtype=np.int64)
+        while True:
+            iteration, _ = rec.step(iteration)
+            leave = ~keep
+            if not rec.at_restart:
+                leave |= rec.closed
+            if leave.any():
+                drop_idx = np.flatnonzero(leave)
+                X[ops.ids[drop_idx]] = x._data[drop_idx]
+                exec_.run(
+                    blas1_cost(
+                        "batch_scatter", drop_idx.size * n * cols, itemsize, 2
+                    )
+                )
+                park = ops.ids[leave & keep]
+                offset[park] += iteration
+                parked = np.concatenate([parked, park])
+                keep_idx = np.flatnonzero(~leave)
+                if keep_idx.size == 0 and parked.size == 0:
+                    return
+                m = keep_idx.size
+                for name in rec.vectors:
+                    data = getattr(rec, name)._data
+                    data[:m] = data[keep_idx]
+                carried = rec.scalars + (() if rec.at_restart else rec.cycle)
+                for name in carried:
+                    value = getattr(rec, name)
+                    if isinstance(value, np.ndarray):
+                        setattr(rec, name, value[keep_idx])
+                ops.compact(keep_idx)
+            if parked.size and rec.at_restart:
+                m = ops.count
+                x._data[m : m + parked.size] = X[parked]
+                exec_.run(
+                    blas1_cost(
+                        "batch_pack", parked.size * n * cols, itemsize, 2
+                    )
+                )
+                offset[parked] -= iteration
+                ops.reset(np.concatenate([ops.ids, parked]))
+                parked = parked[:0]
 
 
 class BatchCgSolver(BatchIterativeSolver):
@@ -600,196 +666,9 @@ class BatchBicgstabSolver(BatchIterativeSolver):
 
 
 class BatchGmresSolver(BatchIterativeSolver):
-    """Wave-batched restarted GMRES — the one batched body kept apart.
+    """Lockstep-batched GMRES: :class:`GmresRecurrence` over the active head."""
 
-    Because systems leave a restart cycle at different inner iterations,
-    the batch runs in *waves*: every unfinished system starts a restart
-    cycle together; systems that stop (or hit a lucky breakdown) are
-    finalized per system with the exact scalar back-substitution and
-    removed, and the survivors regroup into the next wave.  That
-    regrouping is a different *schedule* from
-    :class:`~repro.ginkgo.solver.gmres.GmresRecurrence`'s cycle, not the
-    same cycle over a different vector type, so this stays a second
-    copy of the Arnoldi–Givens arithmetic; its bit-identity with the
-    scalar solver is pinned by tests rather than held by construction.
-    """
-
-    def _iterate_batch(self, B, X, R, ids, ops) -> None:
-        exec_ = self._exec
-        ws = self._workspace
-        K, n, cols = B.shape
-        dtype = B.dtype
-        vb = dtype.itemsize
-        if cols != 1:
-            raise GinkgoError(
-                "batched GMRES supports a single right-hand-side column; "
-                f"got {cols}"
-            )
-        m_dim = int(self._factory.params.get("krylov_dim", DEFAULT_KRYLOV_DIM))
-        if m_dim < 1:
-            raise GinkgoError(f"krylov_dim must be >= 1, got {m_dim}")
-
-        total_iteration = np.zeros(K, dtype=np.int64)
-        Xw = ws.tensor("gmres.x", B.shape, dtype)
-        Wt = ws.tensor("gmres.w", B.shape, dtype)
-        Rt = ws.tensor("gmres.r", B.shape, dtype)
-        basis3 = ws.tensor("gmres.basis", (K, n, m_dim + 1), np.float64)
-        unfinished = ids
-
-        while unfinished.size:
-            wids = unfinished
-            w = wids.size
-            ops.reset(wids)
-            Xw[:w] = X[wids]
-            exec_.run(blas1_cost("batch_pack", w * n, vb, 2))
-            # Preconditioned residual r = M^{-1}(b - A x).
-            Wt[:w] = B[wids]
-            exec_.run(blas1_cost("copy", w * n, vb, 2))
-            ops.spmv(Xw, Rt)
-            Wt[:w] += dtype.type(-1.0) * Rt[:w]
-            ops.precondition(Wt, Rt)
-            beta = np.sqrt(
-                np.einsum("kij,kij->kj", Rt[:w], Rt[:w]).astype(np.float64)
-            )[:, 0]
-            exec_.run(dot_cost(n, vb, w))
-            exact = beta == 0.0
-            if exact.any():
-                # Zero residual: the scalar solver logs one check and
-                # returns immediately, whatever the criterion says.
-                zi = np.flatnonzero(exact)
-                self._monitor(
-                    total_iteration[wids[zi]],
-                    np.zeros((zi.size, 1)),
-                    wids[zi],
-                )
-                keep_idx = np.flatnonzero(~exact)
-                w = keep_idx.size
-                wids = wids[keep_idx]
-                Xw[:w] = Xw[keep_idx]
-                Rt[:w] = Rt[keep_idx]
-                beta = beta[keep_idx]
-                ops.compact(keep_idx)
-                if w == 0:
-                    unfinished = np.zeros(0, dtype=np.int64)
-                    continue
-            basis3[:w] = 0.0
-            basis3[:w, :, 0] = Rt[:w, :, 0] / beta[:, None]
-            exec_.run(blas1_cost("gmres_init", w * n, vb, 2))
-            h3 = np.zeros((w, m_dim + 1, m_dim))
-            cos3 = np.zeros((w, m_dim))
-            sin3 = np.zeros((w, m_dim))
-            g3 = np.zeros((w, m_dim + 1))
-            g3[:, 0] = beta
-            restart = []
-
-            for j in range(m_dim):
-                # w = M^{-1} A v_j
-                Wt[:w, :, 0] = basis3[:w, :, j]
-                ops.spmv(Wt, Rt)
-                ops.precondition(Rt, Wt)
-                # Fused multi-dot + rank update (lockstep Gram-Schmidt).
-                coeffs = np.einsum(
-                    "kij,ki->kj", basis3[:w, :, : j + 1], Wt[:w, :, 0]
-                )
-                exec_.run(blas1_cost("gmres_multidot", w * n * (j + 1), vb, 2))
-                h3[:, : j + 1, j] = coeffs
-                Wt[:w, :, 0] -= np.einsum(
-                    "kij,kj->ki", basis3[:w, :, : j + 1], coeffs
-                )
-                exec_.run(blas1_cost("gmres_update", w * n * (j + 1), vb, 2))
-                h_next = np.sqrt(
-                    np.einsum("kij,kij->kj", Wt[:w], Wt[:w]).astype(np.float64)
-                )[:, 0]
-                exec_.run(dot_cost(n, vb, w))
-                h3[:, j + 1, j] = h_next
-                nz = h_next != 0.0
-                if nz.any():
-                    basis3[:w, :, j + 1][nz] = (
-                        Wt[:w, :, 0][nz] / h_next[nz, None]
-                    )
-                    exec_.run(
-                        blas1_cost("gmres_scale", int(nz.sum()) * n, vb, 2)
-                    )
-                # Accumulated Givens rotations on column j, vectorized
-                # over the wave (the i-chain stays sequential).
-                for i in range(j):
-                    hi = h3[:, i, j].copy()
-                    hi1 = h3[:, i + 1, j].copy()
-                    h3[:, i, j] = cos3[:, i] * hi + sin3[:, i] * hi1
-                    h3[:, i + 1, j] = -sin3[:, i] * hi + cos3[:, i] * hi1
-                denom = np.hypot(h3[:, j, j], h3[:, j + 1, j])
-                ok = denom != 0.0
-                cosj = np.ones(w)
-                sinj = np.zeros(w)
-                np.divide(h3[:, j, j], denom, out=cosj, where=ok)
-                np.divide(h3[:, j + 1, j], denom, out=sinj, where=ok)
-                cos3[:, j] = cosj
-                sin3[:, j] = sinj
-                h3[:, j, j] = denom
-                h3[:, j + 1, j] = 0.0
-                g3[:, j + 1] = -sinj * g3[:, j]
-                g3[:, j] = cosj * g3[:, j]
-                exec_.run(
-                    KernelCost(
-                        "givens_update", 6.0 * m_dim * w, 24.0 * m_dim * w,
-                        launches=3,
-                    )
-                )
-                # A zero pivot is an exact breakdown, as in the scalar
-                # cycle: the system closes on its first j columns and
-                # reports their residual |g[j]|.
-                residual_norm = np.abs(np.where(ok, g3[:, j + 1], g3[:, j]))
-                total_iteration[wids] += 1
-                exec_.run(
-                    KernelCost("residual_check", 0.0, 64.0 * w, launches=4)
-                )
-                keep = self._monitor(
-                    total_iteration[wids], residual_norm[:, None], wids,
-                    breakdown=~ok,
-                )
-                drop = (~keep) | (~nz)
-                if drop.any():
-                    for i in np.flatnonzero(drop):
-                        # This system's contiguous slices have the scalar
-                        # solver's shapes and strides, so the two small
-                        # BLAS products are bitwise a sequential solve's.
-                        gmres_finalize(
-                            exec_, basis3[i], h3[i], g3[i],
-                            np.zeros(j + 1 if ok[i] else j), Xw[i][:, 0], vb,
-                        )
-                        sid = int(wids[i])
-                        X[sid] = Xw[i]
-                        exec_.run(blas1_cost("batch_scatter", n, vb, 2))
-                        if keep[i]:
-                            # Lucky breakdown without a stop verdict:
-                            # restart from the updated x, like the scalar
-                            # solver's h_next == 0 exit.
-                            restart.append(sid)
-                    keep_idx = np.flatnonzero(~drop)
-                    w = keep_idx.size
-                    wids = wids[keep_idx]
-                    Xw[:w] = Xw[keep_idx]
-                    basis3[:w] = basis3[keep_idx]
-                    h3 = h3[keep_idx]
-                    cos3 = cos3[keep_idx]
-                    sin3 = sin3[keep_idx]
-                    g3 = g3[keep_idx]
-                    ops.compact(keep_idx)
-                    if w == 0:
-                        break
-            else:
-                # Krylov space exhausted: finalize the survivors and send
-                # them into the next restart wave.
-                for i in range(w):
-                    gmres_finalize(
-                        exec_, basis3[i], h3[i], g3[i],
-                        np.zeros(m_dim), Xw[i][:, 0], vb,
-                    )
-                    sid = int(wids[i])
-                    X[sid] = Xw[i]
-                    exec_.run(blas1_cost("batch_scatter", n, vb, 2))
-                    restart.append(sid)
-            unfinished = np.asarray(sorted(restart), dtype=np.int64)
+    recurrence = GmresRecurrence
 
 
 class BatchCg(BatchSolverFactory):

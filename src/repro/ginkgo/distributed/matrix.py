@@ -291,10 +291,6 @@ class Matrix(LinOp):
     def overlap(self, enabled: bool) -> None:
         self._overlap = bool(enabled)
 
-    def rank_nnz(self, rank: int) -> int:
-        """Nonzeros stored by ``rank``."""
-        return self._rank_nnz[rank]
-
     def _build_structural_blocks(self) -> None:
         locals_, non_locals = [], []
         for rank, (lo, hi) in enumerate(self._partition.ranges):

@@ -30,11 +30,12 @@ When the executor injects faults (:class:`~repro.ginkgo.fault.FaultyExecutor`),
 the solve is driven by a checkpoint/replay driver (:class:`_Recovery`)
 *around* the recurrence's ``step`` — no recurrence knows about it:
 
-* Every ``checkpoint_every`` steps it snapshots the recurrence's carried
-  state (CG: ``x, r, p`` and ``rz``; pipelined CG: its eight vectors plus
-  ``(prev_gamma, alpha)``; GMRES: ``x`` — a restart cycle replays
-  deterministically from ``x``, so the cycle start *is* an exact
-  checkpoint).  On the non-blocking path faults surface at ``wait()``
+* Every ``checkpoint_every`` restart points it snapshots the
+  recurrence's carried state (CG, every iteration: ``x, r, p`` and
+  ``rz``; pipelined CG: its eight vectors plus ``(prev_gamma, alpha)``;
+  GMRES, between cycles: ``x`` — a cycle replays deterministically from
+  ``x``, so the cycle start *is* an exact checkpoint, and a restore
+  rewinds ``j`` to it).  On the non-blocking path faults surface at ``wait()``
   time, so a replay reposts and re-waits the exchange deterministically.
 * A dropped halo / corrupted all-reduce (detected where the payload is
   produced: :meth:`Communicator._poison`) restores the checkpoint and
@@ -119,22 +120,23 @@ class _Recovery:
     def wrap_monitor(self, monitor):
         """Memoize monitor decisions so replays never double-log."""
 
-        def replay_aware(iteration, residual_norm, breakdown=False):
-            if iteration in self._decisions:
-                return self._decisions[iteration]
-            stop = monitor(iteration, residual_norm, breakdown)
-            self._decisions[iteration] = stop
-            return stop
+        def replay_aware(iteration, residual_norm, breakdown=False, exact=False):
+            if exact or iteration not in self._decisions:
+                self._decisions[iteration] = monitor(
+                    iteration, residual_norm, breakdown, exact
+                )
+            return self._decisions[iteration]
 
         return replay_aware
 
     def drive(self, recurrence: Recurrence) -> None:
         """Step ``recurrence`` to its stop, absorbing recoverable failures.
 
-        Checkpoints every ``checkpoint_every`` steps (CG iterations /
-        GMRES restart cycles); a failed step restores the last
-        checkpoint and replays from bit-exact state.  Corruption
-        detection is armed on the communicator for exactly this loop.
+        Checkpoints at restart points (``recurrence.at_restart``: every
+        CG iteration, between GMRES cycles), every ``checkpoint_every``
+        of them; a failed step restores the last checkpoint and replays
+        from bit-exact state.  Corruption detection is armed on the
+        communicator for exactly this loop.
         """
         comm = self._solver.comm
         comm.detect_corruption = True
@@ -142,12 +144,13 @@ class _Recovery:
             iteration, stopped = 0, False
             since_checkpoint = self._every
             while not stopped:
-                if since_checkpoint >= self._every:
+                if since_checkpoint >= self._every and recurrence.at_restart:
                     self._checkpoint(iteration, recurrence)
                     since_checkpoint = 0
                 try:
                     iteration, stopped = recurrence.step(iteration)
-                    since_checkpoint += 1
+                    if recurrence.at_restart:
+                        since_checkpoint += 1
                 except RECOVERABLE as exc:
                     iteration = self._recover(exc, recurrence)
                     since_checkpoint = 0

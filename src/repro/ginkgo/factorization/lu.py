@@ -33,11 +33,6 @@ class LuFactorization:
     row_permutation: Permutation
     col_permutation: Permutation
 
-    @property
-    def fill_in_ratio(self) -> float:
-        """(nnz(L) + nnz(U)) / nnz(A) is not recoverable here; L+U based."""
-        return float(self.l_factor.nnz + self.u_factor.nnz)
-
 
 def lu(matrix: Csr) -> LuFactorization:
     """Fully factorise a square CSR matrix with partial pivoting.

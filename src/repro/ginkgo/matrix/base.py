@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ginkgo import cachestats
-from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.executor import Executor
 from repro.ginkgo.lin_op import LinOp

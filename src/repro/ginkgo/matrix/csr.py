@@ -103,18 +103,6 @@ class Csr(SparseBase):
             strategy=strategy,
         )
 
-    @classmethod
-    def from_dense(
-        cls, exec_: Executor, dense, index_dtype=np.int32,
-        strategy: str = "load_balance",
-    ) -> "Csr":
-        """Build from a :class:`Dense` matrix, dropping explicit zeros."""
-        data = np.asarray(dense._data if hasattr(dense, "_data") else dense)
-        return cls.from_scipy(
-            exec_, sp.csr_matrix(data), index_dtype=index_dtype,
-            strategy=strategy,
-        )
-
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------

@@ -15,18 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.lin_op import Identity, LinOp, LinOpFactory
 from repro.ginkgo.matrix.dense import Dense
 from repro.ginkgo.solver.recurrence import Recurrence, iterate
 from repro.ginkgo.solver.workspace import Workspace
-from repro.ginkgo.stop import (
-    Combined,
-    CriterionContext,
-    Iteration,
-    ResidualNorm,
-)
+from repro.ginkgo.stop import CriterionContext, Iteration, ResidualNorm
 
 
 def _normalise_criteria(criteria):
@@ -223,13 +217,22 @@ class IterativeSolver(LinOp):
         context.initial_resnorm = r.compute_norm2()
         criterion = self._factory.criteria.generate(context)
 
-        def monitor(iteration: int, residual_norm, breakdown=False) -> bool:
+        def monitor(
+            iteration: int, residual_norm, breakdown=False, exact=False
+        ) -> bool:
+            norms = np.asarray(residual_norm, dtype=np.float64)
+            worst = float(np.max(norms))
+            if exact:
+                # x is exact at an iteration already logged and checked:
+                # the host reads the zero norm back and records the stop.
+                # That check did not stop, so the solve did not converge.
+                self._exec.clock.synchronize()
+                self._set_verdict(iteration, False, worst)
+                return True
             # Breakdown guard: a NaN/Inf residual means the iteration has
             # lost the plot (corrupted data, singular preconditioner, ...)
             # and would otherwise silently spin to max_iters; a step that
             # meets an exact breakdown reports its finite residual here.
-            norms = np.asarray(residual_norm, dtype=np.float64)
-            worst = float(np.max(norms))
             if breakdown or not np.all(np.isfinite(norms)):
                 self._set_verdict(iteration, False, worst, breakdown=True)
                 self._log(

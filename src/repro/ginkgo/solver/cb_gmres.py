@@ -21,12 +21,12 @@ from repro.ginkgo.accessor import arithmetic_dtype_for, value_dtype_for
 from repro.ginkgo.matrix.base import check_value_dtype
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM, GmresRecurrence
-from repro.ginkgo.solver.kernels import hessenberg_solve
+from repro.ginkgo.solver.kernels import hessenberg_solve, stacked
 from repro.perfmodel import blas1_cost
 
 
 class CbGmresRecurrence(GmresRecurrence):
-    """GMRES's restart cycle over a basis stored in ``storage_precision``.
+    """GMRES's inner iteration over a basis stored in ``storage_precision``.
 
     Host bookkeeping (Hessenberg, Givens, ``g``, ``y``) lives at the
     working precision — a float32 solve must not leak float64 arrays —
@@ -53,35 +53,45 @@ class CbGmresRecurrence(GmresRecurrence):
         """One basis kernel moving storage-precision bytes."""
         self.x.executor.run(blas1_cost(name, length, self.storage.itemsize, 2))
 
-    def _start(self, r, beta: float):
-        n = r.size.rows
+    def _start(self, r, beta):
+        rd = stacked(r)
+        systems, n, _ = rd.shape
         basis = self.ws.array(
-            "cb_gmres.basis", (n, self.krylov_dim + 1), dtype=self.storage
+            "cb_gmres.basis", (systems, n, self.krylov_dim + 1),
+            dtype=self.storage,
         )
-        basis[:, 0] = (r._data[:, 0] / beta).astype(self.storage)
-        self._charge("cb_gmres_init", n)
+        basis[:, :, 0] = (
+            rd[:, :, 0] / beta.astype(rd.dtype)[:, None]
+        ).astype(self.storage)
+        self._charge("cb_gmres_init", systems * n)
         return basis
 
     def _load(self, basis, j: int, w) -> None:
-        w._data[:, 0] = basis[:, j].astype(self.arith)
+        stacked(w)[:, :, 0] = basis[:, :, j].astype(self.arith)
 
     def _orthogonalize(self, basis, w, count: int):
-        n = w.size.rows
-        coeffs = basis[:, :count].astype(self.arith).T @ w._data[:, 0]
-        self._charge("cb_gmres_multidot", n * count)
-        w._data[:, 0] -= basis[:, :count].astype(self.arith) @ coeffs
-        self._charge("cb_gmres_update", n * count)
+        wd = stacked(w)
+        systems, n, _ = wd.shape
+        block = basis[:, :, :count].astype(self.arith)
+        coeffs = np.stack([v.T @ c for v, c in zip(block, wd[:, :, 0])])
+        self._charge("cb_gmres_multidot", systems * n * count)
+        wd[:, :, 0] -= np.stack([v @ c for v, c in zip(block, coeffs)])
+        self._charge("cb_gmres_update", systems * n * count)
         return coeffs
 
-    def _extend(self, basis, w, j: int, h_next: float) -> None:
-        basis[:, j] = (w._data[:, 0] / h_next).astype(self.storage)
-        self._charge("cb_gmres_scale", w.size.rows)
+    def _extend(self, basis, w, j: int, h_next, rows) -> None:
+        wd = stacked(w)
+        h = h_next[rows]
+        basis[rows, :, j] = (
+            wd[rows, :, 0] / h.astype(wd.dtype)[:, None]
+        ).astype(self.storage)
+        self._charge("cb_gmres_scale", h.size * wd.shape[1])
 
-    def _close(self, basis, hessenberg, g, y) -> None:
-        x = self.x
-        hessenberg_solve(x.executor, hessenberg, g, y)
-        x._data[:, 0] += basis[:, : y.size].astype(self.arith) @ y
-        self._charge("cb_gmres_x_update", x.size.rows * y.size)
+    def _close(self, k: int, y) -> None:
+        xd = stacked(self.x)
+        hessenberg_solve(self.x.executor, self.hessenberg[k], self.g[k], y)
+        xd[k, :, 0] += self.basis[k][:, : y.size].astype(self.arith) @ y
+        self._charge("cb_gmres_x_update", xd.shape[1] * y.size)
 
 
 class CbGmresSolver(IterativeSolver):

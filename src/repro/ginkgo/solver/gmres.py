@@ -23,10 +23,11 @@ from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import (
     givens_update,
-    gmres_finalize,
     gmres_multidot,
     gmres_update,
+    hessenberg_solve,
     record_fused,
+    stacked,
 )
 from repro.ginkgo.solver.recurrence import Recurrence
 from repro.perfmodel import KernelCost
@@ -38,16 +39,21 @@ DEFAULT_KRYLOV_DIM = 30
 class GmresRecurrence(Recurrence):
     """Left-preconditioned restarted GMRES for one right-hand side.
 
-    One step is one restart cycle (Arnoldi with Givens rotations, the
-    residual reported to the monitor after every Hessenberg update).  A
-    cycle starts from ``x`` alone — the residual is recomputed — so ``x``
-    is the whole carried state.  The Krylov basis and Hessenberg matrix
-    are host-side workspace arrays (replicated on every rank when the
-    vectors are distributed); CB-GMRES overrides the five ``_`` basis
+    One step is one inner iteration: an Arnoldi step, a Givens update,
+    and the residual estimate reported to the monitor.  At cycle
+    position ``j == 0`` the step first restarts from ``x`` alone and
+    opens the :attr:`cycle` arrays, which have a leading systems axis
+    (the active systems of a batched head, else one).  A system's cycle
+    closes — back-solve, then ``x += V y`` — in the step where it stops,
+    breaks down, runs out of ``krylov_dim`` or reaches an invariant
+    subspace; :attr:`closed` marks it, and ``j`` returns to 0 once every
+    system's cycle closed.  CB-GMRES overrides the five ``_`` basis
     methods to store the basis compressed.
     """
 
     vectors = ("x",)
+    scalars = ("j",)
+    cycle = ("basis", "hessenberg", "givens_cos", "givens_sin", "g")
     parameters = ("krylov_dim",)
     single_rhs = True
     #: Precision of the host bookkeeping (Hessenberg, Givens, ``g``, ``y``).
@@ -61,70 +67,93 @@ class GmresRecurrence(Recurrence):
         if self.krylov_dim < 1:
             raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
         self.w = r.scratch(ws, "gmres.w")
+        self.j = 0
+        self.closed = None
+
+    @property
+    def at_restart(self) -> bool:
+        return self.j == 0
 
     def step(self, iteration: int) -> tuple:
-        A, M, b, x, w, r, ws = (
-            self.A, self.M, self.b, self.x, self.w, self.r, self.ws
-        )
+        A, M, x, w, r, ws = self.A, self.M, self.x, self.w, self.r, self.ws
         exec_ = x.executor
-        m = self.krylov_dim
-        work = self.work_dtype
-        # Preconditioned residual r = M^{-1}(b - A x).
-        w.copy_values_from(b)
-        A.apply_advanced(-1.0, x, 1.0, w)
-        M.apply(w, r)
-        beta = float(r.compute_norm2()[0])
-        if beta == 0.0:
-            self.monitor(iteration, 0.0)
-            return iteration, True
-        basis = self._start(r, beta)
-        hessenberg = ws.array("gmres.hessenberg", (m + 1, m), dtype=work)
-        givens_cos = ws.array("gmres.givens_cos", m, dtype=work)
-        givens_sin = ws.array("gmres.givens_sin", m, dtype=work)
-        g = ws.array("gmres.g", m + 1, dtype=work)
-        g[0] = beta
-
-        for j in range(m):
-            # w = M^{-1} A v_j
-            self._load(basis, j, w)
-            A.apply(w, r)
-            M.apply(r, w)
-            hessenberg[: j + 1, j] = self._orthogonalize(basis, w, j + 1)
-            h_next = float(w.compute_norm2()[0])
-            hessenberg[j + 1, j] = h_next
-            if h_next != 0.0:
-                self._extend(basis, w, j + 1, h_next)
-            pivot = givens_update(
-                exec_, hessenberg, givens_cos, givens_sin, g, j
+        j, m, work = self.j, self.krylov_dim, self.work_dtype
+        systems = stacked(x).shape[0]
+        if j == 0:
+            # Preconditioned residual r = M^{-1}(b - A x).
+            w.copy_values_from(self.b)
+            A.apply_advanced(-1.0, x, 1.0, w)
+            M.apply(w, r)
+            beta = r.compute_norm2().reshape(-1)
+            if not beta.all():
+                # x is exact: stop at the iteration the last check logged.
+                return iteration, self.monitor(
+                    iteration, beta, exact=beta == 0.0
+                )
+            self.basis = self._start(r, beta)
+            self.hessenberg = ws.array(
+                "gmres.hessenberg", (systems, m + 1, m), dtype=work
             )
-            # A zero pivot closes the cycle on the first j columns.
-            inner = j + 1 if pivot else j
-            iteration += 1
-            # Ginkgo checks the residual after EVERY Hessenberg update
-            # (restart-1 more checks per cycle than CuPy): a small
-            # device kernel updates the estimate and the host reads the
-            # stopping status back.
-            exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
-            stopped = self.monitor(
-                iteration, abs(g[inner]), breakdown=not pivot
+            self.givens_cos = ws.array("gmres.givens_cos", (systems, m), dtype=work)
+            self.givens_sin = ws.array("gmres.givens_sin", (systems, m), dtype=work)
+            self.g = ws.array("gmres.g", (systems, m + 1), dtype=work)
+            self.g[:, 0] = beta
+        basis, hessenberg, g = self.basis, self.hessenberg, self.g
+        # w = M^{-1} A v_j
+        self._load(basis, j, w)
+        A.apply(w, r)
+        M.apply(r, w)
+        hessenberg[:, : j + 1, j] = self._orthogonalize(basis, w, j + 1)
+        h_next = w.compute_norm2().reshape(-1)
+        hessenberg[:, j + 1, j] = h_next
+        rows = h_next.nonzero()[0]
+        if rows.size:
+            # A slice unless some system reached an invariant subspace
+            # (h_next == 0): a fancy-indexed basis-column write is slow.
+            self._extend(
+                basis, w, j + 1, h_next,
+                slice(None) if rows.size == systems else rows,
             )
-            if stopped or h_next == 0.0:
-                break
+        pivot = givens_update(
+            exec_, hessenberg, self.givens_cos, self.givens_sin, g, j
+        )
+        # A zero pivot closes the cycle on the first j columns.
+        inner = j + pivot
+        iteration += 1
+        # Ginkgo checks the residual after EVERY Hessenberg update
+        # (restart-1 more checks per cycle than CuPy): a small device
+        # kernel updates the estimate and the host reads the stopping
+        # status back.
+        exec_.run(
+            KernelCost("residual_check", 0.0, 64.0 * systems, launches=4)
+        )
+        stop = self.monitor(
+            iteration, np.abs(g[np.arange(systems), inner]), breakdown=~pivot
+        )
+        self.closed = stop | (h_next == 0.0) | (j + 1 == m)
+        closing = self.closed.nonzero()[0]
+        for k in closing:
+            self._close(k, ws.array("gmres.y", inner[k], dtype=work))
+        self.j = 0 if closing.size == systems else j + 1
+        return iteration, stop
 
-        self._close(basis, hessenberg, g, ws.array("gmres.y", inner, dtype=work))
-        return iteration, stopped
-
-    def _start(self, r, beta: float):
+    def _start(self, r, beta):
         """The cycle's basis block (pooled) with ``v_0 = r / beta``."""
-        n = r.size.rows
-        basis = self.ws.array("gmres.basis", (n, self.krylov_dim + 1))
-        basis[:, 0] = r._data[:, 0] / beta
-        record_fused(r.executor, "gmres_init", n, r.value_bytes, 2)
+        rd = stacked(r)
+        systems, n, _ = rd.shape
+        basis = self.ws.array(
+            "gmres.basis", (systems, n, self.krylov_dim + 1)
+        )
+        # beta in the vector's precision, as a Python-float divisor would be.
+        basis[:, :, 0] = rd[:, :, 0] / beta.astype(rd.dtype)[:, None]
+        record_fused(
+            r.executor, "gmres_init", systems * n, rd.dtype.itemsize, 2
+        )
         return basis
 
     def _load(self, basis, j: int, w) -> None:
         """``w = v_j``."""
-        w._data[:, 0] = basis[:, j]
+        stacked(w)[:, :, 0] = basis[:, :, j]
 
     def _orthogonalize(self, basis, w, count: int):
         """Gram-Schmidt ``w`` against ``count`` basis vectors; the coefficients."""
@@ -139,16 +168,26 @@ class GmresRecurrence(Recurrence):
             gmres_update(basis, w, coeffs, count)
         return coeffs
 
-    def _extend(self, basis, w, j: int, h_next: float) -> None:
-        """``v_j = w / h_next``."""
-        basis[:, j] = w._data[:, 0] / h_next
-        record_fused(w.executor, "gmres_scale", w.size.rows, w.value_bytes, 2)
+    def _extend(self, basis, w, j: int, h_next, rows) -> None:
+        """``v_j = w / h_next`` for the systems ``rows`` indexes."""
+        wd = stacked(w)
+        h = h_next[rows]
+        basis[rows, :, j] = wd[rows, :, 0] / h.astype(wd.dtype)[:, None]
+        record_fused(
+            w.executor, "gmres_scale", h.size * wd.shape[1],
+            wd.dtype.itemsize, 2,
+        )
 
-    def _close(self, basis, hessenberg, g, y) -> None:
-        """Solve the cycle's least-squares problem into ``y``; ``x += V y``."""
+    def _close(self, k: int, y) -> None:
+        """Solve system ``k``'s least-squares problem into ``y``; ``x += V y``."""
         x = self.x
-        gmres_finalize(
-            x.executor, basis, hessenberg, g, y, x._data[:, 0], x.value_bytes
+        exec_ = x.executor
+        hessenberg_solve(exec_, self.hessenberg[k], self.g[k], y)
+        basis = self.basis[k]
+        stacked(x)[k, :, 0] += basis[:, : y.size] @ y
+        record_fused(
+            exec_, "gmres_x_update", basis.shape[0] * y.size,
+            x._data.dtype.itemsize, 2,
         )
         x.mark_modified()
 

@@ -57,9 +57,13 @@ class IdrRecurrence(Recurrence):
         self.t = r.scratch(ws, "idr.t")
 
     def _breakdown(self, iteration: int) -> tuple:
-        """Stop at a singular projection, reporting the true residual."""
+        """Stop at a singular projection, reporting the true residual.
+
+        A zero residual is no breakdown: ``x`` is exact.
+        """
+        norm = float(self.r.compute_norm2()[0])
         return iteration, self.monitor(
-            iteration, float(self.r.compute_norm2()[0]), breakdown=True
+            iteration, norm, breakdown=norm != 0.0, exact=norm == 0.0
         )
 
     def step(self, iteration: int) -> tuple:

@@ -8,8 +8,9 @@ Python-dispatched frameworks (the effect measured in the paper's Fig. 3c).
 These helpers perform the update numerically on the operands' buffers and
 record exactly one kernel with the combined byte traffic.  The CG steps
 and the GMRES orthogonalisation pair run through the vector hooks
-(``elementwise`` / ``all_reduce``), so the same definition serves
-``Dense``, ``distributed.Vector`` and the batched active head.
+(``elementwise`` / ``all_reduce``) and the GMRES helpers over a leading
+systems axis (:func:`stacked`), so the same definition serves ``Dense``,
+``distributed.Vector`` and the batched active head.
 """
 
 from __future__ import annotations
@@ -74,61 +75,101 @@ def cgs_step_3(x: Dense, r: Dense, u_hat: Dense, w: Dense, alpha) -> None:
     record_fused(x.executor, "cgs_step_3", x.size.num_elements, x.value_bytes, 6)
 
 
-def gmres_multidot(basis_block, w, count: int):
+def stacked(vec) -> np.ndarray:
+    """``vec``'s values as ``(systems, rows, cols)``, a writable view.
+
+    One system for ``Dense`` and ``distributed.Vector`` (the whole
+    arena), the active systems for the batched head.
+    """
+    data = vec._data
+    return data[None] if data.ndim == 2 else vec.head
+
+
+def gmres_multidot(basis, w, count: int):
     """Fused multi-dot: coefficients of ``w`` against ``count`` basis vectors.
 
-    One batched reduction kernel (plus its finalisation pass), as in
-    Ginkgo's ``gmres::multi_dot``.  Evaluated as an einsum contraction so
-    the per-system reduction order matches the batched lockstep kernels
-    bit-for-bit (BLAS gemv blocks its accumulation differently).  A
-    distributed ``w`` then pays one all-reduce of the ``count``
-    coefficients.
+    ``basis`` is ``(systems, rows, krylov_dim + 1)``; the result is
+    ``(systems, count)``.  One batched reduction kernel (plus its
+    finalisation pass), as in Ginkgo's ``gmres::multi_dot``.  Evaluated
+    as an einsum contraction, whose per-system reduction order does not
+    depend on the number of systems (BLAS gemv blocks its accumulation
+    differently).  A distributed ``w`` then pays one all-reduce of the
+    ``count`` coefficients.
     """
-    coeffs = np.einsum("ij,i->j", basis_block[:, :count], w._data[:, 0])
+    wd = stacked(w)
+    systems, rows, _ = wd.shape
+    coeffs = np.einsum("kij,ki->kj", basis[:, :, :count], wd[:, :, 0])
     w.executor.run(
         blas1_cost(
-            "gmres_multidot",
-            w.size.rows * count,
-            w.value_bytes,
-            2,
+            "gmres_multidot", systems * rows * count, wd.dtype.itemsize, 2
         )
     )
     return w.all_reduce(coeffs, "all_reduce_multidot")
 
 
-def gmres_update(basis_block, w, coeffs, count: int) -> None:
-    """Fused rank-``count`` update ``w -= V[:, :count] @ coeffs``."""
-    w._data[:, 0] -= np.einsum("ij,j->i", basis_block[:, :count], coeffs)
+def gmres_update(basis, w, coeffs, count: int) -> None:
+    """Fused rank-``count`` update ``w -= V[:, :count] @ coeffs`` per system."""
+    wd = stacked(w)
+    systems, rows, _ = wd.shape
+    wd[:, :, 0] -= np.einsum("kij,kj->ki", basis[:, :, :count], coeffs)
     record_fused(
-        w.executor, "gmres_update", w.size.rows * count, w.value_bytes, 2
+        w.executor, "gmres_update", systems * rows * count,
+        wd.dtype.itemsize, 2,
     )
 
 
-def givens_update(exec_, hessenberg, givens_cos, givens_sin, g, j: int) -> bool:
+def givens_update(exec_, hessenberg, givens_cos, givens_sin, g, j: int):
     """Triangularise Hessenberg column ``j`` and rotate the residual vector ``g``.
 
-    The ``j`` accumulated Givens rotations, then the new one, applied to
-    the column and to ``g``: three tiny device kernels in Ginkgo (run
-    redundantly on every rank when distributed).  Returns False at a zero
-    pivot — an exact breakdown: the column vanished, and ``|g[j]|`` is the
-    least residual the cycle's Krylov space reaches.
+    Every array has a leading systems axis.  The ``j`` accumulated Givens
+    rotations, then the new one, applied to the column and to ``g``:
+    three tiny device kernels in Ginkgo (run redundantly on every rank
+    when distributed).  Returns the per-system pivot mask.  A zero pivot
+    is an exact breakdown: the column vanished, its rotation is the
+    identity, and ``|g[j]|`` is the least residual the cycle's Krylov
+    space reaches.
     """
-    m = givens_cos.size
-    for i in range(j):
-        hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-        hessenberg[i, j] = givens_cos[i] * hi + givens_sin[i] * hi1
-        hessenberg[i + 1, j] = -givens_sin[i] * hi + givens_cos[i] * hi1
-    denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-    exec_.run(KernelCost("givens_update", 6.0 * m, 24.0 * m, launches=3))
-    if denom == 0.0:
-        return False
-    givens_cos[j] = hessenberg[j, j] / denom
-    givens_sin[j] = hessenberg[j + 1, j] / denom
-    hessenberg[j, j] = denom
-    hessenberg[j + 1, j] = 0.0
-    g[j + 1] = -givens_sin[j] * g[j]
-    g[j] = givens_cos[j] * g[j]
-    return True
+    systems, m = givens_cos.shape
+    column = hessenberg[:, :, j]
+    if j:
+        # Rotation i maps (t, h[i+1]) to (c t + s h[i+1], c h[i+1] - s t),
+        # t being entry i as rotation i - 1 left it.  The products with
+        # the untouched h[i+1] are taken at once; the t chain is
+        # sequential.  With one system the chain runs on NumPy scalars:
+        # the same arithmetic, without a ufunc dispatch per operation.
+        rows = (j,) if systems == 1 else (j, systems)
+        cos = givens_cos[:, :j].T.reshape(rows)
+        sin = givens_sin[:, :j].T.reshape(rows)
+        below = column[:, 1 : j + 1].T.reshape(rows)
+        plus, minus = sin * below, cos * below
+        rotated = np.empty_like(plus)
+        t = column[:, 0].copy().reshape(rows[1:])[()]
+        for i in range(j):
+            rotated[i] = cos[i] * t + plus[i]
+            t = minus[i] - sin[i] * t
+        column[:, :j] = rotated.T
+        column[:, j] = t
+    denom = np.hypot(column[:, j], column[:, j + 1])
+    exec_.run(
+        KernelCost(
+            "givens_update", 6.0 * m * systems, 24.0 * m * systems, launches=3
+        )
+    )
+    pivot = denom != 0.0
+    # A zero pivot keeps the identity rotation (cos 1, sin 0).
+    cos = np.divide(
+        column[:, j], denom, out=(~pivot).astype(denom.dtype), where=pivot
+    )
+    sin = np.divide(
+        column[:, j + 1], denom, out=np.zeros(systems, denom.dtype), where=pivot
+    )
+    givens_cos[:, j] = cos
+    givens_sin[:, j] = sin
+    column[:, j] = denom
+    column[:, j + 1] = 0.0
+    g[:, j + 1] = -sin * g[:, j]
+    g[:, j] = cos * g[:, j]
+    return pivot
 
 
 def hessenberg_solve(exec_, hessenberg, g, y) -> None:
@@ -149,14 +190,4 @@ def hessenberg_solve(exec_, hessenberg, g, y) -> None:
             bytes=float(hessenberg.itemsize) * inner * inner,
             launches=max(inner, 1),
         )
-    )
-
-
-def gmres_finalize(exec_, basis_block, hessenberg, g, y, x_col, value_bytes: int) -> None:
-    """Close a restart cycle: :func:`hessenberg_solve`, then ``x_col += V y``."""
-    hessenberg_solve(exec_, hessenberg, g, y)
-    inner = y.size
-    x_col += basis_block[:, :inner] @ y
-    record_fused(
-        exec_, "gmres_x_update", basis_block.shape[0] * inner, value_bytes, 2
     )

@@ -59,8 +59,7 @@ class MinresRecurrence(Recurrence):
         if beta == 0.0:
             # The Lanczos sequence ended on an invariant subspace: x is
             # exact there.
-            self.monitor(iteration, 0.0)
-            return iteration, True
+            return iteration, self.monitor(iteration, 0.0, exact=True)
         iteration += 1
         # Lanczos step.
         v.copy_values_from(y)

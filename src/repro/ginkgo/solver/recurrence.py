@@ -17,15 +17,18 @@ hooks each vector type implements:
   payload (a no-op off the distributed path).
 
 All ten methods are recurrences: CG, FCG, BiCG, CGS, BiCGSTAB and IR
-step one iteration, MINRES one Lanczos/QR update, GMRES, CB-GMRES and
-IDR(s) one cycle.  A :attr:`Recurrence.single_rhs` recurrence solves one
-column; the solver splits multi-column solves.  Scalar, distributed and
-batched solves are three *instances* of one recurrence, bit-identical by
-construction; everything that is not arithmetic is a driver *around*
-``step``: :func:`iterate` (plain), the distributed checkpoint/replay
-driver, the batched active-set compaction.  A step that meets an exact
-breakdown (zero pivot, singular projection) reports the finite residual
-it reached with ``monitor(..., breakdown=True)`` and stops.
+step one iteration, MINRES one Lanczos/QR update, GMRES and CB-GMRES
+one inner iteration of their restart cycle, IDR(s) one cycle.  A
+:attr:`Recurrence.single_rhs` recurrence solves one column; the solver
+splits multi-column solves.  Scalar, distributed and batched solves are
+three *instances* of one recurrence, bit-identical by construction;
+everything that is not arithmetic is a driver *around* ``step``:
+:func:`iterate` (plain), the distributed checkpoint/replay driver, the
+batched active-set compaction.  A step that meets an exact breakdown
+(zero pivot, singular projection) reports the finite residual it reached
+with ``monitor(..., breakdown=True)`` and stops; a step that finds ``x``
+exact at an iteration already reported stops with
+``monitor(..., exact=True)``.
 """
 
 from __future__ import annotations
@@ -54,23 +57,36 @@ class Recurrence:
         r: Initial residual ``b - A x`` (owned by the recurrence from
             here on).
         ws: The solver's :class:`Workspace`; all scratch comes from it.
-        monitor: ``monitor(iteration, residual_norm, breakdown=False)
-            -> bool``; called once per iteration, True means stop.
-            ``breakdown=True`` reports an exact breakdown and always stops.
+        monitor: ``monitor(iteration, residual_norm, breakdown=False,
+            exact=False) -> bool``; called once per iteration, True means
+            stop (per system, as a mask, when batched).  ``breakdown=True``
+            reports an exact breakdown and always stops.  ``exact=True``
+            says ``x`` is exact at ``iteration``, which was already
+            reported: the stop is recorded, the iteration not logged
+            again.
     """
 
     #: Attribute names of the vectors carried across steps — what a
     #: checkpoint must save and an active-set compaction must gather.
     vectors: tuple = ()
     #: Attribute names of the carried scalars: per-column coefficient
-    #: arrays (None before their first assignment; plain floats in a
-    #: single-RHS recurrence), rebound every step and never mutated in
-    #: place.
+    #: arrays (None before their first assignment; plain numbers in a
+    #: single-RHS recurrence, which a batched compaction leaves as they
+    #: are), rebound every step and never mutated in place.
     scalars: tuple = ()
+    #: Attribute names of host arrays carried within a restart cycle, each
+    #: with a leading systems axis — what a compaction must also gather
+    #: mid-cycle.  No checkpoint holds them: drivers checkpoint only
+    #: where :attr:`at_restart` holds.
+    cycle: tuple = ()
     #: Solver parameters the constructor accepts as keywords.
     parameters: tuple = ()
     #: Whether one instance solves exactly one right-hand-side column.
     single_rhs: bool = False
+    #: Whether the carried state is just ``vectors`` and ``scalars``:
+    #: after every step of a one-iteration method, between the cycles of
+    #: a restarted one.
+    at_restart: bool = True
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         self.A = A

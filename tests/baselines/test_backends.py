@@ -44,9 +44,15 @@ class TestNumericalAgreement:
         )
 
     @pytest.mark.parametrize(
-        "backend_cls", [ScipyBackend, CupyBackend, PyGinkgoBackend]
+        "solver,backend_cls",
+        [
+            (solver, backend_cls)
+            for solver in ("cg", "cgs", "gmres")
+            for backend_cls in (ScipyBackend, CupyBackend, PyGinkgoBackend)
+        ]
+        # CuPy has no BiCGSTAB (test_cupy_has_no_bicgstab).
+        + [("bicgstab", ScipyBackend), ("bicgstab", PyGinkgoBackend)],
     )
-    @pytest.mark.parametrize("solver", ["cg", "cgs", "gmres"])
     def test_solvers_reduce_residual(
         self, backend_cls, solver, spd_small
     ):

@@ -54,6 +54,16 @@ class TestCollect:
         assert "expected a JSON object" in capsys.readouterr().err
 
 
+class TestSpeedupColumn:
+    def test_wall_speedup_key_is_read(self):
+        report = {"wall_speedup_x": 2.125, "cpu_count": 2}
+        assert bench_report._fmt_speedup(report) == "2.12x wall (2 cpus)"
+
+    def test_bare_speedup_keeps_its_gate(self):
+        report = {"speedup": 2.0, "min_speedup_gate": 1.5}
+        assert bench_report._fmt_speedup(report) == "2.00x (gate 1.50x)"
+
+
 class TestMainExitCodes:
     def _run(self, monkeypatch, tmp_path, *extra):
         monkeypatch.setattr(

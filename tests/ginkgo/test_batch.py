@@ -25,6 +25,7 @@ from repro.ginkgo.log import ConvergenceLogger, ProfilerHook
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import Bicgstab, Cg, Gmres
+from repro.ginkgo.solver.gmres import GmresRecurrence
 from repro.ginkgo.stop import Divergence, Iteration, ResidualNorm
 from repro.ginkgo.executor import OmpExecutor, ReferenceExecutor
 from tests.ginkgo.test_distributed import distributed_history
@@ -53,14 +54,14 @@ def crit():
     return Iteration(300) | ResidualNorm(1e-9, baseline="rhs_norm")
 
 
-def scalar_solves(mats, bs, solver_cls, precond=False, **params):
+def scalar_solves(mats, bs, solver_cls, precond=False, criteria=None, **params):
     """Each system solved alone on a fresh executor; returns records."""
     out = []
     for mat, rhs in zip(mats, bs):
         ex = ReferenceExecutor.create(noisy=False)
         solver = solver_cls(
             ex,
-            criteria=crit(),
+            criteria=criteria or crit(),
             preconditioner=Jacobi(ex, max_block_size=1) if precond else None,
             **params,
         ).generate(Csr.from_scipy(ex, mat))
@@ -79,13 +80,15 @@ def scalar_solves(mats, bs, solver_cls, precond=False, **params):
     return out
 
 
-def batch_solve(exec_, mats, bs, batch_cls, precond=False, **params):
+def batch_solve(
+    exec_, mats, bs, batch_cls, precond=False, criteria=None, **params
+):
     A = BatchCsr.from_scipy_list(exec_, mats)
     b = BatchDense.from_dense_list(exec_, bs)
-    x = BatchDense.zeros(exec_, len(mats), (mats[0].shape[0], 1), np.float64)
+    x = BatchDense.zeros(exec_, len(mats), (mats[0].shape[0], 1), bs[0].dtype)
     solver = batch_cls(
         exec_,
-        criteria=crit(),
+        criteria=criteria or crit(),
         preconditioner=BatchJacobi() if precond else None,
         **params,
     ).generate(A)
@@ -149,10 +152,23 @@ class TestBitIdentity:
     residual histories and solutions must agree bit for bit.
     """
 
-    @pytest.mark.parametrize("name", ["cg", "bicgstab", "gmres"])
+    @pytest.mark.parametrize(
+        "name,value_type",
+        [
+            pytest.param(
+                name, vt, id=name if vt is np.float64 else f"{name}-float32"
+            )
+            for vt in (np.float64, np.float32)
+            for name in ("cg", "bicgstab", "gmres")
+        ],
+    )
     @pytest.mark.parametrize("precond", [False, True])
-    def test_histories_and_solutions_bitwise_equal(self, ref, rng, name, precond):
+    def test_histories_and_solutions_bitwise_equal(
+        self, ref, rng, name, value_type, precond
+    ):
         mats, bs = make_batch(rng, spd=(name == "cg"))
+        mats = [mat.astype(value_type) for mat in mats]
+        bs = [rhs.astype(value_type) for rhs in bs]
         scalar = scalar_solves(mats, bs, SCALAR[name], precond)
         status, x, loggers = batch_solve(ref, mats, bs, BATCH[name], precond)
         for k, (hist, sol, iters, conv) in enumerate(scalar):
@@ -163,7 +179,7 @@ class TestBitIdentity:
             assert status.num_iterations[k] == iters
             assert bool(status.converged[k]) == bool(conv)
             assert status.residual_norms[k] == bhist
-        if name in DISTRIBUTED and not precond:
+        if name in DISTRIBUTED and not precond and value_type is np.float64:
             hist, sol = scalar[0][:2]
             for ranks in (1, 4):
                 _, dhist, dsol, _ = distributed_history(
@@ -178,23 +194,49 @@ class TestBitIdentity:
             assert recurrence.__name__.lower() == f"{name}recurrence"
             if name in DISTRIBUTED:
                 assert DISTRIBUTED[name].solver_class.recurrence is recurrence
-            if name != "gmres":  # batched GMRES is wave-scheduled: own body
-                assert BATCH[name].solver_class.recurrence is recurrence
+            assert BATCH[name].solver_class.recurrence is recurrence
+        assert BatchGmres.solver_class.recurrence is GmresRecurrence
 
     def test_gmres_restart_waves_stay_identical(self, ref, rng):
-        # krylov_dim smaller than the iteration count forces systems
-        # through multiple restart waves at staggered exits.
-        mats, bs = make_batch(rng, spd=False)
-        scalar = scalar_solves(mats, bs, Gmres, krylov_dim=5)
-        status, x, loggers = batch_solve(
-            ref, mats, bs, BatchGmres, krylov_dim=5
+        # Three batches, each bitwise equal to its sequential solves:
+        # * krylov_dim smaller than the iteration count forces systems
+        #   through several restart cycles at staggered exits;
+        # * systems 1 and 4 become diagonal with b a multiple of e_0, so
+        #   h_next == 0 at j = 0: under an iteration-only criterion every
+        #   cycle closes on an invariant subspace after one iteration,
+        #   without a stop verdict, and restarts on a residual that
+        #   rounding keeps nonzero — alone, while the others' cycle goes
+        #   on;
+        # * the same with krylov_dim larger than the system size.
+        cases = (
+            ("staggered", 5, False),
+            ("invariant", 5, True),
+            ("invariant, krylov_dim > n", 40, True),
         )
-        for k, (hist, sol, iters, _) in enumerate(scalar):
-            assert np.array(hist).tobytes() == np.array(
-                loggers[k].residual_norms
-            ).tobytes()
-            assert x.data[k].tobytes() == sol.tobytes()
-            assert status.num_iterations[k] == iters
+        for case, krylov_dim, invariant in cases:
+            mats, bs = make_batch(rng, spd=False)
+            if invariant:
+                for k, diagonal, scale in ((1, 4.9, 0.7), (4, 13.0, 1.9)):
+                    mats[k] = mats[k].copy()
+                    mats[k].data[:] = 0.0
+                    mats[k].setdiag(diagonal + np.arange(30))
+                    bs[k] = np.zeros_like(bs[k])
+                    bs[k][0] = scale
+            criteria = Iteration(12) if invariant else crit()
+            scalar = scalar_solves(
+                mats, bs, Gmres, criteria=criteria, krylov_dim=krylov_dim
+            )
+            status, x, loggers = batch_solve(
+                ref, mats, bs, BatchGmres, criteria=criteria,
+                krylov_dim=krylov_dim,
+            )
+            for k, (hist, sol, iters, conv) in enumerate(scalar):
+                assert np.array(hist).tobytes() == np.array(
+                    loggers[k].residual_norms
+                ).tobytes(), (case, k)
+                assert x.data[k].tobytes() == sol.tobytes(), (case, k)
+                assert status.num_iterations[k] == iters, (case, k)
+                assert bool(status.converged[k]) == bool(conv), (case, k)
 
 
 class TestMaskedStopping:

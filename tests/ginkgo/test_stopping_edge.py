@@ -10,6 +10,10 @@ A singular, inconsistent system has no solution: every solver must end
 with ``breakdown`` or an honest ``converged=False``, a finite ``x`` and a
 finite residual norm no smaller than the true residual's lower bound —
 and a solver reused for it must not report the previous apply's verdict.
+
+An exact solution reached under an iteration-only criterion: a solver
+that stops itself there records its own verdict and logs every iteration
+once, and a batched solve matches the scalar one.
 """
 
 from __future__ import annotations
@@ -87,6 +91,22 @@ def singular_probe(n=50):
     return sp.diags(diag).tocsr(), consistent, inconsistent
 
 
+def exact_probe(n=12):
+    """``diag(2 + arange(n)/n)`` with ``b = e_0``: one step makes x exact.
+
+    Solved under an iteration limit only, so no criterion stops the
+    solve when the residual reaches zero; GMRES, CB-GMRES (``krylov_dim``
+    5, :func:`probe_params`), MINRES and IDR stop themselves instead.
+    """
+    rhs = np.zeros((n, 1))
+    rhs[0, 0] = 1.0
+    return sp.diags(2.0 + np.arange(n) / n).tocsr(), rhs
+
+
+def probe_params(name):
+    return {"krylov_dim": 5} if "gmres" in name else {}
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR_SOLVERS), ids=str)
 class TestScalarStopping:
     def test_zero_rhs_stops_at_iteration_zero(self, ref, name):
@@ -137,6 +157,23 @@ class TestScalarStopping:
         assert np.isfinite(solver.final_residual_norm)
         assert solver.final_residual_norm >= 1.0 - 1e-12
         assert np.linalg.norm(inconsistent - mat @ solution) >= 1.0 - 1e-12
+
+    def test_exact_solution_stops_with_a_verdict(self, ref, name):
+        mat, b = exact_probe()
+        solver = SCALAR_SOLVERS[name](
+            ref, criteria=Iteration(12), **probe_params(name)
+        ).generate(Csr.from_scipy(ref, mat))
+        logger = ConvergenceLogger()
+        solver.add_logger(logger)
+        solver.apply(Dense(ref, b), Dense(ref, np.zeros_like(b)))
+        history = logger.residual_norms
+        # Every iteration is logged once, and the verdict is the last.
+        assert len(history) == solver.num_iterations + 1
+        assert solver.final_residual_norm == history[-1]
+        assert not solver.breakdown
+        assert not solver.converged
+        if name in ("gmres", "cb_gmres", "minres", "idr"):
+            assert history == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_SOLVERS), ids=str)
@@ -208,6 +245,35 @@ class TestBatchStopping:
             assert x._data[k].tobytes() == xs._data.tobytes()
         assert status.converged[0] and not status.converged[1]
         assert np.isfinite(x._data).all()
+
+    def test_exact_solution_verdict_matches_scalar(self, ref, name):
+        # System 0 is the exact-solution probe; system 1 keeps iterating
+        # beside it, so a batched GMRES stops system 0 alone.
+        mat, b = exact_probe()
+        scalar_name = name.removeprefix("batch_")
+        rhs = [b, np.ones_like(b)]
+        batch = BATCH_SOLVERS[name](
+            ref, criteria=Iteration(12), **probe_params(name)
+        ).generate(BatchCsr.from_scipy_list(ref, [mat, mat]))
+        x = BatchDense.zeros(ref, 2, b.shape, np.float64)
+        batch.apply(BatchDense.from_dense_list(ref, rhs), x)
+        status = batch.status
+        for k, b_k in enumerate(rhs):
+            scalar = SCALAR_SOLVERS[scalar_name](
+                ref, criteria=Iteration(12), **probe_params(name)
+            ).generate(Csr.from_scipy(ref, mat))
+            logger = ConvergenceLogger()
+            scalar.add_logger(logger)
+            xs = Dense(ref, np.zeros_like(b_k))
+            scalar.apply(Dense(ref, b_k), xs)
+            assert status.residual_norms[k] == logger.residual_norms
+            assert status.num_iterations[k] == scalar.num_iterations
+            assert status.final_residual_norm[k] == scalar.final_residual_norm
+            assert status.converged[k] == scalar.converged
+            assert status.breakdown[k] == scalar.breakdown
+            assert x._data[k].tobytes() == xs._data.tobytes()
+        assert not status.breakdown[0] and not status.converged[0]
+        assert status.final_residual_norm[0] == 0.0
 
 
 class TestArrayLayouts:
