@@ -26,7 +26,7 @@ from repro.ginkgo.executor import (
     OmpExecutor,
 )
 from repro.ginkgo.matrix import Coo, Csr, Dense, Ell, Hybrid, Sellp
-from repro.ginkgo.solver import Bicgstab, Cg, Cgs, Fcg, Gmres, Minres
+from repro.ginkgo.solver import SOLVERS
 from repro.ginkgo.stop import Iteration
 from repro.perfmodel.specs import NVIDIA_A100, DeviceSpec
 
@@ -37,16 +37,6 @@ _FORMAT_CLASSES = {
     "sellp": Sellp,
     "hybrid": Hybrid,
 }
-
-_SOLVER_CLASSES = {
-    "cg": Cg,
-    "fcg": Fcg,
-    "cgs": Cgs,
-    "bicgstab": Bicgstab,
-    "gmres": Gmres,
-    "minres": Minres,
-}
-
 
 @dataclass
 class GinkgoHandle(MatrixHandle):
@@ -139,7 +129,7 @@ class PyGinkgoBackend(Backend):
         if solver == "gmres":
             params["krylov_dim"] = kwargs.get("restart", 30)
         self._charge_crossing(3, tag=f"{solver}_factory")
-        factory = _SOLVER_CLASSES[solver](
+        factory = SOLVERS[solver](
             self.executor, criteria=Iteration(iterations), **params
         )
         engine_solver = factory.generate(handle.engine_matrix)

@@ -14,20 +14,13 @@ from functools import partial
 import numpy as np
 
 from repro.bindings.overhead import charge_binding
+from repro.ginkgo import batch, distributed, solver
 from repro.ginkgo.batch import (
-    BatchBicgstab,
-    BatchCg,
     BatchCsr,
     BatchDense,
-    BatchGmres,
     BatchJacobi,
     BatchLowerTrs,
     BatchUpperTrs,
-)
-from repro.ginkgo.distributed import (
-    DistributedCg,
-    DistributedGmres,
-    DistributedPipelinedCg,
 )
 from repro.ginkgo.distributed import Matrix as DistributedMatrix
 from repro.ginkgo.distributed import Vector as DistributedVector
@@ -42,21 +35,7 @@ from repro.ginkgo.matrix import Coo, Csr, Dense, Ell, Hybrid, Sellp
 from repro.ginkgo.mtx_io import read_mtx
 from repro.ginkgo.preconditioner import Ic, Ilu, Isai, Jacobi
 from repro.ginkgo.multigrid import Pgm
-from repro.ginkgo.solver import (
-    Bicg,
-    Bicgstab,
-    CbGmres,
-    Cg,
-    Cgs,
-    Direct,
-    Fcg,
-    Gmres,
-    Idr,
-    Ir,
-    LowerTrs,
-    Minres,
-    UpperTrs,
-)
+from repro.ginkgo.solver import Direct, LowerTrs, UpperTrs
 
 #: C++-style value-type suffix -> numpy dtype (paper Table 1).
 VALUE_TYPES = {
@@ -71,33 +50,15 @@ INDEX_TYPES = {
     "int64": np.int64,
 }
 
-#: Batched solver factories (``gko::batch::solver``): one binding
-#: crossing sets up a whole K-system solve.
-_BATCH_SOLVER_FACTORIES = {
-    "batch_cg": BatchCg,
-    "batch_bicgstab": BatchBicgstab,
-    "batch_gmres": BatchGmres,
-}
-
-#: Distributed solver factories (``gko::experimental::distributed``):
-#: generated against a distributed Matrix, not a scalar format.
-_DISTRIBUTED_SOLVER_FACTORIES = {
-    "distributed_cg": DistributedCg,
-    "distributed_gmres": DistributedGmres,
-    "distributed_pipelined_cg": DistributedPipelinedCg,
-}
-
+#: Symbol prefix -> ``{method: factory}`` of each solver instance the
+#: method table declares: ``cg_factory_double``, ``batch_cg_factory_float``,
+#: ``distributed_gmres_factory_half``, ...  A batched factory sets up a
+#: whole K-system solve in one crossing; a distributed one generates
+#: against a distributed Matrix.
 _SOLVER_FACTORIES = {
-    "cg": Cg,
-    "fcg": Fcg,
-    "cgs": Cgs,
-    "bicg": Bicg,
-    "bicgstab": Bicgstab,
-    "gmres": Gmres,
-    "cb_gmres": CbGmres,
-    "idr": Idr,
-    "minres": Minres,
-    "ir": Ir,
+    "": solver.SOLVERS,
+    "batch_": batch.SOLVERS,
+    "distributed_": distributed.SOLVERS,
 }
 
 
@@ -349,18 +310,11 @@ def _build_registry() -> dict:
         registry[f"axpy_{vt_name}"] = _bound(_make_axpy(vt), 4)
         registry[f"fused_region_{vt_name}"] = _bound(_make_fused_region(vt), 2)
         registry[f"batch_dense_{vt_name}"] = _bound(_make_batch_dense(vt), 2)
-        for solver_name, solver_cls in _SOLVER_FACTORIES.items():
-            registry[f"{solver_name}_factory_{vt_name}"] = _bound(
-                _make_solver_factory(solver_cls), 3
-            )
-        for solver_name, solver_cls in _BATCH_SOLVER_FACTORIES.items():
-            registry[f"{solver_name}_factory_{vt_name}"] = _bound(
-                _make_solver_factory(solver_cls), 3
-            )
-        for solver_name, solver_cls in _DISTRIBUTED_SOLVER_FACTORIES.items():
-            registry[f"{solver_name}_factory_{vt_name}"] = _bound(
-                _make_solver_factory(solver_cls), 3
-            )
+        for prefix, factories in _SOLVER_FACTORIES.items():
+            for method, factory in factories.items():
+                registry[f"{prefix}{method}_factory_{vt_name}"] = _bound(
+                    _make_solver_factory(factory), 3
+                )
         registry[f"distributed_vector_{vt_name}"] = _bound(
             _make_distributed_vector(vt), 3
         )

@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import bindings
+from repro.core.solver_api import _instance_functions
 from repro.core.types import value_dtype
 from repro.ginkgo.batch.matrix import BatchCsr, BatchDense
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.log import ConvergenceLogger
-from repro.ginkgo.stop import Iteration, ResidualNorm
 
 
 def _unwrap(operand) -> BatchDense:
@@ -116,56 +116,12 @@ class BatchSolverHandle:
         )
 
 
-def _build_criteria(max_iters, reduction_factor, criteria):
-    if criteria is not None:
-        return criteria
-    built = Iteration(max_iters)
-    if reduction_factor is not None:
-        built = built | ResidualNorm(reduction_factor, baseline="rhs_norm")
-    return built
-
-
-def _make_batch_solver(
-    name,
-    device,
-    mtx,
-    preconditioner=None,
-    max_iters=1000,
-    reduction_factor=1e-6,
-    criteria=None,
-    **params,
-) -> BatchSolverHandle:
-    factory_binding = bindings.resolve(
-        f"{name}_factory",
-        value_dtype(getattr(mtx, "dtype", np.float64)),
-        exec_=device,
-    )
-    factory = factory_binding(
-        device,
-        criteria=_build_criteria(max_iters, reduction_factor, criteria),
-        preconditioner=preconditioner,
-        **params,
-    )
-    return BatchSolverHandle(factory.generate(mtx))
-
-
-def cg(device, mtx, preconditioner=None, **kwargs) -> BatchSolverHandle:
-    """Batched Conjugate Gradient solver (SPD systems)."""
-    return _make_batch_solver("batch_cg", device, mtx, preconditioner, **kwargs)
-
-
-def bicgstab(device, mtx, preconditioner=None, **kwargs) -> BatchSolverHandle:
-    """Batched BiCGSTAB solver (general systems)."""
-    return _make_batch_solver(
-        "batch_bicgstab", device, mtx, preconditioner, **kwargs
-    )
-
-
-def gmres(device, mtx, preconditioner=None, **kwargs) -> BatchSolverHandle:
-    """Batched restarted GMRES solver (general systems)."""
-    return _make_batch_solver(
-        "batch_gmres", device, mtx, preconditioner, **kwargs
-    )
+#: ``{method: function}``: ``pg.batch.cg``, ``pg.batch.gmres``, ... — one
+#: per method whose recurrence runs batched, each
+#: ``f(device, mtx, preconditioner=None, max_iters=1000,
+#: reduction_factor=1e-6, criteria=None, **params)``.
+SOLVERS = _instance_functions("batch", BatchSolverHandle)
+globals().update(SOLVERS)
 
 
 def jacobi(device, mtx=None, max_block_size: int = 1):

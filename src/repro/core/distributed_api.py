@@ -2,11 +2,12 @@
 
 Mirrors ``pg.solver`` for row-distributed operators: build a
 :class:`~repro.ginkgo.distributed.partition.Partition`, distribute the
-global matrix and vectors over it, and solve with distributed CG or
-GMRES.  Rank-local kernels run thread-parallel on the OpenMP device;
-every collective charges the simulated clock through the matrix's
-communicator; and the residual history is bitwise identical to the same
-solve on a single rank (see DESIGN.md).
+global matrix and vectors over it, and solve with any method whose
+recurrence runs distributed (:data:`SOLVERS`).  Rank-local kernels run
+thread-parallel on the OpenMP device; every collective charges the
+simulated clock through the matrix's communicator; and the residual
+history is bitwise identical to the same solve on a single rank (see
+DESIGN.md).
 
     part = pg.distributed.partition(n, num_ranks=4)
     A = pg.distributed.matrix(dev, part, scipy_csr)
@@ -21,25 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import bindings
-from repro.core.types import value_dtype
+from repro.core.solver_api import _instance_functions
 from repro.ginkgo.distributed import Partition, sequential_ranks
 from repro.ginkgo.distributed import Vector as _Vector
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.log import ConvergenceLogger
-from repro.ginkgo.stop import Iteration, ResidualNorm
-
-__all__ = [
-    "DistributedSolverHandle",
-    "Partition",
-    "cg",
-    "gmres",
-    "matrix",
-    "partition",
-    "pipelined_cg",
-    "sequential_ranks",
-    "vector",
-    "zeros_like",
-]
 
 
 def partition(global_size, num_ranks, weights=None) -> Partition:
@@ -192,56 +179,22 @@ class DistributedSolverHandle:
         return f"DistributedSolverHandle({type(self._solver).__name__})"
 
 
-def _build_criteria(max_iters, reduction_factor, criteria):
-    if criteria is not None:
-        return criteria
-    built = Iteration(max_iters)
-    if reduction_factor is not None:
-        built = built | ResidualNorm(reduction_factor, baseline="rhs_norm")
-    return built
+#: ``{method: function}``: ``pg.distributed.cg``, ``pg.distributed.gmres``,
+#: ... — one per method whose recurrence runs on distributed Vectors, each
+#: ``f(device, mtx, max_iters=1000, reduction_factor=1e-6, criteria=None,
+#: **params)`` (the preconditioner stays None); ``params`` include
+#: ``checkpoint_every`` / ``max_recoveries``.
+SOLVERS = _instance_functions("distributed", DistributedSolverHandle)
+globals().update(SOLVERS)
 
-
-def _make_solver(
-    name,
-    device,
-    mtx,
-    max_iters=1000,
-    reduction_factor=1e-6,
-    criteria=None,
-    **params,
-) -> DistributedSolverHandle:
-    factory_binding = bindings.resolve(
-        f"{name}_factory",
-        value_dtype(getattr(mtx, "dtype", np.float64)),
-        exec_=device,
-    )
-    factory = factory_binding(
-        device,
-        criteria=_build_criteria(max_iters, reduction_factor, criteria),
-        **params,
-    )
-    return DistributedSolverHandle(factory.generate(mtx))
-
-
-def cg(device, mtx, **kwargs) -> DistributedSolverHandle:
-    """Distributed Conjugate Gradient solver (SPD systems)."""
-    return _make_solver("distributed_cg", device, mtx, **kwargs)
-
-
-def gmres(device, mtx, krylov_dim=30, **kwargs) -> DistributedSolverHandle:
-    """Distributed restarted GMRES solver (single right-hand side)."""
-    return _make_solver(
-        "distributed_gmres", device, mtx, krylov_dim=krylov_dim, **kwargs
-    )
-
-
-def pipelined_cg(device, mtx, **kwargs) -> DistributedSolverHandle:
-    """Pipelined CG: one non-blocking all-reduce per iteration.
-
-    The Ghysels–Vanroose formulation overlaps the fused reduction with
-    the next preconditioner apply and SpMV; residual histories match
-    blocking CG to a rounding tolerance rather than bitwise (see
-    DESIGN.md).  Combine with ``matrix(..., overlap=True)`` to also
-    hide the halo exchanges.
-    """
-    return _make_solver("distributed_pipelined_cg", device, mtx, **kwargs)
+__all__ = sorted([
+    "DistributedSolverHandle",
+    "Partition",
+    "SOLVERS",
+    "matrix",
+    "partition",
+    "sequential_ranks",
+    "vector",
+    "zeros_like",
+    *SOLVERS,
+])

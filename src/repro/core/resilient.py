@@ -762,7 +762,7 @@ def resilient_batch_solve(
         mtx: :class:`~repro.ginkgo.batch.matrix.BatchCsr` system matrices.
         b: Stacked right-hand sides (:class:`BatchDense`).
         x: Stacked initial guesses; zeros when omitted.
-        solver: ``"cg"``, ``"bicgstab"``, or ``"gmres"``.
+        solver: A method with a batched instance (``pg.batch.SOLVERS``).
         preconditioner: Batched preconditioner passed through to the
             batch factory (the per-system retry runs unpreconditioned).
         max_iters / reduction_factor: Per-system stopping controls.
@@ -789,15 +789,10 @@ def resilient_batch_solve(
         if isinstance(device, Executor)
         else _device_factory(device or "reference")
     )
-    makers = {
-        "cg": batch_api.cg,
-        "bicgstab": batch_api.bicgstab,
-        "gmres": batch_api.gmres,
-    }
-    if solver not in makers:
+    if solver not in batch_api.SOLVERS:
         raise GinkgoError(
             f"unknown batch solver {solver!r}; expected one of "
-            f"{sorted(makers)}"
+            f"{sorted(batch_api.SOLVERS)}"
         )
     if x is None:
         x = batch_api.zeros_like(b)
@@ -821,7 +816,7 @@ def resilient_batch_solve(
             )
             try:
                 if handle is None:
-                    handle = makers[solver](
+                    handle = batch_api.SOLVERS[solver](
                         exec_,
                         mtx,
                         preconditioner=preconditioner,

@@ -16,6 +16,7 @@ from repro.core.types import value_dtype
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.log import ConvergenceLogger
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver import METHODS, methods_on
 from repro.ginkgo.stop import Iteration, ResidualNorm
 
 
@@ -92,8 +93,13 @@ def _make_solver(
     max_iters=1000,
     reduction_factor=1e-6,
     criteria=None,
+    *,
+    handle=SolverHandle,
     **params,
-) -> SolverHandle:
+):
+    """The ``{name}_factory`` binding's solver generated on ``mtx``, in
+    ``handle``: the one path of ``pg.solver``, ``pg.batch`` and
+    ``pg.distributed``."""
     # Abstract LinOps (compositions, stencils, ...) carry no dtype; the
     # engine iterates in double precision for them.
     factory_binding = bindings.resolve(
@@ -107,7 +113,33 @@ def _make_solver(
         preconditioner=preconditioner,
         **params,
     )
-    return SolverHandle(factory.generate(mtx))
+    return handle(factory.generate(mtx))
+
+
+def _instance_functions(instance: str, handle) -> dict:
+    """``{method: function}`` for every method that runs on ``instance``.
+
+    Each function is ``f(device, mtx, preconditioner=None, max_iters=1000,
+    reduction_factor=1e-6, criteria=None, **params)`` and returns the
+    generated solver wrapped in ``handle``: the per-method functions of
+    ``pg.batch`` and ``pg.distributed``.
+    """
+
+    def function(method):
+        def solve(device, mtx, preconditioner=None, **kwargs):
+            return _make_solver(
+                f"{instance}_{method}", device, mtx, preconditioner,
+                handle=handle, **kwargs,
+            )
+
+        solve.__name__ = solve.__qualname__ = method
+        solve.__doc__ = (
+            f"{instance.capitalize()} :class:`{METHODS[method].__name__}` "
+            f"solver, returned as a :class:`{handle.__name__}`."
+        )
+        return solve
+
+    return {method: function(method) for method in methods_on(instance)}
 
 
 def cg(device, mtx, preconditioner=None, **kwargs) -> SolverHandle:

@@ -76,10 +76,6 @@ class Array:
             )
         return self._data
 
-    def _device_data(self) -> np.ndarray:
-        """Internal access for kernels running *on* this executor."""
-        return self._data
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         view = self.view()
         if dtype is not None and dtype != view.dtype:

@@ -14,28 +14,25 @@ from repro.ginkgo.batch.preconditioner import (
     BatchJacobiOperator,
 )
 from repro.ginkgo.batch.solver import (
-    BatchBicgstab,
-    BatchBicgstabSolver,
-    BatchCg,
-    BatchCgSolver,
-    BatchGmres,
-    BatchGmresSolver,
+    SOLVERS,
     BatchIterativeSolver,
     BatchSolverFactory,
 )
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.batch.triangular import BatchLowerTrs, BatchUpperTrs
 
-__all__ = [
-    "BatchBicgstab",
-    "BatchBicgstabSolver",
-    "BatchCg",
-    "BatchCgSolver",
+#: The derived solver classes (``BatchCg``, ``BatchCgSolver``, ...).
+_DERIVED = {
+    cls.__name__: cls
+    for factory in SOLVERS.values()
+    for cls in (factory, factory.solver_class)
+}
+globals().update(_DERIVED)
+
+__all__ = sorted([
     "BatchCriteria",
     "BatchCsr",
     "BatchDense",
-    "BatchGmres",
-    "BatchGmresSolver",
     "BatchIdentity",
     "BatchIterativeSolver",
     "BatchJacobi",
@@ -44,4 +41,6 @@ __all__ = [
     "BatchSolverFactory",
     "BatchStatus",
     "BatchUpperTrs",
-]
+    "SOLVERS",
+    *_DERIVED,
+])

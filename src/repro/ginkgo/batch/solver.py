@@ -9,8 +9,9 @@ is paid once per *batch* instead of once per system.
 Per-system stopping uses *compaction*: systems that converge (or break
 down) are scattered back to the caller's solution block and removed from
 the leading ``[:m]`` active region of every state buffer, so the
-remaining systems keep iterating with no masked dead work.  Batched CG,
-BiCGSTAB and GMRES are the scalar recurrences
+remaining systems keep iterating with no masked dead work.  The batched
+solvers — one per method whose recurrence lists ``"batch"`` in its
+``instances`` — are the scalar recurrences
 (:mod:`repro.ginkgo.solver.recurrence`) instantiated over
 :class:`_Head` — the active-head view of a stacked state tensor — with
 the compaction as a driver around ``step``; residual histories of a
@@ -34,10 +35,8 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
+from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
-from repro.ginkgo.solver.bicgstab import BicgstabRecurrence
-from repro.ginkgo.solver.cg import CgRecurrence
-from repro.ginkgo.solver.gmres import GmresRecurrence
 from repro.ginkgo.solver.workspace import Workspace
 from repro.perfmodel import blas1_cost, dot_cost
 
@@ -314,6 +313,8 @@ class BatchIterativeSolver:
 
     #: The method's scalar recurrence (every concrete solver names one).
     recurrence: type
+    #: Factory parameters this class reads itself (none).
+    extra_parameters: tuple = ()
 
     def __init__(self, factory: BatchSolverFactory, matrix: BatchCsr) -> None:
         if not matrix.size.is_square:
@@ -653,40 +654,8 @@ class BatchIterativeSolver:
                 parked = parked[:0]
 
 
-class BatchCgSolver(BatchIterativeSolver):
-    """Lockstep-batched CG: :class:`CgRecurrence` over the active head."""
-
-    recurrence = CgRecurrence
-
-
-class BatchBicgstabSolver(BatchIterativeSolver):
-    """Lockstep-batched BiCGSTAB: :class:`BicgstabRecurrence` over the active head."""
-
-    recurrence = BicgstabRecurrence
-
-
-class BatchGmresSolver(BatchIterativeSolver):
-    """Lockstep-batched GMRES: :class:`GmresRecurrence` over the active head."""
-
-    recurrence = GmresRecurrence
-
-
-class BatchCg(BatchSolverFactory):
-    """Batched CG factory (``gko::batch::solver::Cg``)."""
-
-    solver_class = BatchCgSolver
-    parameter_names = ()
-
-
-class BatchBicgstab(BatchSolverFactory):
-    """Batched BiCGSTAB factory (``gko::batch::solver::Bicgstab``)."""
-
-    solver_class = BatchBicgstabSolver
-    parameter_names = ()
-
-
-class BatchGmres(BatchSolverFactory):
-    """Batched GMRES factory (``gko::batch::solver::Gmres``)."""
-
-    solver_class = BatchGmresSolver
-    parameter_names = ("krylov_dim",)
+#: ``{method: batched factory}`` (``BatchCg``, ...), one per method whose
+#: recurrence runs on the batched head.
+SOLVERS = derive_instances(
+    "batch", BatchIterativeSolver, BatchSolverFactory, globals()
+)

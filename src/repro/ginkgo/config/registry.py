@@ -10,21 +10,7 @@ from __future__ import annotations
 
 from repro.ginkgo.preconditioner import Ic, Ilu, Isai, Jacobi
 from repro.ginkgo.multigrid import Pgm
-from repro.ginkgo.solver import (
-    Bicg,
-    Bicgstab,
-    CbGmres,
-    Cg,
-    Cgs,
-    Direct,
-    Fcg,
-    Gmres,
-    Idr,
-    Ir,
-    LowerTrs,
-    Minres,
-    UpperTrs,
-)
+from repro.ginkgo.solver import METHODS, SOLVERS, Direct, LowerTrs, UpperTrs
 from repro.ginkgo.stop import (
     Deadline,
     Divergence,
@@ -33,18 +19,14 @@ from repro.ginkgo.stop import (
     Time,
 )
 
-#: Solver type name -> (factory class, accepted parameter names).
+#: Solver type name -> (factory class, accepted parameter names): every
+#: scalar method of the method table as ``solver::<Factory>`` accepting
+#: its recurrence's parameters, then the direct and triangular solvers.
 SOLVER_REGISTRY = {
-    "solver::Cg": (Cg, ()),
-    "solver::Fcg": (Fcg, ()),
-    "solver::Cgs": (Cgs, ()),
-    "solver::Bicg": (Bicg, ()),
-    "solver::Bicgstab": (Bicgstab, ()),
-    "solver::Gmres": (Gmres, ("krylov_dim",)),
-    "solver::CbGmres": (CbGmres, ("krylov_dim", "storage_precision")),
-    "solver::Idr": (Idr, ("subspace_dim", "deterministic", "kappa")),
-    "solver::Minres": (Minres, ()),
-    "solver::Ir": (Ir, ("relaxation_factor",)),
+    **{
+        f"solver::{factory.__name__}": (factory, METHODS[name].parameters)
+        for name, factory in SOLVERS.items()
+    },
     "solver::Direct": (Direct, ()),
     "solver::LowerTrs": (LowerTrs, ("unit_diagonal",)),
     "solver::UpperTrs": (UpperTrs, ("unit_diagonal",)),
@@ -77,18 +59,10 @@ STOP_REGISTRY = {
     "stop::Deadline": (Deadline, ("at",)),
 }
 
-#: Short aliases accepted in configs for user convenience.
+#: Short aliases accepted in configs for user convenience: the method
+#: names, and ``direct``.
 SOLVER_ALIASES = {
-    "cg": "solver::Cg",
-    "fcg": "solver::Fcg",
-    "cgs": "solver::Cgs",
-    "bicg": "solver::Bicg",
-    "bicgstab": "solver::Bicgstab",
-    "gmres": "solver::Gmres",
-    "cb_gmres": "solver::CbGmres",
-    "idr": "solver::Idr",
-    "minres": "solver::Minres",
-    "ir": "solver::Ir",
+    **{name: f"solver::{f.__name__}" for name, f in SOLVERS.items()},
     "direct": "solver::Direct",
 }
 

@@ -16,35 +16,31 @@ for the enforcement.
 from repro.ginkgo.distributed.comm import Communicator, InflightExchange
 from repro.ginkgo.distributed.matrix import Matrix, RowGatherer
 from repro.ginkgo.distributed.partition import Partition
-from repro.ginkgo.distributed.solver import (
-    DistributedCg,
-    DistributedCgSolver,
-    DistributedGmres,
-    DistributedGmresSolver,
-    DistributedIterativeSolver,
-    DistributedPipelinedCg,
-    DistributedPipelinedCgSolver,
-)
+from repro.ginkgo.distributed.solver import SOLVERS, DistributedIterativeSolver
 from repro.ginkgo.distributed.vector import (
     Vector,
     run_rankwise,
     sequential_ranks,
 )
 
-__all__ = [
+#: The derived solver classes (``DistributedCg``, its solver class, ...).
+_DERIVED = {
+    cls.__name__: cls
+    for factory in SOLVERS.values()
+    for cls in (factory, factory.solver_class)
+}
+globals().update(_DERIVED)
+
+__all__ = sorted([
     "Communicator",
-    "DistributedCg",
-    "DistributedCgSolver",
-    "DistributedGmres",
-    "DistributedGmresSolver",
     "DistributedIterativeSolver",
-    "DistributedPipelinedCg",
-    "DistributedPipelinedCgSolver",
     "InflightExchange",
     "Matrix",
     "Partition",
     "RowGatherer",
+    "SOLVERS",
     "Vector",
     "run_rankwise",
     "sequential_ranks",
-]
+    *_DERIVED,
+])

@@ -123,11 +123,6 @@ class Partition:
             )
         return self._ranges[rank]
 
-    def local_size(self, rank: int) -> int:
-        """Number of rows owned by ``rank``."""
-        lo, hi = self.range_of(rank)
-        return hi - lo
-
     @property
     def sizes(self) -> tuple:
         """Rows per rank, indexed by rank."""

@@ -324,6 +324,11 @@ class Vector(LinOp):
         self.elementwise("add_scaled", op, 3)
         return self
 
+    def sub_scaled(self, alpha, other: "Vector") -> "Vector":
+        """``self -= alpha * other`` in place."""
+        a = _coef(alpha, self.dtype)
+        return self.add_scaled(-a if np.ndim(a) else -float(a), other)
+
     # ------------------------------------------------------------------
     # reductions (global-order evaluation + simulated all_reduce)
     # ------------------------------------------------------------------

@@ -40,6 +40,10 @@ PCIE_BANDWIDTH = 25e9
 PCIE_LATENCY = 8.0e-6
 
 
+#: Stamped by :meth:`Executor.create` on the instance it constructs.
+_CREATE_PERMIT = object()
+
+
 def _nbytes_of(shape, dtype) -> int:
     """Size of an allocation request without performing it."""
     count = 1
@@ -55,8 +59,6 @@ class Executor:
     matching Ginkgo's protected constructors.
     """
 
-    _allow_construction = False
-
     def __init__(
         self,
         spec: DeviceSpec,
@@ -66,11 +68,7 @@ class Executor:
         seed: int = 0,
         noisy: bool = True,
     ) -> None:
-        if not Executor._allow_construction:
-            raise TypeError(
-                f"{type(self).__name__} cannot be constructed directly; "
-                "use the static create() factory"
-            )
+        self._check_created()
         self.spec = spec
         self.device_id = device_id
         self.num_threads = num_threads
@@ -88,12 +86,24 @@ class Executor:
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, *args, **kwargs) -> "Executor":
-        """Create an executor instance (Ginkgo-style static factory)."""
-        Executor._allow_construction = True
-        try:
-            return cls(*args, **kwargs)
-        finally:
-            Executor._allow_construction = False
+        """Create an executor instance (Ginkgo-style static factory).
+
+        The permit to construct is stamped on the one new instance, so a
+        ``create`` nested in a constructor, or running on another thread,
+        cannot revoke it.
+        """
+        executor = cls.__new__(cls)
+        executor.__dict__["_permit"] = _CREATE_PERMIT
+        executor.__init__(*args, **kwargs)
+        return executor
+
+    def _check_created(self) -> None:
+        """Raise unless :meth:`create` is constructing this instance."""
+        if self.__dict__.pop("_permit", None) is not _CREATE_PERMIT:
+            raise TypeError(
+                f"{type(self).__name__} cannot be constructed directly; "
+                f"use {type(self).__name__}.create()"
+            )
 
     # ------------------------------------------------------------------
     # identity

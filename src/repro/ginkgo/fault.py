@@ -382,11 +382,7 @@ class FaultyExecutor(Executor):
     """
 
     def __init__(self, inner: Executor, injector: FaultInjector) -> None:
-        if not Executor._allow_construction:
-            raise TypeError(
-                "FaultyExecutor cannot be constructed directly; "
-                "use FaultyExecutor.create(inner, injector)"
-            )
+        self._check_created()
         if isinstance(inner, FaultyExecutor):
             raise GinkgoError("refusing to wrap an already-faulty executor")
         if not isinstance(inner, Executor):

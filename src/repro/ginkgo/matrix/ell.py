@@ -145,7 +145,7 @@ class Ell(SparseBase):
         mask = self._values != 0
         return sp.csr_matrix(
             (
-                self._values[mask],
+                scipy_safe(self._values[mask]),
                 (rows[mask], self._col_idxs[mask]),
             ),
             shape=self.shape,

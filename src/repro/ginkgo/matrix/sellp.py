@@ -203,6 +203,9 @@ class Sellp(SparseBase):
         row = self._slot_rows()
         mask = (self._values != 0) & (row < self._size.rows)
         return sp.csr_matrix(
-            (self._values[mask], (row[mask], self._col_idxs[mask])),
+            (
+                scipy_safe(self._values[mask]),
+                (row[mask], self._col_idxs[mask]),
+            ),
             shape=self.shape,
         )

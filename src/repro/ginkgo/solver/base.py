@@ -40,6 +40,9 @@ def _normalise_criteria(criteria):
 class SolverFactory(LinOpFactory):
     """Factory holding solver parameters (Ginkgo's ``Solver::build()``).
 
+    The iterative methods' factories are derived from the method table
+    (:func:`repro.ginkgo.solver.derive_instances`).
+
     Args:
         exec_: Executor to generate solvers on.
         criteria: A criterion factory, a list of them (OR-combined), or
@@ -99,6 +102,9 @@ class IterativeSolver(LinOp):
     requires_square = True
     #: The method's :class:`Recurrence` (every concrete solver names one).
     recurrence: type | None = None
+    #: Factory parameters this class reads itself; its factory accepts
+    #: them after the recurrence's ``parameters``.
+    extra_parameters: tuple = ()
 
     _profile_category = "solver"
 

@@ -7,7 +7,6 @@ system matrix for the shadow sequence.
 from __future__ import annotations
 
 from repro.ginkgo.exceptions import NotSupported
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -61,16 +60,3 @@ class BicgRecurrence(Recurrence):
         r2.sub_scaled(alpha, q2)
         iteration += 1
         return iteration, self.monitor(iteration, r.compute_norm2())
-
-
-class BicgSolver(IterativeSolver):
-    """Generated BiCG operator: :class:`BicgRecurrence` over ``Dense``."""
-
-    recurrence = BicgRecurrence
-
-
-class Bicg(SolverFactory):
-    """BiCG factory."""
-
-    solver_class = BicgSolver
-    parameter_names = ()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -15,6 +14,7 @@ class BicgstabRecurrence(Recurrence):
 
     vectors = ("x", "r", "r_tld", "p", "v")
     scalars = ("alpha", "omega", "rho_old")
+    instances = ("scalar", "batch", "distributed")
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         super().__init__(A, M, b, x, r, ws, monitor)
@@ -61,16 +61,3 @@ class BicgstabRecurrence(Recurrence):
         self.alpha, self.omega, self.rho_old = alpha, omega, rho
         iteration += 1
         return iteration, self.monitor(iteration, r.compute_norm2())
-
-
-class BicgstabSolver(IterativeSolver):
-    """Generated BiCGSTAB operator: :class:`BicgstabRecurrence` over ``Dense``."""
-
-    recurrence = BicgstabRecurrence
-
-
-class Bicgstab(SolverFactory):
-    """BiCGSTAB factory."""
-
-    solver_class = BicgstabSolver
-    parameter_names = ()

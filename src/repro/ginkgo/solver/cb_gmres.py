@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.ginkgo.accessor import arithmetic_dtype_for, value_dtype_for
 from repro.ginkgo.matrix.base import check_value_dtype
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM, GmresRecurrence
 from repro.ginkgo.solver.kernels import hessenberg_solve, stacked
 from repro.perfmodel import blas1_cost
@@ -34,9 +33,15 @@ class CbGmresRecurrence(GmresRecurrence):
     half working dtypes, like the engine's half kernels).  The multi-dot
     and rank update are BLAS products against the decompressed basis
     (not GMRES's einsum contraction).
+
+    Parameters:
+        krylov_dim: Restart length (default 30).
+        storage_precision: dtype the Krylov basis is stored in
+            (default float32; float16 for the most aggressive compression).
     """
 
     parameters = ("krylov_dim", "storage_precision")
+    instances = ("scalar",)
 
     def __init__(
         self, A, M, b, x, r, ws, monitor,
@@ -92,22 +97,3 @@ class CbGmresRecurrence(GmresRecurrence):
         hessenberg_solve(self.x.executor, self.hessenberg[k], self.g[k], y)
         xd[k, :, 0] += self.basis[k][:, : y.size].astype(self.arith) @ y
         self._charge("cb_gmres_x_update", xd.shape[1] * y.size)
-
-
-class CbGmresSolver(IterativeSolver):
-    """Generated CB-GMRES operator: :class:`CbGmresRecurrence` over ``Dense``."""
-
-    recurrence = CbGmresRecurrence
-
-
-class CbGmres(SolverFactory):
-    """CB-GMRES factory.
-
-    Parameters:
-        krylov_dim: Restart length (default 30).
-        storage_precision: dtype the Krylov basis is stored in
-            (default float32; float16 for the most aggressive compression).
-    """
-
-    solver_class = CbGmresSolver
-    parameter_names = ("krylov_dim", "storage_precision")

@@ -7,7 +7,6 @@ independently in one apply.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
@@ -22,6 +21,7 @@ class CgRecurrence(Recurrence):
 
     vectors = ("x", "r", "p")
     scalars = ("rz",)
+    instances = ("scalar", "batch", "distributed")
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         super().__init__(A, M, b, x, r, ws, monitor)
@@ -53,16 +53,3 @@ class CgRecurrence(Recurrence):
             cg_step_2(x, r, p, q, alpha)
         iteration += 1
         return iteration, self.monitor(iteration, r.compute_norm2())
-
-
-class CgSolver(IterativeSolver):
-    """Generated CG operator: :class:`CgRecurrence` over ``Dense``."""
-
-    recurrence = CgRecurrence
-
-
-class Cg(SolverFactory):
-    """CG factory: ``Cg(exec, criteria=..., preconditioner=...)``."""
-
-    solver_class = CgSolver
-    parameter_names = ()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import cgs_step_1, cgs_step_2, cgs_step_3
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
@@ -58,16 +57,3 @@ class CgsRecurrence(Recurrence):
         self.rho_old = rho
         iteration += 1
         return iteration, self.monitor(iteration, r.compute_norm2())
-
-
-class CgsSolver(IterativeSolver):
-    """Generated CGS operator: :class:`CgsRecurrence` over ``Dense``."""
-
-    recurrence = CgsRecurrence
-
-
-class Cgs(SolverFactory):
-    """CGS factory."""
-
-    solver_class = CgsSolver
-    parameter_names = ()

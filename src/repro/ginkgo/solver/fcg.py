@@ -7,7 +7,6 @@ preconditioners that change between iterations.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -21,6 +20,7 @@ class FcgRecurrence(Recurrence):
 
     vectors = ("x", "r", "p", "r_old")
     scalars = ("rz",)
+    instances = ("scalar", "batch", "distributed")
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         super().__init__(A, M, b, x, r, ws, monitor)
@@ -49,16 +49,3 @@ class FcgRecurrence(Recurrence):
         r.sub_scaled(alpha, q)
         iteration += 1
         return iteration, self.monitor(iteration, r.compute_norm2())
-
-
-class FcgSolver(IterativeSolver):
-    """Generated FCG operator: :class:`FcgRecurrence` over ``Dense``."""
-
-    recurrence = FcgRecurrence
-
-
-class Fcg(SolverFactory):
-    """FCG factory."""
-
-    solver_class = FcgSolver
-    parameter_names = ()

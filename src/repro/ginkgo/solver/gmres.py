@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import (
     givens_update,
     gmres_multidot,
@@ -49,6 +48,9 @@ class GmresRecurrence(Recurrence):
     subspace; :attr:`closed` marks it, and ``j`` returns to 0 once every
     system's cycle closed.  CB-GMRES overrides the five ``_`` basis
     methods to store the basis compressed.
+
+    Parameters:
+        krylov_dim: Restart length (default 30, as in the paper).
     """
 
     vectors = ("x",)
@@ -56,6 +58,7 @@ class GmresRecurrence(Recurrence):
     cycle = ("basis", "hessenberg", "givens_cos", "givens_sin", "g")
     parameters = ("krylov_dim",)
     single_rhs = True
+    instances = ("scalar", "batch", "distributed")
     #: Precision of the host bookkeeping (Hessenberg, Givens, ``g``, ``y``).
     work_dtype = np.float64
 
@@ -190,20 +193,3 @@ class GmresRecurrence(Recurrence):
             x._data.dtype.itemsize, 2,
         )
         x.mark_modified()
-
-
-class GmresSolver(IterativeSolver):
-    """Generated GMRES operator: :class:`GmresRecurrence` over ``Dense``."""
-
-    recurrence = GmresRecurrence
-
-
-class Gmres(SolverFactory):
-    """GMRES factory.
-
-    Parameters:
-        krylov_dim: Restart length (default 30, as in the paper).
-    """
-
-    solver_class = GmresSolver
-    parameter_names = ("krylov_dim",)

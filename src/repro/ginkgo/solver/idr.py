@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.kernels import record_fused
 from repro.ginkgo.solver.recurrence import Recurrence
 
@@ -25,6 +24,11 @@ class IdrRecurrence(Recurrence):
     ``P`` followed by the dimension-reduction step, the residual reported
     to the monitor after each of the ``s + 1`` updates.  Carries ``x, r``,
     the ``G`` / ``U`` blocks, the small matrix ``P^T G`` and ``omega``.
+
+    Parameters:
+        subspace_dim: Shadow-space dimension ``s`` (default 2).
+        deterministic: Seed the shadow space reproducibly (default True).
+        kappa: Omega safeguard threshold (default 0.7, as in Ginkgo).
     """
 
     vectors = ("x", "r")
@@ -137,22 +141,3 @@ class IdrRecurrence(Recurrence):
         r.sub_scaled(omega, t)
         iteration += 1
         return iteration, self.monitor(iteration, float(r.compute_norm2()[0]))
-
-
-class IdrSolver(IterativeSolver):
-    """Generated IDR(s) operator: :class:`IdrRecurrence` over ``Dense``."""
-
-    recurrence = IdrRecurrence
-
-
-class Idr(SolverFactory):
-    """IDR(s) factory.
-
-    Parameters:
-        subspace_dim: Shadow-space dimension ``s`` (default 2).
-        deterministic: Seed the shadow space reproducibly (default True).
-        kappa: Omega safeguard threshold (default 0.7, as in Ginkgo).
-    """
-
-    solver_class = IdrSolver
-    parameter_names = ("subspace_dim", "deterministic", "kappa")

@@ -9,7 +9,7 @@ solves corrected in high precision.
 from __future__ import annotations
 
 from repro.ginkgo.lin_op import LinOp
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
+from repro.ginkgo.solver.base import IterativeSolver
 from repro.ginkgo.solver.recurrence import Recurrence
 
 
@@ -18,13 +18,19 @@ class IrRecurrence(Recurrence):
 
     ``M`` is the inner solver.  One step is one iteration, which
     recomputes the true residual ``r = b - A x``.
+
+    Parameters:
+        relaxation_factor: Richardson damping (default 1.0).
     """
 
     vectors = ("x", "r")
+    parameters = ("relaxation_factor",)
 
-    def __init__(self, A, M, b, x, r, ws, monitor, relaxation: float) -> None:
+    def __init__(
+        self, A, M, b, x, r, ws, monitor, relaxation_factor=1.0
+    ) -> None:
         super().__init__(A, M, b, x, r, ws, monitor)
-        self.relaxation = relaxation
+        self.relaxation = float(relaxation_factor)
         self.correction = r.scratch(ws, "ir.correction")
 
     def step(self, iteration: int) -> tuple:
@@ -38,17 +44,21 @@ class IrRecurrence(Recurrence):
 
 
 class IrSolver(IterativeSolver):
-    """Generated IR operator: :class:`IrRecurrence` over ``Dense``."""
+    """Generated IR operator: :class:`IrRecurrence` over ``Dense``, with
+    the inner solver in the preconditioner's place.
+
+    Parameters:
+        solver: Inner solver (LinOp or factory); identity when omitted.
+    """
 
     recurrence = IrRecurrence
+    extra_parameters = ("solver",)
 
     def __init__(self, factory, matrix) -> None:
         super().__init__(factory, matrix)
-        # The inner solver takes the preconditioner's place in the step.
         self._inner = self._generate_preconditioner(
             factory.params.get("solver"), matrix
         )
-        self._relaxation = float(factory.params.get("relaxation_factor", 1.0))
 
     @property
     def inner_solver(self) -> LinOp:
@@ -57,17 +67,5 @@ class IrSolver(IterativeSolver):
     def _recurrence(self, b, x, r, monitor) -> Recurrence:
         return IrRecurrence(
             self._matrix, self._inner, b, x, r, self._workspace, monitor,
-            self._relaxation,
+            self._factory.params.get("relaxation_factor", 1.0),
         )
-
-
-class Ir(SolverFactory):
-    """IR factory.
-
-    Parameters:
-        solver: Inner solver (LinOp or factory); identity when omitted.
-        relaxation_factor: Richardson damping (default 1.0).
-    """
-
-    solver_class = IrSolver
-    parameter_names = ("solver", "relaxation_factor")

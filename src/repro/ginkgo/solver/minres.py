@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
 from repro.ginkgo.solver.recurrence import Recurrence
 
 
@@ -107,16 +106,3 @@ class MinresRecurrence(Recurrence):
         self.oldb, self.beta, self.dbar, self.epsln = oldb, beta, dbar, epsln
         self.phibar, self.cs, self.sn = phibar, cs, sn
         return iteration, self.monitor(iteration, abs(phibar))
-
-
-class MinresSolver(IterativeSolver):
-    """Generated MINRES operator: :class:`MinresRecurrence` over ``Dense``."""
-
-    recurrence = MinresRecurrence
-
-
-class Minres(SolverFactory):
-    """MINRES factory."""
-
-    solver_class = MinresSolver
-    parameter_names = ()

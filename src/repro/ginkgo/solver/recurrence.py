@@ -21,7 +21,8 @@ step one iteration, MINRES one Lanczos/QR update, GMRES and CB-GMRES
 one inner iteration of their restart cycle, IDR(s) one cycle.  A
 :attr:`Recurrence.single_rhs` recurrence solves one column; the solver
 splits multi-column solves.  Scalar, distributed and batched solves are
-three *instances* of one recurrence, bit-identical by construction;
+three *instances* of one recurrence (:attr:`Recurrence.instances`
+declares which), bit-identical by construction;
 everything that is not arithmetic is a driver *around* ``step``:
 :func:`iterate` (plain), the distributed checkpoint/replay driver, the
 batched active-set compaction.  A step that meets an exact breakdown
@@ -83,6 +84,13 @@ class Recurrence:
     parameters: tuple = ()
     #: Whether one instance solves exactly one right-hand-side column.
     single_rhs: bool = False
+    #: The instances whose vector types this code runs on: ``"scalar"``
+    #: (``Dense``), ``"batch"`` (the batched active head) and
+    #: ``"distributed"`` (``distributed.Vector``).  Each declared
+    #: instance gets its solver and factory classes, binding symbols,
+    #: ``pg`` function and service route from the method table
+    #: (:data:`repro.ginkgo.solver.METHODS`).
+    instances: tuple = ("scalar",)
     #: Whether the carried state is just ``vectors`` and ``scalars``:
     #: after every step of a one-iteration method, between the cycles of
     #: a restarted one.

@@ -30,6 +30,7 @@ deadline are reported ``deadline_missed`` truthfully.
 
 from __future__ import annotations
 
+from repro.ginkgo.solver import methods_on
 from repro.service.job import SolveJob
 
 
@@ -48,20 +49,18 @@ def lane_key(job: SolveJob) -> tuple:
 class Coalescer:
     """Gathers queued jobs into the anchor job's batch lane.
 
+    A job is eligible when its method has a batched instance (its
+    recurrence lists ``"batch"`` in the method table).
+
     Args:
         max_lane: Largest lane (anchor included).  1 disables coalescing.
-        solvers: Solver names eligible for lanes (batched lockstep
-            implementations exist for these).
     """
 
-    def __init__(
-        self, max_lane: int = 16, solvers: tuple = ("cg", "bicgstab", "gmres")
-    ) -> None:
+    def __init__(self, max_lane: int = 16) -> None:
         self.max_lane = max(1, int(max_lane))
-        self.solvers = tuple(solvers)
 
     def eligible(self, job: SolveJob) -> bool:
-        return self.max_lane > 1 and job.solver in self.solvers
+        return self.max_lane > 1 and job.solver in methods_on("batch")
 
     def gather(self, anchor: SolveJob, queue, now: float) -> list:
         """The anchor's lane: ``[anchor, ...]`` pulled from ``queue``.
@@ -89,4 +88,4 @@ class Coalescer:
         return lane
 
     def __repr__(self) -> str:
-        return f"Coalescer(max_lane={self.max_lane}, solvers={self.solvers})"
+        return f"Coalescer(max_lane={self.max_lane})"

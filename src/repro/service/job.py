@@ -42,7 +42,8 @@ class SolveJob:
         deadline: Absolute virtual-clock instant (service seconds) by
             which the job should finish; ``None`` disables it.
         arrival: Virtual-clock submission instant.
-        solver: Solver name (``"cg"`` — the coalescer only lanes CG).
+        solver: Method name (default ``"cg"``); the coalescer lanes the
+            methods that have a batched instance.
         max_iters / reduction_factor: Stopping controls, part of the
             coalescing lane key.
     """

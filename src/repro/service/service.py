@@ -506,13 +506,12 @@ class SolverService:
         mtx = distributed_api.matrix(exec_, part, sp_mtx, overlap=self.overlap)
         b = distributed_api.vector(exec_, part, job.rhs, comm=mtx.comm)
         x = distributed_api.zeros_like(b)
-        makers = {"cg": distributed_api.cg, "gmres": distributed_api.gmres}
-        if job.solver not in makers:
+        if job.solver not in distributed_api.SOLVERS:
             raise GinkgoError(
                 f"no distributed route for solver {job.solver!r}; "
-                f"available: {sorted(makers)}"
+                f"available: {sorted(distributed_api.SOLVERS)}"
             )
-        handle = makers[job.solver](
+        handle = distributed_api.SOLVERS[job.solver](
             exec_,
             mtx,
             max_iters=job.max_iters,

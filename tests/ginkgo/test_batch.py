@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro import bindings
+from repro.ginkgo.batch import SOLVERS as BATCH
 from repro.ginkgo.batch import (
-    BatchBicgstab,
     BatchCg,
     BatchCriteria,
     BatchCsr,
@@ -19,20 +19,17 @@ from repro.ginkgo.batch import (
     BatchLowerTrs,
     BatchUpperTrs,
 )
-from repro.ginkgo.distributed import DistributedCg, DistributedGmres
+from repro.ginkgo.distributed import SOLVERS as DISTRIBUTED
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.log import ConvergenceLogger, ProfilerHook
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Jacobi
-from repro.ginkgo.solver import Bicgstab, Cg, Gmres
+from repro.ginkgo.solver import METHODS, Cg, Gmres
+from repro.ginkgo.solver import SOLVERS as SCALAR
 from repro.ginkgo.solver.gmres import GmresRecurrence
 from repro.ginkgo.stop import Divergence, Iteration, ResidualNorm
 from repro.ginkgo.executor import OmpExecutor, ReferenceExecutor
 from tests.ginkgo.test_distributed import distributed_history
-
-SCALAR = {"cg": Cg, "bicgstab": Bicgstab, "gmres": Gmres}
-BATCH = {"cg": BatchCg, "bicgstab": BatchBicgstab, "gmres": BatchGmres}
-DISTRIBUTED = {"cg": DistributedCg, "gmres": DistributedGmres}
 
 
 def make_batch(rng, n=30, K=6, spd=True):
@@ -132,6 +129,15 @@ class TestFormats:
         for k in range(4):
             assert np.array_equal(diag[k], mats[k].diagonal())
 
+    def test_batch_jacobi_inverts_each_diagonal(self, ref, rng):
+        mats, _ = make_batch(rng, n=12, K=4)
+        op = BatchJacobi().generate(BatchCsr.from_scipy_list(ref, mats))
+        assert op.inverse_diagonal.shape == (4, 12)
+        for k in range(4):
+            assert np.array_equal(
+                op.inverse_diagonal[k], 1.0 / mats[k].diagonal()
+            )
+
     def test_batch_spmv_matches_per_system(self, ref, rng):
         mats, bs = make_batch(rng, n=20, K=5)
         batch = BatchCsr.from_scipy_list(ref, mats)
@@ -146,10 +152,11 @@ class TestFormats:
 class TestBitIdentity:
     """Every instance of a method reproduces the scalar solve exactly.
 
-    One seeded batch goes through each instance of the method's
-    recurrence — K sequential scalar solves, the lockstep batch, and
-    (where supported) system 0 distributed over 1 and 4 ranks — and all
-    residual histories and solutions must agree bit for bit.
+    For every method of the method table with a batched instance, one
+    seeded batch goes through each instance of its recurrence — K
+    sequential scalar solves, the lockstep batch, and (where declared)
+    system 0 distributed over 1 and 4 ranks — and all residual histories
+    and solutions must agree bit for bit.
     """
 
     @pytest.mark.parametrize(
@@ -159,14 +166,15 @@ class TestBitIdentity:
                 name, vt, id=name if vt is np.float64 else f"{name}-float32"
             )
             for vt in (np.float64, np.float32)
-            for name in ("cg", "bicgstab", "gmres")
+            for name, rec in METHODS.items()
+            if "batch" in rec.instances
         ],
     )
     @pytest.mark.parametrize("precond", [False, True])
     def test_histories_and_solutions_bitwise_equal(
         self, ref, rng, name, value_type, precond
     ):
-        mats, bs = make_batch(rng, spd=(name == "cg"))
+        mats, bs = make_batch(rng, spd=name in ("cg", "fcg"))
         mats = [mat.astype(value_type) for mat in mats]
         bs = [rhs.astype(value_type) for rhs in bs]
         scalar = scalar_solves(mats, bs, SCALAR[name], precond)
@@ -189,12 +197,18 @@ class TestBitIdentity:
                 assert dsol.tobytes() == sol.tobytes(), ranks
 
     def test_instances_share_one_recurrence_object(self):
-        for name, scalar_cls in SCALAR.items():
-            recurrence = scalar_cls.solver_class.recurrence
-            assert recurrence.__name__.lower() == f"{name}recurrence"
-            if name in DISTRIBUTED:
-                assert DISTRIBUTED[name].solver_class.recurrence is recurrence
-            assert BATCH[name].solver_class.recurrence is recurrence
+        instances = {
+            "scalar": SCALAR, "batch": BATCH, "distributed": DISTRIBUTED
+        }
+        for name, recurrence in METHODS.items():
+            stem = recurrence.__name__.removesuffix("Recurrence")
+            assert stem.lower() == name.replace("_", "")
+            for instance, factories in instances.items():
+                declared = instance in recurrence.instances
+                assert (name in factories) == declared, (name, instance)
+                if declared:
+                    solver_class = factories[name].solver_class
+                    assert solver_class.recurrence is recurrence
         assert BatchGmres.solver_class.recurrence is GmresRecurrence
 
     def test_gmres_restart_waves_stay_identical(self, ref, rng):

@@ -1,5 +1,9 @@
 """Executor tests: creation, memory spaces, copies, clocks."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,42 @@ class TestCreation:
         # Mirrors Ginkgo's protected constructors (paper section 4.1).
         with pytest.raises(TypeError, match="create"):
             ReferenceExecutor()
+
+    def test_create_nested_in_a_constructor(self):
+        class Nesting(ReferenceExecutor):
+            def __init__(self, **kwargs):
+                # A create() finishing before this constructor's own
+                # check must not revoke this constructor's permit.
+                self.helper = ReferenceExecutor.create(noisy=False)
+                super().__init__(**kwargs)
+
+        nesting = Nesting.create(noisy=False)
+        assert isinstance(nesting.helper, ReferenceExecutor)
+        with pytest.raises(TypeError, match="create"):
+            Nesting()
+
+    def test_concurrent_creates_never_refuse(self):
+        # A GPU executor's constructor nests OmpExecutor.create() for its
+        # master; a tiny switch interval interleaves the threads' creates.
+        threads, rounds = 4, 200
+        barrier = threading.Barrier(threads, timeout=60)
+
+        def worker():
+            barrier.wait()
+            made = [CudaExecutor.create(noisy=False) for _ in range(rounds)]
+            with pytest.raises(TypeError):
+                CudaExecutor()
+            return len(made)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(worker) for _ in range(threads)]
+                done = [f.result(timeout=60) for f in futures]
+            assert done == [rounds] * threads
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_create_factory_works_for_all(self):
         for cls in (ReferenceExecutor, OmpExecutor, CudaExecutor, HipExecutor):

@@ -162,6 +162,8 @@ class TestMultigrid:
         sizes = amg.level_sizes
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= 64
+        # Every size but the direct coarsest solve's is a fine level.
+        assert amg.num_levels == len(sizes) - 1 >= 1
 
     def test_vcycle_reduces_error(self, ref, rng):
         matrix = poisson_2d(24)

@@ -125,6 +125,13 @@ class TestOracle:
                     assert got.dtype == ref_out.dtype
                     diff = np.abs(got.astype(np.float64) - ref_out.astype(np.float64))
                     assert np.all(diff <= bound)
+        # Conversions equal the Csr's too (float16 ones go through
+        # scipy_safe: SciPy has no float16 sparse matrices).
+        want = csr.to_scipy()
+        for padded in [ell, *sellps, *hybrids]:
+            for got in (padded.to_scipy(), padded.convert_to_csr().to_scipy()):
+                assert got.dtype == want.dtype, type(padded).__name__
+                assert np.array_equal(got.toarray(), want.toarray())
 
     def test_hybrid_spilling_row_is_not_bitwise(self, ref):
         """Why Hybrid's contract is a tolerance: one row, three entries,

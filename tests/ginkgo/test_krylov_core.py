@@ -186,7 +186,7 @@ def test_every_iterative_solver_names_its_recurrence():
         and isinstance(cls.solver_class, type)
         and issubclass(cls.solver_class, IterativeSolver)
     }
-    assert len(solvers) == 13
+    assert len(solvers) == 15
     for cls in solvers:
         assert isinstance(cls.recurrence, type), cls.__name__
         assert issubclass(cls.recurrence, Recurrence), cls.__name__

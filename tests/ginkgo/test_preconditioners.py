@@ -105,6 +105,20 @@ class TestIluIc:
         expect = np.linalg.solve(u_np, np.linalg.solve(l_np, r))
         np.testing.assert_allclose(np.asarray(z), expect, atol=1e-10)
 
+    def test_ilu_exposes_its_triangular_solvers(self, ref, spd_small, rng):
+        op = Ilu(ref).generate(Csr.from_scipy(ref, spd_small))
+        assert op.lower_solver.system_matrix is op.factorization.l_factor
+        assert op.upper_solver.system_matrix is op.factorization.u_factor
+        # Applying them in turn is the preconditioner's apply.
+        r = Dense(ref, rng.standard_normal((spd_small.shape[0], 1)))
+        y = Dense.zeros(ref, r.size, np.float64)
+        z = Dense.zeros(ref, r.size, np.float64)
+        op.lower_solver.apply(r, y)
+        op.upper_solver.apply(y, z)
+        want = Dense.zeros(ref, r.size, np.float64)
+        op.apply(r, want)
+        assert np.array_equal(np.asarray(z), np.asarray(want))
+
 
 class TestIsai:
     def test_isai_approximates_inverse(self, ref, spd_small, rng):

@@ -198,6 +198,12 @@ class TestFaultsAndMetrics:
         )
         hist = metrics.histogram("iterations_per_solve")
         assert hist.count == 1
+        snapshot = metrics.to_dict()
+        assert snapshot["counters"]["solves_converged"] == 1
+        assert snapshot["histograms"]["iterations_per_solve"] == {
+            "count": 1, "total": hist.total, "min": hist.min,
+            "max": hist.max, "mean": hist.mean,
+        }
         assert hist.mean == solver.num_iterations
 
 
