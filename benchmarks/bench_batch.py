@@ -19,7 +19,9 @@ Every gate is exact, so none depends on the host:
   compared byte-for-byte against its sequential counterpart;
 * the batched solve crosses the factory binding once, the sequential
   loop ``K`` times;
-* the batched solve is no slower on the simulated clock.
+* the batched solve is no slower on the simulated clock;
+* an ``omp(8)`` batched solve (threads are modelled only) reproduces
+  the reference executor's histories byte for byte.
 
 The wall-clock ratio is reported as ``wall_speedup_x`` beside
 ``cpu_count``, not gated.
@@ -188,14 +190,12 @@ def run(
             "batched residual histories differ from sequential solves"
         )
 
-    # Threaded batched path: same results, thread pool engaged.
+    # Modelled threads: an 8-thread omp batch is bytewise the reference.
     _fresh_state()
     omp = pg.device("omp", fresh=True, num_threads=8)
     omp_hists, omp_elapsed, _ = run_batched(omp, mats, rhs, max_iters, tol)
     if omp_hists != batch_hists:
-        failures.append("omp-threaded batched histories differ")
-    if omp.pool_regions == 0:
-        failures.append("omp batched solve never engaged the thread pool")
+        failures.append("omp(8) batched histories differ from reference")
 
     # Exact, host-independent gates: one factory crossing per batch, and
     # no simulated-time loss against the sequential loop.
@@ -230,8 +230,6 @@ def run(
         "sequential_times_s": seq_times,
         "batched_times_s": batch_times,
         "omp_batched_s": omp_elapsed,
-        "omp_pool_regions": omp.pool_regions,
-        "omp_pool_partitions": omp.pool_partitions,
         "wall_speedup_x": speedup,
         "cpu_count": os.cpu_count(),
         "residual_histories_identical": identical,
@@ -254,11 +252,7 @@ def run(
         f"{seq_median * 1e3:8.2f} ms/{num_systems} systems | batched "
         f"{batch_median * 1e3:8.2f} ms | {speedup:5.2f}x"
     )
-    print(
-        f"omp batched {omp_elapsed * 1e3:8.2f} ms, "
-        f"{omp.pool_regions} pool regions x "
-        f"{omp.num_threads} thread partitions"
-    )
+    print(f"omp(8) batched {omp_elapsed * 1e3:8.2f} ms, bytewise reference")
     print(f"wrote {out_path}")
     return report
 

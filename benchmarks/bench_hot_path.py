@@ -1,6 +1,6 @@
 """Cold vs warm hot-path benchmark (GMRES+ILU on a 2D Poisson stencil).
 
-Measures the host-side wall-clock win of the zero-allocation hot path:
+Compares the two ways of running the same solve:
 
 * **cold** — every solve rebuilds the ILU preconditioner and the GMRES
   handle, so binding dispatch, preconditioner generation, and every
@@ -9,9 +9,16 @@ Measures the host-side wall-clock win of the zero-allocation hot path:
   pool, the matrix-side conversion caches, and the pre-resolved binding
   dispatch entries.
 
-Numerics must not drift: every warm solve's residual history is compared
-byte-for-byte against its cold counterpart, and two same-seed warm runs
-must produce byte-identical Chrome traces.
+Every gate is exact, so none depends on the host:
+
+* reuse is complete: after the first warm solve, further warm solves
+  record zero workspace-pool misses and zero dispatch-cache misses;
+* numerics must not drift: every warm solve's residual history is
+  compared byte-for-byte against its cold counterpart;
+* two same-seed warm runs produce byte-identical Chrome traces.
+
+The cold/warm wall-clock ratio is reported as ``wall_speedup_x`` beside
+``cpu_count``, not gated.
 
 Standalone::
 
@@ -24,6 +31,7 @@ Writes ``BENCH_hot_path.json`` next to the repo root with the timings.
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,8 +42,8 @@ from repro.ginkgo import cachestats
 from repro.ginkgo.matrix import Csr
 from repro.suitesparse.generators import poisson_2d
 
-#: Acceptance threshold: warm solves must be at least this much faster.
-MIN_SPEEDUP = 1.25
+#: Cache families whose misses must stop after the first warm solve.
+WARM_CACHES = ("workspace", "dispatch")
 
 
 def _median(values):
@@ -161,6 +169,22 @@ def run_warm(nx, repeats, max_iters, trace=False):
     return times, histories, trace_json, stats
 
 
+def warm_misses(nx, repeats, max_iters):
+    """Cache misses of ``repeats - 1`` warm solves after the first one."""
+    _fresh_state()
+    dev, mtx, b, n = _setup(nx)
+    handle, _, _ = _one_solve(dev, mtx, b, n, max_iters=max_iters)
+    before = {kind: cachestats.counts(kind) for kind in WARM_CACHES}
+    for _ in range(repeats - 1):
+        handle, _, _ = _one_solve(
+            dev, mtx, b, n, handle=handle, max_iters=max_iters
+        )
+    return {
+        kind: cachestats.counts(kind)[1] - before[kind][1]
+        for kind in WARM_CACHES
+    }
+
+
 def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     """Run both paths, check the invariants, write the JSON report."""
     failures = []
@@ -170,6 +194,7 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     )
     _, _, trace1, _ = run_warm(nx, repeats, max_iters, trace=True)
     _, _, trace2, _ = run_warm(nx, repeats, max_iters, trace=True)
+    misses = warm_misses(nx, repeats, max_iters)
 
     # Numerics: every warm history byte-identical to its cold twin.
     if warm_hists != cold_hists:
@@ -180,25 +205,19 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     if trace1 != trace2:
         failures.append("same-seed warm traces are not byte-identical")
 
-    cold_mean = _median(cold_times)
-    warm_mean = _median(warm_times)
-    # Two robust estimators of the steady-state advantage: the median
-    # per-pair ratio (load-paired) and the ratio of per-side minima (the
-    # quiet-machine estimate — min discards every noise-inflated
-    # sample).  A genuine hot-path regression drives BOTH to ~1.0, so
-    # gate on the better one; that keeps co-tenant load spikes from
-    # failing CI without masking a real loss of the cached-path win.
-    speedup = max(
-        _median(ratios),
-        min(cold_times) / min(warm_times) if min(warm_times) > 0
-        else float("inf"),
-    )
-    if speedup < MIN_SPEEDUP:
-        failures.append(
-            f"warm speedup {speedup:.2f}x below the {MIN_SPEEDUP:.2f}x gate"
-        )
+    # Reuse, counted exactly: warm solves after the first miss nothing.
+    for kind, count in misses.items():
+        if count:
+            failures.append(
+                f"{count} {kind} misses in warm solves after the first"
+            )
     if stats.get("cache_workspace_hit", 0) == 0:
         failures.append("warm path recorded no workspace hits")
+
+    cold_mean = _median(cold_times)
+    warm_mean = _median(warm_times)
+    # Reported only: the median per-pair ratio (load-paired).
+    speedup = _median(ratios)
 
     report = {
         "benchmark": "hot_path_gmres_ilu",
@@ -210,8 +229,9 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
         "cold_times_s": cold_times,
         "warm_times_s": warm_times,
         "pair_ratios": ratios,
-        "speedup": speedup,
-        "min_speedup_gate": MIN_SPEEDUP,
+        "wall_speedup_x": speedup,
+        "cpu_count": os.cpu_count(),
+        "warm_misses_after_first": misses,
         "residual_histories_identical": warm_hists == cold_hists,
         "same_seed_traces_identical": trace1 == trace2,
         "iterations_per_solve": len(cold_hists[0]),
@@ -221,9 +241,14 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
 
     print(
+        "warm solves after the first: "
+        + ", ".join(f"{misses[k]} {k} misses" for k in WARM_CACHES)
+    )
+    print(
+        f"wall (information only, {os.cpu_count()} cores): "
         f"cold {cold_mean * 1e3:8.2f} ms/solve | "
         f"warm {warm_mean * 1e3:8.2f} ms/solve | "
-        f"speedup {speedup:5.2f}x (gate {MIN_SPEEDUP:.2f}x)"
+        f"median pair ratio {speedup:5.2f}x"
     )
     hits = stats.get("cache_workspace_hit", 0)
     misses = stats.get("cache_workspace_miss", 0)
@@ -246,9 +271,6 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--out", default="BENCH_hot_path.json")
     args = parser.parse_args()
-    # Below nx~32 the warm solve hits a fixed dispatch-overhead floor
-    # while the cold-only setup keeps shrinking, compressing the ratio
-    # toward the gate; nx=48 keeps a stable ~1.5x margin under load.
     nx = args.nx or 48
     repeats = args.repeats or (6 if args.smoke else 10)
     report = run(nx=nx, repeats=repeats, out_path=args.out)

@@ -161,8 +161,8 @@ def run(n=2048, max_iters=2000, tol=1e-9, out_path="BENCH_overlap.json"):
         "nnz": int(mat.nnz),
         "num_ranks": NUM_RANKS,
         "network": ETHERNET_CLUSTER.name,
-        "speedup": speedup,
-        "min_speedup_gate": MIN_SPEEDUP,
+        "simulated_speedup_x": speedup,
+        "min_simulated_speedup_x": MIN_SPEEDUP,
         "pinned_rtol": PIPELINED_RTOL,
         "blocking_cg": blocking,
         "pipelined_cg": pipelined,

@@ -54,19 +54,35 @@ def collect(root: Path, skipped: list | None = None) -> list:
     return reports
 
 
-def _fmt_speedup(report) -> str:
-    """``wall_speedup_x`` (reported, never gated) or the bare ``speedup``."""
-    wall = report.get("wall_speedup_x")
-    if wall is not None:
-        return f"{wall:.2f}x wall ({report.get('cpu_count', '?')} cpus)"
-    speedup = report.get("speedup")
-    gate = report.get("min_speedup_gate")
-    if speedup is None:
-        return "-"
-    text = f"{speedup:.2f}x"
+def _fmt_ratio(value, gate, label="") -> str:
+    text = f"{value:.2f}x{label}"
     if gate is not None:
         text += f" (gate {gate:.2f}x)"
     return text
+
+
+def _fmt_speedup(report) -> str:
+    """Each ratio named by its clock.
+
+    ``simulated_speedup_x`` (with its ``min_simulated_speedup_x`` gate)
+    and ``wall_speedup_x`` (reported beside ``cpu_count``, never gated);
+    a report written before the keys were renamed shows its bare
+    ``speedup``/``min_speedup_gate`` unlabelled.
+    """
+    cells = []
+    sim = report.get("simulated_speedup_x")
+    if sim is not None:
+        cells.append(
+            _fmt_ratio(sim, report.get("min_simulated_speedup_x"), " sim")
+        )
+    wall = report.get("wall_speedup_x")
+    if wall is not None:
+        cells.append(f"{wall:.2f}x wall ({report.get('cpu_count', '?')} cpus)")
+    if not cells and report.get("speedup") is not None:
+        cells.append(
+            _fmt_ratio(report["speedup"], report.get("min_speedup_gate"))
+        )
+    return "; ".join(cells) or "-"
 
 
 def _fmt_slo_cell(value, fmt) -> str:

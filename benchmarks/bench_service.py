@@ -172,8 +172,8 @@ def run(
         "system_size": small_n,
         "num_workers": num_workers,
         "max_lane": max_lane,
-        "speedup": speedup,
-        "min_speedup_gate": MIN_SPEEDUP,
+        "simulated_speedup_x": speedup,
+        "min_simulated_speedup_x": MIN_SPEEDUP,
         "solutions_byte_identical": identical_co and identical_base,
         "wall_coalesced_s": wall_co,
         "wall_baseline_s": wall_base,

@@ -4,7 +4,7 @@ Mirrors ``pg.solver`` for row-distributed operators: build a
 :class:`~repro.ginkgo.distributed.partition.Partition`, distribute the
 global matrix and vectors over it, and solve with any method whose
 recurrence runs distributed (:data:`SOLVERS`).  Rank-local kernels run
-thread-parallel on the OpenMP device; every collective charges the
+as one fused region per operation; every collective charges the
 simulated clock through the matrix's communicator; and the residual
 history is bitwise identical to the same solve on a single rank (see
 DESIGN.md).

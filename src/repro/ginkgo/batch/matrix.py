@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
-from repro.ginkgo.executor import Executor, OmpExecutor
+from repro.ginkgo.executor import Executor
 from repro.ginkgo.matrix.base import check_index_dtype, check_value_dtype, scipy_safe
 from repro.ginkgo.matrix.csr import Csr
 from repro.ginkgo.matrix.dense import Dense
@@ -438,12 +438,7 @@ class BatchCsr:
         return _batched_cost(cost, "spmv_batch_csr")
 
     def apply(self, b: BatchDense, x: BatchDense) -> BatchDense:
-        """Batched SpMV ``x[k] = A[k] @ b[k]`` — one modeled kernel.
-
-        On a multi-threaded :class:`OmpExecutor` the batch is split into
-        contiguous per-thread system chunks executed on the executor's
-        thread pool.
-        """
+        """Batched SpMV ``x[k] = A[k] @ b[k]`` — one modeled kernel."""
         K = self.num_systems
         if b.num_systems != K or x.num_systems != K:
             raise BadDimension(
@@ -454,29 +449,8 @@ class BatchCsr:
         cols = b.size.cols
         xs = b.data.reshape(K * c, cols)
         out = x.data.reshape(K * n, cols)
-        cost = self._spmv_cost(K, cols)
-        exec_ = self._exec
-        if (
-            isinstance(exec_, OmpExecutor)
-            and exec_.num_threads > 1
-            and K >= exec_.num_threads
-        ):
-            ranges = exec_.partition(np.ones(K))
-            tasks = []
-            parts = []
-            for lo, hi in ranges:
-                sub = self.block_operator(hi - lo, self._values[lo:hi])
-
-                def task(lo=lo, hi=hi, sub=sub):
-                    out[lo * n : hi * n] = sub @ xs[lo * c : hi * c]
-
-                tasks.append(task)
-                parts.append(
-                    {"weight": float(hi - lo), "systems": hi - lo}
-                )
-            exec_.run_partitioned(cost, tasks, parts)
-        else:
-            out[:] = self.block_operator(K, self._values) @ xs
+        out[:] = self.block_operator(K, self._values) @ xs
+        self._exec.run(self._spmv_cost(K, cols))
         return x
 
     def __repr__(self) -> str:

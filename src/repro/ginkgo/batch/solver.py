@@ -19,11 +19,6 @@ batched solve therefore match ``K`` sequential scalar solves exactly, by
 construction.  A GMRES system whose restart cycle closes alone (an
 invariant subspace, no stop) leaves the head like a stopped one and
 rejoins at the others' next restart point.
-
-On a multi-threaded :class:`~repro.ginkgo.executor.OmpExecutor` the
-batched SpMV splits the active systems into contiguous per-thread
-sub-batches dispatched on the executor's thread pool (block-diagonal
-rows are independent, so threading never changes results).
 """
 
 from __future__ import annotations
@@ -46,11 +41,8 @@ class _ActiveSystems:
 
     Owns a pooled ``(K, nnz)`` copy of the batch's matrix values whose
     leading ``[:count]`` rows always hold the active systems, the SciPy
-    block-diagonal operator(s) over them, and the matching rows of the
-    preconditioner state.  On a multi-threaded ``OmpExecutor`` the
-    active set is split into contiguous per-thread sub-batches; each
-    SpMV then runs the chunks concurrently on the executor's pool while
-    recording one aggregate batched kernel.
+    block-diagonal operator over them, and the matching rows of the
+    preconditioner state.
 
     A recurrence sees :meth:`spmv` as ``A`` and :meth:`precondition` as
     ``M`` (each wrapped in a :class:`_HeadOperator`).
@@ -68,7 +60,7 @@ class _ActiveSystems:
         self.count = 0
         #: ``ids[i]`` is the system at head position ``i``.
         self.ids = np.zeros(0, dtype=np.int64)
-        self._ops = []
+        self._op = None
 
     def reset(self, ids: np.ndarray) -> None:
         """Gather the systems in ``ids`` into the active head."""
@@ -98,24 +90,9 @@ class _ActiveSystems:
 
     def _rebuild(self, count: int) -> None:
         self.count = count
-        self._ops = []
-        if count == 0:
-            return
-        exec_ = self._exec
-        # Duck-typed so wrappers (FaultyExecutor around an OmpExecutor)
-        # still take the thread-partitioned path.
-        if (
-            (getattr(exec_, "num_threads", None) or 1) > 1
-            and hasattr(exec_, "partition")
-            and count >= exec_.num_threads
-        ):
-            ranges = exec_.partition(np.ones(count))
-        else:
-            ranges = [(0, count)]
-        for lo, hi in ranges:
-            self._ops.append(
-                (lo, hi, self._mat.block_operator(hi - lo, self._vals[lo:hi]))
-            )
+        self._op = (
+            self._mat.block_operator(count, self._vals) if count else None
+        )
 
     def spmv(self, src: np.ndarray, dst: np.ndarray) -> None:
         """``dst[k] = A[k] @ src[k]`` over the active head — one kernel."""
@@ -125,23 +102,9 @@ class _ActiveSystems:
         c = self._mat.size.cols
         xs = src[:count].reshape(count * c, num_rhs)
         out = dst[:count].reshape(count * n, num_rhs)
-        cost = self._mat._spmv_cost(count, num_rhs)
+        out[:] = self._op @ xs
         exec_ = self._exec
-        if len(self._ops) > 1:
-            tasks = []
-            parts = []
-            for lo, hi, sub in self._ops:
-
-                def task(lo=lo, hi=hi, sub=sub):
-                    out[lo * n : hi * n] = sub @ xs[lo * c : hi * c]
-
-                tasks.append(task)
-                parts.append({"weight": float(hi - lo), "systems": hi - lo})
-            exec_.run_partitioned(cost, tasks, parts)
-        else:
-            _, _, sub = self._ops[0]
-            out[:] = sub @ xs
-            exec_.run(cost)
+        exec_.run(self._mat._spmv_cost(count, num_rhs))
         # Per-system fault site: corruption lands in exactly one active
         # system's output block, which the monitor then quarantines via
         # the existing breakdown compaction — the rest of the batch is

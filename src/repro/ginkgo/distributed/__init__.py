@@ -2,7 +2,7 @@
 
 Row-partitions a global operator over ``K`` simulated ranks that share
 one address space: numerics stay real (rank-local SpMV and fused vector
-updates run thread-parallel on ``OmpExecutor``), while every collective
+updates run as one fused region per operation), while every collective
 and halo exchange is charged on the simulated clock through a
 :class:`Communicator` using the alpha-beta network model in
 :mod:`repro.perfmodel.comm`.

@@ -17,9 +17,9 @@ matvec reduces each row independently, so the per-rank results are
 bitwise identical to the single-rank (or scalar ``Csr``) SpMV built from
 the same matrix — the foundation of the distributed solvers' bit-exact
 residual histories.  The structural blocks still drive what the real
-implementation would pay: the halo gather is actually performed
-(thread-parallel, into pooled buffers) and the communicator charges the
-message costs derived from the non-local sparsity pattern.
+implementation would pay: the halo gather is actually performed (into
+pooled buffers) and the communicator charges the message costs derived
+from the non-local sparsity pattern.
 
 Overlap mode (``overlap=True``) instead executes Ginkgo's two-phase
 distributed SpMV for real: the halo exchange is *posted* non-blocking,
@@ -61,8 +61,8 @@ class RowGatherer:
     SpMV, every rank needs the source-vector entries behind its non-local
     columns.  ``recv_indices(k)`` lists rank ``k``'s required global rows
     (sorted); the gather copies them out of the source arena into pooled
-    per-rank halo buffers, thread-parallel on ``OmpExecutor``, and the
-    message count per rank is the number of distinct owning ranks.
+    per-rank halo buffers as one fused region, and the message count per
+    rank is the number of distinct owning ranks.
     """
 
     def __init__(self, exec_, partition: Partition, ghost_cols) -> None:

@@ -76,8 +76,8 @@ class Partition:
     def build_from_weights(cls, weights, num_ranks: int) -> "Partition":
         """Contiguous ranges balancing cumulative per-row ``weights``.
 
-        Uses the same equal-cumulative-weight cut points the OmpExecutor
-        uses for thread partitions (e.g. pass nonzeros per row so every
+        Cuts at equal cumulative weight, the schedule OpenMP's static
+        load-balanced CSR kernels use (e.g. pass nonzeros per row so every
         rank owns a similar share of the SpMV work).
         """
         weights = np.asarray(weights, dtype=np.float64)

@@ -4,9 +4,8 @@ A distributed vector owns one executor-resident arena of shape
 ``(global_rows, cols)`` whose disjoint row blocks are the per-rank local
 storage (the simulated ranks share an address space, like MPI windows on
 one node); :meth:`local` hands out a writable zero-copy ``Dense`` view of
-one rank's block.  Rank-local elementwise work runs thread-parallel on
-``OmpExecutor`` through the same partitioned-region machinery the CSR
-SpMV uses.
+one rank's block.  Rank-local work runs as one fused region per
+operation (:func:`run_rankwise`).
 
 Reductions (dots, norms) are the crux of the bit-identity guarantee: the
 partial results of a real distributed dot would be combined in rank order
@@ -86,32 +85,23 @@ def _split_cost(cost, parts):
 def run_rankwise(exec_, cost, tasks, parts=None, fused=None):
     """Run one-task-per-rank work as a single modeled kernel.
 
-    Dispatches onto the executor's thread pool when it has more than one
-    worker (``OmpExecutor.run_partitioned``).  On a single worker the
-    rank loop collapses: when the caller supplies ``fused`` — one
+    The rank loop runs on the calling thread whatever the executor's
+    (modelled) ``num_threads``.  When the caller supplies ``fused`` — one
     whole-arena callable equivalent to running every task — that single
     kernel replaces the per-rank loop (bitwise-identical by the
     global-arena construction, and free of per-rank dispatch overhead).
-    Executor choice never changes simulated timings.
 
     Under :func:`sequential_ranks` every task instead pays its own
     dispatch, with ``cost`` split across ranks by partition weight.
     """
-    if parts is None:
-        parts = [{} for _ in tasks]
     if _SEQUENTIAL_RANKS and len(tasks) > 1:
+        if parts is None:
+            parts = [{} for _ in tasks]
         results = []
         for task, sub_cost in zip(tasks, _split_cost(cost, parts)):
             results.append(task())
             exec_.run(sub_cost)
         return results
-    runner = getattr(exec_, "run_partitioned", None)
-    if (
-        runner is not None
-        and (getattr(exec_, "num_threads", None) or 1) > 1
-        and len(tasks) > 1
-    ):
-        return runner(cost, tasks, parts)
     if fused is not None:
         result = fused()
         exec_.run(cost)
@@ -250,7 +240,7 @@ class Vector(LinOp):
         return view
 
     # ------------------------------------------------------------------
-    # elementwise operations (rank-local, thread-parallel)
+    # elementwise operations (rank-local, one fused region)
     # ------------------------------------------------------------------
     def _rank_parts(self) -> list:
         return [

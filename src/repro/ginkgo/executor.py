@@ -3,7 +3,7 @@
 This mirrors Ginkgo's executor hierarchy (section 4.1 of the paper):
 
 * :class:`ReferenceExecutor` — sequential host execution for verification;
-* :class:`OmpExecutor` — multi-threaded host execution;
+* :class:`OmpExecutor` — multi-threaded host execution (threads modelled);
 * :class:`CudaExecutor` — an NVIDIA GPU (simulated as an A100);
 * :class:`HipExecutor` — an AMD GPU (simulated as an MI100).
 
@@ -297,14 +297,12 @@ class ReferenceExecutor(Executor):
 class OmpExecutor(Executor):
     """Multi-threaded host executor (Ginkgo `omp`).
 
-    Beyond the modeled bandwidth scaling, this executor runs host kernels
-    *physically* in parallel: partitioned work (row-split SpMV, batched
-    sub-batches) is dispatched onto a lazily created
-    ``concurrent.futures.ThreadPoolExecutor``.  NumPy and SciPy release
-    the GIL inside their C kernels, so the partitions genuinely overlap.
-    The simulated clock is unaffected — :meth:`run_partitioned` records
-    the same aggregate cost serial execution would — but profiler traces
-    show one span per worker thread.
+    ``num_threads`` is a *modelled* quantity only: it sets the simulated
+    clock's bandwidth saturation point, peak-flop share and per-region
+    team cost (:mod:`repro.perfmodel.threads`), the way Ginkgo's executor
+    carries its thread count.  Host kernels run on the calling thread
+    whatever the count, so results, simulated timings and traces never
+    depend on it beyond the model.
     """
 
     def __init__(self, num_threads: int | None = None, **kwargs) -> None:
@@ -315,78 +313,6 @@ class OmpExecutor(Executor):
             )
         threads = num_threads or spec.cores
         super().__init__(spec, device_id=0, num_threads=threads, **kwargs)
-        self._pool = None
-        #: Number of parallel regions actually dispatched to the pool.
-        self.pool_regions = 0
-        #: Total partitions executed across those regions.
-        self.pool_partitions = 0
-
-    @property
-    def thread_pool(self):
-        """The lazily created worker pool (``None`` until first use)."""
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_threads,
-                thread_name_prefix=f"omp-{self.device_id}",
-            )
-        return self._pool
-
-    def partition(self, weights) -> list[tuple[int, int]]:
-        """Contiguous load-balanced ``[lo, hi)`` ranges, one per thread.
-
-        Args:
-            weights: Per-item work estimate (e.g. nonzeros per row).  The
-                cut points equalise cumulative weight across threads, the
-                same schedule OpenMP's static load-balanced CSR kernels
-                use.
-
-        Returns:
-            ``min(num_threads, len(weights))`` non-empty ranges covering
-            ``[0, len(weights))``.
-        """
-        weights = np.asarray(weights, dtype=np.float64)
-        count = len(weights)
-        parts = min(self.num_threads, count)
-        if parts <= 1:
-            return [(0, count)]
-        cumulative = np.cumsum(weights)
-        targets = cumulative[-1] * np.arange(1, parts) / parts
-        cuts = np.searchsorted(cumulative, targets, side="left") + 1
-        # Clamp so every range keeps at least one item, then restore
-        # monotonicity (skewed weights can push cuts together).
-        cuts = np.maximum(cuts, np.arange(1, parts))
-        cuts = np.minimum(cuts, count - parts + np.arange(1, parts))
-        cuts = np.maximum.accumulate(cuts)
-        bounds = [0, *cuts.tolist(), count]
-        return [(bounds[i], bounds[i + 1]) for i in range(parts)]
-
-    def run_partitioned(self, cost: KernelCost, tasks, parts=None) -> list:
-        """Run ``tasks`` concurrently on the pool as one modeled kernel.
-
-        Args:
-            cost: Aggregate :class:`KernelCost` of the whole operation —
-                recorded once, exactly as serial execution would.
-            tasks: Zero-argument callables writing disjoint outputs.
-            parts: Optional per-task trace metadata dicts (``weight`` key
-                sets each partition's share of the traced duration).
-
-        Returns:
-            The tasks' return values, in order.
-        """
-        if parts is None:
-            parts = [{} for _ in tasks]
-        if len(tasks) <= 1 or self.num_threads <= 1:
-            results = [task() for task in tasks]
-            self.clock.record(cost)
-            return results
-        futures = [self.thread_pool.submit(task) for task in tasks]
-        results = [future.result() for future in futures]
-        self.pool_regions += 1
-        self.pool_partitions += len(tasks)
-        self.clock.record_partitioned(cost, parts)
-        return results
 
 
 class _DeviceExecutor(Executor):

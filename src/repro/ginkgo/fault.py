@@ -514,33 +514,6 @@ class FaultyExecutor(Executor):
                 )
         return self._inner.run(cost)
 
-    def run_partitioned(self, cost, tasks, parts=None):
-        """Faulted partitioned dispatch (batch/distributed rank kernels).
-
-        Without this override ``getattr(exec_, "run_partitioned")`` would
-        resolve through ``__getattr__`` to the inner executor's bound
-        method, silently bypassing the ``run`` fault site for every
-        partitioned batch or distributed kernel.
-        """
-        fault = self._injector.decide("run", detail=cost.name)
-        if fault is not None:
-            self._announce(fault)
-            if fault.kind == "stall":
-                self.clock.advance(self._injector.stall_seconds)
-            else:
-                raise CudaError(
-                    f"simulated transient fault in kernel {cost.name!r} "
-                    f"on {self.name}"
-                )
-        runner = getattr(self._inner, "run_partitioned", None)
-        if runner is None:
-            # Inner executor has no thread pool: collapse to the serial
-            # path (same numerics, one aggregate kernel charge).
-            results = [task() for task in tasks]
-            self._inner.run(cost)
-            return results
-        return runner(cost, tasks, parts)
-
     # Non-faulted boundaries delegate explicitly (they are defined on the
     # base class, so __getattr__ would not reroute them).
     def free(self, data: np.ndarray) -> None:

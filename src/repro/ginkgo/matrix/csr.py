@@ -18,15 +18,12 @@ import scipy.sparse as sp
 
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
-from repro.ginkgo.executor import Executor, OmpExecutor
+from repro.ginkgo.executor import Executor
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.matrix.base import SparseBase, check_index_dtype, check_value_dtype
-from repro.perfmodel import conversion_cost, spmv_cost
+from repro.perfmodel import conversion_cost
 
 CSR_STRATEGIES = ("classical", "load_balance", "sparselib", "merge_path")
-
-#: Row count below which a single SpMV is not worth thread-partitioning.
-OMP_SPMV_MIN_ROWS = 4096
 
 
 class Csr(SparseBase):
@@ -146,120 +143,6 @@ class Csr(SparseBase):
         return sp.csr_matrix(
             (scipy_safe(self._values), self._col_idxs, self._row_ptrs),
             shape=self.shape,
-        )
-
-    # ------------------------------------------------------------------
-    # thread-parallel SpMV (OmpExecutor)
-    # ------------------------------------------------------------------
-    def _omp_partition_plan(self):
-        """Row-partitioned sub-matrices for the executor's thread pool.
-
-        Returns ``None`` when partitioning does not apply (non-OMP
-        executor, single thread, or a matrix too small to amortise the
-        fork).  The plan is cached per data generation.
-        """
-        exec_ = self._exec
-        if (
-            not isinstance(exec_, OmpExecutor)
-            or exec_.num_threads <= 1
-            or self._size.rows < OMP_SPMV_MIN_ROWS
-            or self._size.rows < exec_.num_threads
-        ):
-            return None
-        return self._cached_derived(
-            f"omp_spmv_plan[{exec_.num_threads}]",
-            self._build_omp_partition_plan,
-        )
-
-    def _build_omp_partition_plan(self):
-        """Nonzero-balanced contiguous row chunks as SciPy CSR views."""
-        from repro.ginkgo.matrix.base import scipy_safe
-
-        values = scipy_safe(self._values)
-        ranges = self._exec.partition(np.diff(self._row_ptrs) + 1)
-        plan = []
-        for lo, hi in ranges:
-            p0 = int(self._row_ptrs[lo])
-            p1 = int(self._row_ptrs[hi])
-            sub = sp.csr_matrix(
-                (
-                    values[p0:p1],
-                    self._col_idxs[p0:p1],
-                    self._row_ptrs[lo : hi + 1] - p0,
-                ),
-                shape=(hi - lo, self._size.cols),
-            )
-            plan.append((lo, hi, sub))
-        return plan
-
-    def _spmv_threaded(self, b: np.ndarray, plan) -> np.ndarray:
-        """Run one SpMV as per-thread row chunks; one modeled kernel.
-
-        Each chunk multiplies the same way SciPy's full CSR kernel
-        handles its rows, so the result is bit-identical to the serial
-        path; the aggregate cost is recorded once via
-        :meth:`OmpExecutor.run_partitioned`.
-        """
-        rows = self._size.rows
-        if self._value_dtype == np.float16:
-            b_c = b.astype(np.float32)
-            out = np.empty((rows, b.shape[1]), dtype=np.float32)
-        else:
-            b_c = b
-            out = np.empty(
-                (rows, b.shape[1]),
-                dtype=np.promote_types(self._value_dtype, b.dtype),
-            )
-
-        def make_task(lo, hi, sub):
-            def task():
-                out[lo:hi] = sub @ b_c
-
-            return task
-
-        tasks = [make_task(lo, hi, sub) for lo, hi, sub in plan]
-        parts = [
-            {
-                "weight": float(sub.nnz) or 1.0,
-                "rows": hi - lo,
-                "nnz": int(sub.nnz),
-            }
-            for lo, hi, sub in plan
-        ]
-        cost = spmv_cost(
-            self._format_name,
-            rows,
-            self._size.cols,
-            self.nnz,
-            self.value_bytes,
-            self.index_bytes,
-            num_rhs=b.shape[1],
-            **self._spmv_cost_kwargs(),
-        )
-        self._exec.run_partitioned(cost, tasks, parts)
-        if self._value_dtype == np.float16:
-            return out.astype(np.float16)
-        return out
-
-    def _apply_impl(self, b, x) -> None:
-        plan = self._omp_partition_plan()
-        if plan is None:
-            return super()._apply_impl(b, x)
-        result = self._spmv_threaded(b._data, plan)
-        np.copyto(x._data, result.reshape(x._data.shape))
-
-    def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
-        plan = self._omp_partition_plan()
-        if plan is None:
-            return super()._apply_advanced_impl(alpha, b, beta, x)
-        from repro.ginkgo.matrix.dense import _scalar_value
-
-        a = _scalar_value(alpha)
-        bt = _scalar_value(beta)
-        result = self._spmv_threaded(b._data, plan)
-        x._data *= x.dtype.type(bt)
-        x._data += x.dtype.type(a) * result.reshape(x._data.shape).astype(
-            x.dtype, copy=False
         )
 
     # ------------------------------------------------------------------

@@ -56,8 +56,8 @@ class SimClock:
     Args:
         spec: The device the kernels run on.
         library: Library profile name or instance; defaults to ``ginkgo``.
-        num_threads: CPU thread count used for bandwidth scaling (ignored
-            for GPUs).
+        num_threads: Modelled CPU thread count used for bandwidth and
+            peak scaling (ignored for GPUs).
         seed: Seed for the deterministic noise model.
         noisy: Disable to make timings exactly reproducible analytic values
             (used by unit tests).
@@ -235,85 +235,6 @@ class SimClock:
                     "launches": cost.launches,
                 },
             )
-        return duration
-
-    def record_partitioned(self, cost: KernelCost, parts: list) -> float:
-        """Record one kernel whose physical execution ran on a thread pool.
-
-        The simulated timeline is the *same* as one :meth:`record` call —
-        identical duration, counters, and noise-stream position, so host
-        threading never perturbs modeled timings — but tracers see the
-        kernel split into one sub-event per partition, wrapped in
-        per-thread spans, so ``pg.profile()`` attributes work per thread.
-
-        Args:
-            cost: Aggregate cost of the whole partitioned kernel.
-            parts: One dict per partition.  An optional ``"weight"`` key
-                sets the partition's share of the duration (default:
-                equal shares); remaining keys land in the trace metadata.
-
-        Returns:
-            The total simulated duration.
-        """
-        if len(parts) <= 1 or not self._traced:
-            return self.record(cost)
-        duration = self.kernel_time(cost) * self.noise.sample()
-        start = self.now
-        if self._log_events:
-            self.events.append(
-                KernelEvent(
-                    name=cost.name,
-                    start=start,
-                    duration=duration,
-                    flops=cost.flops,
-                    bytes=cost.bytes,
-                    launches=cost.launches,
-                )
-            )
-        self.kernel_count += cost.launches
-        self.bytes_moved += cost.bytes
-        self.flops_done += cost.flops
-        weights = [float(part.get("weight", 1.0)) for part in parts]
-        total_weight = sum(weights) or float(len(parts))
-        self._notify(
-            "on_span_push",
-            f"{cost.name}[omp]",
-            "kernel",
-            {"partitions": len(parts)},
-        )
-        remaining = duration
-        for index, (part, weight) in enumerate(zip(parts, weights)):
-            if index == len(parts) - 1:
-                share = remaining  # exact remainder: shares tile `duration`
-            else:
-                share = duration * (weight / total_weight)
-            remaining -= share
-            fraction = weight / total_weight
-            meta = {k: v for k, v in part.items() if k != "weight"}
-            meta.update(
-                {
-                    "thread": index,
-                    "flops": cost.flops * fraction,
-                    "bytes": cost.bytes * fraction,
-                    # All launches accounted on thread 0 so aggregated
-                    # counters match the unpartitioned recording.
-                    "launches": cost.launches if index == 0 else 0,
-                }
-            )
-            self._notify(
-                "on_span_push", f"{cost.name}[t{index}]", "thread",
-                {"thread": index},
-            )
-            self._notify(
-                "on_clock_event", "kernel", f"{cost.name}[t{index}]",
-                self.now, share, meta,
-            )
-            self.now += share
-            self._notify("on_span_pop", {})
-        # Shares tile `duration` exactly, but sum in a different order
-        # than one addition; pin the aggregate advance bitwise.
-        self.now = start + duration
-        self._notify("on_span_pop", {})
         return duration
 
     def advance(

@@ -62,7 +62,7 @@ class NetworkSpec:
 
 
 #: Shared-memory transport between ranks on one node (the default: the
-#: simulated ranks are thread-parallel partitions of one address space).
+#: simulated ranks are partitions of one address space).
 INTRA_NODE = NetworkSpec(name="intra_node", latency=0.4e-6, bandwidth=40e9)
 
 #: 100 Gb/s-class fabric between nodes (for what-if experiments).

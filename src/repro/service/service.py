@@ -36,16 +36,13 @@ same way it shows kernels.  SLO metrics (latency percentiles,
 throughput, coalesce ratio, deadline misses) land in a
 :class:`~repro.ginkgo.log.MetricsRegistry` under ``service_*`` names.
 
-With ``real_pool=True`` dispatched solves additionally run on a real
-:class:`~concurrent.futures.ThreadPoolExecutor` — results and virtual
-timings are unchanged (each worker's executor is still used serially),
-but the runtime's shared caches (dispatch, workspace pools, cachestats,
-metrics) see genuine concurrency.
+Workers are *modelled*: each owns its own executor and simulated
+timeline, and the event loop runs every dispatched solve to completion
+on the calling thread.  Parallelism between workers exists only on the
+simulated clock.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,7 +74,6 @@ class _Worker:
         self.route = ""
         self.dispatched_at = 0.0
         self.free_at = 0.0
-        self.future = None
         self.payloads: list | None = None
 
     @property
@@ -87,12 +83,15 @@ class _Worker:
     def reset(self) -> None:
         self.lane = None
         self.route = ""
-        self.future = None
         self.payloads = None
 
 
 class SolverService:
-    """Async multi-tenant solve scheduler over a shared worker pool.
+    """Multi-tenant solve scheduler over a modelled worker pool.
+
+    Worker parallelism is simulated: every solve runs on the thread that
+    calls :meth:`run`, and ``num_workers`` only sets how many timelines
+    the scheduler overlaps on the virtual clock.
 
     Args:
         num_workers: Worker slots; each owns a fresh executor.
@@ -116,9 +115,6 @@ class SolverService:
             ``None`` pins each solve to its worker's executor.
         metrics: Shared :class:`MetricsRegistry`; one is created when
             omitted.  Also fed by the resilient layer per solve.
-        real_pool: Run dispatched solves on a real thread pool (same
-            results and virtual timings; exercises the runtime's shared
-            caches under true concurrency).
         device_kwargs: Extra executor-constructor kwargs (``seed``,
             ``noisy``, ...) applied to the frontend and every worker.
     """
@@ -137,7 +133,6 @@ class SolverService:
         retry: RetryPolicy | None = None,
         fallback: FallbackChain | None = None,
         metrics: MetricsRegistry | None = None,
-        real_pool: bool = False,
         device_kwargs: dict | None = None,
     ) -> None:
         if num_workers < 1:
@@ -148,7 +143,6 @@ class SolverService:
         self.distributed_threshold = distributed_threshold
         self.distributed_ranks = int(distributed_ranks)
         self.overlap = bool(overlap)
-        self.real_pool = bool(real_pool)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = admission if admission is not None else AdmissionControl()
         self.coalescer = Coalescer(max_lane=max_lane if coalesce else 1)
@@ -213,47 +207,32 @@ class SolverService:
         results: dict[int, JobResult] = {}
         outstanding: dict[str, int] = {}
         next_arrival = 0
-        pool = (
-            ThreadPoolExecutor(max_workers=len(self._workers))
-            if self.real_pool
-            else None
-        )
-        try:
+        while (
+            next_arrival < len(arrivals)
+            or queue
+            or any(w.busy for w in self._workers)
+        ):
             while (
                 next_arrival < len(arrivals)
-                or queue
-                or any(w.busy for w in self._workers)
+                and arrivals[next_arrival].arrival <= self.now
             ):
-                while (
-                    next_arrival < len(arrivals)
-                    and arrivals[next_arrival].arrival <= self.now
-                ):
-                    self._admit(
-                        arrivals[next_arrival], queue, outstanding, results
-                    )
-                    next_arrival += 1
-                for worker in self._workers:
-                    if worker.busy and self._free_at(worker) <= self.now:
-                        self._complete(worker, results, outstanding)
-                for worker in self._workers:
-                    if not queue:
-                        break
-                    if not worker.busy:
-                        self._dispatch(
-                            worker, queue, results, outstanding, pool
-                        )
-                instants = []
-                if next_arrival < len(arrivals):
-                    instants.append(arrivals[next_arrival].arrival)
-                instants.extend(
-                    self._free_at(w) for w in self._workers if w.busy
-                )
-                if not instants:
+                self._admit(arrivals[next_arrival], queue, outstanding, results)
+                next_arrival += 1
+            for worker in self._workers:
+                if worker.busy and worker.free_at <= self.now:
+                    self._complete(worker, results, outstanding)
+            for worker in self._workers:
+                if not queue:
                     break
-                self._advance_to(min(instants), queued=len(queue))
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+                if not worker.busy:
+                    self._dispatch(worker, queue, results, outstanding)
+            instants = []
+            if next_arrival < len(arrivals):
+                instants.append(arrivals[next_arrival].arrival)
+            instants.extend(w.free_at for w in self._workers if w.busy)
+            if not instants:
+                break
+            self._advance_to(min(instants), queued=len(queue))
         return [results[job_id] for job_id in sorted(results)]
 
     def _advance_to(self, instant: float, queued: int) -> None:
@@ -310,7 +289,7 @@ class SolverService:
             return "distributed"
         return "scalar"
 
-    def _dispatch(self, worker, queue, results, outstanding, pool) -> None:
+    def _dispatch(self, worker, queue, results, outstanding) -> None:
         while queue:
             job = queue.pop()
             if job is None:
@@ -335,16 +314,10 @@ class SolverService:
                 lane=len(lane),
                 wait=self.now - job.arrival,
             )
-            if pool is not None:
-                worker.free_at = float("nan")
-                worker.future = pool.submit(
-                    self._execute, worker, lane, route, self.now
-                )
-            else:
-                duration, worker.payloads = self._execute(
-                    worker, lane, route, self.now
-                )
-                worker.free_at = self.now + duration
+            duration, worker.payloads = self._execute(
+                worker, lane, route, self.now
+            )
+            worker.free_at = self.now + duration
             return
 
     def _expire_queued(self, job, results, outstanding) -> None:
@@ -389,7 +362,7 @@ class SolverService:
         )
 
     # ------------------------------------------------------------------
-    # execution (runs on the pool thread under real_pool=True)
+    # execution
     # ------------------------------------------------------------------
     def _execute(self, worker, lane, route, dispatch_now):
         clock = worker.exec_.clock
@@ -544,15 +517,7 @@ class SolverService:
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
-    def _free_at(self, worker) -> float:
-        if worker.future is not None:
-            duration, worker.payloads = worker.future.result()
-            worker.future = None
-            worker.free_at = worker.dispatched_at + duration
-        return worker.free_at
-
     def _complete(self, worker, results, outstanding) -> None:
-        self._free_at(worker)
         finished = worker.free_at
         lane, payloads = worker.lane, worker.payloads
         for job, payload in zip(lane, payloads):

@@ -63,6 +63,18 @@ class TestSpeedupColumn:
         report = {"speedup": 2.0, "min_speedup_gate": 1.5}
         assert bench_report._fmt_speedup(report) == "2.00x (gate 1.50x)"
 
+    def test_each_clock_is_labelled(self):
+        report = {
+            "simulated_speedup_x": 2.9,
+            "min_simulated_speedup_x": 1.5,
+            "wall_speedup_x": 1.18,
+            "cpu_count": 2,
+        }
+        assert bench_report._fmt_speedup(report) == (
+            "2.90x sim (gate 1.50x); 1.18x wall (2 cpus)"
+        )
+        assert bench_report._fmt_speedup({}) == "-"
+
 
 class TestMainExitCodes:
     def _run(self, monkeypatch, tmp_path, *extra):

@@ -425,21 +425,38 @@ class TestOmpThreading:
         for k in range(16):
             assert st_ref.residual_norms[k] == st_omp.residual_norms[k]
 
-    def test_partition_count_matches_num_threads(self, omp, rng):
-        # Every threaded batched SpMV region splits into exactly
-        # num_threads sub-batches — the pool is demonstrably engaged.
+    def test_partition_count_matches_num_threads(self, rng, monkeypatch):
+        # Threads are modelled: every batched SpMV records exactly one
+        # spmv_batch_csr kernel, whatever num_threads is.
+        from repro.ginkgo.batch.solver import _ActiveSystems
+
+        calls = []
+        spmv = _ActiveSystems.spmv
+
+        def counted(self, src, dst):
+            calls.append(self.count)
+            spmv(self, src, dst)
+
+        monkeypatch.setattr(_ActiveSystems, "spmv", counted)
         mats, bs = make_batch(rng, K=16)
-        before_regions = omp.pool_regions
-        before_parts = omp.pool_partitions
-        batch_solve(omp, mats, bs, BatchCg)
-        regions = omp.pool_regions - before_regions
-        partitions = omp.pool_partitions - before_parts
-        assert regions > 0
-        assert partitions == regions * omp.num_threads
+        records = []
+        for threads in (1, 2, 8):
+            omp = OmpExecutor.create(num_threads=threads, noisy=False)
+            omp.clock.enable_event_log()
+            calls.clear()
+            batch_solve(omp, mats, bs, BatchCg)
+            names = [e.name for e in omp.clock.events]
+            assert names.count("spmv_batch_csr") == len(calls) > 0
+            records.append(len(calls))
+        assert records[0] == records[1] == records[2]
 
     def test_profiler_shows_per_thread_partition_spans(self, rng):
-        omp = OmpExecutor.create(num_threads=4, noisy=False)
+        # One kernel span per SpMV, no per-thread children, and tracing
+        # moves no simulated time.
         mats, bs = make_batch(rng, K=8)
+        plain = OmpExecutor.create(num_threads=4, noisy=False)
+        batch_solve(plain, mats, bs, BatchCg)
+        omp = OmpExecutor.create(num_threads=4, noisy=False)
         prof = ProfilerHook()
         prof.attach(omp)
         try:
@@ -447,17 +464,25 @@ class TestOmpThreading:
         finally:
             prof.detach(omp)
         prof.close()
-        assert prof.trace.find("spmv_batch_csr[omp]")
-        for t in range(4):
-            assert prof.trace.find(f"spmv_batch_csr[t{t}]")
+        spans = list(prof.trace.walk())
+        spmvs = [s for s in spans if s.name == "spmv_batch_csr"]
+        assert spmvs and all(s.category == "kernel" for s in spmvs)
+        assert all(not s.children for s in spmvs)
+        assert not [
+            s for s in spans
+            if s.name.startswith("spmv_batch_csr[") or s.category == "thread"
+        ]
+        assert omp.clock.now == plain.clock.now
 
-    def test_small_active_set_falls_back_to_serial(self, rng):
-        # Fewer active systems than threads: no pool dispatch.
+    def test_small_active_set_falls_back_to_serial(self, ref, rng):
+        # Fewer systems than modelled threads: bitwise the reference run.
         omp = OmpExecutor.create(num_threads=8, noisy=False)
         mats, bs = make_batch(rng, K=3)
-        before = omp.pool_regions
-        batch_solve(omp, mats, bs, BatchCg)
-        assert omp.pool_regions == before
+        st_ref, x_ref, _ = batch_solve(ref, mats, bs, BatchCg)
+        st_omp, x_omp, _ = batch_solve(omp, mats, bs, BatchCg)
+        assert x_ref.data.tobytes() == x_omp.data.tobytes()
+        for k in range(3):
+            assert st_ref.residual_norms[k] == st_omp.residual_norms[k]
 
 
 class TestBindings:

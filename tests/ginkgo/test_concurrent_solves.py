@@ -1,11 +1,12 @@
-"""Thread-safety regression tests for the shared-worker-pool paths.
+"""Thread-safety regression tests for solves driven from caller threads.
 
-The service layer may drive solves from real worker threads
-(``SolverService(real_pool=True)``).  Everything those threads share —
-workspace pools, cachestats counters, the dispatch table, the device
-cache, and a common metrics registry — must stay consistent under
-concurrency, and solutions must remain byte-identical to their
-single-threaded counterparts.
+The library starts no threads of its own (executor thread counts and
+service workers are modelled on the simulated clock), but callers may
+run solves, or whole ``SolverService.run()`` streams, on their own
+threads.  Everything those threads share — workspace pools, cachestats
+counters, the dispatch table, the device cache, and a common metrics
+registry — must stay consistent under concurrency, and solutions must
+remain byte-identical to their single-threaded counterparts.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -108,13 +109,19 @@ class TestConcurrentSolves:
 
         kwargs = dict(num_workers=4, coalesce=True, max_lane=8)
         sequential = pg.service.SolverService(**kwargs).run(stream())
-        threaded = pg.service.SolverService(
-            real_pool=True, **kwargs
-        ).run(stream())
+        streams = [stream(), stream()]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(
+                pool.map(
+                    lambda jobs: pg.service.SolverService(**kwargs).run(jobs),
+                    streams,
+                )
+            )
         # Contract: byte-identical solutions and statuses; virtual
         # timings may differ in the last digits under true concurrency.
-        assert [r.status for r in threaded] == [
-            r.status for r in sequential
-        ]
-        for a, b in zip(sequential, threaded):
-            np.testing.assert_array_equal(a.x, b.x)
+        for threaded in runs:
+            assert [r.status for r in threaded] == [
+                r.status for r in sequential
+            ]
+            for a, b in zip(sequential, threaded):
+                np.testing.assert_array_equal(a.x, b.x)

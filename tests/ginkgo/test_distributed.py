@@ -473,12 +473,24 @@ class TestDistributedSolvers:
         assert ref.bytes_allocated == before
 
     def test_omp_uses_thread_pool(self, rng):
+        # Threads are modelled: a 4-thread solve starts no host thread
+        # and is bitwise the reference executor's solve.
+        import threading
+
         mat = spd_matrix(rng)
         b = rng.standard_normal(mat.shape[0])
         ex = OmpExecutor.create(num_threads=4, noisy=False)
-        before = ex.pool_regions
-        distributed_history(mat, b, DistributedCg, num_ranks=4, exec_=ex)
-        assert ex.pool_regions > before
+        threads = threading.active_count()
+        _, hist, x, _ = distributed_history(
+            mat, b, DistributedCg, num_ranks=4, exec_=ex
+        )
+        assert threading.active_count() == threads
+        _, ref_hist, ref_x, _ = distributed_history(
+            mat, b, DistributedCg, num_ranks=4,
+            exec_=ReferenceExecutor.create(noisy=False),
+        )
+        assert np.array(hist).tobytes() == np.array(ref_hist).tobytes()
+        assert x.tobytes() == ref_x.tobytes()
 
     def test_preconditioner_rejected(self, ref, rng):
         mat = spd_matrix(rng, n=40)

@@ -90,6 +90,54 @@ class TestCreation:
         assert "MI100" in HipExecutor.create().spec.name
 
 
+class TestModelledThreads:
+    """``num_threads`` is a perf-model quantity: no host thread is run."""
+
+    def test_omp_kernels_start_no_threads(self):
+        import repro as pg
+        from repro.ginkgo.batch import BatchCg, BatchCsr, BatchDense
+        from repro.ginkgo.matrix import Csr, Dense
+        from repro.ginkgo.stop import Iteration
+        from repro.suitesparse.generators import poisson_2d
+
+        threads = threading.active_count()
+        dev = pg.device("omp", fresh=True)  # default: one thread per core
+        assert dev.num_threads > 1
+        mat = poisson_2d(64)  # 4096 rows
+        mtx = Csr.from_scipy(dev, mat)
+        b = Dense.create(dev, np.ones((mat.shape[0], 2)))
+        x = Dense.zeros(dev, (mat.shape[0], 2), np.float64)
+        mtx.apply(b, x)
+        np.testing.assert_array_equal(x.view(), mat @ np.ones((4096, 2)))
+
+        omp = OmpExecutor.create(num_threads=8, noisy=False)
+        small = poisson_2d(4).tocsr()
+        A = BatchCsr.from_scipy_list(omp, [small * (1 + k) for k in range(16)])
+        rhs = BatchDense.from_dense_list(omp, [np.ones((16, 1))] * 16)
+        sol = BatchDense.zeros(omp, 16, (16, 1), np.float64)
+        BatchCg(omp, criteria=Iteration(50)).generate(A).apply(rhs, sol)
+        assert threading.active_count() == threads
+
+    def test_no_concurrent_futures_under_src(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "concurrent" for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+
 class TestMemory:
     def test_alloc_tracks_bytes(self, ref):
         before = ref.bytes_allocated
