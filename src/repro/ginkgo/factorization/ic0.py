@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from repro.ginkgo.accessor import resolve_storage_dtype
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
+from repro.ginkgo.factorization.ilu0 import rows_to_csr
 from repro.ginkgo.matrix.csr import Csr
 from repro.perfmodel import factorization_cost
 
@@ -79,17 +80,7 @@ def _ic0_arrays(a: sp.csr_matrix) -> sp.csr_matrix:
                     )
                 li[i] = np.sqrt(s)
 
-    counts = np.fromiter((len(r) for r in l_rows), dtype=np.int64, count=n)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    idx = np.empty(ptr[-1], dtype=np.int64)
-    val = np.empty(ptr[-1], dtype=np.float64)
-    for i, r in enumerate(l_rows):
-        base = ptr[i]
-        for off, c in enumerate(sorted(r)):
-            idx[base + off] = c
-            val[base + off] = r[c]
-    return sp.csr_matrix((val, idx, ptr), shape=(n, n))
+    return rows_to_csr(l_rows)
 
 
 def ic0(matrix: Csr, storage_precision=None) -> Ic0Factorization:

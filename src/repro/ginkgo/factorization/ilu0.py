@@ -27,6 +27,21 @@ class Ilu0Factorization:
     u_factor: Csr
 
 
+def rows_to_csr(rows: list[dict]) -> sp.csr_matrix:
+    """Square CSR matrix from one ``{column: value}`` dict per row."""
+    n = len(rows)
+    counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    idx = np.empty(ptr[-1], dtype=np.int64)
+    val = np.empty(ptr[-1], dtype=np.float64)
+    for i, r in enumerate(rows):
+        cols = sorted(r)
+        idx[ptr[i]:ptr[i + 1]] = cols
+        val[ptr[i]:ptr[i + 1]] = [r[c] for c in cols]
+    return sp.csr_matrix((val, idx, ptr), shape=(n, n))
+
+
 def _ilu0_arrays(a: sp.csr_matrix):
     """Row-wise IKJ ILU(0) on a sorted CSR matrix; returns (L, U) csr."""
     n = a.shape[0]
@@ -62,21 +77,7 @@ def _ilu0_arrays(a: sp.csr_matrix):
                 u_rows[i][j] = val
         l_rows[i][i] = 1.0
 
-    def _build(rows: list[dict]) -> sp.csr_matrix:
-        counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        idx = np.empty(ptr[-1], dtype=np.int64)
-        val = np.empty(ptr[-1], dtype=np.float64)
-        for i, r in enumerate(rows):
-            cols = sorted(r)
-            base = ptr[i]
-            for off, c in enumerate(cols):
-                idx[base + off] = c
-                val[base + off] = r[c]
-        return sp.csr_matrix((val, idx, ptr), shape=(n, n))
-
-    return _build(l_rows), _build(u_rows)
+    return rows_to_csr(l_rows), rows_to_csr(u_rows)
 
 
 def ilu0(matrix: Csr, storage_precision=None) -> Ilu0Factorization:

@@ -58,55 +58,32 @@ def parilu(
     if sweeps < 1:
         raise GinkgoError(f"sweeps must be >= 1, got {sweeps}")
     storage = resolve_storage_dtype(storage_precision, matrix.dtype)
-    a = matrix._scipy_view().tocsr().astype(np.float64)
-    a.sort_indices()
-    n = a.shape[0]
-    indptr, indices, values = a.indptr, a.indices, a.data
+    a = sp.csr_array(matrix._scipy_view(), dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    coo = a.tocoo()
+    rows, cols = coo.row, coo.col
+    lower, diag = rows > cols, rows == cols
+    missing = np.setdiff1d(np.arange(a.shape[0]), rows[diag])
+    if missing.size:
+        raise GinkgoError(
+            f"ParILU requires a full diagonal; row {missing[0]} has no "
+            "diagonal entry"
+        )
 
-    # Row-dict views of the current iterate; initial guess: L strictly
-    # lower part of A (unit diag), U upper part including diagonal.
-    l_rows: list[dict] = [dict() for _ in range(n)]
-    u_rows: list[dict] = [dict() for _ in range(n)]
-    for i in range(n):
-        has_diag = False
-        for p in range(indptr[i], indptr[i + 1]):
-            j = int(indices[p])
-            v = float(values[p])
-            if j < i:
-                l_rows[i][j] = v
-            else:
-                u_rows[i][j] = v
-                has_diag = has_diag or j == i
-        if not has_diag:
-            raise GinkgoError(
-                f"ParILU requires a full diagonal; row {i} has no diagonal "
-                "entry"
-            )
-        l_rows[i][i] = 1.0
-
+    # One matrix on A's pattern holds both iterates: L strictly below the
+    # diagonal (unit diagonal implied), U on and above it; A itself is
+    # the initial guess.  The sum over k < min(i, j) of l_ik u_kj is entry
+    # (i, j) of strict(L) @ strict(U), so a sweep is one SpGEMM gathered
+    # onto the pattern, then the divide by the previous iterate's u_jj.
+    it = a.copy()
     for _ in range(sweeps):
-        new_l: list[dict] = [dict() for _ in range(n)]
-        new_u: list[dict] = [dict() for _ in range(n)]
-        for i in range(n):
-            li = l_rows[i]
-            for p in range(indptr[i], indptr[i + 1]):
-                j = int(indices[p])
-                a_ij = float(values[p])
-                bound = min(i, j)
-                s = a_ij
-                # sum over k < min(i, j) on the shared pattern.
-                for k, lik in li.items():
-                    if k < bound:
-                        ukj = u_rows[k].get(j)
-                        if ukj is not None:
-                            s -= lik * ukj
-                if i > j:
-                    ujj = u_rows[j].get(j, 0.0)
-                    new_l[i][j] = s / ujj if ujj != 0.0 else 0.0
-                else:
-                    new_u[i][j] = s
-            new_l[i][i] = 1.0
-        l_rows, u_rows = new_l, new_u
+        prod = sp.tril(it, -1, format="csr") @ sp.triu(it, 1, format="csr")
+        new = a.data - prod[rows, cols]
+        pivots = it.diagonal()[cols[lower]]
+        new[lower] = np.divide(
+            new[lower], pivots, out=np.zeros_like(pivots), where=pivots != 0
+        )
+        it.data = new
 
     exec_ = matrix.executor
     exec_.run(
@@ -119,26 +96,15 @@ def parilu(
         ).scaled(sweeps / 4.0)
     )
 
-    def _build(rows: list[dict]) -> sp.csr_matrix:
-        counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        idx = np.empty(ptr[-1], dtype=np.int64)
-        val = np.empty(ptr[-1], dtype=np.float64)
-        for i, r in enumerate(rows):
-            base = ptr[i]
-            for off, c in enumerate(sorted(r)):
-                idx[base + off] = c
-                val[base + off] = r[c]
-        return sp.csr_matrix((val, idx, ptr), shape=(n, n))
-
+    upper = sp.triu(it)
+    it.data[diag] = 1.0
     return ParIluFactorization(
         l_factor=Csr.from_scipy(
-            exec_, _build(l_rows), value_dtype=storage,
+            exec_, sp.tril(it), value_dtype=storage,
             index_dtype=matrix.index_dtype,
         ),
         u_factor=Csr.from_scipy(
-            exec_, _build(u_rows), value_dtype=storage,
+            exec_, upper, value_dtype=storage,
             index_dtype=matrix.index_dtype,
         ),
         sweeps=sweeps,

@@ -23,6 +23,42 @@ from repro.ginkgo.matrix.csr import Csr
 from repro.perfmodel import factorization_cost
 
 
+#: Local-system entries gathered per stacked solve: rows of pattern
+#: size m go in chunks of ``_CHUNK_ENTRIES // m**2`` rows (at least one).
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _local_solves(a: sp.csr_matrix, pattern: sp.csr_matrix) -> np.ndarray:
+    """W's values on ``pattern``, solving ``W[i, J] A[J, J] = e_i[J]``.
+
+    Rows of one pattern size share a stacked ``np.linalg.solve`` of the
+    transposed local blocks, gathered by SciPy's compiled CSR sampling.
+    """
+    sizes = np.diff(pattern.indptr)
+    out = np.empty(pattern.nnz, dtype=a.dtype)
+    for m in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == m)
+        step = max(1, _CHUNK_ENTRIES // int(m) ** 2)
+        for lo in range(0, group.size, step):
+            rows = group[lo:lo + step]
+            slots = pattern.indptr[rows][:, None] + np.arange(m)
+            j_set = pattern.indices[slots]
+            shape = (rows.size, m, m)
+            blocks = np.asarray(a[
+                np.broadcast_to(j_set[:, None, :], shape).ravel(),
+                np.broadcast_to(j_set[:, :, None], shape).ravel(),
+            ]).reshape(shape)  # blocks[r] = A[J, J]^T
+            rhs = (j_set == rows[:, None]).astype(a.dtype)[..., None]
+            try:
+                out[slots] = np.linalg.solve(blocks, rhs)[..., 0]
+            except np.linalg.LinAlgError as exc:
+                row = rows[np.argmin(np.abs(np.linalg.det(blocks)))]
+                raise GinkgoError(
+                    f"ISAI: singular local system in row {row}"
+                ) from exc
+    return out
+
+
 class IsaiOperator(LinOp):
     """Generated ISAI operator: one SpMV with the approximate inverse."""
 
@@ -48,30 +84,9 @@ class IsaiOperator(LinOp):
         pattern.sort_indices()
 
         n = a.shape[0]
-        a_csc = a.tocsc()
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            start, stop = pattern.indptr[i], pattern.indptr[i + 1]
-            j_set = pattern.indices[start:stop]
-            if j_set.size == 0:
-                continue
-            # Solve W[i, J] A[J, J] = e_i[J]  <=>  A[J, J]^T w = e_i[J].
-            sub = a_csc[:, j_set][j_set, :].toarray()
-            rhs = np.zeros(j_set.size, dtype=a.dtype)
-            local = np.searchsorted(j_set, i)
-            if local < j_set.size and j_set[local] == i:
-                rhs[local] = 1.0
-            try:
-                w = np.linalg.solve(sub.T, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise GinkgoError(
-                    f"ISAI: singular local system in row {i}"
-                ) from exc
-            rows.extend([i] * j_set.size)
-            cols.extend(j_set.tolist())
-            vals.extend(w.tolist())
         approx = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n)
+            (_local_solves(a, pattern), pattern.indices, pattern.indptr),
+            shape=(n, n),
         )
         self._approx_inverse = Csr.from_scipy(
             matrix.executor, approx, value_dtype=self._storage_dtype,

@@ -10,16 +10,24 @@ runs at the operand's working precision: a float64 solve over a
 float32-stored factor converts the factor at read (cached, accessor
 style), routes through the ``trsv_apply_double_float`` binding symbol,
 and charges ``trsv_cost`` at the factor's storage width — the
-mixed-precision contract of :mod:`repro.ginkgo.accessor`.  The old code
-instead forced everything to float64, leaking float64 intermediates into
-float32 solves.
+mixed-precision contract of :mod:`repro.ginkgo.accessor`.
+
+An apply is SuperLU's compiled ``gstrs`` plus one scale: the operands
+SciPy's ``spsolve_triangular`` rebuilds from the factor on every call are
+prepared once per arithmetic precision, so results are bitwise
+equal to ``spsolve_triangular``'s.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+
+try:  # a private SciPy symbol: name the version if it ever moves
+    from scipy.sparse.linalg._dsolve._superlu import gstrs
+except ImportError as exc:
+    raise ImportError(f"scipy {scipy.__version__}: no gstrs") from exc
 
 from repro.ginkgo.accessor import arithmetic_dtype_for, canonical_value_suffix
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
@@ -51,36 +59,52 @@ class _TrsSolver(LinOp):
         # Keep the factor at its own (storage) precision — float16 is
         # upcast to float32 because SciPy cannot substitute in half.
         factor_dtype = arithmetic_dtype_for(matrix.dtype)
-        tri = sp.csr_matrix(matrix._scipy_view(), dtype=factor_dtype)
+        tri = sp.csr_matrix(
+            matrix._scipy_view(), dtype=factor_dtype, copy=True
+        )
         if self._unit_diagonal:
-            tri = tri + sp.eye(
-                tri.shape[0], format="csr", dtype=tri.dtype
-            ) - sp.diags(tri.diagonal())
-        else:
-            diag = tri.diagonal()
-            if np.any(diag == 0):
-                raise GinkgoError(
-                    f"{type(self).__name__}: zero on the diagonal; pass "
-                    "unit_diagonal=True for unit-diagonal factors"
-                )
-        self._tri = tri.tocsr()
-        #: Working-precision conversions of the factor, cached per dtype
-        #: (the accessor read: factors are immutable once generated).
-        self._tri_reads: dict = {}
+            tri.setdiag(1)
+        elif np.any(tri.diagonal() == 0):
+            raise GinkgoError(
+                f"{type(self).__name__}: zero on the diagonal; pass "
+                "unit_diagonal=True for unit-diagonal factors"
+            )
+        self._tri = tri
+        #: ``gstrs`` operands per arithmetic dtype (the accessor read):
+        #: the factor's own now, any other at its first apply.
+        self._operands: dict = {}
+        self._operands_at(factor_dtype)
 
     @property
     def system_matrix(self):
         return self._matrix
 
-    def _tri_at(self, arith_dtype: np.dtype) -> sp.csr_matrix:
-        """The factor converted to the solve's arithmetic precision."""
-        if self._tri.dtype == arith_dtype:
-            return self._tri
-        cached = self._tri_reads.get(arith_dtype)
-        if cached is None:
-            cached = self._tri.astype(arith_dtype)
-            self._tri_reads[arith_dtype] = cached
-        return cached
+    def _operands_at(self, arith: np.dtype) -> tuple:
+        """The factor as ``spsolve_triangular`` hands it to ``gstrs``.
+
+        That is the CSC transpose (``trans="T"``) scaled by the inverse
+        diagonal: SuperLU's U (unit L) for a lower factor, L for an upper.
+        """
+        ops = self._operands.get(arith)
+        if ops is None:
+            tri = self._tri.astype(arith)
+            n = tri.shape[0]
+            invdiag = 1 / tri.diagonal()
+            scaled = (tri @ sp.diags_array(invdiag)).T
+            scaled.sum_duplicates()
+            if self.lower:
+                scaled.setdiag(0)
+                pair = (sp.eye_array(n, dtype=arith, format="csc"), scaled)
+            else:
+                pair = (scaled, sp.csc_array((n, n), dtype=arith))
+            args = []
+            for part in pair:
+                args += [
+                    n, part.nnz, part.data,
+                    part.indices.astype(np.intc), part.indptr.astype(np.intc),
+                ]
+            ops = self._operands[arith] = (args, invdiag[:, None])
+        return ops
 
     def _record(self) -> None:
         self._exec.run(
@@ -97,9 +121,11 @@ class _TrsSolver(LinOp):
         # the factor is converted to it at read (up for mixed-storage
         # preconditioning, float32 for half operands).
         arith = arithmetic_dtype_for(b.dtype)
-        return spsolve_triangular(
-            self._tri_at(arith), b._data.astype(arith), lower=self.lower
-        )
+        args, invdiag = self._operands_at(arith)
+        x, info = gstrs("T", *args, b._data.astype(arith))
+        if info:
+            raise GinkgoError(f"{type(self).__name__}: gstrs info {info}")
+        return x * invdiag
 
     def _run_apply(self, b: Dense, plan) -> None:
         """Cross the mixed trsv binding when factor and operand differ."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.bench.export import load_series_csv, save_rows_csv, save_series_csv
 from repro.ginkgo import BadDimension
@@ -10,6 +11,39 @@ from repro.ginkgo.factorization import ilu0, parilu
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.solver import Gmres
 from repro.ginkgo.stop import Iteration, ResidualNorm
+from repro.suitesparse.generators import banded
+
+
+def _dict_parilu(a, sweeps):
+    """Reference ParILU: the Jacobi fixed-point sweep over row dicts."""
+    n = a.shape[0]
+    entries = [
+        [(int(a.indices[p]), float(a.data[p]))
+         for p in range(a.indptr[i], a.indptr[i + 1])]
+        for i in range(n)
+    ]
+    l_rows = [{j: v for j, v in r if j < i} for i, r in enumerate(entries)]
+    u_rows = [{j: v for j, v in r if j >= i} for i, r in enumerate(entries)]
+    for _ in range(sweeps):
+        new_l, new_u = [dict() for _ in range(n)], [dict() for _ in range(n)]
+        for i, row in enumerate(entries):
+            for j, s in row:
+                for k, lik in l_rows[i].items():
+                    if k < min(i, j) and j in u_rows[k]:
+                        s -= lik * u_rows[k][j]
+                if i > j:
+                    ujj = u_rows[j][j]
+                    new_l[i][j] = s / ujj if ujj != 0.0 else 0.0
+                else:
+                    new_u[i][j] = s
+        l_rows, u_rows = new_l, new_u
+    lower, upper = np.eye(n), np.zeros((n, n))
+    for i in range(n):
+        for j, v in l_rows[i].items():
+            lower[i, j] = v
+        for j, v in u_rows[i].items():
+            upper[i, j] = v
+    return lower, upper
 
 
 class TestParIlu:
@@ -83,6 +117,30 @@ class TestParIlu:
     def test_sweeps_recorded(self, ref, general_small):
         fact = parilu(Csr.from_scipy(ref, general_small), sweeps=4)
         assert fact.sweeps == 4
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    @pytest.mark.parametrize("system", ["general_small", "banded"])
+    def test_spgemm_sweep_matches_dict_sweep(
+        self, ref, general_small, system, sweeps
+    ):
+        # One masked SpGEMM per sweep sums each l_ik u_kj product in a
+        # different order than the row-dict loop: equal up to rounding.
+        a = general_small if system == "general_small" else banded(64, 4)
+        fact = parilu(Csr.from_scipy(ref, a), sweeps=sweeps)
+        want_l, want_u = _dict_parilu(a, sweeps)
+        for got, want in (
+            (fact.l_factor, want_l), (fact.u_factor, want_u),
+        ):
+            scale = 4 * np.finfo(np.float64).eps * np.abs(want).max()
+            np.testing.assert_allclose(
+                got.to_scipy().toarray(), want, rtol=0, atol=scale
+            )
+
+    def test_missing_diagonal_raises(self, ref):
+        mat = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        mat.eliminate_zeros()
+        with pytest.raises(GinkgoError, match="row 1 has no diagonal"):
+            parilu(Csr.from_scipy(ref, mat))
 
 
 class TestCsvExport:

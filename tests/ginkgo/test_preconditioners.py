@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.ginkgo import BadDimension
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.factorization import ic0, ilu0, lu
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Ic, Ilu, Isai, Jacobi
-from repro.ginkgo.solver import Cg, Gmres
+from repro.ginkgo.solver import Cg, Gmres, LowerTrs, UpperTrs
 from repro.ginkgo.stop import Iteration, ResidualNorm
 
 CRIT = Iteration(500) | ResidualNorm(1e-10)
@@ -120,7 +121,74 @@ class TestIluIc:
         assert np.array_equal(np.asarray(z), np.asarray(want))
 
 
+class TestTrsPreparedOperands:
+    """Prepared ``gstrs`` operands solve bitwise as ``spsolve_triangular``."""
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize(
+        "factor_dtype, cols",
+        [(np.float64, 1), (np.float64, 3), (np.float32, 1)],
+    )
+    def test_bitwise_spsolve_triangular(
+        self, ref, general_small, rng, lower, unit, factor_dtype, cols
+    ):
+        # A float32-stored factor in a float64 solve takes the
+        # ``trsv_apply_double_float`` route and reads the factor upcast.
+        tri = (sp.tril if lower else sp.triu)(general_small).tocsr()
+        factory = (LowerTrs if lower else UpperTrs)(ref, unit_diagonal=unit)
+        mtx = Csr.from_scipy(ref, tri, value_dtype=factor_dtype)
+        b = rng.standard_normal((tri.shape[0], cols))
+        x = Dense.zeros(ref, b.shape, np.float64)
+        factory.generate(mtx).apply(Dense(ref, b), x)
+        want = spsolve_triangular(
+            mtx.to_scipy().astype(np.float64), b, lower=lower,
+            unit_diagonal=unit,
+        )
+        assert np.array_equal(np.asarray(x), want)
+
+
+def _isai_reference(a, power):
+    """Per-row ISAI: one ``np.linalg.solve`` of ``A[J, J]^T`` per row."""
+    pattern = a.copy()
+    for _ in range(power - 1):
+        pattern = (pattern @ a).tocsr()
+    pattern.sort_indices()
+    dense = a.toarray()
+    values = []
+    for i in range(a.shape[0]):
+        j_set = pattern.indices[pattern.indptr[i]:pattern.indptr[i + 1]]
+        rhs = (j_set == i).astype(a.dtype)
+        values.append(np.linalg.solve(dense[np.ix_(j_set, j_set)].T, rhs))
+    return pattern, np.concatenate(values)
+
+
 class TestIsai:
+    @pytest.mark.parametrize(
+        "power, dtype", [(1, np.float64), (2, np.float64), (1, np.float32)]
+    )
+    def test_batched_solves_bitwise_per_row(
+        self, ref, general_small, power, dtype
+    ):
+        a = general_small.astype(dtype)
+        w = Isai(ref, sparsity_power=power).generate(
+            Csr.from_scipy(ref, a)
+        ).approximate_inverse.to_scipy()
+        pattern, values = _isai_reference(a, power)
+        assert np.array_equal(w.indptr, pattern.indptr)
+        assert np.array_equal(w.indices, pattern.indices)
+        assert w.dtype == dtype
+        assert np.array_equal(w.data, values)
+
+    def test_singular_local_system_names_its_row(self, ref):
+        # Rows 0-3 share one stacked solve; only rows 2 and 3 have a
+        # singular block, and the first of them is reported.
+        blocks = [np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones((2, 2))]
+        mtx = Csr.from_scipy(ref, sp.block_diag(blocks, format="csr"))
+        message = "ISAI: singular local system in row 2$"
+        with pytest.raises(GinkgoError, match=message):
+            Isai(ref).generate(mtx)
+
     def test_isai_approximates_inverse(self, ref, spd_small, rng):
         mtx = Csr.from_scipy(ref, spd_small)
         op = Isai(ref).generate(mtx)
@@ -178,7 +246,7 @@ class TestIlu0Factorization:
     def test_missing_diagonal_raises(self, ref):
         mat = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
         mat.eliminate_zeros()
-        with pytest.raises(GinkgoError, match="diagonal"):
+        with pytest.raises(GinkgoError, match="row 1 has no diagonal"):
             ilu0(Csr.from_scipy(ref, mat))
 
     def test_requires_square(self, ref, rect_small):
@@ -207,6 +275,12 @@ class TestIc0Factorization:
     def test_indefinite_matrix_raises(self, ref):
         mat = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(GinkgoError, match="positive"):
+            ic0(Csr.from_scipy(ref, mat))
+
+    def test_missing_diagonal_raises(self, ref):
+        mat = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 0.0]]))
+        mat.eliminate_zeros()
+        with pytest.raises(GinkgoError, match="row 1 has no diagonal"):
             ic0(Csr.from_scipy(ref, mat))
 
 

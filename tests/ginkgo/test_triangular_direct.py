@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.ginkgo import BadDimension
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.matrix import Csr, Dense
-from repro.ginkgo.solver import Direct, LowerTrs, UpperTrs
+from repro.ginkgo.solver import Direct, LowerTrs, UpperTrs, triangular
 
 
 @pytest.fixture
@@ -79,6 +81,28 @@ class TestTriangular:
         before = ref.clock.now
         solver.apply(b, x)
         assert ref.clock.now > before
+
+
+def test_private_gstrs_symbol_matches_public_solve(ref, rng):
+    """The trsv apply calls SciPy's private ``_superlu.gstrs`` directly.
+
+    If a SciPy release moves the symbol, importing ``repro`` fails with
+    the SciPy version in the message; if the symbol stays but its
+    operand contract changes, this differential check fails by version.
+    """
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    assert triangular.gstrs is _superlu.gstrs
+    tri = sp.tril(
+        sp.random(80, 80, density=0.1, random_state=rng) + sp.eye(80)
+    ).tocsr()
+    b = rng.standard_normal((80, 2))
+    x = Dense.zeros(ref, b.shape, np.float64)
+    LowerTrs(ref).generate(Csr.from_scipy(ref, tri)).apply(Dense(ref, b), x)
+    assert np.array_equal(np.asarray(x), spsolve_triangular(tri, b)), (
+        "prepared gstrs operands disagree with spsolve_triangular on "
+        f"scipy {scipy.__version__}"
+    )
 
 
 class TestDirect:
