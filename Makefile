@@ -20,8 +20,9 @@ profile-smoke:
 
 # Hot-path acceptance: warm (pooled) solves after the first must miss no
 # workspace-pool or dispatch-cache entry, with byte-identical residual
-# histories and same-seed traces (the cold/warm wall ratio is reported
-# with the core count, not gated).
+# histories and same-seed traces, and an untraced warm solve must end at
+# the same simulated clock.now and kernel count as a pg.profile()-traced
+# one (the cold/warm wall ratio is reported with the core count, not gated).
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;

@@ -15,7 +15,10 @@ Every gate is exact, so none depends on the host:
   record zero workspace-pool misses and zero dispatch-cache misses;
 * numerics must not drift: every warm solve's residual history is
   compared byte-for-byte against its cold counterpart;
-* two same-seed warm runs produce byte-identical Chrome traces.
+* two same-seed warm runs produce byte-identical Chrome traces;
+* tracing never perturbs the simulated clock: an untraced warm solve and
+  a ``pg.profile()``-traced one, each on a fresh same-seed executor, end
+  at the same ``clock.now`` and ``kernel_count``.
 
 The cold/warm wall-clock ratio is reported as ``wall_speedup_x`` beside
 ``cpu_count``, not gated.
@@ -185,6 +188,24 @@ def warm_misses(nx, repeats, max_iters):
     }
 
 
+def warm_clock_ends(nx, max_iters):
+    """``(clock.now, kernel_count)`` after one cold and one warm solve on
+    fresh same-seed executors: ``"untraced"``, and with the warm solve
+    under ``pg.profile()`` (``"traced"``)."""
+    ends = {}
+    for label in ("untraced", "traced"):
+        _fresh_state()
+        dev, mtx, b, n = _setup(nx)
+        handle, _, _ = _one_solve(dev, mtx, b, n, max_iters=max_iters)
+        if label == "traced":
+            with pg.profile(dev, name="warm_hot_path"):
+                _one_solve(dev, mtx, b, n, handle=handle, max_iters=max_iters)
+        else:
+            _one_solve(dev, mtx, b, n, handle=handle, max_iters=max_iters)
+        ends[label] = [dev.clock.now, dev.clock.kernel_count]
+    return ends
+
+
 def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     """Run both paths, check the invariants, write the JSON report."""
     failures = []
@@ -195,6 +216,7 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     _, _, trace1, _ = run_warm(nx, repeats, max_iters, trace=True)
     _, _, trace2, _ = run_warm(nx, repeats, max_iters, trace=True)
     misses = warm_misses(nx, repeats, max_iters)
+    clock_ends = warm_clock_ends(nx, max_iters)
 
     # Numerics: every warm history byte-identical to its cold twin.
     if warm_hists != cold_hists:
@@ -204,6 +226,12 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     # Determinism: same-seed warm runs trace identically.
     if trace1 != trace2:
         failures.append("same-seed warm traces are not byte-identical")
+    # The untraced fast path charges the clock exactly what tracing sees.
+    if clock_ends["traced"] != clock_ends["untraced"]:
+        failures.append(
+            f"traced warm solve ends at {clock_ends['traced']}, "
+            f"untraced at {clock_ends['untraced']}"
+        )
 
     # Reuse, counted exactly: warm solves after the first miss nothing.
     for kind, count in misses.items():
@@ -234,6 +262,7 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
         "warm_misses_after_first": misses,
         "residual_histories_identical": warm_hists == cold_hists,
         "same_seed_traces_identical": trace1 == trace2,
+        "warm_clock_end": clock_ends,
         "iterations_per_solve": len(cold_hists[0]),
         "cache_stats_warm": stats,
         "failures": failures,
@@ -243,6 +272,11 @@ def run(nx=48, repeats=8, max_iters=400, out_path="BENCH_hot_path.json"):
     print(
         "warm solves after the first: "
         + ", ".join(f"{misses[k]} {k} misses" for k in WARM_CACHES)
+    )
+    print(
+        "warm clock end (now, kernels): "
+        f"untraced {tuple(clock_ends['untraced'])} | "
+        f"traced {tuple(clock_ends['traced'])}"
     )
     print(
         f"wall (information only, {os.cpu_count()} cores): "

@@ -38,10 +38,19 @@ _COUNTS: dict[str, int] = {}
 #: is mirrored exactly once per event no matter how many regions hold it.
 _SINKS: dict[int, list] = {}
 _LOCK = threading.Lock()
+#: (kind, hit) -> counter key, so a lookup formats no string.
+_KEYS = {
+    (kind, hit): f"cache_{kind}_{'hit' if hit else 'miss'}"
+    for kind in ("workspace", "format", "dispatch")
+    for hit in (True, False)
+}
 
 
 def record(kind: str, hit: bool, clock=None, **meta) -> None:
     """Count one cache lookup.
+
+    With no sink registered and no traced clock this only bumps the
+    counter.
 
     Args:
         kind: Cache family (``"workspace"``/``"format"``/``"dispatch"``).
@@ -52,13 +61,13 @@ def record(kind: str, hit: bool, clock=None, **meta) -> None:
         **meta: Scalar details recorded on the trace instant (buffer name,
             byte size, symbol, ...).
     """
-    key = f"cache_{kind}_{'hit' if hit else 'miss'}"
+    key = _KEYS.get((kind, hit)) or f"cache_{kind}_{'hit' if hit else 'miss'}"
     with _LOCK:
         _COUNTS[key] = _COUNTS.get(key, 0) + 1
-        sinks = [entry[0] for entry in _SINKS.values()]
+        sinks = [entry[0] for entry in _SINKS.values()] if _SINKS else ()
     for sink in sinks:
         sink.counter(key).inc()
-    if clock is not None:
+    if clock is not None and clock._traced:
         clock.annotate("cache_hit" if hit else "cache_miss", kind=kind, **meta)
 
 

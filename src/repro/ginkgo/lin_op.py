@@ -125,9 +125,17 @@ class LinOp:
 
         ``b`` must have ``op.size.cols`` rows and ``x`` must have
         ``op.size.rows`` rows with the same number of columns as ``b``.
+
+        With no logger on this operator and no tracer on its clock the
+        span and logger bookkeeping is skipped outright; both paths
+        charge the simulated clock identically.
         """
         self._validate_application(b, x)
         clock = self._exec.clock
+        if not self._loggers and not clock._traced:
+            self._apply_impl(b, x)
+            x.mark_modified()
+            return x
         clock.push_span(
             f"{type(self).__name__}::apply", self._profile_category
         )
@@ -144,6 +152,10 @@ class LinOp:
         """Compute ``x = alpha * op(b) + beta * x``; returns ``x``."""
         self._validate_application(b, x)
         clock = self._exec.clock
+        if not self._loggers and not clock._traced:
+            self._apply_advanced_impl(alpha, b, beta, x)
+            x.mark_modified()
+            return x
         clock.push_span(
             f"{type(self).__name__}::apply_advanced", self._profile_category
         )

@@ -75,6 +75,10 @@ class SimClock:
     #: Tracers observing *all* clocks (see :meth:`add_global_tracer`).
     _global_tracers: list = []
 
+    #: Entries kept in the per-clock :meth:`kernel_time` memo before it
+    #: is cleared and refilled.
+    KERNEL_TIME_MEMO_SIZE = 4096
+
     def __init__(
         self,
         spec: DeviceSpec,
@@ -98,6 +102,11 @@ class SimClock:
         self.flops_done = 0.0
         self._log_events = False
         self._tracers: list = []
+        #: (flops, bytes, launches, dtype_name) -> noise-free seconds.
+        #: ``spec``, ``library`` and ``num_threads`` are never reassigned
+        #: after construction, so the roofline is a pure function of the
+        #: cost signature for the lifetime of the clock.
+        self._kernel_times: dict = {}
 
     # ------------------------------------------------------------------
     # configuration
@@ -171,7 +180,23 @@ class SimClock:
     # modelling
     # ------------------------------------------------------------------
     def kernel_time(self, cost: KernelCost) -> float:
-        """Noise-free modeled execution time of one kernel, in seconds."""
+        """Noise-free modeled execution time of one kernel, in seconds.
+
+        Memoised per cost signature (the kernel name does not enter the
+        roofline); the memo is cleared when it reaches
+        :attr:`KERNEL_TIME_MEMO_SIZE` entries.
+        """
+        key = (cost.flops, cost.bytes, cost.launches, cost.dtype_name)
+        seconds = self._kernel_times.get(key)
+        if seconds is None:
+            seconds = self._roofline_time(cost)
+            if len(self._kernel_times) >= self.KERNEL_TIME_MEMO_SIZE:
+                self._kernel_times.clear()
+            self._kernel_times[key] = seconds
+        return seconds
+
+    def _roofline_time(self, cost: KernelCost) -> float:
+        """The unmemoised roofline formula behind :meth:`kernel_time`."""
         bandwidth = self.spec.effective_bandwidth(self.num_threads)
         bandwidth *= self.library.efficiency(self.spec.kind, cost.dtype_name)
         peak = self.spec.peak_flops_for(cost.dtype_name)
@@ -222,7 +247,8 @@ class SimClock:
         self.kernel_count += cost.launches
         self.bytes_moved += cost.bytes
         self.flops_done += cost.flops
-        if self._traced:
+        # Inline rather than through ``_traced``: this runs once per kernel.
+        if self._tracers or SimClock._global_tracers:
             self._notify(
                 "on_clock_event",
                 "kernel",

@@ -20,6 +20,7 @@ SpMV ceiling on the A100 rather than the unreachable pure-streaming bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,12 @@ class KernelCost:
 #: Fraction of a value-sized read charged per nonzero for gathering x.
 GATHER_FRACTION = 1.0
 
+#: Entries kept per memoised cost constructor.  The constructors below
+#: marked ``lru_cache`` are pure and return frozen costs, so a hot loop
+#: re-charging the same kernel reuses one object; invalid arguments raise
+#: on every call because exceptions are never cached.
+COST_CACHE_SIZE = 1024
+
 #: Value width in bytes -> numpy dtype name (paper Table 1).
 _WIDTH_DTYPE_NAMES = {2: "float16", 4: "float32", 8: "float64"}
 
@@ -83,6 +90,7 @@ def _dtype_name_for_width(value_bytes: int) -> str:
         ) from None
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def spmv_cost(
     fmt: str,
     num_rows: int,
@@ -164,6 +172,7 @@ def spmv_cost(
     )
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def blas1_cost(
     name: str, length: int, value_bytes: int, num_vectors: int = 2
 ) -> KernelCost:
@@ -241,6 +250,7 @@ def fused_spmv_axpby_cost(
     )
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def dot_cost(length: int, value_bytes: int, num_rhs: int = 1) -> KernelCost:
     """Cost of a dot product / norm reduction (two launches: map + reduce)."""
     if length < 0:
@@ -255,6 +265,7 @@ def dot_cost(length: int, value_bytes: int, num_rhs: int = 1) -> KernelCost:
     )
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def trsv_cost(
     num_rows: int, nnz: int, value_bytes: int, index_bytes: int
 ) -> KernelCost:

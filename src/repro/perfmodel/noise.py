@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Jitter factors drawn from the generator at once.  A block of normal
+#: draws consumes the generator exactly like the same number of single
+#: draws, so blocking changes the cost per sample, never the sequence.
+BLOCK_SIZE = 1024
+
 
 class NoiseModel:
     """Multiplicative log-normal timing jitter with a fixed seed.
@@ -25,17 +30,26 @@ class NoiseModel:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.sigma = sigma
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        # Log-normal keeps times positive; ``mu`` normalises the mean to 1.
+        self._mu = -0.5 * np.log1p(sigma**2)
+        self._s = np.sqrt(np.log1p(sigma**2))
+        self.reset()
 
     def sample(self) -> float:
         """Return one multiplicative jitter factor (mean ~1.0)."""
         if self.sigma == 0.0:
             return 1.0
-        # Log-normal keeps times positive; normalise the mean to 1.
-        mu = -0.5 * np.log1p(self.sigma**2)
-        s = np.sqrt(np.log1p(self.sigma**2))
-        return float(np.exp(self._rng.normal(mu, s)))
+        factor = next(self._block, None)
+        if factor is None:
+            self._block = iter(
+                np.exp(
+                    self._rng.normal(self._mu, self._s, size=BLOCK_SIZE)
+                ).tolist()
+            )
+            factor = next(self._block)
+        return factor
 
     def reset(self) -> None:
         """Restart the jitter sequence from the original seed."""
         self._rng = np.random.default_rng(self.seed)
+        self._block = iter(())

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.perfmodel.noise import BLOCK_SIZE
+
 
 class BindingOverheadModel:
     """Per-call Python binding overhead.
@@ -45,6 +47,7 @@ class BindingOverheadModel:
         self.per_argument = per_argument
         self.jitter_sigma = jitter_sigma
         self._rng = np.random.default_rng(seed)
+        self._normals = iter(())
 
     @classmethod
     def for_device(cls, family: str, **kwargs) -> "BindingOverheadModel":
@@ -61,7 +64,11 @@ class BindingOverheadModel:
         if num_arguments < 0:
             raise ValueError("num_arguments must be non-negative")
         mean = self.base_overhead + num_arguments * self.per_argument
-        jitter = 1.0 + self.jitter_sigma * float(self._rng.standard_normal())
+        normal = next(self._normals, None)
+        if normal is None:
+            self._normals = iter(self._rng.standard_normal(BLOCK_SIZE).tolist())
+            normal = next(self._normals)
+        jitter = 1.0 + self.jitter_sigma * normal
         return max(mean * jitter, 0.1 * mean)
 
     def relative_overhead(self, kernel_time: float, num_arguments: int = 2) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro as pg
+from repro.bindings import dispatch
 from repro.core.resilient import FallbackChain, RetryPolicy, resilient_solve
 from repro.ginkgo import (
     CudaExecutor,
@@ -59,6 +60,51 @@ class TestProfileMetrics:
         assert snap["cache_workspace_hit"] == 1
         assert snap["cache_format_miss"] == 1
         assert cachestats.counts("format") == (0, 1)
+
+
+def _two_solves():
+    """A fresh device, one handle, two solves: all three cache kinds."""
+    A, b_np = _system()
+    dev = CudaExecutor.create(noisy=False)
+    mtx = Csr.from_scipy(dev, A)
+    b = pg.as_tensor(device=dev, data=b_np)
+    handle = pg.solver.cg(dev, mtx, max_iters=400)
+    for _ in range(2):
+        handle.apply(b, pg.as_tensor(device=dev, dim=(N, 1)))
+
+
+class TestCountingOnlyPath:
+    """With no sink and no traced clock, record() only counts."""
+
+    def test_counts_identical_with_and_without_sink(self):
+        _two_solves()
+        plain = cachestats.snapshot()
+        cachestats.reset()
+        dispatch.clear()
+        metrics = pg.MetricsRegistry()
+        cachestats.register_sink(metrics)
+        _two_solves()
+        mirrored = cachestats.snapshot()
+        assert mirrored == plain
+        assert {"cache_workspace_hit", "cache_format_hit",
+                "cache_dispatch_miss"} <= set(plain)
+        for key, count in plain.items():
+            assert metrics.counter(key).value == count
+
+    def test_sink_registered_mid_run_sees_only_later_events(self):
+        _two_solves()
+        before = cachestats.snapshot()
+        metrics = pg.MetricsRegistry()
+        cachestats.register_sink(metrics)
+        _two_solves()
+        after = cachestats.snapshot()
+        for key in after:
+            assert metrics.counter(key).value == after[key] - before.get(key, 0)
+
+    def test_unknown_kind_still_counted(self):
+        cachestats.record("custom", True)
+        cachestats.record("custom", False)
+        assert cachestats.counts("custom") == (1, 1)
 
 
 class TestNestedProfileMirroring:

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro as pg
+from repro.bindings import dispatch, reset_models
 from repro.core.resilient import FallbackChain, RetryPolicy, resilient_solve
 from repro.ginkgo import (
     CudaExecutor,
     FaultInjector,
     FaultyExecutor,
     ReferenceExecutor,
+    cachestats,
+    lazy,
 )
 from repro.ginkgo.matrix import Csr
 from repro.perfmodel import KernelCost, SimClock
@@ -82,6 +86,87 @@ class TestGlobalMode:
             with pg.profile():
                 raise RuntimeError("boom")
         assert not SimClock._global_tracers
+
+
+def _jacobi_gmres(dev, A, b_np):
+    mtx = Csr.from_scipy(dev, A)
+    b = pg.as_tensor(device=dev, data=b_np)
+    _, x = pg.solve(
+        dev, mtx, b, solver="gmres", preconditioner="jacobi",
+        max_iters=300, reduction_factor=1e-8,
+    )
+    return [x.numpy()]
+
+
+def _ilu_cg(dev, A, b_np):
+    mtx = Csr.from_scipy(dev, A)
+    b = pg.as_tensor(device=dev, data=b_np)
+    handle = pg.solver.cg(
+        dev, mtx, preconditioner=pg.preconditioner.Ilu(dev, mtx),
+        max_iters=300, reduction_factor=1e-8,
+    )
+    _, x = handle.apply(b, pg.as_tensor(device=dev, dim=b_np.shape))
+    return [x.numpy()]
+
+
+def _deferred_expression(dev, A, b_np):
+    mtx = Csr.from_scipy(dev, A)
+    b = pg.as_tensor(device=dev, data=b_np)
+    x = pg.as_tensor(device=dev, data=2.0 * b_np)
+    with pg.deferred():
+        z = (x + 0.5 * (b - mtx @ x)).evaluate()
+    return [z.to_numpy()]
+
+
+def _batch_cg(dev, A, b_np):
+    mats = [A, A + 0.5 * sp.identity(A.shape[0], format="csr")]
+    mtx = pg.batch.matrices(dev, mats)
+    b = pg.batch.vectors(dev, [b_np, -b_np])
+    x = pg.batch.zeros_like(b)
+    solver = pg.batch.cg(
+        dev, mtx, preconditioner=pg.batch.jacobi(dev),
+        max_iters=300, reduction_factor=1e-8,
+    )
+    solver.apply(b, x)
+    return list(x.data)
+
+
+class TestTracingNeverPerturbsClock:
+    """A traced run charges the simulated clock exactly what the
+    untraced fast path charges, in the same order: any fast path that
+    skips or reorders a charge (or a noise draw) moves ``clock.now``."""
+
+    @staticmethod
+    def _run(scenario, system, traced):
+        reset_models()
+        dispatch.clear()
+        cachestats.reset()
+        lazy.reset()
+        dev = pg.device("cuda", fresh=True)  # noisy: draw order matters
+        if traced:
+            with pg.profile(metrics=pg.MetricsRegistry()) as prof:
+                solutions = scenario(dev, *system)
+            assert prof.trace.num_spans > 0
+        else:
+            solutions = scenario(dev, *system)
+        clock = dev.clock
+        counters = (
+            clock.now, clock.kernel_count, clock.bytes_moved, clock.flops_done
+        )
+        return counters, solutions
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [_jacobi_gmres, _ilu_cg, _deferred_expression, _batch_cg],
+        ids=["jacobi_gmres", "ilu_cg", "deferred", "batch_cg"],
+    )
+    def test_traced_equals_untraced(self, scenario, system):
+        plain, plain_x = self._run(scenario, system, traced=False)
+        traced, traced_x = self._run(scenario, system, traced=True)
+        assert traced == plain
+        assert len(traced_x) == len(plain_x)
+        for a, b in zip(plain_x, traced_x):
+            assert np.array_equal(a, b)
 
 
 class TestComposesWithResilientSolve:

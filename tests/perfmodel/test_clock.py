@@ -113,3 +113,55 @@ class TestSimClock:
         )
         # SciPy ignores the 32 threads; Ginkgo uses them.
         assert scipy_clock.kernel_time(cost) > 5 * ginkgo_clock.kernel_time(cost)
+
+
+#: The (spec, library, num_threads) combinations the tests above build.
+CLOCK_MODELS = [
+    (NVIDIA_A100, "ginkgo", None),
+    (NVIDIA_A100, "cupy", None),
+    (INTEL_XEON_8368, "scipy", 32),
+    (INTEL_XEON_8368, "ginkgo", 32),
+]
+MEMO_COSTS = [
+    spmv_cost("csr", 1000, 1000, 10000, 4, 4),
+    spmv_cost("csr", 100000, 100000, 1000000, 4, 4),
+    KernelCost("k", flops=2, bytes=16, launches=1),
+    KernelCost("k", 0, 1e9, launches=1),
+    KernelCost("k", 0, 1e9, launches=4),
+    KernelCost("half", 1e6, 1e6, launches=3, dtype_name="float16"),
+    # Same flops/bytes/launches, different dtype: the key must tell them apart.
+    KernelCost("k", 1e12, 8.0, dtype_name="float32"),
+    KernelCost("k", 1e12, 8.0, dtype_name="float64"),
+]
+
+
+class TestKernelTimeMemo:
+    @pytest.mark.parametrize(
+        "spec, library, threads", CLOCK_MODELS,
+        ids=[f"{s.name}-{lib}-{t}" for s, lib, t in CLOCK_MODELS],
+    )
+    def test_memo_equals_roofline_formula(self, spec, library, threads):
+        clock = SimClock(spec, library=library, num_threads=threads, noisy=False)
+        for cost in MEMO_COSTS:
+            expected = clock._roofline_time(cost)
+            assert clock.kernel_time(cost) == expected  # miss
+            assert clock.kernel_time(cost) == expected  # hit
+            renamed = KernelCost(
+                "other", cost.flops, cost.bytes, cost.launches, cost.dtype_name
+            )
+            assert clock.kernel_time(renamed) == expected
+
+    def test_memo_is_per_clock(self):
+        cost = MEMO_COSTS[0]
+        gpu = SimClock(NVIDIA_A100, noisy=False)
+        cpu = SimClock(INTEL_XEON_8368, num_threads=32, noisy=False)
+        assert gpu.kernel_time(cost) != cpu.kernel_time(cost)
+        assert cpu.kernel_time(cost) == cpu._roofline_time(cost)
+
+    def test_memo_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(SimClock, "KERNEL_TIME_MEMO_SIZE", 8)
+        clock = _clock()
+        for n in range(1, 50):
+            cost = KernelCost("k", flops=n, bytes=8.0 * n)
+            assert clock.record(cost) == clock._roofline_time(cost)
+            assert len(clock._kernel_times) <= 8

@@ -102,3 +102,33 @@ class TestOtherKernels:
 
     def test_conversion_cost_positive(self):
         assert conversion_cost("csr", "coo", 100, 1000, 8, 4).bytes > 0
+
+
+#: One valid call of each memoised constructor, and the same call made
+#: invalid by a negative size or an unsupported value width.
+MEMOISED_CALLS = {
+    "spmv": (spmv_cost, ("csr", 10, 10, 30, 8, 4),
+             [("csr", -1, 10, 30, 8, 4), ("csr", 10, 10, 30, 3, 4)]),
+    "blas1": (blas1_cost, ("axpy", 10, 8, 3),
+              [("axpy", -1, 8, 3), ("axpy", 10, 16, 3)]),
+    "dot": (dot_cost, (10, 8), [(-1, 8), (10, 1)]),
+    "trsv": (trsv_cost, (10, 30, 8, 4), [(-1, 30, 8, 4), (10, 30, 6, 4)]),
+}
+
+
+class TestMemoisedConstructors:
+    @pytest.mark.parametrize("name", sorted(MEMOISED_CALLS))
+    def test_repeat_calls_share_one_frozen_cost(self, name):
+        constructor, args, _ = MEMOISED_CALLS[name]
+        assert constructor(*args) is constructor(*args)
+        with pytest.raises(AttributeError):
+            constructor(*args).flops = 0.0
+
+    @pytest.mark.parametrize("name", sorted(MEMOISED_CALLS))
+    def test_invalid_arguments_raise_on_every_call(self, name):
+        constructor, args, invalid = MEMOISED_CALLS[name]
+        for bad in invalid:
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    constructor(*bad)
+            constructor(*args)  # a valid call in between changes nothing

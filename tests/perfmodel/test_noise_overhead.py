@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.perfmodel import BindingOverheadModel, NoiseModel
+from repro.perfmodel import DEVICE_SPECS, BindingOverheadModel, NoiseModel
+from repro.perfmodel.noise import BLOCK_SIZE
+
+#: Enough draws to cross two block boundaries.
+BLOCK_DRAWS = 2500
+#: Every noise sigma a device spec declares (0.01/0.02/0.03/0.06).
+SPEC_SIGMAS = sorted({spec.noise_sigma for spec in DEVICE_SPECS.values()})
+
+
+def _one_at_a_time_jitter(sigma, seed, count):
+    """The per-draw log-normal formula the block draws must reproduce."""
+    rng = np.random.default_rng(seed)
+    mu = -0.5 * np.log1p(sigma**2)
+    s = np.sqrt(np.log1p(sigma**2))
+    return [float(np.exp(rng.normal(mu, s))) for _ in range(count)]
 
 
 class TestNoiseModel:
@@ -35,6 +49,22 @@ class TestNoiseModel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+
+    @pytest.mark.parametrize("sigma", SPEC_SIGMAS)
+    def test_block_draws_equal_per_draw_formula(self, sigma):
+        assert BLOCK_DRAWS > 2 * BLOCK_SIZE
+        noise = NoiseModel(sigma, seed=11)
+        samples = [noise.sample() for _ in range(BLOCK_DRAWS)]
+        assert samples == _one_at_a_time_jitter(sigma, 11, BLOCK_DRAWS)
+
+    @pytest.mark.parametrize("sigma", SPEC_SIGMAS)
+    def test_reset_mid_block_discards_the_block(self, sigma):
+        noise = NoiseModel(sigma, seed=3)
+        for _ in range(BLOCK_SIZE // 2 + 7):
+            noise.sample()
+        noise.reset()
+        samples = [noise.sample() for _ in range(BLOCK_DRAWS)]
+        assert samples == _one_at_a_time_jitter(sigma, 3, BLOCK_DRAWS)
 
 
 class TestBindingOverheadModel:
@@ -72,3 +102,14 @@ class TestBindingOverheadModel:
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             BindingOverheadModel(base_overhead=-1e-6)
+
+    @pytest.mark.parametrize("family", sorted(BindingOverheadModel.DEFAULTS))
+    def test_block_draws_equal_per_draw_formula(self, family):
+        model = BindingOverheadModel.for_device(family, seed=5)
+        rng = np.random.default_rng(5)
+        for call in range(BLOCK_DRAWS):
+            num_arguments = call % 4
+            mean = model.base_overhead + num_arguments * model.per_argument
+            jitter = 1.0 + model.jitter_sigma * float(rng.standard_normal())
+            expected = max(mean * jitter, 0.1 * mean)
+            assert model.sample(num_arguments) == expected
