@@ -256,6 +256,8 @@ def run(nx=96, iters=50, repeats=8, out_path="BENCH_fusion.json"):
         "eager_times_s": data["eager_times"],
         "fused_times_s": data["fused_times"],
         "pair_ratios": data["ratios"],
+        "eager_simulated_s": data["eager_sim"],
+        "fused_simulated_s": data["fused_sim"],
         "simulated_speedup_x": sim_speedup,
         "min_simulated_speedup_x": MIN_SPEEDUP,
         "wall_speedup_x": wall_speedup,

@@ -32,6 +32,7 @@ from repro.ginkgo.executor import (
 )
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.matrix import Coo, Csr, Dense, Ell, Hybrid, Sellp
+from repro.ginkgo.matrix.dense import _clone_as
 from repro.ginkgo.mtx_io import read_mtx
 from repro.ginkgo.preconditioner import Ic, Ilu, Isai, Jacobi
 from repro.ginkgo.multigrid import Pgm
@@ -159,7 +160,7 @@ def _make_apply(value_dtype):
 
 def _make_scal(value_dtype):
     def scal(exec_, alpha, operand):
-        out = operand.clone()
+        out = _clone_as(operand, value_dtype)
         out.scale(alpha)
         return out
 
@@ -171,7 +172,7 @@ def _make_scal(value_dtype):
 
 def _make_axpy(value_dtype):
     def axpy(exec_, alpha, x, y):
-        out = y.clone()
+        out = _clone_as(y, x.dtype)
         out.add_scaled(alpha, x)
         return out
 

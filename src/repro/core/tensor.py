@@ -16,7 +16,7 @@ from repro.core.device import device as _device_factory
 from repro.core.types import value_dtype
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.executor import Executor
-from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.matrix.dense import Dense, _clone_as
 
 
 class Tensor:
@@ -119,8 +119,9 @@ class Tensor:
 
         if lazy.is_recording() or isinstance(other, lazy.LazyExpr):
             return lazy.add_expr(self, other)
-        out = self._dense.clone()
-        out.add_scaled(1.0, self._coerce(other))
+        other = self._coerce(other)
+        out = _clone_as(self._dense, other.dtype)
+        out.add_scaled(1.0, other)
         return Tensor(out)
 
     def __sub__(self, other):
@@ -128,8 +129,9 @@ class Tensor:
 
         if lazy.is_recording() or isinstance(other, lazy.LazyExpr):
             return lazy.add_expr(self, other, sign=-1.0)
-        out = self._dense.clone()
-        out.sub_scaled(1.0, self._coerce(other))
+        other = self._coerce(other)
+        out = _clone_as(self._dense, other.dtype)
+        out.sub_scaled(1.0, other)
         return Tensor(out)
 
     def __mul__(self, scalar):

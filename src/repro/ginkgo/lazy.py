@@ -1,62 +1,40 @@
 """Lazy operator expressions with trace-level kernel fusion (``pg.deferred``).
 
 Eagerly, every expression-level operation (``A @ x``, ``alpha * x``,
-``x + y``) crosses the binding layer once and runs one kernel, cloning
-operands for out-of-place semantics — exactly the per-call overhead the
-paper measures.  Inside a :func:`deferred` region the same expressions
-record a small DAG of :class:`LazyExpr` nodes instead; a flush pass then
-executes each requested result as one *fused region*:
+``x + y``) crosses the binding layer once and runs one kernel on cloned
+operands — the per-call overhead the paper measures.  Inside a
+:func:`deferred` region the same expressions record a DAG of
+:class:`LazyExpr` nodes, and a flush runs each requested result as one
+*fused region*: one dispatch lookup and binding crossing, one streaming
+kernel per maximal elementwise chain (an SpMV feeding only that chain
+folded in), pooled intermediates, and generic operators (preconditioners,
+solvers) applying under the region's crossing.  The NumPy operations and
+their order are the eager path's, so results are bit-identical to eager.
 
-* one :func:`repro.bindings.dispatch.resolve` lookup and one binding
-  crossing per region (instead of one per operation);
-* maximal chains of elementwise nodes collapse into a single fused
-  streaming kernel (:func:`repro.perfmodel.fused_axpby_cost`), and an
-  SpMV whose only consumer is such a chain is folded into it
-  (:func:`repro.perfmodel.fused_spmv_axpby_cost`) — intermediates never
-  round-trip through DRAM;
-* intermediate buffers come from a PR-3 :class:`Workspace` pool instead
-  of fresh allocations, so steady-state flushes are allocation-free;
-* generic operators in the tree (preconditioners, solvers) run through
-  their own ``apply`` — their kernels are unchanged, but they amortise
-  the region's single dispatch charge, which is how preconditioner
-  chains fuse.
-
-The numerics are computed with the same NumPy operations in the same
-order as the eager path, so flushed results are **bit-identical** to
-eager execution; only the modeled launches, bytes, clones, and binding
-crossings shrink.
-
-Invalidation contract: every node snapshots the ``data_version`` of each
-operand it reads.  Evaluation always reads live data, and a node's
-memoized value is reused only while every operand's version still
-matches — mutating an operand between record and flush therefore forces
-a recompute, never a stale replay.  Writes that bypass
-``mark_modified()`` (raw-array pokes) are invisible to this check, which
-is why the exported views are read-only by default.
-
-Flush points: leaving the ``with pg.deferred()`` block, calling
-``trace.flush()``, or requesting any expression's value
-(:meth:`LazyExpr.evaluate` / ``to_numpy``/``tensor``).  ``.into(dst)``
-registers a destination write without forcing a flush.
+Every node snapshots the ``data_version`` of each operand it reads; a
+memoized value is reused only while all of them still match, so mutating
+an operand between record and flush recomputes, never replays stale
+bits.  A flush happens on leaving the region, on ``trace.flush()`` and
+on any value request (``evaluate``/``to_numpy``/``tensor``); ``.into(dst)``
+only registers a destination.  Outside a region an expression evaluates
+in a throwaway trace.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from repro.bindings import dispatch
 from repro.ginkgo.dim import Dim
-from repro.ginkgo.exceptions import (
-    DimensionMismatch,
-    ExecutorMismatch,
-    GinkgoError,
-)
+from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
 from repro.ginkgo.matrix.base import SparseBase
-from repro.ginkgo.matrix.dense import Dense, _coef
+from repro.ginkgo.matrix.dense import Dense, _coef, _scale_into
 from repro.ginkgo.solver.workspace import Workspace
-from repro.perfmodel import fused_axpby_cost, fused_spmv_axpby_cost, spmv_cost
+from repro.perfmodel import fused_axpby_cost, fused_spmv_axpby_cost
 
 #: Stack of active recording traces (innermost last).
 _STACK: list = []
@@ -67,30 +45,19 @@ def is_recording() -> bool:
     return bool(_STACK)
 
 
-def _current():
-    return _STACK[-1] if _STACK else None
+def _operand_dense(operand):
+    """Coerce a Dense or tensor-like operand to its engine Dense."""
+    dense = operand if isinstance(operand, Dense) else getattr(operand, "dense", None)
+    if isinstance(dense, Dense):
+        return dense
+    raise TypeError(
+        f"expected a Dense, tensor, or lazy expression, got {type(operand).__name__}"
+    )
 
 
 def _merge_deps(*dep_tuples):
     """Union version-snapshot tuples, deduplicated per operand object."""
-    merged = {}
-    for deps in dep_tuples:
-        for obj, version in deps:
-            merged[id(obj)] = (obj, version)
-    return tuple(merged.values())
-
-
-def _operand_dense(operand):
-    """Coerce a Dense or tensor-like operand to its engine Dense."""
-    if isinstance(operand, Dense):
-        return operand
-    dense = getattr(operand, "dense", None)
-    if isinstance(dense, Dense):
-        return dense
-    raise TypeError(
-        f"expected a Dense, tensor, or lazy expression, got "
-        f"{type(operand).__name__}"
-    )
+    return tuple({id(o): (o, v) for deps in dep_tuples for o, v in deps}.values())
 
 
 def _to_expr(operand) -> "LazyExpr":
@@ -99,13 +66,18 @@ def _to_expr(operand) -> "LazyExpr":
     return LazyExpr.leaf(_operand_dense(operand))
 
 
-class LazyExpr:
-    """One node of a recorded expression DAG.
+def _conform(where: str, executor, other, expected, got) -> None:
+    """Raise unless ``got == expected`` and ``other`` lives on ``executor``."""
+    if got != expected:
+        raise DimensionMismatch(where, expected=expected, got=got)
+    if other.executor is not executor:
+        raise ExecutorMismatch(where, expected=executor.name, got=other.executor.name)
 
-    Nodes are built by the operator protocol (``A @ x``, ``alpha * x``,
-    ``x + y``, ``x - y``) while a :func:`deferred` trace is recording, or
-    whenever an existing ``LazyExpr`` appears as an operand.  A node
-    holds structure only — operand *data* is read live at flush time.
+
+class LazyExpr:
+    """One node of a recorded expression DAG (``leaf``/``apply``/``scale``/``add``).
+
+    A node holds structure only — operand *data* is read live at flush time.
     """
 
     __slots__ = (
@@ -113,105 +85,38 @@ class LazyExpr:
         "deps", "_result", "_result_versions",
     )
 
-    def __init__(self, kind, executor, size, dtype, *, op=None, alpha=None,
-                 children=(), deps=()):
+    def __init__(self, kind, executor, size, dtype, children=(), *,
+                 op=None, alpha=None, deps=()):
         self.kind = kind
         self.executor = executor
         self.size = size
         self.dtype = np.dtype(dtype)
         self.op = op
         self.alpha = alpha
-        self.children = tuple(children)
+        self.children = children
         #: ``(operand, data_version at record time)`` for every LinOp
         #: this subtree reads — the invalidation contract.
         self.deps = deps
-        self._result = None
-        self._result_versions = None
+        self._result = self._result_versions = None
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
     @staticmethod
     def leaf(dense: Dense) -> "LazyExpr":
-        return LazyExpr(
-            "leaf", dense.executor, dense.size, dense.dtype,
-            deps=((dense, dense.data_version),),
-        )
+        deps = ((dense, dense.data_version),)
+        return LazyExpr("leaf", dense.executor, dense.size, dense.dtype, deps=deps)
 
-    @staticmethod
-    def apply(op, operand) -> "LazyExpr":
-        child = _to_expr(operand)
-        if op.size.cols != child.size.rows:
-            raise DimensionMismatch(
-                type(op).__name__,
-                expected=f"operand with {op.size.cols} rows",
-                got=f"operand with {child.size.rows} rows",
-            )
-        if child.executor is not op.executor:
-            raise ExecutorMismatch(
-                type(op).__name__,
-                expected=op.executor.name,
-                got=child.executor.name,
-            )
-        dtype = np.promote_types(getattr(op, "dtype", child.dtype), child.dtype)
-        return LazyExpr(
-            "apply", op.executor, Dim(op.size.rows, child.size.cols), dtype,
-            op=op, children=(child,),
-            deps=_merge_deps(((op, op.data_version),), child.deps),
-        )
-
-    @staticmethod
-    def scale(alpha, operand) -> "LazyExpr":
-        child = _to_expr(operand)
-        deps = child.deps
-        if isinstance(alpha, Dense):
-            deps = _merge_deps(((alpha, alpha.data_version),), deps)
-        return LazyExpr(
-            "scale", child.executor, child.size, child.dtype,
-            alpha=alpha, children=(child,), deps=deps,
-        )
-
-    @staticmethod
-    def add(left, right) -> "LazyExpr":
-        left = _to_expr(left)
-        right = _to_expr(right)
-        if left.size != right.size:
-            raise DimensionMismatch(
-                "lazy add", expected=left.size, got=right.size
-            )
-        if left.executor is not right.executor:
-            raise ExecutorMismatch(
-                "lazy add",
-                expected=left.executor.name,
-                got=right.executor.name,
-            )
-        return LazyExpr(
-            "add", left.executor, left.size,
-            np.promote_types(left.dtype, right.dtype),
-            children=(left, right), deps=_merge_deps(left.deps, right.deps),
-        )
-
-    # ------------------------------------------------------------------
-    # expression-building operators
-    # ------------------------------------------------------------------
     def __add__(self, other):
-        return LazyExpr.add(self, other)
-
-    __radd__ = __add__
+        return add_expr(self, other)
 
     def __sub__(self, other):
-        return LazyExpr.add(self, LazyExpr.scale(-1.0, _to_expr(other)))
-
-    def __rsub__(self, other):
-        return LazyExpr.add(_to_expr(other), LazyExpr.scale(-1.0, self))
+        return add_expr(self, other, sign=-1.0)
 
     def __mul__(self, alpha):
-        return LazyExpr.scale(alpha, self)
+        return scale_expr(alpha, self)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LazyExpr.scale(-1.0, self)
+        return scale_expr(-1.0, self)
 
     @property
     def shape(self) -> tuple:
@@ -220,42 +125,22 @@ class LazyExpr:
     @property
     def num_nodes(self) -> int:
         """Distinct nodes in this expression's DAG (leaves included)."""
-        seen = set()
-        stack = [self]
+        seen, stack = set(), [self]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(node.children)
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.children)
         return len(seen)
 
-    # ------------------------------------------------------------------
-    # materialisation
-    # ------------------------------------------------------------------
     def into(self, dst):
-        """Request this expression's value be written into ``dst``.
-
-        Recording: registers a flush root (deferred until the trace
-        flushes).  Otherwise the region executes immediately.  Returns
-        ``dst``.
-        """
-        dst_dense = _operand_dense(dst)
-        if dst_dense.size != self.size:
-            raise DimensionMismatch(
-                "LazyExpr.into", expected=self.size, got=dst_dense.size
-            )
-        if dst_dense.executor is not self.executor:
-            raise ExecutorMismatch(
-                "LazyExpr.into",
-                expected=self.executor.name,
-                got=dst_dense.executor.name,
-            )
-        trace = _current()
-        if trace is not None:
-            trace.record_root(self, dst_dense)
+        """Write the value into ``dst`` (returned) at the next flush, or now."""
+        dense = _operand_dense(dst)
+        _conform("LazyExpr.into", self.executor, dense, self.size, dense.size)
+        if _STACK:
+            _STACK[-1]._roots.append((self, dense))
         else:
-            _immediate().materialize(self, dst_dense)
+            _materialize(self, dense)
         return dst
 
     def evaluate(self) -> Dense:
@@ -265,11 +150,7 @@ class LazyExpr:
             for obj, version in self._result_versions
         ):
             return self._result
-        trace = _current()
-        if trace is None:
-            trace = _immediate()
-        result = trace.materialize(self)
-        self._result = result
+        result = self._result = _materialize(self)
         self._result_versions = tuple(
             (obj, obj.data_version) for obj, _ in self.deps
         ) + ((result, result.data_version),)
@@ -292,290 +173,128 @@ class LazyExpr:
         )
 
 
-class _Chain:
-    """An open fused-kernel segment being grown bottom-up during a flush."""
+def _fused_region(trace, root, dst, memo, slots):
+    """Evaluate ``root`` (into ``dst`` when given) as one fused region.
 
-    __slots__ = ("base", "inputs", "flops", "nodes")
-
-    def __init__(self, base=None):
-        #: Deferred SpMV cost when the chain grows out of a matrix apply.
-        self.base = base
-        #: ids of external input arrays the elementwise tail reads.
-        self.inputs = set()
-        #: Elementwise operations per vector element.
-        self.flops = 0
-        #: Recorded nodes folded into this segment.
-        self.nodes = 0
-
-
-class _RegionRun:
-    """Executable plan for one fused region (one flush root).
-
-    Instances are handed through the ``fused_region_<type>`` binding so
-    the region pays exactly one binding crossing; calling the plan pushes
-    the ``fused_region`` span, evaluates the subtree with segment-fused
-    kernel charges, and writes the destination.
+    One DFS yields the post-order of the nodes to evaluate and their
+    consumer counts (values still valid in the flush's ``memo`` are reused,
+    not descended into); one walk runs each node's NumPy op in eager order.
+    Elementwise nodes grow a chain, ``[spmv cost or None, input array ids,
+    flops]``: a value with one consumer leaves it open for that consumer;
+    any other value charges it as one ``fused_axpby_cost`` kernel, or a
+    ``fused_spmv_axpby_cost`` folding in the SpMV the chain grew out of.
     """
-
-    def __init__(self, trace, root, dst, memo, slots):
-        self.trace = trace
-        self.root = root
-        self.dst = dst
-        self.memo = memo
-        self.slots = slots
-        self.exec_ = root.executor
-        self.counts: dict = {}
-        self.chains: dict = {}
-        self.kernels = 0
-        self.recomputed = 0
-
-    # -- bookkeeping ----------------------------------------------------
-    def _memo_valid(self, node):
-        cached = self.memo.get(id(node))
-        if cached is None:
-            return False
-        _, versions = cached
-        return all(obj.data_version == v for obj, v in versions)
-
-    def _prepass(self) -> int:
-        """Count consumer edges per node; return the pending-op count."""
-        seen = {id(self.root)}
-        stack = [self.root]
-        pending = 0
-        while stack:
-            node = stack.pop()
-            if node.kind != "leaf" and not self._memo_valid(node):
-                pending += 1
-            for child in node.children:
-                self.counts[id(child)] = self.counts.get(id(child), 0) + 1
-                if id(child) not in seen:
-                    seen.add(id(child))
-                    stack.append(child)
-        return pending
-
-    def _slot(self, node, zero: bool = False) -> np.ndarray:
-        name = f"lazy.v{next(self.slots)}"
-        return self.trace._pool(self.exec_).tensor(
-            name, (node.size.rows, node.size.cols), node.dtype, zero=zero
-        )
-
-    # -- segment charging -----------------------------------------------
-    def _close_chain(self, node) -> None:
-        chain = self.chains.pop(id(node), None)
-        if chain is None:
-            return
-        length = node.size.num_elements
-        value_bytes = node.dtype.itemsize
-        if chain.base is not None:
-            if chain.flops == 0 and not chain.inputs:
-                cost = chain.base  # bare SpMV, nothing folded
+    exec_, clock = root.executor, root.executor.clock
+    seen, counts, values, order = set(), {}, {}, []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if expanded:
+            order.append(node)
+        elif key not in seen:
+            seen.add(key)
+            cached = memo.get(key)
+            if node.kind == "leaf":
+                values[key] = node.deps[0][0]._data
+            elif cached and all(o.data_version == v for o, v in cached[1]):
+                values[key] = cached[0]
             else:
-                cost = fused_spmv_axpby_cost(
-                    chain.base, length, value_bytes,
-                    len(chain.inputs), chain.flops,
-                )
+                stack.append((node, True))
+                for child in reversed(node.children):
+                    counts[id(child)] = counts.get(id(child), 0) + 1
+                    stack.append((child, False))
+
+    chains: dict = {}
+    kernels = recomputed = 0
+    pools = trace._pools
+    pool = pools.get(exec_) or pools.setdefault(exec_, Workspace(exec_))
+    # An elementwise root streams straight into the destination.
+    root_out = dst._data if dst is not None and root.kind != "apply" else None
+
+    def slot(node, zero=False):
+        if node is root and root_out is not None:
+            return root_out
+        shape = (node.size.rows, node.size.cols)
+        return pool.tensor(f"lazy.v{next(slots)}", shape, node.dtype, zero=zero)
+
+    def charge(node, chain):
+        nonlocal kernels
+        base, inputs, flops = chain
+        length, width = node.size.num_elements, node.dtype.itemsize
+        if base is None:
+            cost = fused_axpby_cost(length, width, max(1, len(inputs)), flops)
+        elif flops:
+            cost = fused_spmv_axpby_cost(base, length, width, len(inputs), flops)
         else:
-            cost = fused_axpby_cost(
-                length, value_bytes, max(1, len(chain.inputs)), chain.flops
-            )
-        self.exec_.run(cost)
-        self.kernels += 1
+            cost = base  # a bare SpMV: nothing was folded into it
+        exec_.run(cost)
+        kernels += 1
 
-    def _take_chain(self, child):
-        """Inherit ``child``'s open chain if this is its only consumer."""
-        if self.counts.get(id(child), 0) == 1:
-            return self.chains.pop(id(child), None)
-        self._close_chain(child)
-        return None
-
-    def _register(self, node, chain) -> None:
-        self.chains[id(node)] = chain
-        # A value consumed more than once (or a flush root) materialises
-        # here: charge the segment now.  Single-consumer chains stay open
-        # for the parent to extend.
-        if self.counts.get(id(node), 0) != 1:
-            self._close_chain(node)
-
-    # -- evaluation -----------------------------------------------------
-    def _eval(self, node, out=None) -> np.ndarray:
-        if node.kind == "leaf":
-            return node.deps[0][0]._data
-        cached = self.memo.get(id(node))
-        if cached is not None:
-            arr, versions = cached
-            if all(obj.data_version == v for obj, v in versions):
-                return arr
-        if any(obj.data_version != v for obj, v in node.deps):
-            self.recomputed += 1
-        if node.kind == "apply":
-            arr = self._eval_apply(node, out)
-        elif node.kind == "scale":
-            arr = self._eval_scale(node, out)
-        elif node.kind == "add":
-            arr = self._eval_add(node, out)
-        else:  # pragma: no cover - constructors only build known kinds
-            raise GinkgoError(f"unknown lazy node kind {node.kind!r}")
-        self.memo[id(node)] = (
-            arr, tuple((obj, obj.data_version) for obj, _ in node.deps)
-        )
-        return arr
-
-    def _eval_apply(self, node, out):
-        child = node.children[0]
-        b = self._eval(child)
-        # A chain feeding an SpMV must materialise first.
-        self._close_chain(child)
-        op = node.op
-        if isinstance(op, (SparseBase, Dense)):
-            if isinstance(op, SparseBase):
-                result = op._spmv_arrays(b)
-            else:
-                result = op._data @ b
-            target = out if out is not None else self._slot(node)
-            np.copyto(target, np.asarray(result).reshape(target.shape))
-            cost = _matrix_spmv_cost(op, b.shape[1])
-            if self.counts.get(id(node), 0) == 1:
-                # Defer the charge: an exclusive elementwise consumer may
-                # fold this SpMV into its fused kernel.
-                self.chains[id(node)] = _Chain(base=cost)
-            else:
-                self.exec_.run(cost)
-                self.kernels += 1
-            return target
-        # Generic operator (preconditioner, solver, composition): its
-        # apply runs unchanged — same kernels, same spans — but under
-        # this region's single dispatch/binding charge.  The output slot
-        # is zeroed so solver-style operators see a deterministic
-        # initial guess, like a fresh allocation.
-        b_dense = Dense._wrap(self.exec_, b)
-        out_dense = Dense._wrap(self.exec_, self._slot(node, zero=True))
-        op.apply(b_dense, out_dense)
-        self.kernels += 1
-        if out is not None:
-            np.copyto(out, out_dense._data)
-            return out
-        return out_dense._data
-
-    def _eval_scale(self, node, out):
-        child = node.children[0]
-        src = self._eval(child)
-        chain = self._take_chain(child)
-        if chain is None:
-            chain = _Chain()
-            chain.inputs.add(id(src))
-        target = out if out is not None else self._slot(node)
-        coef = _coef(node.alpha, node.dtype)
-        # Mirror Dense.scale's special cases so the bits match eager
-        # execution exactly (0.0 zero-fills; 1.0 leaves values untouched).
-        if np.ndim(coef) == 0 and coef == 0.0:
-            target.fill(0.0)
-        elif np.ndim(coef) == 0 and coef == 1.0:
-            if target is not src:
-                np.copyto(target, src)
+    def close(node, chain):
+        if counts.get(id(node)) == 1:
+            chains[id(node)] = chain
         else:
-            np.multiply(src, coef, out=target)
-        chain.flops += 1
-        chain.nodes += 1
-        self._register(node, chain)
-        return target
+            charge(node, chain)
 
-    def _eval_add(self, node, out):
-        left, right = node.children
-        left_arr = self._eval(left)
-        right_arr = self._eval(right)
-        left_chain = self._take_chain(left)
-        right_chain = self._take_chain(right)
-        # Extend one producer chain (prefer the one carrying an SpMV);
-        # the other operand materialises as an external input.
-        if left_chain is not None and (
-            right_chain is None or right_chain.base is None
-        ):
-            chain = left_chain
-            other = right
-            other_arr, other_chain = right_arr, right_chain
-        elif right_chain is not None:
-            chain = right_chain
-            other = left
-            other_arr, other_chain = left_arr, left_chain
-        else:
-            chain = _Chain()
-            chain.inputs.add(id(left_arr))
-            other = None
-            other_arr, other_chain = right_arr, None
-        if other_chain is not None:
-            self.chains[id(other)] = other_chain
-            self._close_chain(other)
-        chain.inputs.add(id(other_arr))
-        target = out if out is not None else self._slot(node)
-        np.add(left_arr, right_arr, out=target)
-        chain.flops += 1
-        chain.nodes += 1
-        self._register(node, chain)
-        return target
-
-    # -- the plan entry point (called through the binding) --------------
-    def __call__(self):
-        root, dst = self.root, self.dst
-        clock = self.exec_.clock
-        if root.kind == "leaf":
-            # Degenerate region: a plain value passthrough.
-            source = root.deps[0][0]
-            if dst is None:
-                return source
-            return dst.copy_values_from(source)
-        pending = self._prepass()
-        clock.push_span(
-            "fused_region", "fused_region", ops_replaced=pending
-        )
-        try:
-            root_out = None
-            if dst is not None and root.kind in ("scale", "add"):
-                # Elementwise roots stream straight into the destination
-                # (positionally aligned, so aliasing an operand is safe).
-                root_out = dst._data
-            arr = self._eval(root, out=root_out)
-            self._close_chain(root)
-            if dst is not None:
-                if arr is not dst._data:
-                    np.copyto(
-                        dst._data, np.asarray(arr).reshape(dst._data.shape)
-                    )
-                dst.mark_modified()
-                result = dst
+    clock.push_span("fused_region", "fused_region", ops_replaced=len(order))
+    try:
+        for node in order:
+            recomputed += any(o.data_version != v for o, v in node.deps)
+            left = node.children[0]
+            a = values[id(left)]
+            chain = chains.pop(id(left), None)
+            if node.kind == "apply":
+                if chain is not None:  # a chain feeding an SpMV closes first
+                    charge(left, chain)
+                op = node.op
+                if isinstance(op, (SparseBase, Dense)):
+                    result = op._spmv_arrays(a)
+                    arr = slot(node)
+                    np.copyto(arr, np.asarray(result).reshape(arr.shape))
+                    close(node, [op._spmv_cost(a.shape[1]), set(), 0])
+                else:
+                    # A generic operator runs its own kernels under this
+                    # region's crossing; a zeroed slot is its initial guess.
+                    arr = slot(node, zero=True)
+                    op.apply(Dense._wrap(exec_, a), Dense._wrap(exec_, arr))
+                    kernels += 1
             else:
-                result = Dense.empty(self.exec_, root.size, root.dtype)
-                np.copyto(result._data, np.asarray(arr).reshape(
-                    result._data.shape
-                ))
-        finally:
-            clock.pop_span(
-                ops_replaced=pending,
-                fused_kernels=self.kernels,
-                recomputed=self.recomputed,
-            )
-        trace = self.trace
-        trace.regions += 1
-        trace.ops_replaced += pending
-        trace.recomputed += self.recomputed
-        return result
-
-
-def _matrix_spmv_cost(op, num_rhs: int):
-    if isinstance(op, SparseBase):
-        return spmv_cost(
-            op._format_name,
-            op.size.rows,
-            op.size.cols,
-            op.nnz,
-            op.value_bytes,
-            op.index_bytes,
-            num_rhs=num_rhs,
-            **op._spmv_cost_kwargs(),
-        )
-    return spmv_cost(
-        "dense", op.size.rows, op.size.cols, op.size.num_elements,
-        op.value_bytes, 8, num_rhs=num_rhs,
-    )
+                if node.kind == "scale":
+                    chain = chain or [None, {id(a)}, 0]
+                    arr = slot(node)
+                    _scale_into(a, _coef(node.alpha, node.dtype), arr)
+                else:
+                    ext = node.children[1]
+                    b = values[id(ext)]
+                    ext_chain = chains.pop(id(ext), None)
+                    # Extend one producer's chain, preferring one carrying an
+                    # SpMV; the other operand (``ext``) is an external input.
+                    if chain is None or (ext_chain and ext_chain[0] is not None):
+                        chain, ext_chain, left, ext = ext_chain, chain, ext, left
+                    if ext_chain is not None:
+                        charge(ext, ext_chain)
+                    chain = chain or [None, {id(values[id(left)])}, 0]
+                    chain[1].add(id(values[id(ext)]))
+                    arr = slot(node)
+                    np.add(a, b, out=arr)
+                chain[2] += 1
+                close(node, chain)
+            values[id(node)] = arr
+            memo[id(node)] = arr, tuple((o, o.data_version) for o, _ in node.deps)
+        arr = values[id(root)]
+        result = Dense.empty(exec_, root.size, root.dtype) if dst is None else dst
+        if arr is not result._data:
+            np.copyto(result._data, arr)
+        if dst is not None:
+            dst.mark_modified()
+    finally:
+        clock.pop_span(ops_replaced=len(order), fused_kernels=kernels,
+                       recomputed=recomputed)
+    trace.regions += 1
+    trace.ops_replaced += len(order)
+    trace.recomputed += recomputed
+    return result
 
 
 class DeferredTrace:
@@ -592,56 +311,38 @@ class DeferredTrace:
     def __init__(self) -> None:
         self._roots: list = []
         self._pools: dict = {}
-        self.flushes = 0
-        self.regions = 0
-        self.ops_replaced = 0
-        self.recomputed = 0
+        self.flushes = self.regions = self.ops_replaced = self.recomputed = 0
 
     @property
     def pending(self) -> int:
         """Roots recorded but not yet flushed."""
         return len(self._roots)
 
-    def record_root(self, expr: LazyExpr, dst: Dense | None) -> None:
-        self._roots.append((expr, dst))
-
-    def _pool(self, exec_) -> Workspace:
-        ws = self._pools.get(exec_)
-        if ws is None:
-            ws = Workspace(exec_)
-            self._pools[exec_] = ws
-        return ws
-
-    def flush(self):
+    def flush(self) -> None:
         """Execute every pending root, in record order, as fused regions."""
-        return self._flush_and(None)
+        self.materialize(None)
 
-    def materialize(self, expr: LazyExpr, dst: Dense | None = None) -> Dense:
+    def materialize(self, expr: LazyExpr | None, dst: Dense | None = None):
         """Flush pending roots, then evaluate ``expr`` in the same pass
         (sharing the flush's node memo, so common subtrees run once)."""
-        return self._flush_and(expr, dst)
-
-    def _flush_and(self, extra: LazyExpr | None, extra_dst: Dense | None = None):
-        if not self._roots and extra is None:
+        if not self._roots and expr is None:
             return None
         roots, self._roots = self._roots, []
-        if roots or extra is not None:
-            self.flushes += 1
+        self.flushes += 1
         memo: dict = {}
-        slots = iter(range(1 << 30))
-        for expr, dst in roots:
-            self._run_region(expr, dst, memo, slots)
-        if extra is not None:
-            return self._run_region(extra, extra_dst, memo, slots)
-        return None
+        slots = itertools.count()
+        for root, root_dst in roots:
+            self._run_region(root, root_dst, memo, slots)
+        return None if expr is None else self._run_region(expr, dst, memo, slots)
 
     def _run_region(self, expr, dst, memo, slots):
-        run = _RegionRun(self, expr, dst, memo, slots)
         if expr.kind == "leaf":
             # No kernels to fuse — don't charge a crossing for a no-op.
-            return run()
+            source = expr.deps[0][0]
+            return source if dst is None else dst.copy_values_from(source)
         fn = dispatch.resolve("fused_region", expr.dtype, exec_=expr.executor)
-        return fn(expr.executor, run)
+        region = partial(_fused_region, self, expr, dst, memo, slots)
+        return fn(expr.executor, region)
 
     def discard(self) -> None:
         """Drop pending roots without executing them."""
@@ -654,126 +355,96 @@ class DeferredTrace:
         self._pools.clear()
 
 
-#: Shared trace used for materialisation outside any deferred() region —
-#: keeps the intermediate-buffer pools warm across immediate evaluations.
-_IMMEDIATE = DeferredTrace()
-
-
-def _immediate() -> DeferredTrace:
-    return _IMMEDIATE
+def _materialize(expr: LazyExpr, dst: Dense | None = None) -> Dense:
+    """Evaluate ``expr`` in the active trace, or in a throwaway one."""
+    if _STACK:
+        return _STACK[-1].materialize(expr, dst)
+    trace = DeferredTrace()
+    try:
+        return trace.materialize(expr, dst)
+    finally:
+        trace.clear_pools()
 
 
 @contextmanager
 def deferred():
     """Record expression operations lazily; flush fused regions on exit.
 
-    ::
-
-        with pg.deferred() as trace:
-            (alpha * (A @ x) + beta * y).into(y)
-        # exit flushed: one fused region, one binding crossing
-
-    Yields the :class:`DeferredTrace`; ``trace.flush()`` is an explicit
-    mid-region flush point.  If the body raises, pending (unflushed)
-    roots are discarded rather than executed against possibly
-    inconsistent operands.
+    Yields the :class:`DeferredTrace` (``trace.flush()`` flushes mid
+    region).  If the body raises, pending roots are discarded rather than
+    run against possibly inconsistent operands.
     """
     trace = DeferredTrace()
     _STACK.append(trace)
     try:
         yield trace
     except BaseException:
-        _STACK.pop()
         trace.discard()
         raise
-    _STACK.pop()
+    finally:
+        _STACK.pop()
     trace.flush()
 
 
-# ----------------------------------------------------------------------
-# operator-protocol entry points (used by LinOp / Dense / Tensor dunders)
-# ----------------------------------------------------------------------
+def _eager(symbol: str, dtype, exec_, wrap: bool, *args):
+    """One eager ``<symbol>_<dtype>`` binding call; a Tensor if ``wrap``."""
+    out = dispatch.resolve(symbol, dtype, exec_=exec_)(exec_, *args)
+    if not wrap:
+        return out
+    from repro.core.tensor import Tensor
+
+    return Tensor(out)
+
+
 def matmul(op, operand):
-    """``op @ operand``: record a lazy apply node, or run one eagerly.
-
-    Eager execution goes through the ``apply_<type>`` binding — one
-    crossing, a fresh output, and the operator's own kernels — matching
-    what a pybind11 ``__matmul__`` would do per call.
-    """
-    if isinstance(operand, LazyExpr) or _STACK:
-        return LazyExpr.apply(op, _to_expr(operand))
-    dense = _operand_dense(operand)
-    wrap = dense is not operand and not isinstance(operand, Dense)
-    dtype = np.promote_types(getattr(op, "dtype", dense.dtype), dense.dtype)
-    fn = dispatch.resolve("apply", dtype, exec_=op.executor)
-    out = fn(op.executor, op, dense)
-    if wrap:
-        from repro.core.tensor import Tensor
-
-        return Tensor(out)
-    return out
+    """``op @ operand`` (``LinOp.__matmul__``): record an apply node, or run
+    the ``apply`` binding — one crossing, a fresh output, the op's kernels."""
+    lazy = isinstance(operand, LazyExpr) or bool(_STACK)
+    arg = _to_expr(operand) if lazy else _operand_dense(operand)
+    dtype = np.promote_types(getattr(op, "dtype", arg.dtype), arg.dtype)
+    if not lazy:
+        return _eager("apply", dtype, op.executor, arg is not operand, op, arg)
+    size = arg.size
+    _conform(type(op).__name__, op.executor, arg, Dim(op.size.cols, size.cols), size)
+    return LazyExpr(
+        "apply", op.executor, Dim(op.size.rows, size.cols), dtype, (arg,),
+        op=op, deps=_merge_deps(((op, op.data_version),), arg.deps),
+    )
 
 
 def scale_expr(alpha, operand):
-    """``alpha * operand`` through the expression layer."""
-    if isinstance(operand, LazyExpr) or _STACK:
-        return LazyExpr.scale(alpha, _to_expr(operand))
-    dense = _operand_dense(operand)
-    wrap = dense is not operand and not isinstance(operand, Dense)
-    fn = dispatch.resolve("scal", dense.dtype, exec_=dense.executor)
-    out = fn(dense.executor, alpha, dense)
-    if wrap:
-        from repro.core.tensor import Tensor
-
-        return Tensor(out)
-    return out
+    """``alpha * operand``: record a scale node, or run the ``scal`` binding."""
+    if not (isinstance(operand, LazyExpr) or _STACK):
+        dense = _operand_dense(operand)
+        wrap = dense is not operand
+        return _eager("scal", dense.dtype, dense.executor, wrap, alpha, dense)
+    child = _to_expr(operand)
+    deps = child.deps
+    if isinstance(alpha, Dense):
+        deps = _merge_deps(((alpha, alpha.data_version),), deps)
+    return LazyExpr(
+        "scale", child.executor, child.size, child.dtype, (child,),
+        alpha=alpha, deps=deps,
+    )
 
 
 def add_expr(left, right, sign: float = 1.0):
-    """``left + sign * right`` through the expression layer."""
-    if isinstance(left, LazyExpr) or isinstance(right, LazyExpr) or _STACK:
-        left_expr = _to_expr(left)
-        right_expr = _to_expr(right)
-        if sign != 1.0:
-            right_expr = LazyExpr.scale(sign, right_expr)
-        return LazyExpr.add(left_expr, right_expr)
-    left_dense = _operand_dense(left)
-    right_dense = _operand_dense(right)
-    wrap = (left_dense is not left and not isinstance(left, Dense)) or (
-        right_dense is not right and not isinstance(right, Dense)
-    )
-    fn = dispatch.resolve("axpy", left_dense.dtype, exec_=left_dense.executor)
-    out = fn(left_dense.executor, sign, right_dense, left_dense)
-    if wrap:
-        from repro.core.tensor import Tensor
-
-        return Tensor(out)
-    return out
-
-
-@contextmanager
-def fused_step(exec_, name: str, ops_replaced: int):
-    """Mark a solver's hand-fused update as a ``fused_region`` span.
-
-    The scalar solvers' inner loops already run Ginkgo-style fused step
-    kernels; this span makes that visible to the attribution layer with
-    the eager op count each step replaced.  Zero-cost: no charges, just
-    trace structure.
-    """
-    clock = exec_.clock
-    clock.push_span(name, "fused_region", ops_replaced=int(ops_replaced))
-    try:
-        yield
-    finally:
-        clock.pop_span()
+    """``left + sign * right``: record an add node, or run the ``axpy``
+    binding of the promoted value type (the type the add node has)."""
+    if not (isinstance(left, LazyExpr) or isinstance(right, LazyExpr) or _STACK):
+        x, y = _operand_dense(right), _operand_dense(left)
+        dtype = np.promote_types(y.dtype, x.dtype)
+        wrap = x is not right or y is not left
+        return _eager("axpy", dtype, y.executor, wrap, sign, x, y)
+    left, right = _to_expr(left), _to_expr(right)
+    if sign != 1.0:
+        right = scale_expr(sign, right)
+    _conform("lazy add", left.executor, right, left.size, right.size)
+    dtype = np.promote_types(left.dtype, right.dtype)
+    deps = _merge_deps(left.deps, right.deps)
+    return LazyExpr("add", left.executor, left.size, dtype, (left, right), deps=deps)
 
 
 def reset() -> None:
-    """Drop all recording state and pooled buffers (test isolation)."""
+    """Drop all recording state (test isolation)."""
     _STACK.clear()
-    _IMMEDIATE.discard()
-    _IMMEDIATE.clear_pools()
-    _IMMEDIATE.flushes = 0
-    _IMMEDIATE.regions = 0
-    _IMMEDIATE.ops_replaced = 0
-    _IMMEDIATE.recomputed = 0

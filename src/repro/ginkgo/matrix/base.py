@@ -188,19 +188,21 @@ class SparseBase(LinOp):
     def _spmv_cost_kwargs(self) -> dict:
         return {}
 
-    def _record_spmv(self, num_rhs: int) -> None:
-        self._exec.run(
-            spmv_cost(
-                self._format_name,
-                self._size.rows,
-                self._size.cols,
-                self.nnz,
-                self.value_bytes,
-                self.index_bytes,
-                num_rhs=num_rhs,
-                **self._spmv_cost_kwargs(),
-            )
+    def _spmv_cost(self, num_rhs: int):
+        """The ``KernelCost`` of one apply to ``num_rhs`` columns."""
+        return spmv_cost(
+            self._format_name,
+            self._size.rows,
+            self._size.cols,
+            self.nnz,
+            self.value_bytes,
+            self.index_bytes,
+            num_rhs=num_rhs,
+            **self._spmv_cost_kwargs(),
         )
+
+    def _record_spmv(self, num_rhs: int) -> None:
+        self._exec.run(self._spmv_cost(num_rhs))
 
     def _apply_impl(self, b, x) -> None:
         result = self._spmv_arrays(b._data)

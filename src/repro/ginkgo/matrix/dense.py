@@ -48,6 +48,36 @@ def _coef(alpha, dtype):
     return arr.reshape(1, -1).astype(dtype, copy=False)
 
 
+def _scale_into(src: np.ndarray, coef, out: np.ndarray) -> None:
+    """``out = coef * src`` for a coefficient from :func:`_coef`.
+
+    A scalar ``0.0`` zero-fills (even over non-finite values) and ``1.0``
+    copies.  Eager ``Dense.scale`` and lazy regions share this, so their
+    bits match.
+    """
+    if np.ndim(coef) == 0 and coef == 0.0:
+        out.fill(0.0)
+    elif np.ndim(coef) != 0 or coef != 1.0:
+        np.multiply(src, coef, out=out)
+    elif out is not src:
+        np.copyto(out, src)
+
+
+def _clone_as(dense: "Dense", dtype) -> "Dense":
+    """``dense.clone()`` in the promoted type of its values and ``dtype``.
+
+    Out-of-place operators build their result in the promoted value type
+    of their operands, as a recorded lazy node does.  A same-type clone
+    charges what ``clone()`` charges; a widening one charges a ``copy``
+    kernel at the result's width.
+    """
+    if dense.dtype != dtype:
+        dtype = np.promote_types(dense.dtype, dtype)
+    if dense.dtype == dtype:
+        return dense.clone()
+    return Dense.empty(dense.executor, dense.size, dtype).copy_values_from(dense)
+
+
 class Dense(LinOp):
     """A dense row-major matrix bound to an executor.
 
@@ -243,11 +273,7 @@ class Dense(LinOp):
 
     def scale(self, alpha) -> "Dense":
         """``self *= alpha`` in place (scalar or per-column coefficients)."""
-        a = _coef(alpha, self.dtype)
-        if np.ndim(a) == 0 and a == 0.0:
-            self._data.fill(0.0)
-        elif np.ndim(a) != 0 or a != 1.0:
-            self._data *= a
+        _scale_into(self._data, _coef(alpha, self.dtype), self._data)
         self._exec.run(
             blas1_cost("scale", self._size.num_elements, self.value_bytes, 2)
         )
@@ -393,36 +419,32 @@ class Dense(LinOp):
     # ------------------------------------------------------------------
     # LinOp interface: dense mat-vec
     # ------------------------------------------------------------------
+    def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
+        """Numerical ``A b`` on raw arrays (what a lazy region evaluates)."""
+        return self._data @ b
+
+    def _spmv_cost(self, num_rhs: int):
+        """The ``KernelCost`` of one apply to ``num_rhs`` columns."""
+        return spmv_cost(
+            "dense",
+            self._size.rows,
+            self._size.cols,
+            self._size.num_elements,
+            self.value_bytes,
+            8,
+            num_rhs=num_rhs,
+        )
+
     def _apply_impl(self, b: "Dense", x: "Dense") -> None:
         np.matmul(self._data, b._data, out=x._data)
-        self._exec.run(
-            spmv_cost(
-                "dense",
-                self._size.rows,
-                self._size.cols,
-                self._size.num_elements,
-                self.value_bytes,
-                8,
-                num_rhs=b.size.cols,
-            )
-        )
+        self._exec.run(self._spmv_cost(b.size.cols))
 
     def _apply_advanced_impl(self, alpha, b: "Dense", beta, x: "Dense") -> None:
         a = _scalar_value(alpha)
         bt = _scalar_value(beta)
         x._data *= x.dtype.type(bt)
         x._data += x.dtype.type(a) * (self._data @ b._data)
-        self._exec.run(
-            spmv_cost(
-                "dense",
-                self._size.rows,
-                self._size.cols,
-                self._size.num_elements,
-                self.value_bytes,
-                8,
-                num_rhs=b.size.cols,
-            )
-        )
+        self._exec.run(self._spmv_cost(b.size.cols))
 
     # ------------------------------------------------------------------
     # conversions

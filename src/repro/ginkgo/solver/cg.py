@@ -7,7 +7,7 @@ independently in one apply.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
+from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2, fused_step
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -32,8 +32,6 @@ class CgRecurrence(Recurrence):
         self.rz = r.compute_dot(self.z)
 
     def step(self, iteration: int) -> tuple:
-        from repro.ginkgo.lazy import fused_step
-
         x, r, p, q, z = self.x, self.r, self.p, self.q, self.z
         exec_ = x.executor
         if iteration:

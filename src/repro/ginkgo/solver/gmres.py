@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.kernels import (
+    fused_step,
     givens_update,
     gmres_multidot,
     gmres_update,
@@ -160,8 +161,6 @@ class GmresRecurrence(Recurrence):
 
     def _orthogonalize(self, basis, w, count: int):
         """Gram-Schmidt ``w`` against ``count`` basis vectors; the coefficients."""
-        from repro.ginkgo.lazy import fused_step
-
         # Ginkgo's fused multi-dot + rank update each collapse `count`
         # eager dots / axpys into one kernel: a fused region.
         with fused_step(

@@ -15,6 +15,8 @@ systems axis (:func:`stacked`), so the same definition serves ``Dense``,
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.ginkgo.matrix.dense import Dense, _coef
@@ -24,6 +26,23 @@ from repro.perfmodel import KernelCost, blas1_cost
 def record_fused(exec_, name: str, length: int, value_bytes: int, num_vectors: int) -> None:
     """Record one fused kernel touching ``num_vectors`` vector operands."""
     exec_.run(blas1_cost(name, length, value_bytes, num_vectors))
+
+
+@contextmanager
+def fused_step(exec_, name: str, ops_replaced: int):
+    """Mark a solver's hand-fused update as a ``fused_region`` span.
+
+    The scalar solvers' inner loops already run Ginkgo-style fused step
+    kernels; this span makes that visible to the attribution layer with
+    the eager op count each step replaced.  Zero-cost: no charges, just
+    trace structure.
+    """
+    clock = exec_.clock
+    clock.push_span(name, "fused_region", ops_replaced=int(ops_replaced))
+    try:
+        yield
+    finally:
+        clock.pop_span()
 
 
 def cg_step_1(p, z, beta) -> None:

@@ -42,6 +42,13 @@ from repro.ginkgo.dim import Dim
 from repro.ginkgo.matrix.dense import Dense
 
 
+def _shape(shape) -> tuple:
+    """``shape`` as a tuple of ints; a bare int is a 1-D shape."""
+    if isinstance(shape, (int, np.integer)):
+        return (int(shape),)
+    return tuple(map(int, shape))
+
+
 class Workspace:
     """A named pool of solver scratch buffers bound to one executor.
 
@@ -106,17 +113,29 @@ class Workspace:
         Distributed vectors pool through here, so :meth:`clear` and
         :attr:`bytes_held` see them like any ``Dense``.
         """
+        return self._acquire(
+            self._dense, name, fits, make,
+            lambda held: self._exec.free(held._data),
+        )
+
+    def _acquire(self, table: dict, name: str, fits, make, free) -> tuple:
+        """``(buffer, hit)`` for slot ``name`` of ``table``.
+
+        Serves the held buffer when ``fits(held)``; otherwise passes the
+        held one (if any) to ``free`` (unless ``free`` is None) and stores
+        ``make()``.  Every acquisition counts one ``workspace`` hit or miss.
+        """
         with self._lock:
-            buf = self._dense.get(name)
+            buf = table.get(name)
             hit = buf is not None and fits(buf)
             if not hit:
-                if buf is not None:
-                    self._exec.free(buf._data)
-                buf = make()
-                self._dense[name] = buf
+                if buf is not None and free is not None:
+                    free(buf)
+                buf = table[name] = make()
+        nbytes = buf._data.nbytes if table is self._dense else buf.nbytes
         cachestats.record(
             "workspace", hit, clock=self._exec.clock,
-            buffer=name, nbytes=buf._data.nbytes,
+            buffer=name, nbytes=nbytes,
         )
         return buf, hit
 
@@ -171,26 +190,14 @@ class Workspace:
         represent; this slot type pools raw executor allocations with the
         same hit/miss and zeroing semantics as :meth:`dense`.
         """
-        shape = tuple(int(s) for s in np.atleast_1d(shape))
-        with self._lock:
-            buf = self._tensors.get(name)
-            hit = (
-                buf is not None
-                and buf.shape == shape
-                and buf.dtype == np.dtype(dtype)
-            )
-            if hit:
-                if zero:
-                    buf.fill(0)
-            else:
-                if buf is not None:
-                    self._exec.free(buf)
-                buf = self._exec.alloc(shape, dtype)
-                self._tensors[name] = buf
-        cachestats.record(
-            "workspace", hit, clock=self._exec.clock,
-            buffer=name, nbytes=buf.nbytes,
+        shape, dtype = _shape(shape), np.dtype(dtype)
+        buf, hit = self._acquire(
+            self._tensors, name,
+            lambda held: held.shape == shape and held.dtype == dtype,
+            lambda: self._exec.alloc(shape, dtype), self._exec.free,
         )
+        if hit and zero:
+            buf.fill(0)
         return buf
 
     def tensor_like(self, name: str, src: np.ndarray) -> np.ndarray:
@@ -213,23 +220,14 @@ class Workspace:
         (Hessenberg entries, Givens rotations, small projections); they
         never lived in executor memory and carry no simulated cost.
         """
-        shape = tuple(np.atleast_1d(shape))
-        with self._lock:
-            arr = self._arrays.get(name)
-            hit = (
-                arr is not None
-                and arr.shape == shape
-                and arr.dtype == np.dtype(dtype)
-            )
-            if hit:
-                arr.fill(0)
-            else:
-                arr = np.zeros(shape, dtype=dtype)
-                self._arrays[name] = arr
-        cachestats.record(
-            "workspace", hit, clock=self._exec.clock,
-            buffer=name, nbytes=arr.nbytes,
+        shape, dtype = _shape(shape), np.dtype(dtype)
+        arr, hit = self._acquire(
+            self._arrays, name,
+            lambda held: held.shape == shape and held.dtype == dtype,
+            lambda: np.zeros(shape, dtype=dtype), None,
         )
+        if hit:
+            arr.fill(0)
         return arr
 
     # ------------------------------------------------------------------
