@@ -4,16 +4,21 @@ Replays deterministic fault schedules across every injectable site of
 the three solve layers and gates the recovery contract:
 
 * **Scalar** — a transient kernel fault is retried; the rerun's final
-  residual is byte-identical to the fault-free solve.  A deadline expiry
-  returns a truthful ``timed_out``/``partial`` report instead of lying
-  about convergence.
+  residual is byte-identical to the fault-free solve.  With
+  ``checkpoint_every`` set, the retry resumes CG, and GMRES mid-cycle,
+  from the last checkpoint: the solution is byte-identical to the
+  fault-free solve and the recovered solve finishes within
+  ``MAX_OVERHEAD``x of its simulated time.  A deadline expiry returns a
+  truthful ``timed_out``/``partial`` report instead of lying about
+  convergence.
 * **Batch** — an injected corruption quarantines exactly the poisoned
   system; the per-system retry recovers it and every system converges.
 * **Distributed** — a rank failure (shrink + re-gather + checkpoint
   restore), a dropped halo exchange, and a corrupted all-reduce are each
-  absorbed mid-solve with residual histories *byte-identical* to the
-  fault-free run, and the recovered solve finishes within
-  ``MAX_OVERHEAD``x of the fault-free simulated time.
+  absorbed mid-solve, by CG and by GMRES(20) (mid-cycle checkpoints),
+  with residual histories *byte-identical* to the fault-free run, and
+  the recovered solve finishes within ``MAX_OVERHEAD``x of the
+  fault-free simulated time.
 
 The overhead gate runs on the simulated clock (deterministic, noise
 free), so the gate is exact rather than statistical.
@@ -36,12 +41,18 @@ import scipy.sparse as sp
 
 import repro as pg
 from repro.bindings import dispatch, reset_models
-from repro.core import FallbackChain, resilient_batch_solve, resilient_solve
+from repro.core import (
+    FallbackChain,
+    RetryPolicy,
+    resilient_batch_solve,
+    resilient_solve,
+)
 from repro.core import batch_api
 from repro.core.io import matrix as make_matrix
 from repro.ginkgo import cachestats
 from repro.ginkgo.distributed import (
     DistributedCg,
+    DistributedGmres,
     Matrix,
     Partition,
     Vector,
@@ -116,6 +127,70 @@ def scenario_scalar_retry(mat, rhs, failures):
         "residual_matches_fault_free": bool(
             faulty.final_residual_norm == clean.final_residual_norm
         ),
+        "ok": bool(ok),
+    }
+
+
+def scenario_scalar_checkpoint_resume(mat, rhs, method, failures):
+    """Kernel fault mid-solve -> the retry resumes from a checkpoint.
+
+    The fault lands after iteration 10, inside GMRES's first restart
+    cycle.  Backoff is zero, so the overhead is the checkpoints plus the
+    replayed iterations.
+    """
+
+    def solve(injector, **kwargs):
+        dev = FaultyExecutor.create(
+            ReferenceExecutor.create(noisy=False), injector
+        )
+        with injector.paused():
+            mtx = make_matrix(dev, mat)
+            b = Dense.create(dev, rhs.reshape(-1, 1))
+        t0 = dev.clock.now
+        report, x = resilient_solve(
+            dev, mtx, b, solver=method, reduction_factor=1e-9,
+            fallback=FallbackChain(dev), retry=RetryPolicy(base_delay=0.0),
+            **kwargs,
+        )
+        return report, x.numpy(), dev.clock.now - t0
+
+    clean, x_clean, base_sim = solve(FaultInjector())
+    faulty, x, sim = solve(
+        FaultInjector(schedule={"run": [(100, "transient")]}),
+        checkpoint_every=5,
+    )
+    restored = [
+        p["iteration"] for name, p in faulty.events
+        if name == "checkpoint_restored"
+    ]
+    bit_identical = (
+        x.tobytes() == x_clean.tobytes()
+        and faulty.num_iterations == clean.num_iterations
+    )
+    overhead = sim / base_sim
+    ok = (
+        faulty.converged
+        and faulty.retries == 1
+        and len(restored) == 1
+        and 0 < restored[0] < clean.num_iterations
+        and bit_identical
+        and overhead <= MAX_OVERHEAD
+    )
+    if not ok:
+        failures.append(
+            f"scalar {method} checkpoint resume: restored={restored} "
+            f"bit_identical={bit_identical} overhead={overhead:.2f}x"
+        )
+    return {
+        "scenario": "scalar_checkpoint_resume",
+        "method": method,
+        "converged": bool(faulty.converged),
+        "restored_iteration": restored[0] if restored else None,
+        "bit_identical": bool(bit_identical),
+        "fault_free_sim_s": base_sim,
+        "recovered_sim_s": sim,
+        "overhead": overhead,
+        "max_overhead_gate": MAX_OVERHEAD,
         "ok": bool(ok),
     }
 
@@ -200,8 +275,10 @@ def scenario_batch_quarantine(failures, num_systems=8, n=60):
 # ----------------------------------------------------------------------
 # Distributed scenarios: bit-identity + simulated-time overhead gate
 # ----------------------------------------------------------------------
-def run_distributed(mat, rhs, injector=None):
-    """One distributed CG solve; returns (solver, history, x, sim_time)."""
+def run_distributed(
+    mat, rhs, injector=None, solver_class=DistributedCg, **params
+):
+    """One distributed solve; returns (solver, history, x, sim_time)."""
     inner = OmpExecutor.create(num_threads=4, noisy=False)
     ex = (
         FaultyExecutor.create(inner, injector)
@@ -216,10 +293,11 @@ def run_distributed(mat, rhs, injector=None):
         dist = Matrix(ex, part, mat)
         db = Vector(ex, part, rhs, comm=dist.comm)
         dx = Vector.zeros(ex, part, comm=dist.comm)
-        solver = DistributedCg(
+        solver = solver_class(
             ex,
             criteria=Iteration(500)
             | ResidualNorm(1e-9, baseline="rhs_norm"),
+            **params,
         ).generate(dist)
         logger = ConvergenceLogger()
         solver.add_logger(logger)
@@ -232,14 +310,18 @@ def run_distributed(mat, rhs, injector=None):
     return solver, np.asarray(logger.residual_norms), dx.to_numpy(), sim
 
 
-def scenario_distributed(mat, rhs, name, schedule, expect_shrink, failures):
+def scenario_distributed(
+    mat, rhs, name, schedule, expect_shrink, failures, **solver
+):
     _fresh_state()
-    base_solver, base_hist, base_x, base_sim = run_distributed(mat, rhs)
+    base_solver, base_hist, base_x, base_sim = run_distributed(
+        mat, rhs, **solver
+    )
     if not base_solver.converged:
         failures.append(f"{name}: fault-free distributed solve diverged")
     _fresh_state()
     solver, hist, x, sim = run_distributed(
-        mat, rhs, FaultInjector(schedule=schedule)
+        mat, rhs, FaultInjector(schedule=schedule), **solver
     )
     bit_identical = (
         hist.tobytes() == base_hist.tobytes()
@@ -285,29 +367,40 @@ def run(n=1500, out_path="BENCH_chaos.json"):
     scenarios.append(
         scenario_scalar_deadline(scalar_mat, scalar_rhs, failures)
     )
+    for method in ("cg", "gmres"):
+        _fresh_state()
+        scenarios.append(
+            scenario_scalar_checkpoint_resume(
+                scalar_mat, scalar_rhs, method, failures
+            )
+        )
     _fresh_state()
     scenarios.append(scenario_batch_quarantine(failures))
-    scenarios.append(
-        scenario_distributed(
-            mat, rhs, "distributed_rank_failure",
-            {"rank": [(8, "failure")]}, expect_shrink=True,
-            failures=failures,
+    # GMRES checkpoints mid-cycle: the written part of its restart-cycle
+    # arrays rides along with x.
+    gmres = dict(solver_class=DistributedGmres, krylov_dim=20)
+    for prefix, solver in (("distributed", {}), ("distributed_gmres", gmres)):
+        scenarios.append(
+            scenario_distributed(
+                mat, rhs, f"{prefix}_rank_failure",
+                {"rank": [(8, "failure")]}, expect_shrink=True,
+                failures=failures, **solver,
+            )
         )
-    )
-    scenarios.append(
-        scenario_distributed(
-            mat, rhs, "distributed_halo_drop",
-            {"halo": [(12, "drop")]}, expect_shrink=False,
-            failures=failures,
+        scenarios.append(
+            scenario_distributed(
+                mat, rhs, f"{prefix}_halo_drop",
+                {"halo": [(12, "drop")]}, expect_shrink=False,
+                failures=failures, **solver,
+            )
         )
-    )
-    scenarios.append(
-        scenario_distributed(
-            mat, rhs, "distributed_allreduce_corruption",
-            {"allreduce": [(10, "corruption")]}, expect_shrink=False,
-            failures=failures,
+        scenarios.append(
+            scenario_distributed(
+                mat, rhs, f"{prefix}_allreduce_corruption",
+                {"allreduce": [(10, "corruption")]}, expect_shrink=False,
+                failures=failures, **solver,
+            )
         )
-    )
 
     worst = max(
         (s.get("overhead", 0.0) for s in scenarios), default=0.0
@@ -329,7 +422,8 @@ def run(n=1500, out_path="BENCH_chaos.json"):
             if "overhead" in s
             else ""
         )
-        print(f"{s['scenario']:36s} {'ok' if s['ok'] else 'FAIL'}{extra}")
+        name = "_".join(filter(None, (s["scenario"], s.get("method"))))
+        print(f"{name:36s} {'ok' if s['ok'] else 'FAIL'}{extra}")
     print(f"wrote {out_path}")
     return report
 

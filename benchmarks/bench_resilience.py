@@ -8,8 +8,8 @@ measures, for a GMRES+Jacobi solve:
 2. time-to-solution overhead — simulated wall time of the resilient path
    (including backoff delays, re-staging, and fallback executors)
    relative to the fault-free solve;
-3. the cost of checkpointing — overhead of periodic solution snapshots
-   and the iterations saved when restarting from one.
+3. the cost of checkpointing — overhead of periodic recurrence
+   snapshots and the iterations saved when a retry resumes from one.
 """
 
 import numpy as np

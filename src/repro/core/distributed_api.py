@@ -182,8 +182,9 @@ class DistributedSolverHandle:
 #: ``{method: function}``: ``pg.distributed.cg``, ``pg.distributed.gmres``,
 #: ... — one per method whose recurrence runs on distributed Vectors, each
 #: ``f(device, mtx, max_iters=1000, reduction_factor=1e-6, criteria=None,
-#: **params)`` (the preconditioner stays None); ``params`` include
-#: ``checkpoint_every`` / ``max_recoveries``.
+#: **params)`` (the preconditioner stays None); ``params`` include the
+#: recovery driver's ``checkpoint_every``, which every iterative solver
+#: accepts, and the distributed-only ``max_recoveries``.
 SOLVERS = _instance_functions("distributed", DistributedSolverHandle)
 globals().update(SOLVERS)
 

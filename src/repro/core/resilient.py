@@ -1,4 +1,4 @@
-"""Resilient solves: retry, backoff, executor fallback, checkpoint/restart.
+"""Resilient solves: retry, backoff, executor fallback, checkpoint resume.
 
 ``resilient_solve`` wraps the config-solver route of
 :mod:`repro.core.solve` with the failure handling a production deployment
@@ -10,12 +10,17 @@ needs on unreliable heterogeneous devices:
 * **graceful degradation** down an executor chain
   (``cuda -> omp -> reference`` by default), rebuilding the vectors from
   pristine host snapshots and moving the matrix with ``copy_to``;
-* **periodic checkpointing** of the solution vector via a
-  :class:`~repro.ginkgo.log.CheckpointLogger`, so a retry restarts from
-  the last checkpoint instead of from scratch;
+* **checkpoint resume**: with ``checkpoint_every`` set, the solver's
+  recovery driver (:mod:`repro.ginkgo.solver.recovery`) checkpoints the
+  recurrence's state, and the next attempt — on the same executor or a
+  fallback — resumes from the last checkpoint instead of from scratch,
+  reproducing the fault-free solve bit for bit;
 * a structured, deterministic **event trail** (`fault_injected`,
   `attempt_failed`, `retry`, `fallback`, `checkpoint_saved`, ...) so tests
   and benchmarks can assert on exactly what happened.
+
+``resilient_batch_solve`` runs a batched solve under the same retry loop
+and re-solves the systems it quarantines one at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from repro.ginkgo.exceptions import (
     ResilienceExhausted,
     SolverBreakdown,
 )
-from repro.ginkgo.executor import PCIE_BANDWIDTH, PCIE_LATENCY, Executor
-from repro.ginkgo.log import CheckpointLogger, ConvergenceLogger, Logger
+from repro.ginkgo.executor import Executor
+from repro.ginkgo.log import ConvergenceLogger, Logger
 from repro.ginkgo.matrix.dense import Dense
 from repro.ginkgo.stop import Deadline
 
@@ -87,6 +92,13 @@ class RetryPolicy:
     def delay(self, retry_index: int) -> float:
         """Simulated backoff before retry number ``retry_index`` (0-based)."""
         return self.base_delay * self.backoff_factor**retry_index
+
+
+def _executor(device) -> Executor:
+    """``device`` itself, or the executor its name resolves to."""
+    if isinstance(device, Executor):
+        return device
+    return _device_factory(device or "reference")
 
 
 class CircuitBreaker:
@@ -184,11 +196,7 @@ class FallbackChain:
         chain: list[Executor] = []
         seen = {primary.name}
         for entry in self.devices:
-            exec_ = (
-                entry
-                if isinstance(entry, Executor)
-                else _device_factory(entry)
-            )
+            exec_ = _executor(entry)
             if exec_.name in seen:
                 continue
             seen.add(exec_.name)
@@ -199,8 +207,29 @@ class FallbackChain:
         return f"FallbackChain{self.devices!r}"
 
 
+class _EventCounts:
+    """Counts over a report's deterministic ``events`` trail."""
+
+    def count(self, event: str) -> int:
+        """Number of trail events with the given name."""
+        return sum(1 for name, _ in self.events if name == event)
+
+    @property
+    def faults_injected(self) -> int:
+        """Injected faults observed during the solve."""
+        return self.count("fault_injected")
+
+    @property
+    def retries(self) -> int:
+        return self.count("retry")
+
+    @property
+    def fallbacks(self) -> int:
+        return self.count("fallback")
+
+
 @dataclass
-class ResilienceReport:
+class ResilienceReport(_EventCounts):
     """What a resilient solve did and how it ended.
 
     The event trail is a list of ``(name, payload)`` tuples in occurrence
@@ -223,23 +252,6 @@ class ResilienceReport:
     #: expiry), not a converged one.
     partial: bool = False
 
-    @property
-    def faults_injected(self) -> int:
-        """Injected faults observed during the solve."""
-        return sum(1 for name, _ in self.events if name == "fault_injected")
-
-    @property
-    def retries(self) -> int:
-        return sum(1 for name, _ in self.events if name == "retry")
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(1 for name, _ in self.events if name == "fallback")
-
-    def count(self, event: str) -> int:
-        """Number of trail events with the given name."""
-        return sum(1 for name, _ in self.events if name == event)
-
     def __repr__(self) -> str:
         return (
             f"ResilienceReport(converged={self.converged}, "
@@ -250,48 +262,124 @@ class ResilienceReport:
         )
 
 
-class _FaultTrail(Logger):
-    """Mirrors executor fault events into the report's event trail."""
+@dataclass
+class BatchResilienceReport(_EventCounts):
+    """What a resilient batched solve did, per system and overall.
 
-    def __init__(self, events: list) -> None:
-        self._events = events
+    ``converged``/``num_iterations``/``final_residual_norm`` are length-K
+    arrays reflecting the *final* outcome — a quarantined system that a
+    scalar retry recovered reports its retry's verdict, not the faulted
+    batch attempt's.
+    """
+
+    num_systems: int
+    converged: np.ndarray
+    num_iterations: np.ndarray
+    final_residual_norm: np.ndarray
+    #: Systems isolated out of the batch (breakdown or poisoned iterate).
+    quarantined: list = field(default_factory=list)
+    #: Quarantined systems whose per-system retry converged.
+    recovered: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    attempts: int = 1
+    executor_name: str = ""
+
+    @property
+    def all_converged(self) -> bool:
+        return bool(np.all(self.converged))
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchResilienceReport(K={self.num_systems}, "
+            f"converged={int(np.sum(self.converged))}, "
+            f"quarantined={self.quarantined}, recovered={self.recovered}, "
+            f"attempts={self.attempts})"
+        )
+
+
+class _Trail(Logger):
+    """One resilient solve's event trail, failure history and attempt count.
+
+    Attached to an executor, it also mirrors the executor's fault and
+    checkpoint events into the trail.
+    """
+
+    def __init__(self) -> None:
+        self.events: list = []
+        self.history: list = []
+        self.attempts = 0
 
     def on_fault_injected(self, exec_, **kwargs) -> None:
-        self._events.append(("fault_injected", dict(kwargs)))
+        self.events.append(("fault_injected", dict(kwargs)))
 
     def on_data_corrupted(self, exec_, **kwargs) -> None:
-        self._events.append(("data_corrupted", dict(kwargs)))
+        self.events.append(("data_corrupted", dict(kwargs)))
+
+    def on_checkpoint_saved(self, exec_, **kwargs) -> None:
+        self.events.append(("checkpoint_saved", dict(kwargs)))
+
+    def emit(self, exec_: Executor, name: str, **payload) -> None:
+        """Append to the trail and mirror the event onto the clock trace."""
+        self.events.append((name, payload))
+        exec_.clock.annotate(name, **payload)
 
 
-def _restore_solution(exec_: Executor, x_dense: Dense, values: np.ndarray):
-    """Write a host checkpoint back into the solution buffer.
+def _retrying(
+    trail, exec_, retry, attempt, rewind, started="attempt_started",
+    breaker=None, expired=None,
+):
+    """Run ``attempt()`` on ``exec_`` until it returns, backing off between failures.
 
-    Models the host-to-device transfer on the clock without allocating, so
-    the recovery path itself cannot hit an allocation fault.
+    ``expired()``, asked before each attempt, may end the loop with its
+    own result; ``rewind()`` puts the operands back for a retry and
+    returns extra ``retry`` payload.  Returns None once the retries are
+    spent or ``breaker`` opens ``exec_``'s circuit.
     """
-    if not exec_.is_host:
-        exec_.clock.advance(
-            PCIE_LATENCY + values.nbytes / PCIE_BANDWIDTH,
-            category="transfer",
-            label="checkpoint_restore",
-            bytes=values.nbytes,
+    for index in range(retry.max_retries + 1):
+        if expired is not None and (result := expired()) is not None:
+            return result
+        trail.attempts += 1
+        trail.emit(exec_, started, executor=exec_.name, attempt=trail.attempts)
+        try:
+            return attempt()
+        except retry.retry_on as err:
+            trail.history.append((exec_.name, err))
+            trail.emit(
+                exec_, "attempt_failed", executor=exec_.name,
+                attempt=trail.attempts, error=type(err).__name__,
+            )
+        if breaker is not None and breaker.record_failure(exec_):
+            trail.emit(exec_, "circuit_opened", executor=exec_.name)
+            return None
+        if index == retry.max_retries:
+            return None
+        delay = retry.delay(index)
+        exec_.clock.advance(delay, category="stall", label="retry_backoff")
+        trail.emit(
+            exec_, "retry", executor=exec_.name, attempt=trail.attempts + 1,
+            delay=delay, **rewind(),
         )
-    np.copyto(x_dense._data, values.astype(x_dense.dtype, copy=False))
+    return None
 
 
-def _emit(exec_: Executor, events: list, name: str, payload: dict) -> None:
-    """Append to the event trail and mirror the event onto the clock trace."""
-    events.append((name, payload))
-    exec_.clock.annotate(name, **payload)
-
-
-def _feed_metrics(metrics, report: "ResilienceReport") -> None:
-    """Mirror a finished solve's report into a metrics registry."""
+def _feed_metrics(metrics, report, exhausted: bool = False) -> None:
+    """Mirror a finished solve's report, scalar or batch, into ``metrics``."""
     if metrics is None:
         return
-    metrics.counter("solves").inc()
-    if report.converged:
-        metrics.counter("solves_converged").inc()
+    batch = isinstance(report, BatchResilienceReport)
+    metrics.counter("batch_solves" if batch else "solves").inc()
+    if exhausted:
+        metrics.counter("solves_exhausted").inc()
+    elif batch:
+        metrics.counter("batch_systems").inc(report.num_systems)
+        metrics.counter("batch_quarantined").inc(len(report.quarantined))
+        metrics.counter("batch_recovered").inc(len(report.recovered))
+    else:
+        if report.converged:
+            metrics.counter("solves_converged").inc()
+        metrics.histogram("iterations_per_solve").observe(
+            report.num_iterations
+        )
     metrics.counter("attempts").inc(report.attempts)
     metrics.counter("retries").inc(report.retries)
     metrics.counter("fallbacks").inc(report.fallbacks)
@@ -301,7 +389,30 @@ def _feed_metrics(metrics, report: "ResilienceReport") -> None:
     metrics.counter("checkpoint_restores").inc(
         report.count("checkpoint_restored")
     )
-    metrics.histogram("iterations_per_solve").observe(report.num_iterations)
+
+
+def _partial_return(
+    trail, exec_, x, logger, iterations, residual, metrics, norms
+):
+    """Best-effort result when the deadline expires mid-flight."""
+    trail.emit(
+        exec_, "deadline_exceeded", executor=exec_.name, iterations=iterations
+    )
+    report = ResilienceReport(
+        converged=False,
+        breakdown=bool(logger.breakdown) if logger else False,
+        num_iterations=iterations,
+        final_residual_norm=residual,
+        residual_norms=list(norms),
+        events=trail.events,
+        attempts=trail.attempts,
+        executor_name=exec_.name,
+        logger=logger,
+        timed_out=True,
+        partial=True,
+    )
+    _feed_metrics(metrics, report)
+    return report, x
 
 
 def _find_deadline_factory(handle):
@@ -343,8 +454,9 @@ def resilient_solve(
     allocations, NaN/Inf breakdowns) are retried with exponential backoff
     in simulated time; an executor that exhausts its retries is abandoned
     for the next one in the fallback chain, with operands rebuilt from
-    pristine host snapshots.  When checkpointing is on, retries restart
-    from the last captured solution instead of from scratch.
+    pristine host snapshots.  When checkpointing is on, a retry resumes
+    the recurrence from the solver's last checkpoint instead of starting
+    from scratch, and finishes bit-identical to the fault-free solve.
 
     Args:
         device: Executor or device name the solve starts on (may be a
@@ -361,8 +473,8 @@ def resilient_solve(
             ``cuda -> omp -> reference``.  Pass
             ``FallbackChain(device)`` to pin the solve to one device
             (no degradation, retries only).
-        checkpoint_every: Capture the solution every N iterations
-            (0 disables checkpointing).
+        checkpoint_every: Checkpoint the recurrence's state every N
+            iterations (0 disables checkpointing).
         divergence_limit: Abandon an attempt early when the residual
             exceeds this multiple of the initial residual (adds a
             ``stop::Divergence`` criterion).
@@ -388,11 +500,7 @@ def resilient_solve(
     """
     retry = retry or RetryPolicy()
     fallback = fallback or FallbackChain()
-    primary = (
-        device
-        if isinstance(device, Executor)
-        else _device_factory(device or "reference")
-    )
+    primary = _executor(device)
 
     # Pristine host snapshots: fallback rebuilds operands from these, so a
     # corrupted device buffer cannot poison the next executor.
@@ -415,6 +523,8 @@ def resilient_solve(
     )
     # Strict breakdowns let the retry layer catch NaN/Inf poisoning.
     config["strict_breakdown"] = True
+    if checkpoint_every:
+        config["checkpoint_every"] = int(checkpoint_every)
     if divergence_limit is not None:
         config["criteria"].append(
             {"type": "stop::Divergence", "limit": float(divergence_limit)}
@@ -428,48 +538,23 @@ def resilient_solve(
         # executor once the absolute deadline on its clock is known.
         config["criteria"].append({"type": "stop::Deadline", "at": 0.0})
 
-    events: list = []
-    history: list = []
-    attempts = 0
-    checkpoint: tuple[int, np.ndarray] | None = None
+    trail = _Trail()
+    # The solver's last checkpoint, handed to the next attempt, and the
+    # residual norms of its iterations 0..k.
+    checkpoint, history = None, []
     # Budget already consumed on earlier executors' clocks; each executor
     # has its own clock, so the deadline is tracked as elapsed simulated
     # seconds, not as one absolute instant.
     spent = 0.0
 
-    def _partial_return(exec_, x_cur, logger, iterations, residual):
-        """Best-effort result when the deadline expires mid-flight."""
-        _emit(
-            exec_,
-            events,
-            "deadline_exceeded",
-            {"executor": exec_.name, "iterations": iterations},
-        )
-        report = ResilienceReport(
-            converged=False,
-            breakdown=bool(logger.breakdown) if logger else False,
-            num_iterations=iterations,
-            final_residual_norm=residual,
-            residual_norms=list(logger.residual_norms) if logger else [],
-            events=events,
-            attempts=attempts,
-            executor_name=exec_.name,
-            logger=logger,
-            timed_out=True,
-            partial=True,
-        )
-        _feed_metrics(metrics, report)
-        return report, (Tensor(x_cur) if wrap_result else x_cur)
+    def start_x():
+        """Host values of ``x`` the next attempt starts from."""
+        return x_host if checkpoint is None else checkpoint.vectors["x"]
 
     chain = [primary] + fallback.resolve(primary)
     for position, exec_ in enumerate(chain):
         if fallback.breaker is not None and fallback.breaker.is_open(exec_):
-            _emit(
-                exec_,
-                events,
-                "circuit_skipped",
-                {"executor": exec_.name},
-            )
+            trail.emit(exec_, "circuit_skipped", executor=exec_.name)
             continue
         exec_enter = exec_.clock.now
         deadline_at = (
@@ -487,249 +572,125 @@ def resilient_solve(
                     )
                 mtx_cur = mtx.copy_to(exec_)
                 b_cur = Dense.create(exec_, b_host)
-                x_cur = Dense.create(exec_, x_host)
+                x_cur = Dense.create(exec_, start_x())
         except retry.retry_on as err:
-            history.append((exec_.name, err))
-            _emit(
-                exec_,
-                events,
-                "staging_failed",
-                {"executor": exec_.name, "error": type(err).__name__},
+            trail.history.append((exec_.name, err))
+            trail.emit(
+                exec_, "staging_failed", executor=exec_.name,
+                error=type(err).__name__,
             )
             spent += exec_.clock.now - exec_enter
             continue
-
-        trail = _FaultTrail(events)
-        exec_.add_logger(trail)
+        solution = Tensor(x_cur) if wrap_result else x_cur
         # The handle is built once per executor and reused across retries
-        # (PR-3 workspace pools make rebuilds wasteful); a retry clears
-        # the pooled workspace instead, so a fault-poisoned scratch
-        # buffer cannot leak into the rerun.
-        handle = None
-        dl_factory = None
-        try:
-            for attempt in range(retry.max_retries + 1):
-                if (
-                    deadline_at is not None
-                    and exec_.clock.now >= deadline_at
-                ):
-                    iterations = checkpoint[0] if checkpoint else 0
-                    if checkpoint is not None:
-                        _restore_solution(exec_, x_cur, checkpoint[1])
-                        _emit(
-                            exec_,
-                            events,
-                            "checkpoint_restored",
-                            {"iteration": iterations},
-                        )
-                    return _partial_return(
-                        exec_, x_cur, None, iterations, float("nan")
-                    )
-                attempts += 1
-                _emit(
-                    exec_,
-                    events,
-                    "attempt_started",
-                    {"executor": exec_.name, "attempt": attempts},
-                )
-                checkpointer = (
-                    CheckpointLogger(every=checkpoint_every, sink=events)
-                    if checkpoint_every
-                    else None
-                )
-                checkpointer_added = False
-                logger = None
-                try:
-                    if handle is None:
-                        handle = config_solver(exec_, mtx_cur, config)
-                        if deadline_at is not None:
-                            dl_factory = _find_deadline_factory(handle)
-                    else:
-                        handle.solver.clear_workspace()
-                        _emit(
-                            exec_,
-                            events,
-                            "workspace_cleared",
-                            {"executor": exec_.name},
-                        )
-                    if checkpointer is not None:
-                        handle.solver.add_logger(checkpointer)
-                        checkpointer_added = True
-                    if dl_factory is not None:
-                        dl_factory.at = deadline_at
-                    logger, _ = handle.apply(b_cur, x_cur)
-                except retry.retry_on as err:
-                    history.append((exec_.name, err))
-                    _emit(
-                        exec_,
-                        events,
-                        "attempt_failed",
-                        {
-                            "executor": exec_.name,
-                            "attempt": attempts,
-                            "error": type(err).__name__,
-                        },
-                    )
-                    # A checkpoint captured during the failed attempt is
-                    # still valid state to restart from.
-                    if (
-                        checkpointer is not None
-                        and checkpointer.solution is not None
-                        and (
-                            checkpoint is None
-                            or checkpointer.iteration > checkpoint[0]
-                        )
-                    ):
-                        checkpoint = (
-                            checkpointer.iteration,
-                            checkpointer.solution,
-                        )
-                    if (
-                        fallback.breaker is not None
-                        and fallback.breaker.record_failure(exec_)
-                    ):
-                        _emit(
-                            exec_,
-                            events,
-                            "circuit_opened",
-                            {"executor": exec_.name},
-                        )
-                        break
-                    if attempt == retry.max_retries:
-                        break
-                    delay = retry.delay(attempt)
-                    exec_.clock.advance(
-                        delay, category="stall", label="retry_backoff"
-                    )
-                    restart_from = 0
-                    if checkpoint is not None:
-                        restart_from = checkpoint[0]
-                        _restore_solution(exec_, x_cur, checkpoint[1])
-                        _emit(
-                            exec_,
-                            events,
-                            "checkpoint_restored",
-                            {"iteration": restart_from},
-                        )
-                    else:
-                        _restore_solution(exec_, x_cur, x_host)
-                    _emit(
-                        exec_,
-                        events,
-                        "retry",
-                        {
-                            "executor": exec_.name,
-                            "attempt": attempts + 1,
-                            "delay": delay,
-                            "restart_iteration": restart_from,
-                        },
-                    )
-                    continue
-                finally:
-                    if checkpointer_added:
-                        handle.solver.remove_logger(checkpointer)
-                if getattr(handle.solver, "timed_out", False):
-                    # The Deadline criterion stopped the apply: the
-                    # iterate in x_cur is the truthful partial result.
-                    if fallback.breaker is not None:
-                        fallback.breaker.record_success(exec_)
-                    return _partial_return(
-                        exec_,
-                        x_cur,
-                        logger,
-                        logger.num_iterations,
-                        logger.final_residual_norm,
-                    )
-                # Success: the apply ran to a verdict without faulting.
-                if fallback.breaker is not None:
-                    fallback.breaker.record_success(exec_)
-                _emit(
-                    exec_,
-                    events,
-                    "solve_completed",
-                    {
-                        "executor": exec_.name,
-                        "attempt": attempts,
-                        "converged": logger.converged,
-                        "iterations": logger.num_iterations,
-                    },
-                )
-                report = ResilienceReport(
-                    converged=logger.converged,
-                    breakdown=logger.breakdown,
-                    num_iterations=logger.num_iterations,
-                    final_residual_norm=logger.final_residual_norm,
-                    residual_norms=list(logger.residual_norms),
-                    events=events,
-                    attempts=attempts,
-                    executor_name=exec_.name,
-                    logger=logger,
-                )
-                _feed_metrics(metrics, report)
-                result = Tensor(x_cur) if wrap_result else x_cur
-                return report, result
-        finally:
-            exec_.remove_logger(trail)
-        spent += exec_.clock.now - exec_enter
-        if position + 1 < len(chain):
-            _emit(
-                exec_,
-                events,
-                "fallback",
-                {
-                    "from": exec_.name,
-                    "to": chain[position + 1].name,
-                },
+        # (workspace pools make rebuilds wasteful); a retry clears the
+        # pooled workspace instead, so a fault-poisoned scratch buffer
+        # cannot leak into the rerun.
+        handle = dl_factory = None
+
+        def expired():
+            if deadline_at is None or exec_.clock.now < deadline_at:
+                return None
+            iterations = 0
+            if checkpoint is not None:
+                iterations = checkpoint.iteration
+                trail.emit(exec_, "checkpoint_restored", iteration=iterations)
+            return _partial_return(
+                trail, exec_, solution, None, iterations, float("nan"),
+                metrics, history,
             )
 
-    if metrics is not None:
-        metrics.counter("solves").inc()
-        metrics.counter("solves_exhausted").inc()
-        metrics.counter("attempts").inc(attempts)
-    raise ResilienceExhausted(attempts, history)
+        def attempt():
+            nonlocal handle, dl_factory, checkpoint, history
+            # A resumed apply logs only the iterations after its checkpoint.
+            logged = list(history)
+            try:
+                if handle is None:
+                    handle = config_solver(exec_, mtx_cur, config)
+                    if deadline_at is not None:
+                        dl_factory = _find_deadline_factory(handle)
+                else:
+                    handle.solver.clear_workspace()
+                    trail.emit(exec_, "workspace_cleared", executor=exec_.name)
+                if dl_factory is not None:
+                    dl_factory.at = deadline_at
+                if checkpoint is None:
+                    logger, _ = handle.apply(b_cur, x_cur)
+                else:
+                    logger, _ = handle.resume(checkpoint, b_cur, x_cur)
+            finally:
+                # A checkpoint taken by a failed attempt is still valid
+                # state to resume from.
+                if handle is not None:
+                    logged += handle._logger.residual_norms
+                    taken = getattr(handle.solver, "checkpoint", None)
+                    checkpoint = taken or checkpoint
+                    if taken is not None:
+                        history = logged[: taken.iteration + 1]
+            if fallback.breaker is not None:
+                fallback.breaker.record_success(exec_)
+            if getattr(handle.solver, "timed_out", False):
+                # The Deadline criterion stopped the apply: the iterate
+                # in x_cur is the truthful partial result.
+                return _partial_return(
+                    trail, exec_, solution, logger, logger.num_iterations,
+                    logger.final_residual_norm, metrics, logged,
+                )
+            trail.emit(
+                exec_, "solve_completed", executor=exec_.name,
+                attempt=trail.attempts, converged=logger.converged,
+                iterations=logger.num_iterations,
+            )
+            report = ResilienceReport(
+                converged=logger.converged,
+                breakdown=logger.breakdown,
+                num_iterations=logger.num_iterations,
+                final_residual_norm=logger.final_residual_norm,
+                residual_norms=logged,
+                events=trail.events,
+                attempts=trail.attempts,
+                executor_name=exec_.name,
+                logger=logger,
+            )
+            _feed_metrics(metrics, report)
+            return report, solution
 
+        def rewind():
+            np.copyto(x_cur._data, start_x())
+            x_cur.mark_modified()
+            if checkpoint is None:
+                if not exec_.is_host:  # x0 goes back to the device
+                    exec_._charge_copy(exec_.get_master(), x_host.nbytes)
+                return {"restart_iteration": 0}
+            trail.emit(
+                exec_, "checkpoint_restored", iteration=checkpoint.iteration
+            )
+            return {"restart_iteration": checkpoint.iteration}
 
-@dataclass
-class BatchResilienceReport:
-    """What a resilient batched solve did, per system and overall.
+        exec_.add_logger(trail)
+        try:
+            outcome = _retrying(
+                trail, exec_, retry, attempt, rewind,
+                breaker=fallback.breaker, expired=expired,
+            )
+        finally:
+            exec_.remove_logger(trail)
+        if outcome is not None:
+            return outcome
+        spent += exec_.clock.now - exec_enter
+        if position + 1 < len(chain):
+            trail.emit(
+                exec_, "fallback",
+                **{"from": exec_.name, "to": chain[position + 1].name},
+            )
 
-    ``converged``/``num_iterations``/``final_residual_norm`` are length-K
-    arrays reflecting the *final* outcome — a quarantined system that a
-    scalar retry recovered reports its retry's verdict, not the faulted
-    batch attempt's.
-    """
-
-    num_systems: int
-    converged: np.ndarray
-    num_iterations: np.ndarray
-    final_residual_norm: np.ndarray
-    #: Systems isolated out of the batch (breakdown or poisoned iterate).
-    quarantined: list = field(default_factory=list)
-    #: Quarantined systems whose per-system retry converged.
-    recovered: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    attempts: int = 1
-    executor_name: str = ""
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(np.all(self.converged))
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(1 for name, _ in self.events if name == "fault_injected")
-
-    def count(self, event: str) -> int:
-        """Number of trail events with the given name."""
-        return sum(1 for name, _ in self.events if name == event)
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchResilienceReport(K={self.num_systems}, "
-            f"converged={int(np.sum(self.converged))}, "
-            f"quarantined={self.quarantined}, recovered={self.recovered}, "
-            f"attempts={self.attempts})"
-        )
+    report = ResilienceReport(
+        converged=False, breakdown=False, num_iterations=0,
+        final_residual_norm=float("nan"), events=trail.events,
+        attempts=trail.attempts, executor_name=chain[-1].name,
+    )
+    _feed_metrics(metrics, report, exhausted=True)
+    raise ResilienceExhausted(trail.attempts, trail.history)
 
 
 def resilient_batch_solve(
@@ -784,11 +745,7 @@ def resilient_batch_solve(
     from repro.core import batch_api
 
     retry = retry or RetryPolicy()
-    exec_ = (
-        device
-        if isinstance(device, Executor)
-        else _device_factory(device or "reference")
-    )
+    exec_ = _executor(device)
     if solver not in batch_api.SOLVERS:
         raise GinkgoError(
             f"unknown batch solver {solver!r}; expected one of "
@@ -798,71 +755,48 @@ def resilient_batch_solve(
         x = batch_api.zeros_like(b)
     b_host = np.array(b._data, copy=True)
     x_host = np.array(x._data, copy=True)
-
-    events: list = []
-    history: list = []
-    attempts = 0
-    trail = _FaultTrail(events)
-    exec_.add_logger(trail)
+    num_systems = b.num_systems
+    trail = _Trail()
     handle = None
-    try:
-        for attempt in range(retry.max_retries + 1):
-            attempts += 1
-            _emit(
+
+    def attempt():
+        nonlocal handle
+        if handle is None:
+            handle = batch_api.SOLVERS[solver](
                 exec_,
-                events,
-                "batch_attempt_started",
-                {"executor": exec_.name, "attempt": attempts},
+                mtx,
+                preconditioner=preconditioner,
+                max_iters=max_iters,
+                reduction_factor=reduction_factor,
+                **solver_params,
             )
-            try:
-                if handle is None:
-                    handle = batch_api.SOLVERS[solver](
-                        exec_,
-                        mtx,
-                        preconditioner=preconditioner,
-                        max_iters=max_iters,
-                        reduction_factor=reduction_factor,
-                        **solver_params,
-                    )
-                handle.apply(b, x)
-            except retry.retry_on as err:
-                history.append((exec_.name, err))
-                _emit(
-                    exec_,
-                    events,
-                    "attempt_failed",
-                    {
-                        "executor": exec_.name,
-                        "attempt": attempts,
-                        "error": type(err).__name__,
-                    },
-                )
-                if attempt == retry.max_retries:
-                    if metrics is not None:
-                        metrics.counter("batch_solves").inc()
-                        metrics.counter("solves_exhausted").inc()
-                    raise ResilienceExhausted(attempts, history)
-                delay = retry.delay(attempt)
-                exec_.clock.advance(
-                    delay, category="stall", label="retry_backoff"
-                )
-                np.copyto(x._data, x_host)
-                _emit(
-                    exec_,
-                    events,
-                    "retry",
-                    {
-                        "executor": exec_.name,
-                        "attempt": attempts + 1,
-                        "delay": delay,
-                    },
-                )
-                continue
-            break
+        handle.apply(b, x)
+        return handle.status
+
+    def rewind():
+        np.copyto(x._data, x_host)
+        return {}
+
+    exec_.add_logger(trail)
+    try:
+        status = _retrying(
+            trail, exec_, retry, attempt, rewind,
+            started="batch_attempt_started",
+        )
     finally:
         exec_.remove_logger(trail)
+    if status is None:
+        report = BatchResilienceReport(
+            num_systems=num_systems,
+            converged=np.zeros(num_systems, dtype=bool),
+            num_iterations=np.zeros(num_systems, dtype=np.int64),
+            final_residual_norm=np.full(num_systems, np.nan),
+            events=trail.events, attempts=trail.attempts,
+            executor_name=exec_.name,
+        )
+        _feed_metrics(metrics, report, exhausted=True)
+        raise ResilienceExhausted(trail.attempts, trail.history)
 
-    status = handle.status
     converged = np.array(status.converged, copy=True)
     num_iterations = np.array(status.num_iterations, copy=True)
     final_residual_norm = np.array(status.final_residual_norm, copy=True)
@@ -873,17 +807,15 @@ def resilient_batch_solve(
         set(np.flatnonzero(status.breakdown).tolist())
         | {
             k
-            for k in range(b.num_systems)
+            for k in range(num_systems)
             if not np.all(np.isfinite(x._data[k]))
         }
     )
     recovered: list = []
     for k in quarantined:
-        _emit(
-            exec_,
-            events,
-            "system_quarantined",
-            {"system": int(k), "breakdown": bool(status.breakdown[k])},
+        trail.emit(
+            exec_, "system_quarantined", system=int(k),
+            breakdown=bool(status.breakdown[k]),
         )
         try:
             sys_report, x_sys = resilient_solve(
@@ -896,11 +828,10 @@ def resilient_batch_solve(
                 reduction_factor=reduction_factor,
                 retry=retry,
                 fallback=FallbackChain(exec_),
+                **solver_params,
             )
         except ResilienceExhausted:
-            _emit(
-                exec_, events, "system_unrecovered", {"system": int(k)}
-            )
+            trail.emit(exec_, "system_unrecovered", system=int(k))
             continue
         np.copyto(x._data[k], x_sys._data)
         converged[k] = sys_report.converged
@@ -908,32 +839,22 @@ def resilient_batch_solve(
         final_residual_norm[k] = sys_report.final_residual_norm
         if sys_report.converged:
             recovered.append(int(k))
-            _emit(
-                exec_,
-                events,
-                "system_recovered",
-                {
-                    "system": int(k),
-                    "iterations": sys_report.num_iterations,
-                    "attempts": sys_report.attempts,
-                },
+            trail.emit(
+                exec_, "system_recovered", system=int(k),
+                iterations=sys_report.num_iterations,
+                attempts=sys_report.attempts,
             )
 
     report = BatchResilienceReport(
-        num_systems=b.num_systems,
+        num_systems=num_systems,
         converged=converged,
         num_iterations=num_iterations,
         final_residual_norm=final_residual_norm,
         quarantined=[int(k) for k in quarantined],
         recovered=recovered,
-        events=events,
-        attempts=attempts,
+        events=trail.events,
+        attempts=trail.attempts,
         executor_name=exec_.name,
     )
-    if metrics is not None:
-        metrics.counter("batch_solves").inc()
-        metrics.counter("batch_systems").inc(b.num_systems)
-        metrics.counter("batch_quarantined").inc(len(quarantined))
-        metrics.counter("batch_recovered").inc(len(recovered))
-        metrics.counter("faults_injected").inc(report.faults_injected)
+    _feed_metrics(metrics, report)
     return report, x

@@ -106,8 +106,8 @@ def solve(
             then returns ``(report, x)`` instead of ``(logger, x)``.
         fallback: A :class:`~repro.core.resilient.FallbackChain` of
             executors to degrade onto.
-        checkpoint_every: Checkpoint the solution every N iterations
-            (resilient route only).
+        checkpoint_every: Checkpoint the recurrence every N iterations,
+            so a retry resumes from it (resilient route only).
         metrics: Optional :class:`~repro.ginkgo.log.MetricsRegistry`
             receiving solve/iteration counters (resilient route only).
         **solver_params: Extra solver parameters (``krylov_dim=...``).

@@ -72,6 +72,11 @@ class SolverHandle:
         self._solver.apply(_unwrap(b), _unwrap(x))
         return self._logger, x
 
+    def resume(self, checkpoint, b, x):
+        """Continue a failed ``apply`` from the solver's ``checkpoint``."""
+        self._solver.resume(checkpoint, _unwrap(b), _unwrap(x))
+        return self._logger, x
+
     def __repr__(self) -> str:
         return f"SolverHandle({type(self._solver).__name__})"
 

@@ -64,8 +64,11 @@ def validate(config: dict, path: str = "") -> None:
             f"unknown solver type {config['type']!r}; "
             f"available: {sorted(SOLVER_REGISTRY)}",
         )
-    _, solver_params = SOLVER_REGISTRY[solver_type]
+    factory, solver_params = SOLVER_REGISTRY[solver_type]
     allowed = set(COMMON_SOLVER_KEYS) | set(solver_params)
+    # Every iterative solver takes its recovery driver's period.
+    if "checkpoint_every" in getattr(factory, "parameter_names", ()):
+        allowed.add("checkpoint_every")
     for key in config:
         if key not in allowed:
             raise ConfigError(

@@ -42,6 +42,7 @@ from repro.ginkgo.exceptions import (
     CommunicationError,
     GinkgoError,
     RankFailure,
+    StateCorrupted,
 )
 from repro.ginkgo.fault import injector_of
 from repro.perfmodel.comm import (
@@ -51,10 +52,6 @@ from repro.perfmodel.comm import (
     allreduce_time,
     halo_exchange_time,
 )
-
-
-class StateCorrupted(GinkgoError):
-    """A reduction result was poisoned by injected corruption."""
 
 
 class InflightExchange:

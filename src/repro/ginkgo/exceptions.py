@@ -73,6 +73,10 @@ class RankFailure(CommunicationError):
         self.op = op
 
 
+class StateCorrupted(GinkgoError):
+    """A reduction result was poisoned by injected corruption."""
+
+
 class NotSupported(GinkgoError):
     """The requested operation is not implemented for this type."""
 

@@ -130,38 +130,31 @@ class LinOp:
         span and logger bookkeeping is skipped outright; both paths
         charge the simulated clock identically.
         """
-        self._validate_application(b, x)
-        clock = self._exec.clock
-        if not self._loggers and not clock._traced:
-            self._apply_impl(b, x)
-            x.mark_modified()
-            return x
-        clock.push_span(
-            f"{type(self).__name__}::apply", self._profile_category
-        )
-        try:
-            self._log("apply_started", b=b, x=x)
-            self._apply_impl(b, x)
-            self._log("apply_completed", b=b, x=x)
-        finally:
-            clock.pop_span()
-        x.mark_modified()
-        return x
+        return self._applying("apply", b, x, self._apply_impl, b, x)
 
     def apply_advanced(self, alpha, b, beta, x):
         """Compute ``x = alpha * op(b) + beta * x``; returns ``x``."""
+        return self._applying(
+            "apply_advanced", b, x, self._apply_advanced_impl,
+            alpha, b, beta, x,
+        )
+
+    def _applying(self, name: str, b, x, impl, *args):
+        """Validate ``b``/``x``, run ``impl(*args)`` and mark ``x`` modified.
+
+        Spanned as ``{type}::{name}`` between ``apply_started`` and
+        ``apply_completed`` logs when anything listens.
+        """
         self._validate_application(b, x)
         clock = self._exec.clock
         if not self._loggers and not clock._traced:
-            self._apply_advanced_impl(alpha, b, beta, x)
+            impl(*args)
             x.mark_modified()
             return x
-        clock.push_span(
-            f"{type(self).__name__}::apply_advanced", self._profile_category
-        )
+        clock.push_span(f"{type(self).__name__}::{name}", self._profile_category)
         try:
             self._log("apply_started", b=b, x=x)
-            self._apply_advanced_impl(alpha, b, beta, x)
+            impl(*args)
             self._log("apply_completed", b=b, x=x)
         finally:
             clock.pop_span()

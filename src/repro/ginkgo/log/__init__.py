@@ -9,7 +9,6 @@ aggregates counters/histograms across solves.
 """
 
 from repro.ginkgo.log.logger import (
-    CheckpointLogger,
     ConvergenceLogger,
     Logger,
     PerformanceLogger,
@@ -25,7 +24,6 @@ from repro.ginkgo.log.metrics import (
 from repro.ginkgo.log.profiler import ProfilerHook
 
 __all__ = [
-    "CheckpointLogger",
     "ConvergenceLogger",
     "Counter",
     "Histogram",

@@ -198,43 +198,6 @@ class PerformanceLogger(Logger):
         return "\n".join(lines)
 
 
-class CheckpointLogger(Logger):
-    """Periodically snapshots the in-progress solution vector.
-
-    Attach to an iterative solver; every ``every`` iterations the current
-    solution is copied out to host memory (modelling the device-to-host
-    checkpoint transfer).  After a mid-solve fault, the resilient solve
-    path restarts from :attr:`solution` instead of from scratch.
-
-    Attributes:
-        iteration: Iteration of the most recent checkpoint (None: none yet).
-        solution: Host copy of the solution at that iteration.
-        num_checkpoints: How many checkpoints were captured.
-    """
-
-    def __init__(self, every: int = 50, sink: list | None = None) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = every
-        self.iteration: int | None = None
-        self.solution: np.ndarray | None = None
-        self.num_checkpoints = 0
-        self._sink = sink
-
-    def on_iteration_complete(
-        self, op, iteration=0, residual_norm=None, solution=None, **kwargs
-    ) -> None:
-        if solution is None or iteration == 0 or iteration % self.every:
-            return
-        # to_numpy() routes through the executor's copy machinery, so the
-        # checkpoint's transfer cost lands on the simulated clock.
-        self.solution = solution.to_numpy()
-        self.iteration = iteration
-        self.num_checkpoints += 1
-        if self._sink is not None:
-            self._sink.append(("checkpoint_saved", {"iteration": iteration}))
-
-
 class StreamLogger(Logger):
     """Writes one line per event to a stream (default: stdout)."""
 

@@ -3,8 +3,9 @@
 Every solver is its method's :class:`~repro.ginkgo.solver.recurrence.
 Recurrence` plus one monitored solve (:meth:`IterativeSolver._solve`):
 ``r0 = b - A x0``, the iteration-0 check, then the recurrence handed to
-a driver — plain ``iterate``, or the distributed checkpoint/replay
-driver (:meth:`IterativeSolver._driver`).  A multi-column solve of a
+a driver — plain ``iterate``, or the armed checkpoint/replay driver
+(:mod:`repro.ginkgo.solver.recovery`), from which
+:meth:`IterativeSolver.resume` continues.  A multi-column solve of a
 ``single_rhs`` recurrence runs column by column, each column to its own
 verdict against its own baseline, and reports the aggregate: converged
 when every column is, the largest iteration count and residual norm,
@@ -18,6 +19,7 @@ import numpy as np
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.lin_op import Identity, LinOp, LinOpFactory
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver.recovery import Recovery
 from repro.ginkgo.solver.recurrence import Recurrence, iterate
 from repro.ginkgo.solver.workspace import Workspace
 from repro.ginkgo.stop import CriterionContext, Iteration, ResidualNorm
@@ -103,8 +105,11 @@ class IterativeSolver(LinOp):
     #: The method's :class:`Recurrence` (every concrete solver names one).
     recurrence: type | None = None
     #: Factory parameters this class reads itself; its factory accepts
-    #: them after the recurrence's ``parameters``.
-    extra_parameters: tuple = ()
+    #: them after the recurrence's ``parameters``.  ``checkpoint_every``
+    #: arms the recovery driver every N iterations (0: off).
+    extra_parameters: tuple = ("checkpoint_every",)
+    #: The last checkpoint the recovery driver took or resumed from.
+    checkpoint = None
 
     _profile_category = "solver"
 
@@ -187,7 +192,14 @@ class IterativeSolver(LinOp):
     def _apply_impl(self, b: Dense, x: Dense) -> None:
         self._solve(b, x, self._exec.clock.now)
 
-    def _solve(self, b, x, start_time: float) -> None:
+    def resume(self, checkpoint, b, x):
+        """Continue a failed apply from its :attr:`checkpoint` (possibly
+        another executor's); only the later iterations are logged."""
+        return self._applying(
+            "apply", b, x, self._solve, b, x, self._exec.clock.now, checkpoint
+        )
+
+    def _solve(self, b, x, start_time: float, resume=None) -> None:
         """One monitored solve of ``A x = b`` whose clock started at ``start_time``."""
         if b.size.cols > 1 and self.recurrence.single_rhs:
             # One column solve each, to its own verdict against its own
@@ -195,16 +207,21 @@ class IterativeSolver(LinOp):
             # into b/x, so results land in x directly.
             ws = self._workspace
             verdicts = []
-            for c in range(b.size.cols):
-                self._solve(
-                    ws.column_view(f"base.b[{c}]", b, c),
-                    ws.column_view(f"base.x[{c}]", x, c),
-                    start_time,
-                )
-                verdicts.append((
-                    self.num_iterations, self.converged,
-                    self.final_residual_norm, self.breakdown, self.timed_out,
-                ))
+            try:
+                for c in range(b.size.cols):
+                    self._solve(
+                        ws.column_view(f"base.b[{c}]", b, c),
+                        ws.column_view(f"base.x[{c}]", x, c),
+                        start_time,
+                    )
+                    verdicts.append((
+                        self.num_iterations, self.converged,
+                        self.final_residual_norm, self.breakdown,
+                        self.timed_out,
+                    ))
+            finally:
+                # One column's checkpoint cannot resume the whole block.
+                self.checkpoint = None
             iterations, converged, norms, breakdown, timed_out = zip(*verdicts)
             self._set_verdict(
                 max(iterations), all(converged), float(np.max(norms)),
@@ -213,14 +230,18 @@ class IterativeSolver(LinOp):
             return
         self._set_verdict()
         context = CriterionContext(
-            rhs_norm=b.compute_norm2(),
+            rhs_norm=b.compute_norm2() if resume is None else resume.rhs_norm,
             clock=self._exec.clock,
             start_time=start_time,
         )
-        # Initial residual r0 = b - A x0 (pooled; charges like b.clone()).
+        # Initial residual r0 = b - A x0 (pooled; charges like b.clone());
+        # a resumed solve restores what it carries from the checkpoint.
         r = self._initial_residual_buffer(b)
-        self._matrix.apply_advanced(-1.0, x, 1.0, r)
-        context.initial_resnorm = r.compute_norm2()
+        if resume is None:
+            self._matrix.apply_advanced(-1.0, x, 1.0, r)
+            context.initial_resnorm = r.compute_norm2()
+        else:
+            context.initial_resnorm = resume.initial_resnorm
         criterion = self._factory.criteria.generate(context)
 
         def monitor(
@@ -287,9 +308,10 @@ class IterativeSolver(LinOp):
             return stop
 
         # Check the initial residual before iterating (already converged?).
-        if monitor(0, context.initial_resnorm):
+        if resume is None and monitor(0, context.initial_resnorm):
             return
-        drive, monitor = self._driver(b, x, monitor)
+        recovery = Recovery.arm(self, context, resume)
+        drive = iterate if recovery is None else recovery.drive
         drive(self._recurrence(b, x, r, monitor))
 
     def _initial_residual_buffer(self, b):
@@ -313,7 +335,3 @@ class IterativeSolver(LinOp):
             monitor,
             **{k: params[k] for k in self.recurrence.parameters if k in params},
         )
-
-    def _driver(self, b, x, monitor) -> tuple:
-        """``(drive, monitor)``: what steps this solve's recurrence to its stop."""
-        return iterate, monitor

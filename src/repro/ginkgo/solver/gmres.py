@@ -78,6 +78,14 @@ class GmresRecurrence(Recurrence):
     def at_restart(self) -> bool:
         return self.j == 0
 
+    def written(self, name: str):
+        # j steps into a cycle: j + 1 basis vectors and entries of g, j
+        # Givens rotations and Hessenberg columns of j + 1 rows.
+        j = self.j
+        if name == "hessenberg":
+            return np.s_[:, : j + 1, :j]
+        return np.s_[..., : j + 1 if name in ("basis", "g") else j]
+
     def step(self, iteration: int) -> tuple:
         A, M, x, w, r, ws = self.A, self.M, self.x, self.w, self.r, self.ws
         exec_ = x.executor

@@ -33,6 +33,9 @@ class IdrRecurrence(Recurrence):
 
     vectors = ("x", "r")
     scalars = ("omega",)
+    # Carried across cycles, so every checkpoint holds them whole.
+    cycle = ("p_block", "g_block", "u_block", "m_small")
+    at_restart = False
     parameters = ("subspace_dim", "deterministic", "kappa")
     single_rhs = True
 

@@ -52,7 +52,7 @@ class IrSolver(IterativeSolver):
     """
 
     recurrence = IrRecurrence
-    extra_parameters = ("solver",)
+    extra_parameters = IterativeSolver.extra_parameters + ("solver",)
 
     def __init__(self, factory, matrix) -> None:
         super().__init__(factory, matrix)

@@ -22,9 +22,9 @@ one inner iteration of their restart cycle, IDR(s) one cycle.  A
 :attr:`Recurrence.single_rhs` recurrence solves one column; the solver
 splits multi-column solves.  Scalar, distributed and batched solves are
 three *instances* of one recurrence (:attr:`Recurrence.instances`
-declares which), bit-identical by construction;
-everything that is not arithmetic is a driver *around* ``step``:
-:func:`iterate` (plain), the distributed checkpoint/replay driver, the
+declares which), bit-identical by construction; everything that is not
+arithmetic is a driver *around* ``step``: :func:`iterate` (plain), the
+checkpoint/replay driver (:mod:`repro.ginkgo.solver.recovery`), the
 batched active-set compaction.  A step that meets an exact breakdown
 (zero pivot, singular projection) reports the finite residual it reached
 with ``monitor(..., breakdown=True)`` and stops; a step that finds ``x``
@@ -76,9 +76,8 @@ class Recurrence:
     #: are), rebound every step and never mutated in place.
     scalars: tuple = ()
     #: Attribute names of host arrays carried within a restart cycle, each
-    #: with a leading systems axis — what a compaction must also gather
-    #: mid-cycle.  No checkpoint holds them: drivers checkpoint only
-    #: where :attr:`at_restart` holds.
+    #: with a leading systems axis — what a checkpoint must also save and
+    #: a compaction also gather where :attr:`at_restart` does not hold.
     cycle: tuple = ()
     #: Solver parameters the constructor accepts as keywords.
     parameters: tuple = ()
@@ -104,6 +103,10 @@ class Recurrence:
         self.r = r
         self.ws = ws
         self.monitor = monitor
+
+    def written(self, name: str):
+        """Index of the part of cycle array ``name`` written so far."""
+        return ...
 
     def step(self, iteration: int) -> tuple:
         """Advance from ``iteration`` completed iterations.
