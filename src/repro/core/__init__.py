@@ -3,8 +3,8 @@
 Implements the user-facing entry points of the paper's Listings 1 and 2 —
 ``device``, ``read``, ``as_tensor``, ``array``, ``solve``, the
 ``solver``/``preconditioner`` namespaces — plus the pure-Python algorithms
-(Rayleigh-Ritz, Lanczos/Arnoldi eigensolvers) built from operator
-primitives, and NumPy/SciPy interoperability.
+(Rayleigh-Ritz, Lanczos/Arnoldi eigensolvers) composed from operator
+primitives and GMRES's Arnoldi step, and NumPy/SciPy interoperability.
 """
 
 from repro.core import batch_api as batch

@@ -1,8 +1,10 @@
 """Krylov eigensolvers composed from engine primitives (pure Python).
 
-Companions to :mod:`repro.core.rayleigh_ritz`: Lanczos (symmetric) and
-Arnoldi (general) factorisations plus a power iteration, all driven through
-the LinOp apply interface so they run on any executor.
+Companions to :mod:`repro.core.rayleigh_ritz`, run through the LinOp apply
+interface on any executor.  Arnoldi is GMRES's Arnoldi step
+(:meth:`~repro.ginkgo.solver.gmres.GmresRecurrence.arnoldi`) with two
+Gram-Schmidt passes (CGS2) and no Givens update, restart or monitor;
+Lanczos is that process on a symmetric operator.
 """
 
 from __future__ import annotations
@@ -10,10 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver.gmres import GmresRecurrence
+from repro.ginkgo.solver.workspace import Workspace
+
+#: A vector whose norm after orthogonalisation is at most this fraction
+#: of its norm before lies in the span already built.
+BREAKDOWN_RTOL = 1e-12
 
 
 @dataclass
@@ -26,72 +35,9 @@ class LanczosResult:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the tridiagonal projection (ascending)."""
-        from scipy.linalg import eigh_tridiagonal
-
         if self.alphas.size == 1:
             return self.alphas.copy()
         return eigh_tridiagonal(self.alphas, self.betas)[0]
-
-
-def lanczos(
-    operator: LinOp, num_steps: int, seed: int = 0, reorthogonalize: bool = True
-) -> LanczosResult:
-    """Run ``num_steps`` of the Lanczos iteration on a symmetric operator.
-
-    Args:
-        operator: Symmetric LinOp.
-        num_steps: Krylov steps (= size of the tridiagonal projection).
-        seed: Seed for the random start vector.
-        reorthogonalize: Apply full reorthogonalisation (costlier, stabler).
-
-    Returns:
-        :class:`LanczosResult`; ``result.eigenvalues()`` gives the Ritz
-        values.
-    """
-    if not operator.size.is_square:
-        raise GinkgoError(f"Lanczos needs a square operator, got {operator.size}")
-    n = operator.size.rows
-    m = min(num_steps, n)
-    if m < 1:
-        raise GinkgoError(f"num_steps must be >= 1, got {num_steps}")
-    exec_ = operator.executor
-    rng = np.random.default_rng(seed)
-
-    v = Dense(exec_, rng.standard_normal((n, 1)))
-    v.scale(1.0 / float(v.compute_norm2()[0]))
-    basis = [v]
-    alphas, betas = [], []
-    w = Dense.empty(exec_, v.size, v.dtype)
-
-    for j in range(m):
-        operator.apply(basis[j], w)
-        alpha = float(basis[j].compute_dot(w)[0])
-        alphas.append(alpha)
-        w.sub_scaled(alpha, basis[j])
-        if j > 0:
-            w.sub_scaled(betas[-1], basis[j - 1])
-        if reorthogonalize:
-            for q in basis:
-                coeff = float(q.compute_dot(w)[0])
-                w.sub_scaled(coeff, q)
-        beta = float(w.compute_norm2()[0])
-        if j + 1 < m:
-            if beta <= 1e-14:
-                break  # invariant subspace found
-            betas.append(beta)
-            nxt = w.clone()
-            nxt.scale(1.0 / beta)
-            basis.append(nxt)
-            w = Dense.empty(exec_, v.size, v.dtype)
-
-    block = Dense.empty(exec_, (n, len(basis)), v.dtype)
-    for j, q in enumerate(basis):
-        block._data[:, j : j + 1] = q._data
-    return LanczosResult(
-        alphas=np.asarray(alphas[: len(basis)]),
-        betas=np.asarray(betas[: len(basis) - 1]),
-        basis=block,
-    )
 
 
 @dataclass
@@ -107,45 +53,51 @@ class ArnoldiResult:
         return np.linalg.eigvals(self.hessenberg[:m, :m])
 
 
-def arnoldi(operator: LinOp, num_steps: int, seed: int = 0) -> ArnoldiResult:
-    """Run ``num_steps`` of the Arnoldi iteration on a general operator."""
+def _start_vector(operator: LinOp, seed: int, method: str) -> Dense:
+    """The seeded random start vector of ``method`` on a square operator."""
     if not operator.size.is_square:
-        raise GinkgoError(f"Arnoldi needs a square operator, got {operator.size}")
-    n = operator.size.rows
-    m = min(num_steps, n)
+        raise GinkgoError(f"{method} needs a square operator, got {operator.size}")
+    rng = np.random.default_rng(seed)
+    return Dense(operator.executor, rng.standard_normal((operator.size.rows, 1)))
+
+
+def _krylov(operator: LinOp, num_steps: int, seed: int, method: str):
+    """``(H, V)``: ``(m + 1) x m`` and ``m + 1`` columns after ``m`` steps,
+    or ``k x k`` and ``k`` columns on a breakdown after ``k`` steps."""
+    start = _start_vector(operator, seed, method)
+    m = min(num_steps, operator.size.rows)
     if m < 1:
         raise GinkgoError(f"num_steps must be >= 1, got {num_steps}")
-    exec_ = operator.executor
-    rng = np.random.default_rng(seed)
-
-    v = Dense(exec_, rng.standard_normal((n, 1)))
-    v.scale(1.0 / float(v.compute_norm2()[0]))
-    basis = [v]
-    h = np.zeros((m + 1, m))
-    w = Dense.empty(exec_, v.size, v.dtype)
-
-    actual = m
+    process = GmresRecurrence(
+        operator, None, None, None, start, Workspace(start.executor), None, m
+    )
+    process._open(start, start.compute_norm2())
+    h, basis = process.hessenberg[0], process.basis[0]
     for j in range(m):
-        operator.apply(basis[j], w)
-        for i in range(j + 1):
-            h[i, j] = float(basis[i].compute_dot(w)[0])
-            w.sub_scaled(h[i, j], basis[i])
-        h[j + 1, j] = float(w.compute_norm2()[0])
-        if h[j + 1, j] <= 1e-14:
-            actual = j + 1
-            break
-        nxt = w.clone()
-        nxt.scale(1.0 / h[j + 1, j])
-        basis.append(nxt)
-        w = Dense.empty(exec_, v.size, v.dtype)
+        # ||A v_j|| is the norm of the column the step wrote (V orthonormal).
+        h_next = process.arnoldi(j, passes=2)[0]
+        if h_next <= BREAKDOWN_RTOL * np.linalg.norm(h[: j + 2, j]):
+            return h[: j + 1, : j + 1], basis[:, : j + 1]
+    return h, basis
 
-    block = Dense.empty(exec_, (n, len(basis)), v.dtype)
-    for j, q in enumerate(basis):
-        block._data[:, j : j + 1] = q._data
-    # Without breakdown the basis holds m+1 vectors and H is (m+1, m);
-    # on a lucky breakdown after `actual` steps the last subdiagonal is
-    # zero and the relation closes with a square H.
-    return ArnoldiResult(hessenberg=h[: len(basis), :actual], basis=block)
+
+def arnoldi(operator: LinOp, num_steps: int, seed: int = 0) -> ArnoldiResult:
+    """Run ``num_steps`` of the Arnoldi iteration on a general operator."""
+    h, basis = _krylov(operator, num_steps, seed, "Arnoldi")
+    return ArnoldiResult(hessenberg=h, basis=Dense(operator.executor, basis))
+
+
+def lanczos(operator: LinOp, num_steps: int, seed: int = 0) -> LanczosResult:
+    """Run ``num_steps`` of the Lanczos iteration on a symmetric operator.
+
+    Arnoldi with full reorthogonalisation: ``alphas``/``betas`` are the
+    diagonal/subdiagonal of its Hessenberg matrix, the basis its first
+    ``m`` columns; ``result.eigenvalues()`` gives the Ritz values.
+    """
+    h, basis = _krylov(operator, num_steps, seed, "Lanczos")
+    m = h.shape[1]
+    alphas, betas = np.diag(h).copy(), np.diag(h, -1)[: m - 1].copy()
+    return LanczosResult(alphas, betas, Dense(operator.executor, basis[:, :m]))
 
 
 def power_iteration(
@@ -157,16 +109,9 @@ def power_iteration(
         ``(eigenvalue, eigenvector)`` where the eigenvector is an ``n x 1``
         Dense on the operator's executor.
     """
-    if not operator.size.is_square:
-        raise GinkgoError(
-            f"power iteration needs a square operator, got {operator.size}"
-        )
-    n = operator.size.rows
-    exec_ = operator.executor
-    rng = np.random.default_rng(seed)
-    v = Dense(exec_, rng.standard_normal((n, 1)))
+    v = _start_vector(operator, seed, "power iteration")
     v.scale(1.0 / float(v.compute_norm2()[0]))
-    w = Dense.empty(exec_, v.size, v.dtype)
+    w = Dense.empty(v.executor, v.size, v.dtype)
     eigenvalue = 0.0
     for _ in range(num_iterations):
         operator.apply(v, w)

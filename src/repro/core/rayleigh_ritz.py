@@ -5,7 +5,8 @@ complex algorithms can be composed from the exposed operator primitives
 (SpMV, dots, axpys) "without worrying about low-level GPU or CPU
 parallelization details".  This module is exactly that: every numerical
 step goes through engine operators, so it runs — and is timed — on
-whatever device the operands live on.
+whatever device the operands live on.  Its Gram-Schmidt is GMRES's
+fused Arnoldi pass, run twice per column (:func:`orthonormalize`).
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.eigensolvers import BREAKDOWN_RTOL
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver.gmres import GmresRecurrence
 
 
 @dataclass
@@ -36,30 +39,28 @@ class RitzPairs:
 
 
 def orthonormalize(basis: Dense) -> Dense:
-    """Orthonormalise the columns of a Dense block (modified Gram-Schmidt).
+    """Orthonormalise the columns of a Dense block.
 
-    Performed with engine dot/axpy/scale primitives so the work is charged
-    to the owning executor.
+    Column by column, GMRES's fused Gram-Schmidt pass
+    (``GmresRecurrence._orthogonalize``) runs twice (CGS2) against the
+    columns before it, over a stacked view of the block, so the work is
+    charged to the owning executor.
     """
-    exec_ = basis.executor
-    n, k = basis.shape
-    columns = []
-    for j in range(k):
-        v = Dense(exec_, basis._data[:, j : j + 1])
-        for q in columns:
-            coeff = float(q.compute_dot(v)[0])
-            v.sub_scaled(coeff, q)
+    out = Dense(basis.executor, basis._data)
+    block = out._data[None]
+    for j in range(out.size.cols):
+        v = Dense._wrap(out.executor, out._data[:, j : j + 1])
+        # Two passes (CGS2); none against the empty block before column 0.
+        coeffs = sum(
+            GmresRecurrence._orthogonalize(block, v, j) for _ in range(2 if j else 0)
+        )
         norm = float(v.compute_norm2()[0])
-        if norm <= 1e-14 * max(n, 1):
+        if norm <= BREAKDOWN_RTOL * np.hypot(norm, np.linalg.norm(coeffs)):
             raise GinkgoError(
                 f"orthonormalize: column {j} is (numerically) linearly "
                 "dependent on the previous columns"
             )
         v.scale(1.0 / norm)
-        columns.append(v)
-    out = Dense.empty(exec_, basis.size, basis.dtype)
-    for j, q in enumerate(columns):
-        out._data[:, j : j + 1] = q._data
     return out
 
 
@@ -128,10 +129,11 @@ def rayleigh_ritz_eigensolver(
 ) -> RitzPairs:
     """Subspace-iteration eigensolver built on Rayleigh-Ritz extraction.
 
-    Repeatedly applies the operator to a block of vectors, re-orthonormalises,
-    and extracts Ritz pairs — a pure-Python advanced eigensolver composed
-    entirely of engine primitives (the paper's "ongoing development" use
-    case for the Python layer).
+    Repeatedly applies the operator to the last Ritz vectors (an
+    orthonormal block) and extracts Ritz pairs from the image — a
+    pure-Python advanced eigensolver composed entirely of engine
+    primitives (the paper's "ongoing development" use case for the Python
+    layer).
 
     Args:
         operator: Symmetric LinOp.
@@ -145,27 +147,25 @@ def rayleigh_ritz_eigensolver(
         :class:`RitzPairs` restricted to the ``num_eigenpairs`` dominant
         pairs (ascending by value).
     """
-    if num_eigenpairs < 1:
+    n = operator.size.rows
+    if not 1 <= num_eigenpairs <= n:
         raise GinkgoError(
-            f"num_eigenpairs must be >= 1, got {num_eigenpairs}"
+            f"num_eigenpairs must be in [1, {n}] (the operator's size), "
+            f"got {num_eigenpairs}"
         )
     if num_iterations < 1:
-        raise GinkgoError(
-            f"num_iterations must be >= 1, got {num_iterations}"
-        )
-    n = operator.size.rows
+        raise GinkgoError(f"num_iterations must be >= 1, got {num_iterations}")
     k = min(max(num_eigenpairs * subspace_factor, num_eigenpairs + 2), n)
     rng = np.random.default_rng(seed)
     exec_ = operator.executor
     block = Dense(exec_, rng.standard_normal((n, k)))
 
-    pairs = None
     for _ in range(num_iterations):
-        block = orthonormalize(block)
         out = Dense.empty(exec_, block.size, block.dtype)
         operator.apply(block, out)
-        block = out
-        pairs = rayleigh_ritz(operator, block)
+        pairs = rayleigh_ritz(operator, out)
+        # The Ritz vectors are an orthonormal basis of span(out).
+        block = pairs.vectors
         if tol is not None and float(np.max(pairs.residual_norms)) < tol:
             break
 

@@ -39,7 +39,8 @@ DEFAULT_KRYLOV_DIM = 30
 class GmresRecurrence(Recurrence):
     """Left-preconditioned restarted GMRES for one right-hand side.
 
-    One step is one inner iteration: an Arnoldi step, a Givens update,
+    One step is one inner iteration: an Arnoldi step (:meth:`arnoldi`,
+    which ``pg.arnoldi`` and ``pg.lanczos`` also run), a Givens update,
     and the residual estimate reported to the monitor.  At cycle
     position ``j == 0`` the step first restarts from ``x`` alone and
     opens the :attr:`cycle` arrays, which have a leading systems axis
@@ -99,35 +100,11 @@ class GmresRecurrence(Recurrence):
             beta = r.compute_norm2().reshape(-1)
             if not beta.all():
                 # x is exact: stop at the iteration the last check logged.
-                return iteration, self.monitor(
-                    iteration, beta, exact=beta == 0.0
-                )
-            self.basis = self._start(r, beta)
-            self.hessenberg = ws.array(
-                "gmres.hessenberg", (systems, m + 1, m), dtype=work
-            )
-            self.givens_cos = ws.array("gmres.givens_cos", (systems, m), dtype=work)
-            self.givens_sin = ws.array("gmres.givens_sin", (systems, m), dtype=work)
-            self.g = ws.array("gmres.g", (systems, m + 1), dtype=work)
-            self.g[:, 0] = beta
-        basis, hessenberg, g = self.basis, self.hessenberg, self.g
-        # w = M^{-1} A v_j
-        self._load(basis, j, w)
-        A.apply(w, r)
-        M.apply(r, w)
-        hessenberg[:, : j + 1, j] = self._orthogonalize(basis, w, j + 1)
-        h_next = w.compute_norm2().reshape(-1)
-        hessenberg[:, j + 1, j] = h_next
-        rows = h_next.nonzero()[0]
-        if rows.size:
-            # A slice unless some system reached an invariant subspace
-            # (h_next == 0): a fancy-indexed basis-column write is slow.
-            self._extend(
-                basis, w, j + 1, h_next,
-                slice(None) if rows.size == systems else rows,
-            )
+                return iteration, self.monitor(iteration, beta, exact=beta == 0.0)
+            self._open(r, beta)
+        h_next = self.arnoldi(j)
         pivot = givens_update(
-            exec_, hessenberg, self.givens_cos, self.givens_sin, g, j
+            exec_, self.hessenberg, self.givens_cos, self.givens_sin, self.g, j
         )
         # A zero pivot closes the cycle on the first j columns.
         inner = j + pivot
@@ -136,11 +113,9 @@ class GmresRecurrence(Recurrence):
         # (restart-1 more checks per cycle than CuPy): a small device
         # kernel updates the estimate and the host reads the stopping
         # status back.
-        exec_.run(
-            KernelCost("residual_check", 0.0, 64.0 * systems, launches=4)
-        )
+        exec_.run(KernelCost("residual_check", 0.0, 64.0 * systems, launches=4))
         stop = self.monitor(
-            iteration, np.abs(g[np.arange(systems), inner]), breakdown=~pivot
+            iteration, np.abs(self.g[np.arange(systems), inner]), breakdown=~pivot
         )
         self.closed = stop | (h_next == 0.0) | (j + 1 == m)
         closing = self.closed.nonzero()[0]
@@ -149,13 +124,43 @@ class GmresRecurrence(Recurrence):
         self.j = 0 if closing.size == systems else j + 1
         return iteration, stop
 
+    def arnoldi(self, j: int, passes: int = 1):
+        """Hessenberg column ``j`` and ``v_{j+1}`` from ``w = M^{-1} A v_j``
+        (``A v_j`` without ``M``), orthogonalised in ``passes`` summed fused
+        Gram-Schmidt passes (two: CGS2); returns ``h_{j+1,j}`` per system."""
+        A, M, w, r, basis = self.A, self.M, self.w, self.r, self.basis
+        v, av = (r, w) if M is None else (w, r)
+        self._load(basis, j, v)
+        A.apply(v, av)
+        if M is not None:
+            M.apply(r, w)
+        coeffs = [self._orthogonalize(basis, w, j + 1) for _ in range(passes)]
+        self.hessenberg[:, : j + 1, j] = sum(coeffs[1:], coeffs[0])
+        h_next = w.compute_norm2().reshape(-1)
+        self.hessenberg[:, j + 1, j] = h_next
+        rows = h_next.nonzero()[0]
+        if rows.size:
+            # A slice unless some system reached an invariant subspace
+            # (h_next == 0): a fancy-indexed basis-column write is slow.
+            every = rows.size == h_next.size
+            self._extend(basis, w, j + 1, h_next, slice(None) if every else rows)
+        return h_next
+
+    def _open(self, v, beta) -> None:
+        """Open a cycle at ``v_0 = v / beta``: the basis, zeroed host arrays."""
+        systems, m, ws, work = beta.size, self.krylov_dim, self.ws, self.work_dtype
+        self.basis = self._start(v, beta)
+        self.hessenberg = ws.array("gmres.hessenberg", (systems, m + 1, m), dtype=work)
+        self.givens_cos = ws.array("gmres.givens_cos", (systems, m), dtype=work)
+        self.givens_sin = ws.array("gmres.givens_sin", (systems, m), dtype=work)
+        self.g = ws.array("gmres.g", (systems, m + 1), dtype=work)
+        self.g[:, 0] = beta
+
     def _start(self, r, beta):
         """The cycle's basis block (pooled) with ``v_0 = r / beta``."""
         rd = stacked(r)
         systems, n, _ = rd.shape
-        basis = self.ws.array(
-            "gmres.basis", (systems, n, self.krylov_dim + 1)
-        )
+        basis = self.ws.array("gmres.basis", (systems, n, self.krylov_dim + 1))
         # beta in the vector's precision, as a Python-float divisor would be.
         basis[:, :, 0] = rd[:, :, 0] / beta.astype(rd.dtype)[:, None]
         record_fused(
@@ -167,7 +172,8 @@ class GmresRecurrence(Recurrence):
         """``w = v_j``."""
         stacked(w)[:, :, 0] = basis[:, :, j]
 
-    def _orthogonalize(self, basis, w, count: int):
+    @staticmethod
+    def _orthogonalize(basis, w, count: int):
         """Gram-Schmidt ``w`` against ``count`` basis vectors; the coefficients."""
         # Ginkgo's fused multi-dot + rank update each collapse `count`
         # eager dots / axpys into one kernel: a fused region.

@@ -8,6 +8,7 @@ import repro as pg
 from repro.core.rayleigh_ritz import orthonormalize
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.matrix import Csr, Dense
+from repro.suitesparse import mesh_delaunay
 
 
 @pytest.fixture
@@ -19,6 +20,16 @@ def spd_operator(ref):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     dense = q @ np.diag(diag) @ q.T
     return Csr.from_scipy(ref, sp.csr_matrix(dense)), diag
+
+
+@pytest.fixture
+def mesh_operator(ref):
+    """The example's graph Laplacian, where one Gram-Schmidt pass is not enough."""
+    return Csr.from_scipy(ref, mesh_delaunay(400, seed=42))
+
+
+def _scaled(ref, op, factor):
+    return Csr.from_scipy(ref, sp.csr_matrix(np.asarray(op.to_dense()) * factor))
 
 
 class TestOrthonormalize:
@@ -39,6 +50,13 @@ class TestOrthonormalize:
         data = np.ones((5, 2))
         with pytest.raises(GinkgoError, match="dependent"):
             orthonormalize(Dense(ref, data))
+
+    def test_tiny_columns_are_independent(self, ref, rng):
+        data = rng.standard_normal((20, 5))
+        tiny = np.asarray(orthonormalize(Dense(ref, data * 1e-15)))
+        np.testing.assert_allclose(
+            tiny, np.asarray(orthonormalize(Dense(ref, data))), atol=1e-12
+        )
 
 
 class TestRayleighRitz:
@@ -105,6 +123,11 @@ class TestRayleighRitzEigensolver:
         with pytest.raises(GinkgoError):
             pg.rayleigh_ritz_eigensolver(op, 2, num_iterations=0)
 
+    def test_more_pairs_than_the_operator_has(self, ref):
+        op = Csr.from_scipy(ref, sp.diags(np.arange(1.0, 6.0), format="csr"))
+        with pytest.raises(GinkgoError, match="num_eigenpairs"):
+            pg.rayleigh_ritz_eigensolver(op, 8)
+
 
 class TestLanczos:
     def test_extreme_eigenvalues(self, ref, spd_operator):
@@ -125,6 +148,16 @@ class TestLanczos:
         with pytest.raises(GinkgoError):
             pg.lanczos(op, 0)
 
+    def test_scaled_operator_runs_every_step(self, ref, spd_operator):
+        op, _ = spd_operator
+        tiny = pg.lanczos(_scaled(ref, op, 1e-15), 20, seed=5)
+        assert tiny.alphas.size == 20
+        np.testing.assert_allclose(
+            tiny.eigenvalues(),
+            1e-15 * pg.lanczos(op, 20, seed=5).eigenvalues(),
+            rtol=1e-10,
+        )
+
 
 class TestArnoldi:
     def test_hessenberg_relation(self, ref, general_small):
@@ -143,6 +176,36 @@ class TestArnoldi:
         assert np.max(result.eigenvalues().real) == pytest.approx(
             diag.max(), rel=1e-2
         )
+
+    def test_scaled_operator_runs_every_step(self, ref, spd_operator):
+        op, _ = spd_operator
+        tiny = pg.arnoldi(_scaled(ref, op, 1e-15), 20, seed=5)
+        assert tiny.hessenberg.shape == (21, 20)
+        np.testing.assert_allclose(
+            np.sort(tiny.eigenvalues().real),
+            1e-15 * np.sort(pg.arnoldi(op, 20, seed=5).eigenvalues().real),
+            rtol=1e-10,
+        )
+
+    def test_basis_orthonormal_on_a_mesh(self, mesh_operator):
+        v = np.asarray(pg.arnoldi(mesh_operator, 60, seed=1).basis)
+        assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-12
+
+    def test_ritz_values_match_lanczos(self, mesh_operator):
+        ritz = pg.arnoldi(mesh_operator, 60, seed=1).eigenvalues()
+        np.testing.assert_allclose(
+            np.sort(ritz.real),
+            pg.lanczos(mesh_operator, 60, seed=1).eigenvalues(),
+            rtol=1e-12,
+        )
+
+    def test_traced_spans_per_step_are_constant(self, ref, mesh_operator):
+        def spans(steps):
+            with pg.profile(ref) as prof:
+                pg.arnoldi(mesh_operator, steps)
+            return prof.trace.num_spans
+
+        assert spans(40) <= 2.2 * spans(20)
 
 
 class TestPowerIteration:

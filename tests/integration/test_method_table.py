@@ -6,7 +6,8 @@
   distributed route), and every undeclared pair is rejected there with
   the error type it always had;
 * lint — no ``src/repro`` module outside the table spells out two or
-  more method names in one literal container.
+  more method names in one literal container, and no loop there
+  hand-writes Gram-Schmidt (``GmresRecurrence.arnoldi`` is the one copy).
 """
 
 from __future__ import annotations
@@ -217,3 +218,49 @@ def test_lint_sees_a_respelled_list(tmp_path):
     module = tmp_path / "module.py"
     module.write_text('SOLVERS = {"cg": 1, "gmres": 2}\nONE = ("cg", "x")\n')
     assert list(_method_lists(module)) == [(1, ["cg", "gmres"])]
+
+
+# ----------------------------------------------------------------------
+# lint: Gram-Schmidt is written once (GmresRecurrence.arnoldi)
+# ----------------------------------------------------------------------
+def _gram_schmidt_loops(path: pathlib.Path) -> list:
+    """Sorted lines of the loops whose body calls ``compute_dot`` and an axpy."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.For, ast.While)):
+            continue
+        called = {
+            call.func.attr
+            for stmt in node.body
+            for call in ast.walk(stmt)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        }
+        if "compute_dot" in called and called & {"sub_scaled", "add_scaled"}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_hand_writes_gram_schmidt():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for line in _gram_schmidt_loops(path)
+    ]
+    assert offenders == []
+
+
+def test_lint_sees_a_gram_schmidt_loop(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "for j in range(m):\n"
+        "    for q in basis:\n"
+        "        w.sub_scaled(q.compute_dot(w)[0], q)\n"
+        "while busy:\n"
+        "    busy = v.compute_dot(w) > 0\n"
+        "    w.scale(2.0)\n"
+        "while busy:\n"
+        "    c = v.compute_dot(w)\n"
+        "    if c:\n"
+        "        w.add_scaled(-c, v)\n"
+    )
+    assert _gram_schmidt_loops(module) == [1, 2, 7]
