@@ -5,7 +5,8 @@ resolves the type-suffixed batched factory through the binding layer
 (one binding crossing per batch, not per system), generates it on the
 stacked system matrix, and returns a :class:`BatchSolverHandle` whose
 ``apply(b, x)`` returns ``(loggers, x)`` — one convergence logger per
-system, so per-system diagnostics keep the scalar API's shape.
+system, built once from the solve's ``BatchStatus`` arrays after each
+``apply``, so per-system diagnostics keep the scalar API's shape.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.core.solver_api import _instance_functions
 from repro.core.types import value_dtype
 from repro.ginkgo.batch.matrix import BatchCsr, BatchDense
 from repro.ginkgo.exceptions import GinkgoError
-from repro.ginkgo.log import ConvergenceLogger
 
 
 def _unwrap(operand) -> BatchDense:
@@ -54,17 +54,14 @@ class BatchSolverHandle:
     guesses) and returns ``(loggers, x)``: one
     :class:`~repro.ginkgo.log.ConvergenceLogger` per system — each
     holding exactly the history a scalar solve of that system would
-    produce — and the stacked solution.  The full per-system stopping
-    record is also available as :attr:`status` after the solve.
+    produce — and the stacked solution.  The handle attaches no logger
+    to the solver: :attr:`loggers` is built from :attr:`status`, the
+    per-system stopping record, once after each solve.
     """
 
     def __init__(self, solver) -> None:
         self._solver = solver
-        self._loggers = [
-            ConvergenceLogger() for _ in range(solver.num_systems)
-        ]
-        for k, logger in enumerate(self._loggers):
-            solver.add_system_logger(k, logger)
+        self._loggers = self._built_from = None
 
     @property
     def solver(self):
@@ -77,6 +74,8 @@ class BatchSolverHandle:
 
     @property
     def loggers(self) -> list:
+        if self._built_from is not self.status:
+            self._built_from, self._loggers = self.status, self.status.loggers()
         return self._loggers
 
     @property
@@ -107,7 +106,7 @@ class BatchSolverHandle:
     def apply(self, b, x):
         """Solve ``A[k] x[k] = b[k]`` for all systems from the guesses in ``x``."""
         self._solver.apply(_unwrap(b), _unwrap(x))
-        return self._loggers, x
+        return self.loggers, x
 
     def __repr__(self) -> str:
         return (

@@ -830,8 +830,11 @@ def resilient_batch_solve(
                 fallback=FallbackChain(exec_),
                 **solver_params,
             )
-        except ResilienceExhausted:
-            trail.emit(exec_, "system_unrecovered", system=int(k))
+        except ResilienceExhausted as exc:
+            trail.emit(
+                exec_, "system_unrecovered", system=int(k),
+                attempts=exc.attempts,
+            )
             continue
         np.copyto(x._data[k], x_sys._data)
         converged[k] = sys_report.converged

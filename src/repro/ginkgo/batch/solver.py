@@ -297,9 +297,9 @@ class BatchIterativeSolver:
         finally:
             clock.pop_span()
         self._workspace = Workspace(self._exec)
-        self._system_loggers: list[list] = [
-            [] for _ in range(matrix.num_systems)
-        ]
+        self._system_loggers = [[] for _ in range(matrix.num_systems)]
+        #: Which systems have a logger (the only ones events go to).
+        self._listened = np.zeros(matrix.num_systems, dtype=bool)
         self.status = BatchStatus(matrix.num_systems)
         self._criteria = None
         self._first_breakdown = None
@@ -347,11 +347,13 @@ class BatchIterativeSolver:
     def add_system_logger(self, k: int, logger) -> None:
         """Attach a logger receiving system ``k``'s solve events."""
         self._system_loggers[k].append(logger)
+        self._listened[k] = True
 
     def add_logger(self, logger) -> None:
         """Attach one logger to every system."""
         for loggers in self._system_loggers:
             loggers.append(logger)
+        self._listened[:] = True
 
     def _log_system(self, k: int, event: str, **kwargs) -> None:
         for logger in self._system_loggers[k]:
@@ -365,7 +367,8 @@ class BatchIterativeSolver:
     def _monitor(
         self, iterations, norms, ids, breakdown=None, exact=None
     ) -> np.ndarray:
-        """One lockstep convergence check over the systems in ``ids``.
+        """One lockstep convergence check over the systems in ``ids``
+        (``iterations``: their ``(m,)`` int64 iteration numbers).
 
         Performs, per system, exactly what the scalar solve's monitor
         does — breakdown detection (a NaN/Inf norm, or ``breakdown[i]``
@@ -374,82 +377,59 @@ class BatchIterativeSolver:
         keep-mask of systems that continue iterating.  With an ``exact``
         mask it only records the stop of those systems (``x`` exact at
         an iteration already checked) and keeps the rest unchecked.
+        Events go only to systems with a logger; the status is array work.
         """
         status = self.status
         clock = self._exec.clock
         m = ids.size
         norms = np.asarray(norms, dtype=np.float64).reshape(m, -1)
-        iterations = np.broadcast_to(
-            np.asarray(iterations, dtype=np.int64), (m,)
-        )
         maxed = norms.max(axis=1)
         if exact is not None:
             # As the scalar monitor: one read-back, no log, no verdict
             # beyond the stop (the last check did not converge).
             clock.synchronize()
-            for i in np.flatnonzero(exact):
-                status.num_iterations[ids[i]] = iterations[i]
-                status.final_residual_norm[ids[i]] = maxed[i]
+            status.stop(ids, iterations, maxed, exact)
             return ~exact
-        finite = np.isfinite(norms).all(axis=1)
+        keep = np.isfinite(norms).all(axis=1)
         if breakdown is not None:
-            finite &= ~breakdown
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(~finite):
-            s = int(ids[i])
-            it = int(iterations[i])
-            worst = float(maxed[i])
-            status.num_iterations[s] = it
-            status.converged[s] = False
-            status.breakdown[s] = True
-            status.final_residual_norm[s] = worst
-            self._log_system(
-                s, "breakdown", iteration=it, residual_norm=norms[i]
-            )
+            keep &= ~breakdown
+        heard = self._listened[ids]
+        broken = np.flatnonzero(~keep)
+        status.stop(ids, iterations, maxed, broken, breakdown=True)
+        for i in broken:
+            s, it, worst = int(ids[i]), int(iterations[i]), float(maxed[i])
+            if heard[i]:
+                self._log_system(
+                    s, "breakdown", iteration=it, residual_norm=norms[i]
+                )
             clock.annotate(
                 "breakdown", system=s, iteration=it, residual_norm=worst
             )
             if self._first_breakdown is None:
                 self._first_breakdown = (it, worst)
-            keep[i] = False
-        ok = np.flatnonzero(finite)
-        for i in ok:
-            s = int(ids[i])
-            status.residual_norms[s].append(float(maxed[i]))
+        ok = np.flatnonzero(keep)
+        status.record(ids[ok], maxed[ok])
+        for i in ok[heard[ok]]:
             self._log_system(
-                s,
-                "iteration_complete",
-                iteration=int(iterations[i]),
-                residual_norm=norms[i],
-                solution=None,
+                int(ids[i]), "iteration_complete", iteration=int(iterations[i]),
+                residual_norm=norms[i], solution=None,
             )
         # One host read-back of the stopping status per lockstep check —
         # this, not K read-backs, is the batched API's latency win.
         clock.synchronize()
-        if ok.size:
-            stop, conv = self._criteria.check(
-                iterations[ok], norms[ok], ids[ok]
+        stop, conv = self._criteria.check(iterations[ok], norms[ok], ids[ok])
+        status.stop(ids, iterations, maxed, ok[stop], converged=conv[stop])
+        keep[ok[stop]] = False
+        for pos in np.flatnonzero(heard[ok]):
+            s, it = int(ids[ok[pos]]), int(iterations[ok[pos]])
+            self._log_system(
+                s, "criterion_check_completed", iteration=it,
+                stopped=bool(stop[pos]),
             )
-            for pos, i in enumerate(ok):
-                s = int(ids[i])
+            if stop[pos] and conv[pos]:
                 self._log_system(
-                    s,
-                    "criterion_check_completed",
-                    iteration=int(iterations[i]),
-                    stopped=bool(stop[pos]),
+                    s, "converged", iteration=it, residual_norm=norms[ok[pos]]
                 )
-                if stop[pos]:
-                    status.num_iterations[s] = int(iterations[i])
-                    status.converged[s] = bool(conv[pos])
-                    status.final_residual_norm[s] = float(maxed[i])
-                    if conv[pos]:
-                        self._log_system(
-                            s,
-                            "converged",
-                            iteration=int(iterations[i]),
-                            residual_norm=norms[i],
-                        )
-                    keep[i] = False
         clock.annotate(
             "iteration",
             iteration=int(iterations.max(initial=0)),
@@ -486,7 +466,8 @@ class BatchIterativeSolver:
         try:
             self.status = BatchStatus(K)
             self._first_breakdown = None
-            for s in range(K):
+            listeners = np.flatnonzero(self._listened)
+            for s in listeners:
                 self._log_system(s, "apply_started", b=b, x=x)
             start_time = clock.now
             B = b.data
@@ -521,7 +502,7 @@ class BatchIterativeSolver:
                     r.head[: keep_idx.size] = r.head[keep_idx]
                     ops.compact(keep_idx)
                 self._iterate_batch(B, X, r, ops)
-            for s in range(K):
+            for s in listeners:
                 self._log_system(s, "apply_completed", b=b, x=x)
         finally:
             clock.pop_span()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ginkgo.log import ConvergenceLogger
 from repro.ginkgo.stop.criterion import (
     Combined,
     CriterionContext,
@@ -27,7 +28,13 @@ from repro.ginkgo.stop.criterion import (
 
 
 class BatchStatus:
-    """Per-system convergence record of one batched solve."""
+    """Per-system convergence record of one batched solve.
+
+    The only per-system record a solve writes, kept in arrays as Ginkgo's
+    ``batch::log::BatchConvergence`` does: a lockstep check stops systems
+    with masked writes and appends its norms as one chunk; per-system
+    history lists are assembled when :attr:`residual_norms` is read.
+    """
 
     def __init__(self, num_systems: int) -> None:
         self.num_systems = int(num_systems)
@@ -39,8 +46,45 @@ class BatchStatus:
         self.breakdown = np.zeros(self.num_systems, dtype=bool)
         #: Final residual norm per system (NaN while unset).
         self.final_residual_norm = np.full(self.num_systems, np.nan)
-        #: Residual-norm history per system (max over columns).
-        self.residual_norms = [[] for _ in range(self.num_systems)]
+        self._ids: list = []
+        self._values: list = []
+        self._norms = None
+
+    def record(self, ids: np.ndarray, norms: np.ndarray) -> None:
+        """Append one check's norms (max over columns) of systems ``ids``."""
+        self._ids.append(ids)
+        self._values.append(norms)
+        self._norms = None
+
+    @property
+    def residual_norms(self) -> list:
+        """Residual-norm history per system (max over columns)."""
+        if self._norms is None:
+            ids = np.concatenate([np.zeros(0, np.int64), *self._ids])
+            values = np.concatenate([np.zeros(0), *self._values])
+            ends = np.cumsum(np.bincount(ids, minlength=self.num_systems))
+            by_system = values[np.argsort(ids, kind="stable")]
+            self._norms = [p.tolist() for p in np.split(by_system, ends[:-1])]
+        return self._norms
+
+    def stop(self, ids, iterations, norms, at, converged=False, breakdown=False):
+        """Record the stop of systems ``ids[at]``, one masked write per field."""
+        self.num_iterations[ids[at]] = iterations[at]
+        self.final_residual_norm[ids[at]] = norms[at]
+        self.converged[ids[at]] = converged
+        self.breakdown[ids[at]] = breakdown
+
+    def loggers(self) -> list:
+        """One :class:`ConvergenceLogger` per system, as a scalar solve's
+        (an exact-solution stop logs no norm, so it keeps the last one)."""
+        loggers = []
+        for record in self:
+            logger = ConvergenceLogger()
+            vars(logger).update(record)
+            if record["residual_norms"] and not record["breakdown"]:
+                logger.final_residual_norm = record["residual_norms"][-1]
+            loggers.append(logger)
+        return loggers
 
     @property
     def all_converged(self) -> bool:
@@ -66,17 +110,10 @@ class BatchStatus:
         return self.num_systems
 
     def __getitem__(self, k):
+        systems = range(self.num_systems)[k]  # IndexError past either end
         if isinstance(k, slice):
-            return [self.system(i) for i in range(self.num_systems)[k]]
-        k = int(k)
-        if k < 0:
-            k += self.num_systems
-        if not 0 <= k < self.num_systems:
-            raise IndexError(
-                f"system index {k} out of range for {self.num_systems} "
-                f"systems"
-            )
-        return self.system(k)
+            return [self.system(i) for i in systems]
+        return self.system(systems)
 
     def __iter__(self):
         return (self.system(k) for k in range(self.num_systems))

@@ -14,7 +14,12 @@ with a :class:`JobResult` whose status is one of
   tenant over quota); nothing was charged;
 * ``timed_out`` — the deadline expired while the job was still queued
   (truthful partial report, no solve charged) or the in-flight solve hit
-  its ``stop::Deadline`` budget (best-effort partial solution).
+  its ``stop::Deadline`` budget (best-effort partial solution);
+* ``failed`` — every retry of the solve failed (e.g. a non-finite
+  right-hand side breaks down on each attempt), alone or as a batch
+  lane's quarantined system: ``x`` is the zero initial guess and the
+  report is partial, with ``converged=False``, ``breakdown=True``, the
+  attempt count and the failure history in its events.
 """
 
 from __future__ import annotations

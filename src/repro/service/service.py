@@ -56,12 +56,32 @@ from repro.core.resilient import (
     resilient_batch_solve,
     resilient_solve,
 )
-from repro.ginkgo.exceptions import GinkgoError
+from repro.ginkgo.exceptions import GinkgoError, ResilienceExhausted
 from repro.ginkgo.log.metrics import MetricsRegistry
 from repro.ginkgo.matrix.dense import Dense
 from repro.service.coalesce import Coalescer
 from repro.service.job import ROUTES, JobResult, SolveJob
 from repro.service.scheduler import AdmissionControl, JobQueue
+
+
+#: Per-system events of a resilient batch solve a lane job's report keeps.
+_SYSTEM_EVENTS = ("system_quarantined", "system_recovered", "system_unrecovered")
+
+
+def _failed(job, attempts: int, events: list, executor_name: str) -> dict:
+    """The answer to a job whose every retry failed: status ``failed``,
+    the zero initial guess, and a breakdown report saying so."""
+    report = ResilienceReport(
+        converged=False,
+        breakdown=True,
+        num_iterations=0,
+        final_residual_norm=float("nan"),
+        events=events,
+        attempts=attempts,
+        executor_name=executor_name,
+        partial=True,
+    )
+    return {"x": np.zeros_like(job.rhs), "report": report, "status": "failed"}
 
 
 class _Worker:
@@ -408,18 +428,25 @@ class SolverService:
         fallback = (
             self._fallback if self._fallback is not None else FallbackChain(exec_)
         )
-        report, x = resilient_solve(
-            exec_,
-            mtx,
-            b,
-            solver=job.solver,
-            max_iters=job.max_iters,
-            reduction_factor=job.reduction_factor,
-            retry=self._retry,
-            fallback=fallback,
-            deadline=remaining,
-            metrics=self.metrics,
-        )
+        try:
+            report, x = resilient_solve(
+                exec_,
+                mtx,
+                b,
+                solver=job.solver,
+                max_iters=job.max_iters,
+                reduction_factor=job.reduction_factor,
+                retry=self._retry,
+                fallback=fallback,
+                deadline=remaining,
+                metrics=self.metrics,
+            )
+        except ResilienceExhausted as exc:
+            history = [
+                ("attempt_failed", {"executor": name, "error": type(e).__name__})
+                for name, e in exc.history
+            ]
+            return [_failed(job, exc.attempts, history, exec_.name)]
         status = "timed_out" if report.timed_out else "completed"
         return [
             {
@@ -447,6 +474,16 @@ class SolverService:
         )
         payloads = []
         for k, job in enumerate(lane):
+            events = [("batch_lane", {"lane": len(lane), "system": k})] + [
+                (name, payload) for name, payload in report.events
+                if name in _SYSTEM_EVENTS and payload["system"] == k
+            ]
+            if events[-1][0] == "system_unrecovered":
+                attempts = events[-1][1]["attempts"]
+                payloads.append(
+                    _failed(job, attempts, events, report.executor_name)
+                )
+                continue
             # Distil the per-system slice of the batch report into the
             # scalar report shape the JobResult contract promises.
             payloads.append(
@@ -459,12 +496,7 @@ class SolverService:
                         final_residual_norm=float(
                             report.final_residual_norm[k]
                         ),
-                        events=[
-                            (
-                                "batch_lane",
-                                {"lane": len(lane), "system": k},
-                            )
-                        ],
+                        events=events,
                         attempts=report.attempts,
                         executor_name=report.executor_name,
                     ),
@@ -550,10 +582,7 @@ class SolverService:
 
     def _record(self, result: JobResult) -> None:
         metrics = self.metrics
-        if result.status == "completed":
-            metrics.counter("service_jobs_completed").inc()
-        else:
-            metrics.counter("service_jobs_timed_out").inc()
+        metrics.counter(f"service_jobs_{result.status}").inc()
         if result.route in ROUTES:
             metrics.counter(f"service_route_{result.route}").inc()
         if result.lane_size >= 2:
@@ -570,8 +599,8 @@ class SolverService:
     def slo_report(self) -> dict:
         """SLO snapshot: percentiles, throughput, coalescing, misses.
 
-        Latency percentiles are over *answered* jobs (completed and
-        timed out — a deadline miss still consumed service capacity);
+        Latency percentiles are over *answered* jobs (completed, timed
+        out and failed — each still consumed service capacity);
         throughput counts completed jobs per simulated second of the
         service timeline (the makespan).
         """
@@ -581,7 +610,8 @@ class SolverService:
         depth = metrics.histogram("service_queue_depth")
         completed = metrics.counter("service_jobs_completed").value
         timed_out = metrics.counter("service_jobs_timed_out").value
-        answered = completed + timed_out
+        failed = metrics.counter("service_jobs_failed").value
+        answered = completed + timed_out + failed
         coalesced = metrics.counter("service_jobs_coalesced").value
         makespan = self.now
         return {
@@ -589,6 +619,7 @@ class SolverService:
             "jobs_submitted": metrics.counter("service_jobs_submitted").value,
             "jobs_completed": completed,
             "jobs_timed_out": timed_out,
+            "jobs_failed": failed,
             "jobs_rejected": metrics.counter("service_jobs_rejected").value,
             "p50_latency": latency.percentile(50),
             "p99_latency": latency.percentile(99),
