@@ -55,8 +55,10 @@ mixed-smoke:
 # naive one-at-a-time FIFO baseline by >= 3x simulated-clock throughput
 # with every job's solution byte-identical to its solo solve, and the
 # SLO snapshot (latency percentiles, throughput, coalesce ratio) must
-# land in BENCH_service.json for the bench report.
+# land in BENCH_service.json for the bench report.  The route-equivalence
+# suite checks every route gives a job the same answer.
 service-smoke:
+	$(PYTHON) -m pytest -x -q tests/integration/test_route_equivalence.py
 	$(PYTHON) benchmarks/bench_service.py --smoke
 
 # Chaos acceptance: the seeded fault-schedule suite, then the recovery

@@ -22,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import bindings
-from repro.core.solver_api import _instance_functions
+from repro.core.solver_api import SolverHandle, _instance_functions
 from repro.ginkgo.distributed import Partition, sequential_ranks
 from repro.ginkgo.distributed import Vector as _Vector
 from repro.ginkgo.exceptions import GinkgoError
-from repro.ginkgo.log import ConvergenceLogger
 
 
 def partition(global_size, num_ranks, weights=None) -> Partition:
@@ -104,61 +103,31 @@ def zeros_like(operand: _Vector) -> _Vector:
     return _Vector.zeros_like(operand)
 
 
-class DistributedSolverHandle:
+class DistributedSolverHandle(SolverHandle):
     """A generated distributed solver with pyGinkgo's apply contract.
 
-    ``apply(b, x)`` runs the solve in place on ``x`` (the initial guess)
-    and returns ``(logger, x)`` like the scalar handles; iteration stats
-    are exposed afterwards as :attr:`num_iterations`,
-    :attr:`converged`, and :attr:`final_residual_norm`, and
-    communication stats (deltas over the solve) as :attr:`comm_time`,
-    :attr:`comm_hidden_time`, and :attr:`num_reductions`.
+    A :class:`~repro.core.solver_api.SolverHandle` over distributed
+    Vectors: ``apply(b, x)`` (and ``resume``) checks that both operands
+    are distributed, and records the communication stats of the solve
+    as deltas: :attr:`comm_time`, :attr:`comm_hidden_time`, and
+    :attr:`num_reductions`.
     """
 
-    def __init__(self, solver) -> None:
-        self._solver = solver
-        self._logger = ConvergenceLogger()
-        solver.add_logger(self._logger)
-        #: Modeled communication seconds of the last apply (hidden +
-        #: exposed), from the solve's communicator.
-        self.comm_time = 0.0
-        #: Communication seconds the last apply hid behind overlapped
-        #: compute (0.0 for fully blocking solvers).
-        self.comm_hidden_time = 0.0
-        #: Global reductions (all-reduces) the last apply performed.
-        self.num_reductions = 0
-
-    @property
-    def solver(self):
-        """The underlying engine solver LinOp."""
-        return self._solver
-
-    @property
-    def size(self):
-        return self._solver.size
+    #: Modeled communication seconds of the last apply (hidden +
+    #: exposed), from the solve's communicator.
+    comm_time = 0.0
+    #: Communication seconds the last apply hid behind overlapped
+    #: compute (0.0 for fully blocking solvers).
+    comm_hidden_time = 0.0
+    #: Global reductions (all-reduces) the last apply performed.
+    num_reductions = 0
 
     @property
     def comm(self):
         """The communicator charged for this solver's reductions."""
         return self._solver.comm
 
-    @property
-    def num_iterations(self) -> int:
-        """Iterations run by the most recent ``apply`` (0 before any)."""
-        return self._solver.num_iterations
-
-    @property
-    def converged(self) -> bool:
-        """Whether the most recent ``apply`` met its residual criterion."""
-        return self._solver.converged
-
-    @property
-    def final_residual_norm(self) -> float:
-        """Residual norm at the end of the most recent ``apply``."""
-        return self._solver.final_residual_norm
-
-    def apply(self, b, x):
-        """Solve ``A x = b`` starting from the initial guess in ``x``."""
+    def _run(self, solve, b, x):
         for name, operand in (("b", b), ("x", x)):
             if not isinstance(operand, _Vector):
                 raise GinkgoError(
@@ -169,14 +138,11 @@ class DistributedSolverHandle:
         seconds0 = comm.comm_seconds
         hidden0 = comm.comm_hidden_seconds
         reductions0 = comm.num_all_reduces
-        self._solver.apply(b, x)
+        solve(b, x)
         self.comm_time = comm.comm_seconds - seconds0
         self.comm_hidden_time = comm.comm_hidden_seconds - hidden0
         self.num_reductions = comm.num_all_reduces - reductions0
         return self._logger, x
-
-    def __repr__(self) -> str:
-        return f"DistributedSolverHandle({type(self._solver).__name__})"
 
 
 #: ``{method: function}``: ``pg.distributed.cg``, ``pg.distributed.gmres``,

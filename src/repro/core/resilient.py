@@ -1,26 +1,21 @@
-"""Resilient solves: retry, backoff, executor fallback, checkpoint resume.
+"""Resilient solves: retry, backoff, fallback, deadlines, quarantine.
 
-``resilient_solve`` wraps the config-solver route of
-:mod:`repro.core.solve` with the failure handling a production deployment
-needs on unreliable heterogeneous devices:
-
-* **retry with exponential backoff** (in simulated time) for transient
-  faults — :class:`CudaError`, :class:`AllocationError`, and
-  :class:`SolverBreakdown` (NaN/Inf residuals);
-* **graceful degradation** down an executor chain
-  (``cuda -> omp -> reference`` by default), rebuilding the vectors from
-  pristine host snapshots and moving the matrix with ``copy_to``;
-* **checkpoint resume**: with ``checkpoint_every`` set, the solver's
-  recovery driver (:mod:`repro.ginkgo.solver.recovery`) checkpoints the
-  recurrence's state, and the next attempt — on the same executor or a
-  fallback — resumes from the last checkpoint instead of from scratch,
-  reproducing the fault-free solve bit for bit;
-* a structured, deterministic **event trail** (`fault_injected`,
-  `attempt_failed`, `retry`, `fallback`, `checkpoint_saved`, ...) so tests
-  and benchmarks can assert on exactly what happened.
-
-``resilient_batch_solve`` runs a batched solve under the same retry loop
-and re-solves the systems it quarantines one at a time.
+One loop, :func:`resilient_run`, serves every instance of a solve: one
+system through the config-solver (:class:`ScalarSolve`), a ``pg.batch``
+lockstep batch (:class:`BatchSolve`) and a ``pg.distributed`` solve
+(:class:`DistributedSolve`), which differ only in how they stage
+operands on an executor from host snapshots and which handle they
+build there.  The loop retries transient faults
+(:data:`TRANSIENT_ERRORS`) with exponential backoff in simulated time;
+degrades down a :class:`FallbackChain` (``cuda -> omp -> reference``
+by default), skipping devices whose :class:`CircuitBreaker` is open;
+resumes a retry from the recovery driver's last checkpoint
+(:mod:`repro.ginkgo.solver.recovery`), bit-identical to the fault-free
+solve; stops each system at its deadline, an ordinary ``stop::Deadline``
+criterion aimed at each executor's absolute instant, with a truthful
+partial result; quarantines a batched system that breaks down into a
+scalar re-solve through the same loop; and records a deterministic
+event trail (``fault_injected``, ``attempt_failed``, ``retry``, ...).
 """
 
 from __future__ import annotations
@@ -29,10 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import batch_api, distributed_api
 from repro.core.device import device as _device_factory
 from repro.core.solve import build_config, config_solver
-from repro.core.solver_api import _unwrap
+from repro.core.solver_api import _build_criteria, _unwrap
 from repro.core.tensor import Tensor
+from repro.ginkgo.batch.matrix import BatchDense
 from repro.ginkgo.exceptions import (
     AllocationError,
     CommunicationError,
@@ -230,7 +227,7 @@ class _EventCounts:
 
 @dataclass
 class ResilienceReport(_EventCounts):
-    """What a resilient solve did and how it ended.
+    """What a resilient solve of one system did and how it ended.
 
     The event trail is a list of ``(name, payload)`` tuples in occurrence
     order; payloads hold only plain scalars/strings, so two runs with the
@@ -248,9 +245,16 @@ class ResilienceReport(_EventCounts):
     logger: ConvergenceLogger | None = None
     #: The solve hit its deadline before converging.
     timed_out: bool = False
-    #: The returned solution is a best-effort partial result (deadline
-    #: expiry), not a converged one.
+    #: The solution is a best-effort partial result (deadline expiry, or
+    #: the initial guess after every attempt failed).
     partial: bool = False
+    #: ``(executor name, exception)`` of every failed attempt.
+    failures: list = field(default_factory=list, repr=False)
+
+    @property
+    def exhausted(self) -> bool:
+        """Every attempt failed: the solution is the initial guess."""
+        return self.partial and not self.timed_out
 
     def __repr__(self) -> str:
         return (
@@ -262,27 +266,48 @@ class ResilienceReport(_EventCounts):
         )
 
 
+def _per_system(name, dtype):
+    """A length-K array of one report field, read from ``systems``."""
+    return property(
+        lambda self: np.array([getattr(s, name) for s in self.systems], dtype)
+    )
+
+
 @dataclass
 class BatchResilienceReport(_EventCounts):
-    """What a resilient batched solve did, per system and overall.
+    """What a resilient batched solve did: one report per system.
 
-    ``converged``/``num_iterations``/``final_residual_norm`` are length-K
-    arrays reflecting the *final* outcome — a quarantined system that a
-    scalar retry recovered reports its retry's verdict, not the faulted
-    batch attempt's.
+    ``systems[k]`` is system ``k``'s :class:`ResilienceReport` — for a
+    quarantined system, its scalar re-solve's — and the per-system
+    arrays below are read from them.
     """
 
-    num_systems: int
-    converged: np.ndarray
-    num_iterations: np.ndarray
-    final_residual_norm: np.ndarray
-    #: Systems isolated out of the batch (breakdown or poisoned iterate).
-    quarantined: list = field(default_factory=list)
-    #: Quarantined systems whose per-system retry converged.
-    recovered: list = field(default_factory=list)
+    systems: list
     events: list = field(default_factory=list)
     attempts: int = 1
     executor_name: str = ""
+    failures: list = field(default_factory=list, repr=False)
+
+    converged = _per_system("converged", bool)
+    num_iterations = _per_system("num_iterations", np.int64)
+    final_residual_norm = _per_system("final_residual_norm", np.float64)
+
+    @property
+    def num_systems(self) -> int:
+        return len(self.systems)
+
+    @property
+    def quarantined(self) -> list:
+        """Systems isolated out of the batch (breakdown, poisoned iterate)."""
+        return [
+            k for k, s in enumerate(self.systems)
+            if s.count("system_quarantined")
+        ]
+
+    @property
+    def recovered(self) -> list:
+        """Quarantined systems whose scalar re-solve converged."""
+        return [k for k in self.quarantined if self.systems[k].converged]
 
     @property
     def all_converged(self) -> bool:
@@ -297,12 +322,36 @@ class BatchResilienceReport(_EventCounts):
         )
 
 
-class _Trail(Logger):
-    """One resilient solve's event trail, failure history and attempt count.
+def _verdict(timed_out, iterations=0, norms=(), breakdown=False) -> dict:
+    """The verdict of a solve no attempt completed: its budget ran out
+    (``timed_out``) or every attempt failed (``breakdown``)."""
+    return dict(
+        converged=False, breakdown=breakdown, num_iterations=iterations,
+        final_residual_norm=float("nan"), residual_norms=list(norms),
+        timed_out=timed_out, partial=True,
+    )
 
-    Attached to an executor, it also mirrors the executor's fault and
-    checkpoint events into the trail.
-    """
+
+def _report(record, attempts=0, executor_name="", failures=()):
+    """The one constructor of a :class:`ResilienceReport`: ``record`` is
+    one system's verdict (a ``BatchStatus.system`` dict, plus its
+    ``events`` and the ``logger`` of a scalar attempt)."""
+    return ResilienceReport(
+        **{"partial": record["timed_out"], **record}, attempts=attempts,
+        executor_name=executor_name, failures=list(failures),
+    )
+
+
+def expired_report(events) -> ResilienceReport:
+    """The report of a solve whose deadline passed before it started:
+    no attempt, the initial guess, timed out."""
+    return _report(dict(_verdict(timed_out=True), events=events))
+
+
+class _Trail(Logger):
+    """One resilient solve's event trail, failure history and attempt
+    count; attached to an executor, it also mirrors the executor's
+    fault and checkpoint events."""
 
     def __init__(self) -> None:
         self.events: list = []
@@ -323,47 +372,26 @@ class _Trail(Logger):
         self.events.append((name, payload))
         exec_.clock.annotate(name, **payload)
 
-
-def _retrying(
-    trail, exec_, retry, attempt, rewind, started="attempt_started",
-    breaker=None, expired=None,
-):
-    """Run ``attempt()`` on ``exec_`` until it returns, backing off between failures.
-
-    ``expired()``, asked before each attempt, may end the loop with its
-    own result; ``rewind()`` puts the operands back for a retry and
-    returns extra ``retry`` payload.  Returns None once the retries are
-    spent or ``breaker`` opens ``exec_``'s circuit.
-    """
-    for index in range(retry.max_retries + 1):
-        if expired is not None and (result := expired()) is not None:
-            return result
-        trail.attempts += 1
-        trail.emit(exec_, started, executor=exec_.name, attempt=trail.attempts)
-        try:
-            return attempt()
-        except retry.retry_on as err:
-            trail.history.append((exec_.name, err))
-            trail.emit(
-                exec_, "attempt_failed", executor=exec_.name,
-                attempt=trail.attempts, error=type(err).__name__,
-            )
-        if breaker is not None and breaker.record_failure(exec_):
-            trail.emit(exec_, "circuit_opened", executor=exec_.name)
-            return None
-        if index == retry.max_retries:
-            return None
-        delay = retry.delay(index)
-        exec_.clock.advance(delay, category="stall", label="retry_backoff")
-        trail.emit(
-            exec_, "retry", executor=exec_.name, attempt=trail.attempts + 1,
-            delay=delay, **rewind(),
+    def failed(self, exec_: Executor, name: str, err, **payload) -> None:
+        """Record a failed staging or attempt on ``exec_``."""
+        self.history.append((exec_.name, err))
+        self.emit(
+            exec_, name, executor=exec_.name, **payload,
+            error=type(err).__name__,
         )
-    return None
 
 
-def _feed_metrics(metrics, report, exhausted: bool = False) -> None:
-    """Mirror a finished solve's report, scalar or batch, into ``metrics``."""
+#: Metric counters fed from the trail: counter name -> event name.
+_COUNTED = {
+    "retries": "retry", "fallbacks": "fallback",
+    "faults_injected": "fault_injected", "data_corrupted": "data_corrupted",
+    "breakdowns": "breakdown", "checkpoint_restores": "checkpoint_restored",
+}
+
+
+def _feed_metrics(metrics, report, events, exhausted: bool) -> None:
+    """Mirror a finished solve's report, scalar or batch, into ``metrics``
+    (event counts over the whole trail ``events``)."""
     if metrics is None:
         return
     batch = isinstance(report, BatchResilienceReport)
@@ -381,53 +409,352 @@ def _feed_metrics(metrics, report, exhausted: bool = False) -> None:
             report.num_iterations
         )
     metrics.counter("attempts").inc(report.attempts)
-    metrics.counter("retries").inc(report.retries)
-    metrics.counter("fallbacks").inc(report.fallbacks)
-    metrics.counter("faults_injected").inc(report.faults_injected)
-    metrics.counter("data_corrupted").inc(report.count("data_corrupted"))
-    metrics.counter("breakdowns").inc(report.count("breakdown"))
-    metrics.counter("checkpoint_restores").inc(
-        report.count("checkpoint_restored")
-    )
+    for counter, event in _COUNTED.items():
+        metrics.counter(counter).inc(sum(1 for e, _ in events if e == event))
 
 
-def _partial_return(
-    trail, exec_, x, logger, iterations, residual, metrics, norms
-):
-    """Best-effort result when the deadline expires mid-flight."""
-    trail.emit(
-        exec_, "deadline_exceeded", executor=exec_.name, iterations=iterations
-    )
-    report = ResilienceReport(
-        converged=False,
-        breakdown=bool(logger.breakdown) if logger else False,
-        num_iterations=iterations,
-        final_residual_norm=residual,
-        residual_norms=list(norms),
-        events=trail.events,
-        attempts=trail.attempts,
-        executor_name=exec_.name,
-        logger=logger,
-        timed_out=True,
-        partial=True,
-    )
-    _feed_metrics(metrics, report)
-    return report, x
+class ScalarSolve:
+    """The scalar instance: one system through the config-solver.
 
-
-def _find_deadline_factory(handle):
-    """Locate the mutable :class:`Deadline` factory in a solver's criteria.
-
-    The config route builds criteria factories once per solver; the
-    deadline instant is only known per attempt, so ``resilient_solve``
-    registers a placeholder and re-aims its ``at`` here before each
-    apply (criteria bind factory state freshly on every apply).
+    Holds the caller's operands ``(mtx, b, x)``, used as they are on the
+    primary executor, and pristine host snapshots of ``b`` and ``x``
+    from which every other executor is staged, so a corrupted device
+    buffer cannot poison the next one.  ``params`` are extra solver
+    parameters, ``checkpoint_every`` and ``divergence_limit``.
     """
-    criteria = handle.solver._factory.criteria
-    for factory in getattr(criteria, "factories", (criteria,)):
-        if isinstance(factory, Deadline):
-            return factory
-    return None
+
+    num_systems = 1
+    batched = False
+
+    def __init__(
+        self, mtx, b, x, b_host, x_host, solver="gmres", preconditioner=None,
+        max_iters=1000, reduction_factor=1e-6, **params,
+    ) -> None:
+        self.operands = (mtx, b, x)
+        self.b_host, self.x_host = b_host, x_host
+        self.solver, self.preconditioner = solver, preconditioner
+        self.max_iters, self.reduction_factor = max_iters, reduction_factor
+        self.params = params
+
+    def stage(self, exec_, x0):
+        """``(mtx, b, x)`` on a fallback ``exec_``, ``x`` holding ``x0``."""
+        mtx = self.operands[0]
+        if not hasattr(mtx, "copy_to"):
+            raise GinkgoError(
+                f"matrix {type(mtx).__name__} cannot be moved to "
+                f"{exec_.name} (no copy_to); fallback impossible"
+            )
+        mtx = mtx.copy_to(exec_)
+        b, x = (self.vector(exec_, mtx, v) for v in (self.b_host, x0))
+        return mtx, b, x
+
+    def vector(self, exec_, mtx, data):
+        return Dense.create(exec_, data)
+
+    def build(self, exec_, mtx, at):
+        """The handle on ``exec_``, stopping at the instant ``at``;
+        strict breakdowns let the loop retry NaN/Inf poisoning."""
+        params = dict(self.params)
+        limit = params.pop("divergence_limit", None)
+        if not params.get("checkpoint_every", 1):
+            del params["checkpoint_every"]
+        config = build_config(
+            self.solver, self.preconditioner, self.max_iters,
+            self.reduction_factor, strict_breakdown=True, **params,
+        )
+        for kind, key, value in (
+            ("Divergence", "limit", limit), ("Deadline", "at", at)
+        ):
+            if value is not None:
+                criterion = {"type": f"stop::{kind}", key: value}
+                config["criteria"].append(criterion)
+        return config_solver(exec_, mtx, config)
+
+    def records(self, handle, norms) -> list:
+        """Per-system verdicts of a completed attempt."""
+        logger = handle._logger
+        return [dict(
+            converged=logger.converged, breakdown=logger.breakdown,
+            num_iterations=logger.num_iterations,
+            final_residual_norm=logger.final_residual_norm,
+            residual_norms=norms, logger=logger,
+            timed_out=getattr(handle.solver, "timed_out", False),
+        )]
+
+    def settle(self, trail, exec_, reports, mtx, x, at, retry) -> None:
+        """Nothing is left to do after a completed attempt."""
+
+
+class DistributedSolve(ScalarSolve):
+    """The distributed instance: one system over simulated ranks."""
+
+    def vector(self, exec_, mtx, data):
+        return distributed_api.vector(
+            exec_, mtx.partition, data, comm=mtx.comm
+        )
+
+    def build(self, exec_, mtx, at):
+        return distributed_api.SOLVERS[self.solver](
+            exec_, mtx, criteria=_criteria(self, at), strict_breakdown=True,
+            **self.params,
+        )
+
+
+class BatchSolve(ScalarSolve):
+    """The batched instance: ``K`` same-pattern systems in lockstep.
+
+    A breakdown stays inside the batch (its monitor compacts the system
+    out); :meth:`settle` quarantines it afterwards.
+    """
+
+    batched = True
+
+    def __init__(self, mtx, b, x, b_host, x_host, **controls) -> None:
+        super().__init__(mtx, b, x, b_host, x_host, **controls)
+        self.num_systems = len(b_host)
+
+    def vector(self, exec_, mtx, data):
+        return BatchDense(exec_, data)
+
+    def build(self, exec_, mtx, at):
+        return batch_api.SOLVERS[self.solver](
+            exec_, mtx, preconditioner=self.preconditioner,
+            criteria=_criteria(self, at), **self.params,
+        )
+
+    def records(self, handle, norms) -> list:
+        lane = self.num_systems
+        return [
+            dict(record, events=[("batch_lane", {"lane": lane, "system": k})])
+            for k, record in enumerate(handle.status)
+        ]
+
+    def settle(self, trail, exec_, reports, mtx, x, at, retry) -> None:
+        """Quarantine: re-solve alone, through the same loop and with
+        the scalar counterpart of the batch's preconditioner, each system
+        that broke down or left a non-finite iterate; scatter the
+        recovered solutions back into ``x``."""
+        at = np.broadcast_to(np.inf if at is None else at, (len(reports),))
+        for k, report in enumerate(reports):
+            if not report.breakdown and np.isfinite(x._data[k]).all():
+                continue
+            events = report.events
+
+            def note(name, **payload):
+                trail.emit(exec_, name, system=k, **payload)
+                events.append((name, {"system": k, **payload}))
+
+            note("system_quarantined", breakdown=report.breakdown)
+            b_k, x_k = self.b_host[k], self.x_host[k]
+            alone = ScalarSolve(
+                mtx.item(k), Dense.create(exec_, b_k),
+                Dense.create(exec_, x_k), b_k, x_k, self.solver,
+                getattr(self.preconditioner, "scalar", None), self.max_iters,
+                self.reduction_factor, **self.params,
+            )
+            reports[k], solved = resilient_run(
+                alone, exec_, retry, FallbackChain(exec_),
+                None if np.isinf(at[k]) else at[k] - exec_.clock.now,
+            )
+            if solved is None:
+                note("system_unrecovered", attempts=reports[k].attempts)
+            else:
+                np.copyto(x._data[k], solved._data)
+                if reports[k].converged:
+                    note(
+                        "system_recovered",
+                        iterations=reports[k].num_iterations,
+                        attempts=reports[k].attempts,
+                    )
+            reports[k].events = events
+
+
+def _resume_point(checkpoint, solve):
+    """``(iteration, x)`` the next attempt starts from."""
+    if checkpoint is None:
+        return 0, solve.x_host
+    return checkpoint.iteration, checkpoint.vectors["x"]
+
+
+def _criteria(solve, at):
+    """``pg.solver``'s criteria for ``solve``'s controls, plus a
+    ``stop::Deadline`` at ``at`` (None: no deadline)."""
+    criteria = _build_criteria(solve.max_iters, solve.reduction_factor, None)
+    return criteria if at is None else criteria | Deadline(at)
+
+
+def resilient_run(
+    solve, device, retry=None, fallback=None, deadline=None, metrics=None
+):
+    """The one retry/backoff/fallback/circuit-breaker/deadline loop.
+
+    Runs ``solve`` (a :class:`ScalarSolve`, :class:`BatchSolve` or
+    :class:`DistributedSolve`) on ``device``, then down ``fallback``.
+    ``deadline`` is the simulated-seconds budget of the whole solve —
+    one, or one per system of a batch — spent across staging, attempts,
+    backoff and executors.
+
+    Returns:
+        ``(report, x)``; ``x`` is None when every attempt on every
+        executor failed (the report is then :attr:`~ResilienceReport.
+        exhausted`).
+    """
+    retry = retry or RetryPolicy()
+    fallback = fallback or FallbackChain()
+    breaker = fallback.breaker
+    primary = _executor(device)
+    trail = _Trail()
+    # The solver's last checkpoint, handed to the next attempt, and the
+    # residual norms of its iterations 0..k.
+    checkpoint, history = None, []
+    # Budget consumed on earlier executors' clocks: each executor has its
+    # own clock, so the deadline is tracked as elapsed seconds.
+    spent = 0.0
+    chain = [primary] + fallback.resolve(primary)
+    for position, exec_ in enumerate(chain):
+        if breaker is not None and breaker.is_open(exec_):
+            trail.emit(exec_, "circuit_skipped", executor=exec_.name)
+            continue
+        enter = exec_.clock.now
+        at = None if deadline is None else enter + (deadline - spent)
+        try:
+            mtx, b, x = solve.operands if exec_ is primary else solve.stage(
+                exec_, _resume_point(checkpoint, solve)[1]
+            )
+        except retry.retry_on as err:
+            trail.failed(exec_, "staging_failed", err)
+            spent += exec_.clock.now - enter
+            continue
+        # One handle per executor, reused across retries (a retry clears
+        # its pooled workspace, so a poisoned scratch buffer cannot leak).
+        handle = outcome = None
+        exec_.add_logger(trail)
+        try:
+            for index in range(retry.max_retries + 1):
+                if at is not None and np.all(exec_.clock.now >= at):
+                    # The budget ran out between attempts: x holds the
+                    # last checkpoint's iterate, if any.
+                    iterations = _resume_point(checkpoint, solve)[0]
+                    if checkpoint is not None:
+                        trail.emit(
+                            exec_, "checkpoint_restored", iteration=iterations
+                        )
+                    verdict = _verdict(True, iterations, history)
+                    outcome = [verdict] * solve.num_systems, None
+                    break
+                trail.attempts += 1
+                trail.emit(
+                    exec_, "attempt_started", executor=exec_.name,
+                    attempt=trail.attempts,
+                )
+                # A resumed apply logs only the iterations after its
+                # checkpoint.
+                logged, solved = list(history), False
+                try:
+                    if handle is None:
+                        handle = solve.build(exec_, mtx, at)
+                    else:
+                        handle.solver.clear_workspace()
+                        trail.emit(
+                            exec_, "workspace_cleared", executor=exec_.name
+                        )
+                    if checkpoint is None:
+                        handle.apply(b, x)
+                    else:
+                        handle.resume(checkpoint, b, x)
+                    solved = True
+                except retry.retry_on as err:
+                    trail.failed(
+                        exec_, "attempt_failed", err, attempt=trail.attempts
+                    )
+                finally:
+                    # A checkpoint taken by a failed attempt is still
+                    # valid state to resume from.
+                    if handle is not None and not solve.batched:
+                        logged += handle._logger.residual_norms
+                        taken = getattr(handle.solver, "checkpoint", None)
+                        checkpoint = taken or checkpoint
+                        if taken is not None:
+                            history = logged[: taken.iteration + 1]
+                if solved:
+                    if breaker is not None:
+                        breaker.record_success(exec_)
+                    outcome = solve.records(handle, logged), handle
+                    break
+                if breaker is not None and breaker.record_failure(exec_):
+                    trail.emit(exec_, "circuit_opened", executor=exec_.name)
+                    break
+                if index == retry.max_retries:
+                    break
+                delay = retry.delay(index)
+                exec_.clock.advance(
+                    delay, category="stall", label="retry_backoff"
+                )
+                # Rewind x to the checkpoint's iterate, or to x0.
+                restart, x0 = _resume_point(checkpoint, solve)
+                np.copyto(x._data, x0)
+                x.mark_modified()
+                if checkpoint is not None:
+                    trail.emit(exec_, "checkpoint_restored", iteration=restart)
+                elif not exec_.is_host:  # x0 goes back to the device
+                    exec_._charge_copy(exec_.get_master(), x0.nbytes)
+                trail.emit(
+                    exec_, "retry", executor=exec_.name,
+                    attempt=trail.attempts + 1, delay=delay,
+                    restart_iteration=restart,
+                )
+        finally:
+            exec_.remove_logger(trail)
+        if outcome is not None:
+            records, handle = outcome
+            return _finish(
+                trail, exec_, solve, records, metrics, x,
+                None if handle is None else (mtx, x, at, retry),
+            )
+        spent += exec_.clock.now - enter
+        if position + 1 < len(chain):
+            trail.emit(
+                exec_, "fallback",
+                **{"from": exec_.name, "to": chain[position + 1].name},
+            )
+    return _finish(trail, chain[-1], solve, None, metrics, None, None)
+
+
+def _finish(trail, exec_, solve, records, metrics, x, settle):
+    """The loop's one exit: the reports of ``records`` — per-system
+    verdicts, None when every attempt failed — and ``(report, x)``.
+    ``settle`` holds what a completed attempt hands to ``solve.settle``."""
+    if records is None:
+        failures = [
+            ("attempt_failed", {"executor": name, "error": type(err).__name__})
+            for name, err in trail.history
+        ]
+        verdict = dict(_verdict(False, breakdown=True), events=failures)
+        records = [verdict] * solve.num_systems
+    else:
+        timed_out = any(r["timed_out"] for r in records)
+        trail.emit(
+            exec_, "deadline_exceeded" if timed_out else "solve_completed",
+            executor=exec_.name, attempt=trail.attempts,
+            converged=all(r["converged"] for r in records),
+            iterations=max(r["num_iterations"] for r in records),
+        )
+    reports = [
+        _report(
+            {"events": trail.events, **record}, trail.attempts, exec_.name,
+            trail.history,
+        )
+        for record in records
+    ]
+    if settle is not None:
+        solve.settle(trail, exec_, reports, *settle)
+    report = reports[0]
+    if solve.batched:
+        report = BatchResilienceReport(
+            reports, trail.events, trail.attempts, exec_.name, trail.history
+        )
+    _feed_metrics(metrics, report, trail.events, x is None)
+    return report, x
 
 
 def resilient_solve(
@@ -447,63 +774,36 @@ def resilient_solve(
     metrics=None,
     **solver_params,
 ):
-    """Fault-tolerant one-call linear solve through the config-solver.
+    """Fault-tolerant one-call solve: :func:`repro.core.solve.solve`'s
+    arguments (operands resident on ``device``, which may be a
+    :class:`~repro.ginkgo.fault.FaultyExecutor`), run as a
+    :class:`ScalarSolve` through :func:`resilient_run`.
 
-    Accepts everything :func:`repro.core.solve.solve` accepts, plus the
-    resilience knobs.  Transient failures (device errors, failed
-    allocations, NaN/Inf breakdowns) are retried with exponential backoff
-    in simulated time; an executor that exhausts its retries is abandoned
-    for the next one in the fallback chain, with operands rebuilt from
-    pristine host snapshots.  When checkpointing is on, a retry resumes
-    the recurrence from the solver's last checkpoint instead of starting
-    from scratch, and finishes bit-identical to the fault-free solve.
-
-    Args:
-        device: Executor or device name the solve starts on (may be a
-            :class:`~repro.ginkgo.fault.FaultyExecutor`).
-        mtx: System matrix (engine LinOp, resident on ``device``).
-        b: Right-hand side (Tensor or Dense).
-        x: Initial guess; zeros when omitted.
-        solver: Solver name (default GMRES).
-        preconditioner: Preconditioner name or config dict.
-        max_iters: Iteration limit per attempt.
-        reduction_factor: Relative residual threshold.
-        retry: :class:`RetryPolicy`; default retries 3 times.
-        fallback: :class:`FallbackChain`; default
-            ``cuda -> omp -> reference``.  Pass
-            ``FallbackChain(device)`` to pin the solve to one device
-            (no degradation, retries only).
-        checkpoint_every: Checkpoint the recurrence's state every N
-            iterations (0 disables checkpointing).
-        divergence_limit: Abandon an attempt early when the residual
-            exceeds this multiple of the initial residual (adds a
-            ``stop::Divergence`` criterion).
-        deadline: Total simulated-seconds budget for the whole resilient
-            solve — staging, retries, backoff, and fallbacks included.
-            When the budget runs out the solve stops (via a
-            ``stop::Deadline`` criterion inside an attempt, or before
-            the next attempt starts) and returns the best-effort partial
-            solution with ``report.timed_out`` and ``report.partial``
-            set, instead of raising.  ``None`` (default) disables it.
-        metrics: Optional :class:`~repro.ginkgo.log.MetricsRegistry`;
-            receives ``solves``/``attempts``/``retries``/``fallbacks``/
-            ``faults_injected`` counters and an ``iterations_per_solve``
-            histogram.
-        **solver_params: Extra solver parameters (``krylov_dim=...``).
+    Args beyond ``solve``'s:
+        retry: :class:`RetryPolicy` (default: 3 retries).
+        fallback: :class:`FallbackChain` (default ``cuda -> omp ->
+            reference``); ``FallbackChain(device)`` pins the solve.
+        checkpoint_every: Checkpoint the recurrence every N iterations,
+            so a retry resumes from it (0: off).
+        divergence_limit: Abandon an attempt once the residual exceeds
+            this multiple of the initial one (``stop::Divergence``).
+        deadline: Simulated-seconds budget of the whole solve — staging,
+            retries, backoff and fallbacks included.  When it runs out
+            the best-effort partial solution is returned, with
+            ``report.timed_out`` and ``report.partial`` set.
+        metrics: Optional :class:`~repro.ginkgo.log.MetricsRegistry`
+            (``solves``/``attempts``/``retries``/... counters and an
+            ``iterations_per_solve`` histogram).
 
     Returns:
         ``(report, x)`` — the :class:`ResilienceReport` and the solution
-        tensor (on whichever executor completed the solve).
+        (on whichever executor completed the solve).
 
     Raises:
         ResilienceExhausted: Every retry on every executor failed.
     """
-    retry = retry or RetryPolicy()
-    fallback = fallback or FallbackChain()
+    deadline = _budget(deadline)
     primary = _executor(device)
-
-    # Pristine host snapshots: fallback rebuilds operands from these, so a
-    # corrupted device buffer cannot poison the next executor.
     b_dense = _unwrap(b)
     b_host = b_dense.to_numpy()
     if x is None:
@@ -512,185 +812,16 @@ def resilient_solve(
     else:
         x_dense = _unwrap(x)
         x_host = x_dense.to_numpy()
-    wrap_result = x is None or isinstance(x, Tensor)
-
-    config = build_config(
-        solver=solver,
-        preconditioner=preconditioner,
-        max_iters=max_iters,
-        reduction_factor=reduction_factor,
-        **solver_params,
+    solve = ScalarSolve(
+        mtx, b_dense, x_dense, b_host, x_host, solver, preconditioner,
+        max_iters, reduction_factor, checkpoint_every=checkpoint_every,
+        divergence_limit=divergence_limit, **solver_params,
     )
-    # Strict breakdowns let the retry layer catch NaN/Inf poisoning.
-    config["strict_breakdown"] = True
-    if checkpoint_every:
-        config["checkpoint_every"] = int(checkpoint_every)
-    if divergence_limit is not None:
-        config["criteria"].append(
-            {"type": "stop::Divergence", "limit": float(divergence_limit)}
-        )
-    if deadline is not None:
-        if deadline <= 0:
-            raise GinkgoError(
-                f"deadline must be > 0 simulated seconds, got {deadline}"
-            )
-        # Placeholder instant; _find_deadline_factory re-aims `at` per
-        # executor once the absolute deadline on its clock is known.
-        config["criteria"].append({"type": "stop::Deadline", "at": 0.0})
-
-    trail = _Trail()
-    # The solver's last checkpoint, handed to the next attempt, and the
-    # residual norms of its iterations 0..k.
-    checkpoint, history = None, []
-    # Budget already consumed on earlier executors' clocks; each executor
-    # has its own clock, so the deadline is tracked as elapsed simulated
-    # seconds, not as one absolute instant.
-    spent = 0.0
-
-    def start_x():
-        """Host values of ``x`` the next attempt starts from."""
-        return x_host if checkpoint is None else checkpoint.vectors["x"]
-
-    chain = [primary] + fallback.resolve(primary)
-    for position, exec_ in enumerate(chain):
-        if fallback.breaker is not None and fallback.breaker.is_open(exec_):
-            trail.emit(exec_, "circuit_skipped", executor=exec_.name)
-            continue
-        exec_enter = exec_.clock.now
-        deadline_at = (
-            None if deadline is None else exec_enter + (deadline - spent)
-        )
-        # Stage the operands on this executor.
-        try:
-            if exec_ is primary:
-                mtx_cur, b_cur, x_cur = mtx, b_dense, x_dense
-            else:
-                if not hasattr(mtx, "copy_to"):
-                    raise GinkgoError(
-                        f"matrix {type(mtx).__name__} cannot be moved to "
-                        f"{exec_.name} (no copy_to); fallback impossible"
-                    )
-                mtx_cur = mtx.copy_to(exec_)
-                b_cur = Dense.create(exec_, b_host)
-                x_cur = Dense.create(exec_, start_x())
-        except retry.retry_on as err:
-            trail.history.append((exec_.name, err))
-            trail.emit(
-                exec_, "staging_failed", executor=exec_.name,
-                error=type(err).__name__,
-            )
-            spent += exec_.clock.now - exec_enter
-            continue
-        solution = Tensor(x_cur) if wrap_result else x_cur
-        # The handle is built once per executor and reused across retries
-        # (workspace pools make rebuilds wasteful); a retry clears the
-        # pooled workspace instead, so a fault-poisoned scratch buffer
-        # cannot leak into the rerun.
-        handle = dl_factory = None
-
-        def expired():
-            if deadline_at is None or exec_.clock.now < deadline_at:
-                return None
-            iterations = 0
-            if checkpoint is not None:
-                iterations = checkpoint.iteration
-                trail.emit(exec_, "checkpoint_restored", iteration=iterations)
-            return _partial_return(
-                trail, exec_, solution, None, iterations, float("nan"),
-                metrics, history,
-            )
-
-        def attempt():
-            nonlocal handle, dl_factory, checkpoint, history
-            # A resumed apply logs only the iterations after its checkpoint.
-            logged = list(history)
-            try:
-                if handle is None:
-                    handle = config_solver(exec_, mtx_cur, config)
-                    if deadline_at is not None:
-                        dl_factory = _find_deadline_factory(handle)
-                else:
-                    handle.solver.clear_workspace()
-                    trail.emit(exec_, "workspace_cleared", executor=exec_.name)
-                if dl_factory is not None:
-                    dl_factory.at = deadline_at
-                if checkpoint is None:
-                    logger, _ = handle.apply(b_cur, x_cur)
-                else:
-                    logger, _ = handle.resume(checkpoint, b_cur, x_cur)
-            finally:
-                # A checkpoint taken by a failed attempt is still valid
-                # state to resume from.
-                if handle is not None:
-                    logged += handle._logger.residual_norms
-                    taken = getattr(handle.solver, "checkpoint", None)
-                    checkpoint = taken or checkpoint
-                    if taken is not None:
-                        history = logged[: taken.iteration + 1]
-            if fallback.breaker is not None:
-                fallback.breaker.record_success(exec_)
-            if getattr(handle.solver, "timed_out", False):
-                # The Deadline criterion stopped the apply: the iterate
-                # in x_cur is the truthful partial result.
-                return _partial_return(
-                    trail, exec_, solution, logger, logger.num_iterations,
-                    logger.final_residual_norm, metrics, logged,
-                )
-            trail.emit(
-                exec_, "solve_completed", executor=exec_.name,
-                attempt=trail.attempts, converged=logger.converged,
-                iterations=logger.num_iterations,
-            )
-            report = ResilienceReport(
-                converged=logger.converged,
-                breakdown=logger.breakdown,
-                num_iterations=logger.num_iterations,
-                final_residual_norm=logger.final_residual_norm,
-                residual_norms=logged,
-                events=trail.events,
-                attempts=trail.attempts,
-                executor_name=exec_.name,
-                logger=logger,
-            )
-            _feed_metrics(metrics, report)
-            return report, solution
-
-        def rewind():
-            np.copyto(x_cur._data, start_x())
-            x_cur.mark_modified()
-            if checkpoint is None:
-                if not exec_.is_host:  # x0 goes back to the device
-                    exec_._charge_copy(exec_.get_master(), x_host.nbytes)
-                return {"restart_iteration": 0}
-            trail.emit(
-                exec_, "checkpoint_restored", iteration=checkpoint.iteration
-            )
-            return {"restart_iteration": checkpoint.iteration}
-
-        exec_.add_logger(trail)
-        try:
-            outcome = _retrying(
-                trail, exec_, retry, attempt, rewind,
-                breaker=fallback.breaker, expired=expired,
-            )
-        finally:
-            exec_.remove_logger(trail)
-        if outcome is not None:
-            return outcome
-        spent += exec_.clock.now - exec_enter
-        if position + 1 < len(chain):
-            trail.emit(
-                exec_, "fallback",
-                **{"from": exec_.name, "to": chain[position + 1].name},
-            )
-
-    report = ResilienceReport(
-        converged=False, breakdown=False, num_iterations=0,
-        final_residual_norm=float("nan"), events=trail.events,
-        attempts=trail.attempts, executor_name=chain[-1].name,
+    report, x_out = _raise_exhausted(
+        *resilient_run(solve, primary, retry, fallback, deadline, metrics)
     )
-    _feed_metrics(metrics, report, exhausted=True)
-    raise ResilienceExhausted(trail.attempts, trail.history)
+    wrap = x is None or isinstance(x, Tensor)
+    return report, Tensor(x_out) if wrap else x_out
 
 
 def resilient_batch_solve(
@@ -703,161 +834,61 @@ def resilient_batch_solve(
     max_iters: int = 1000,
     reduction_factor: float | None = 1e-6,
     retry: RetryPolicy | None = None,
+    deadline=None,
     metrics=None,
     **solver_params,
 ):
     """Fault-tolerant batched solve with per-system quarantine.
 
-    Runs the batched solver once; transient failures of the *whole*
-    batch (device errors, allocation faults) are retried with backoff
-    from pristine snapshots.  Systems the batch run could not finish
-    cleanly — a breakdown flag (the batch monitors compact faulted
-    systems out of the active set) or a non-finite iterate — are
-    *quarantined* and re-solved one at a time through
-    :func:`resilient_solve` on copies of their pristine operands, and
-    the recovered solutions are scattered back into the stacked result.
-
-    Args:
-        device: Executor or device name (may be a
-            :class:`~repro.ginkgo.fault.FaultyExecutor`).
-        mtx: :class:`~repro.ginkgo.batch.matrix.BatchCsr` system matrices.
-        b: Stacked right-hand sides (:class:`BatchDense`).
-        x: Stacked initial guesses; zeros when omitted.
-        solver: A method with a batched instance (``pg.batch.SOLVERS``).
-        preconditioner: Batched preconditioner passed through to the
-            batch factory (the per-system retry runs unpreconditioned).
-        max_iters / reduction_factor: Per-system stopping controls.
-        retry: :class:`RetryPolicy` for whole-batch transient failures.
-        metrics: Optional metrics registry; receives ``batch_solves``,
-            ``batch_systems``, ``batch_quarantined``, ``batch_recovered``
-            counters.
-        **solver_params: Extra batch-solver parameters.
+    Runs a :class:`BatchSolve` of the :class:`~repro.ginkgo.batch.
+    matrix.BatchCsr` ``mtx`` and stacked ``b``/``x`` (zeros when
+    omitted; solved in place) through :func:`resilient_run`, pinned to
+    ``device``.  Whole-batch transient failures are retried; a system
+    that breaks down or leaves a non-finite iterate is re-solved alone
+    through the same loop, with ``preconditioner``'s ``scalar``
+    counterpart.  ``deadline`` is one budget, or one per system
+    (``inf``: none); a system whose budget runs out reports
+    ``timed_out``.  ``metrics`` receives ``batch_solves``,
+    ``batch_systems``, ``batch_quarantined`` and ``batch_recovered``.
 
     Returns:
         ``(report, x)`` — the :class:`BatchResilienceReport` and the
-        stacked solution (solved in place when ``x`` was given).
+        stacked solution.
 
     Raises:
         ResilienceExhausted: Every whole-batch retry failed.
     """
-    # Lazy import: batch_api pulls the binding layer, which imports this
-    # module's consumers.
-    from repro.core import batch_api
-
-    retry = retry or RetryPolicy()
-    exec_ = _executor(device)
     if solver not in batch_api.SOLVERS:
         raise GinkgoError(
             f"unknown batch solver {solver!r}; expected one of "
             f"{sorted(batch_api.SOLVERS)}"
         )
+    deadline = _budget(deadline)
+    exec_ = _executor(device)
     if x is None:
         x = batch_api.zeros_like(b)
-    b_host = np.array(b._data, copy=True)
-    x_host = np.array(x._data, copy=True)
-    num_systems = b.num_systems
-    trail = _Trail()
-    handle = None
-
-    def attempt():
-        nonlocal handle
-        if handle is None:
-            handle = batch_api.SOLVERS[solver](
-                exec_,
-                mtx,
-                preconditioner=preconditioner,
-                max_iters=max_iters,
-                reduction_factor=reduction_factor,
-                **solver_params,
-            )
-        handle.apply(b, x)
-        return handle.status
-
-    def rewind():
-        np.copyto(x._data, x_host)
-        return {}
-
-    exec_.add_logger(trail)
-    try:
-        status = _retrying(
-            trail, exec_, retry, attempt, rewind,
-            started="batch_attempt_started",
-        )
-    finally:
-        exec_.remove_logger(trail)
-    if status is None:
-        report = BatchResilienceReport(
-            num_systems=num_systems,
-            converged=np.zeros(num_systems, dtype=bool),
-            num_iterations=np.zeros(num_systems, dtype=np.int64),
-            final_residual_norm=np.full(num_systems, np.nan),
-            events=trail.events, attempts=trail.attempts,
-            executor_name=exec_.name,
-        )
-        _feed_metrics(metrics, report, exhausted=True)
-        raise ResilienceExhausted(trail.attempts, trail.history)
-
-    converged = np.array(status.converged, copy=True)
-    num_iterations = np.array(status.num_iterations, copy=True)
-    final_residual_norm = np.array(status.final_residual_norm, copy=True)
-
-    # Quarantine: breakdown (injected corruption compacts the system out
-    # of the batch) or a non-finite iterate that slipped through.
-    quarantined = sorted(
-        set(np.flatnonzero(status.breakdown).tolist())
-        | {
-            k
-            for k in range(num_systems)
-            if not np.all(np.isfinite(x._data[k]))
-        }
+    solve = BatchSolve(
+        mtx, b, x, np.array(b.data, copy=True), np.array(x.data, copy=True),
+        solver=solver, preconditioner=preconditioner, max_iters=max_iters,
+        reduction_factor=reduction_factor, **solver_params,
     )
-    recovered: list = []
-    for k in quarantined:
-        trail.emit(
-            exec_, "system_quarantined", system=int(k),
-            breakdown=bool(status.breakdown[k]),
-        )
-        try:
-            sys_report, x_sys = resilient_solve(
-                exec_,
-                mtx.item(k),
-                Dense.create(exec_, b_host[k]),
-                x=Dense.create(exec_, x_host[k]),
-                solver=solver,
-                max_iters=max_iters,
-                reduction_factor=reduction_factor,
-                retry=retry,
-                fallback=FallbackChain(exec_),
-                **solver_params,
-            )
-        except ResilienceExhausted as exc:
-            trail.emit(
-                exec_, "system_unrecovered", system=int(k),
-                attempts=exc.attempts,
-            )
-            continue
-        np.copyto(x._data[k], x_sys._data)
-        converged[k] = sys_report.converged
-        num_iterations[k] = sys_report.num_iterations
-        final_residual_norm[k] = sys_report.final_residual_norm
-        if sys_report.converged:
-            recovered.append(int(k))
-            trail.emit(
-                exec_, "system_recovered", system=int(k),
-                iterations=sys_report.num_iterations,
-                attempts=sys_report.attempts,
-            )
+    return _raise_exhausted(*resilient_run(
+        solve, exec_, retry, FallbackChain(exec_), deadline, metrics
+    ))
 
-    report = BatchResilienceReport(
-        num_systems=num_systems,
-        converged=converged,
-        num_iterations=num_iterations,
-        final_residual_norm=final_residual_norm,
-        quarantined=[int(k) for k in quarantined],
-        recovered=recovered,
-        events=trail.events,
-        attempts=trail.attempts,
-        executor_name=exec_.name,
-    )
-    _feed_metrics(metrics, report)
+
+def _budget(deadline):
+    """``deadline`` as seconds (one, or one per system), validated."""
+    if deadline is None:
+        return None
+    if not np.all(np.asarray(deadline) > 0):
+        raise GinkgoError(
+            f"deadline must be > 0 simulated seconds, got {deadline}"
+        )
+    return np.asarray(deadline, dtype=np.float64)
+
+
+def _raise_exhausted(report, x):
+    if x is None:
+        raise ResilienceExhausted(report.attempts, report.failures)
     return report, x

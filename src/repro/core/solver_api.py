@@ -69,16 +69,20 @@ class SolverHandle:
 
     def apply(self, b, x):
         """Solve ``A x = b`` starting from the initial guess in ``x``."""
-        self._solver.apply(_unwrap(b), _unwrap(x))
-        return self._logger, x
+        return self._run(self._solver.apply, b, x)
 
     def resume(self, checkpoint, b, x):
         """Continue a failed ``apply`` from the solver's ``checkpoint``."""
-        self._solver.resume(checkpoint, _unwrap(b), _unwrap(x))
+        return self._run(
+            lambda b, x: self._solver.resume(checkpoint, b, x), b, x
+        )
+
+    def _run(self, solve, b, x):
+        solve(_unwrap(b), _unwrap(x))
         return self._logger, x
 
     def __repr__(self) -> str:
-        return f"SolverHandle({type(self._solver).__name__})"
+        return f"{type(self).__name__}({type(self._solver).__name__})"
 
 
 def _build_criteria(max_iters, reduction_factor, criteria):

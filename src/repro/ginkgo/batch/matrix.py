@@ -125,6 +125,15 @@ class BatchDense:
         """Writable ``Dense`` view of system ``k`` (aliases the buffer)."""
         return Dense._wrap(self._exec, self._data[k])
 
+    def to_numpy(self) -> np.ndarray:
+        """Host copy of the stacked ``(K, rows, cols)`` buffer."""
+        if self._exec.is_host:
+            return self._data.copy()
+        return self._exec.get_master().copy_from(self._exec, self._data)
+
+    def mark_modified(self) -> None:
+        """Nothing is derived from a BatchDense, so nothing to invalidate."""
+
     def fill(self, value) -> "BatchDense":
         self._data.fill(value)
         return self
@@ -358,6 +367,15 @@ class BatchCsr:
             self._row_ptrs,
             self._col_idxs,
             self._values[k],
+            strategy=self._strategy,
+        )
+
+    def copy_to(self, exec_: Executor) -> "BatchCsr":
+        """Return a copy resident on ``exec_`` (one transfer per array)."""
+        arrays = (self._row_ptrs, self._col_idxs, self._values)
+        return BatchCsr(
+            exec_, self._size,
+            *(exec_.copy_from(self._exec, array) for array in arrays),
             strategy=self._strategy,
         )
 

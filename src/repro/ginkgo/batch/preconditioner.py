@@ -26,8 +26,15 @@ from repro.ginkgo.exceptions import GinkgoError
 from repro.perfmodel import blas1_cost, factorization_cost, spmv_cost
 
 
+#: The scalar counterpart of batched Jacobi, as a config-solver entry.
+SCALAR_JACOBI = {"type": "preconditioner::Jacobi", "max_block_size": 1}
+
+
 class BatchIdentity:
     """No-op preconditioner: ``z = r`` (one batched copy kernel)."""
+
+    #: Scalar counterpart (a system re-solved alone): none.
+    scalar = None
 
     def __init__(self, exec_=None) -> None:
         self._exec = exec_
@@ -55,6 +62,9 @@ class BatchJacobi:
     vectorized kernel and applied as one batched elementwise product.
     """
 
+    #: Scalar counterpart (a system re-solved alone), bitwise the same.
+    scalar = SCALAR_JACOBI
+
     def __init__(self, max_block_size: int = 1) -> None:
         if max_block_size != 1:
             raise GinkgoError(
@@ -72,6 +82,8 @@ class BatchJacobi:
 
 class BatchJacobiOperator:
     """Generated batched Jacobi: per-system inverse diagonals."""
+
+    scalar = SCALAR_JACOBI
 
     def __init__(self, batch_matrix: BatchCsr) -> None:
         self._exec = batch_matrix.executor

@@ -344,6 +344,10 @@ class BatchIterativeSolver:
     def workspace(self) -> Workspace:
         return self._workspace
 
+    def clear_workspace(self) -> None:
+        """Release all pooled scratch buffers back to the executor."""
+        self._workspace.clear()
+
     def add_system_logger(self, k: int, logger) -> None:
         """Attach a logger receiving system ``k``'s solve events."""
         self._system_loggers[k].append(logger)
@@ -418,7 +422,10 @@ class BatchIterativeSolver:
         # this, not K read-backs, is the batched API's latency win.
         clock.synchronize()
         stop, conv = self._criteria.check(iterations[ok], norms[ok], ids[ok])
-        status.stop(ids, iterations, maxed, ok[stop], converged=conv[stop])
+        status.stop(
+            ids, iterations, maxed, ok[stop], converged=conv[stop],
+            timed_out=self._criteria.timed_out[stop],
+        )
         keep[ok[stop]] = False
         for pos in np.flatnonzero(heard[ok]):
             s, it = int(ids[ok[pos]]), int(iterations[ok[pos]])

@@ -5,12 +5,13 @@ stop by *its own* criterion, exactly as if it were solved alone.
 :class:`BatchCriteria` binds the scalar criterion factories once per
 batch and evaluates them against a block of per-system residual norms.
 
-For the common factories (``Iteration``, ``ResidualNorm`` and any
-``Combined`` of the two) the check is fully vectorized — one NumPy
-comparison for the whole active set instead of ``K`` Python calls.  The
-comparisons are elementwise-identical to the scalar ``check`` methods,
-so stopping decisions (and therefore residual histories) match a
-sequential solve bit for bit.  Any other criterion falls back to real
+For the common factories (``Iteration``, ``ResidualNorm``, ``Deadline``
+— one instant, or one per system — and any ``Combined`` of them) the
+check is fully vectorized — one NumPy comparison for the whole active
+set instead of ``K`` Python calls.  The comparisons are
+elementwise-identical to the scalar ``check`` methods, so stopping
+decisions (and therefore residual histories) match a sequential solve
+bit for bit.  Any other criterion falls back to real
 per-system bound criteria.
 """
 
@@ -22,6 +23,7 @@ from repro.ginkgo.log import ConvergenceLogger
 from repro.ginkgo.stop.criterion import (
     Combined,
     CriterionContext,
+    Deadline,
     Iteration,
     ResidualNorm,
 )
@@ -44,6 +46,8 @@ class BatchStatus:
         self.converged = np.zeros(self.num_systems, dtype=bool)
         #: Whether each system hit a non-finite residual.
         self.breakdown = np.zeros(self.num_systems, dtype=bool)
+        #: Whether each system was stopped by its deadline.
+        self.timed_out = np.zeros(self.num_systems, dtype=bool)
         #: Final residual norm per system (NaN while unset).
         self.final_residual_norm = np.full(self.num_systems, np.nan)
         self._ids: list = []
@@ -67,12 +71,17 @@ class BatchStatus:
             self._norms = [p.tolist() for p in np.split(by_system, ends[:-1])]
         return self._norms
 
-    def stop(self, ids, iterations, norms, at, converged=False, breakdown=False):
+    def stop(
+        self, ids, iterations, norms, at, converged=False, breakdown=False,
+        timed_out=False,
+    ):
         """Record the stop of systems ``ids[at]``, one masked write per field."""
-        self.num_iterations[ids[at]] = iterations[at]
-        self.final_residual_norm[ids[at]] = norms[at]
-        self.converged[ids[at]] = converged
-        self.breakdown[ids[at]] = breakdown
+        stopped = ids[at]
+        self.num_iterations[stopped] = iterations[at]
+        self.final_residual_norm[stopped] = norms[at]
+        self.converged[stopped] = converged
+        self.breakdown[stopped] = breakdown
+        self.timed_out[stopped] = timed_out
 
     def loggers(self) -> list:
         """One :class:`ConvergenceLogger` per system, as a scalar solve's
@@ -100,6 +109,7 @@ class BatchStatus:
             "num_iterations": int(self.num_iterations[k]),
             "converged": bool(self.converged[k]),
             "breakdown": bool(self.breakdown[k]),
+            "timed_out": bool(self.timed_out[k]),
             "final_residual_norm": float(self.final_residual_norm[k]),
             "residual_norms": list(self.residual_norms[k]),
         }
@@ -126,7 +136,7 @@ class BatchStatus:
 
 
 def _flatten_factories(factory) -> list | None:
-    """Decompose a criterion factory into Iteration/ResidualNorm leaves.
+    """Decompose a criterion factory into its vectorizable leaves.
 
     Returns ``None`` when any leaf is of another type (no fast path).
     """
@@ -138,7 +148,7 @@ def _flatten_factories(factory) -> list | None:
                 return None
             leaves.extend(sub)
         return leaves
-    if isinstance(factory, (Iteration, ResidualNorm)):
+    if isinstance(factory, (Iteration, ResidualNorm, Deadline)):
         return [factory]
     return None
 
@@ -158,13 +168,19 @@ class BatchCriteria:
         rhs_norm = np.asarray(rhs_norm, dtype=np.float64)
         initial_resnorm = np.asarray(initial_resnorm, dtype=np.float64)
         num_systems = rhs_norm.shape[0]
+        self._clock = clock
         self._fast = None
+        #: Which systems the last :meth:`check` stopped at their deadline.
+        self.timed_out = np.zeros(0, dtype=bool)
         leaves = _flatten_factories(factory)
         if leaves is not None:
             checks = []
             for leaf in leaves:
                 if isinstance(leaf, Iteration):
                     checks.append(("iteration", int(leaf.max_iters)))
+                elif isinstance(leaf, Deadline):
+                    at = np.broadcast_to(leaf.at, (num_systems,))
+                    checks.append(("deadline", at))
                 else:
                     if leaf.baseline == "rhs_norm":
                         reference = rhs_norm
@@ -202,17 +218,22 @@ class BatchCriteria:
             ids: ``(m,)`` original system indices.
 
         Returns:
-            ``(stop, converged)`` boolean masks of shape ``(m,)``.
+            ``(stop, converged)`` boolean masks of shape ``(m,)``;
+            :attr:`timed_out` is set to the deadline stops among them.
         """
         iterations = np.asarray(iterations)
         norms = np.asarray(norms, dtype=np.float64)
         m = ids.size
         stop = np.zeros(m, dtype=bool)
         converged = np.zeros(m, dtype=bool)
+        self.timed_out = timed_out = np.zeros(m, dtype=bool)
         if self._fast is not None:
             for kind, param in self._fast:
                 if kind == "iteration":
                     stop |= iterations >= param
+                elif kind == "deadline":
+                    timed_out |= self._clock.now >= param[ids]
+                    stop |= timed_out
                 else:
                     met = np.all(norms <= param[ids], axis=1)
                     stop |= met
@@ -222,4 +243,5 @@ class BatchCriteria:
             criterion = self._bound[int(ids[i])]
             stop[i] = criterion.check(int(iterations[i]), norms[i])
             converged[i] = criterion.converged
+            timed_out[i] = getattr(criterion, "timed_out", False)
         return stop, converged

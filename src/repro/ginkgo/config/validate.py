@@ -16,6 +16,7 @@ from repro.ginkgo.config.registry import (
     SOLVER_REGISTRY,
     STOP_REGISTRY,
 )
+from repro.ginkgo.solver import methods_on
 
 #: Keys accepted at the top level besides solver-specific parameters.
 COMMON_SOLVER_KEYS = (
@@ -59,10 +60,21 @@ def validate(config: dict, path: str = "") -> None:
         raise ConfigError(path, "missing required key 'type'")
     solver_type = _canonical_solver_type(config["type"])
     if solver_type not in SOLVER_REGISTRY:
+        name = str(config["type"]).lower()
+        elsewhere = [
+            f"pg.{instance}.{name}"
+            for instance in ("batch", "distributed")
+            if name in methods_on(instance)
+        ]
+        hint = f"available: {sorted(SOLVER_REGISTRY)}"
+        if elsewhere:
+            hint = (
+                f"{name!r} has no scalar instance; use "
+                f"{' or '.join(elsewhere)}"
+            )
         raise ConfigError(
             f"{path}.type" if path else "type",
-            f"unknown solver type {config['type']!r}; "
-            f"available: {sorted(SOLVER_REGISTRY)}",
+            f"unknown solver type {config['type']!r}; {hint}",
         )
     factory, solver_params = SOLVER_REGISTRY[solver_type]
     allowed = set(COMMON_SOLVER_KEYS) | set(solver_params)

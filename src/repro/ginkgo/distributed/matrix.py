@@ -343,6 +343,15 @@ class Matrix(LinOp):
             self._value_dtype
         )
 
+    def copy_to(self, exec_) -> "Matrix":
+        """The same operator distributed on ``exec_``, with its own
+        communicator over the same network."""
+        return Matrix(
+            exec_, self._partition, self.to_scipy(), self._value_dtype,
+            self._index_dtype, overlap=self._overlap,
+            network=self._comm.network,
+        )
+
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------

@@ -209,14 +209,27 @@ class Deadline(CriterionFactory):
     when it fires, which ``resilient_solve`` surfaces as
     ``ResilienceReport.timed_out`` together with the best partial
     solution instead of burning further attempts.
+
+    ``at`` is one instant, or one per system of a batched solve (a
+    length-K array, where ``inf`` marks a system without a deadline);
+    :class:`~repro.ginkgo.batch.stop.BatchCriteria` checks the array in
+    one comparison, and a scalar solve rejects it.
     """
 
-    def __init__(self, at: float) -> None:
-        if not np.isfinite(at):
+    def __init__(self, at) -> None:
+        at = np.asarray(at, dtype=np.float64)
+        # Only a per-system entry may be inf (that system has none).
+        bad = np.isnan(at) | (at == -np.inf) | (at.ndim == 0) & np.isinf(at)
+        if at.ndim > 1 or bad.any():
             raise GinkgoError(f"deadline must be finite, got {at}")
-        self.at = float(at)
+        self.at = at if at.ndim else float(at)
 
     def generate(self, context: CriterionContext) -> Criterion:
+        if np.ndim(self.at):
+            raise GinkgoError(
+                "a per-system deadline needs a batched solve; a scalar "
+                "solve takes one instant"
+            )
         factory = self
         clock = context.clock
 

@@ -23,9 +23,9 @@ batch-vs-scalar half):
 * same priority class (coalescing must not smuggle a low-priority job
   ahead of a higher class).
 
-Deadlines do *not* gate lane membership — a lane inherits the tightest
-member deadline for accounting, and members that finish after their own
-deadline are reported ``deadline_missed`` truthfully.
+Deadlines do *not* gate lane membership: each member stops at its own
+deadline (a per-system ``stop::Deadline`` in the lockstep check), so a
+lane member is answered exactly as it would be alone.
 """
 
 from __future__ import annotations

@@ -8,18 +8,22 @@ clock, and solver controls.  The service answers every submitted job
 with a :class:`JobResult` whose status is one of
 
 * ``completed`` — the solve ran; ``x`` holds the solution and ``report``
-  the :class:`~repro.core.resilient.ResilienceReport` (or batch/
-  distributed equivalent data distilled into one);
+  the job's own :class:`~repro.core.resilient.ResilienceReport` (a batch
+  lane member's is its system's report);
 * ``rejected`` — admission control refused the job (queue full or
   tenant over quota); nothing was charged;
-* ``timed_out`` — the deadline expired while the job was still queued
-  (truthful partial report, no solve charged) or the in-flight solve hit
-  its ``stop::Deadline`` budget (best-effort partial solution);
+* ``timed_out`` — on every route: the deadline expired while the job was
+  still queued (truthful partial report, no solve charged) or the
+  in-flight solve hit its ``stop::Deadline`` budget (best-effort partial
+  solution);
 * ``failed`` — every retry of the solve failed (e.g. a non-finite
   right-hand side breaks down on each attempt), alone or as a batch
   lane's quarantined system: ``x`` is the zero initial guess and the
   report is partial, with ``converged=False``, ``breakdown=True``, the
   attempt count and the failure history in its events.
+
+The three answered statuses are decided from the job's report alone, in
+one place (:func:`repro.service.service._answer`), whichever route ran it.
 """
 
 from __future__ import annotations

@@ -12,15 +12,17 @@ timelines never interleave — through a discrete-event loop.
 The headline throughput win is **coalescing**: when a worker picks up a
 small job, the :class:`~repro.service.coalesce.Coalescer` pulls queued
 jobs with the same pattern fingerprint and solver controls into one
-PR-4 lockstep batch solve with per-system stopping.  Large systems
-route to the PR-5 distributed path instead; everything executes under
-the PR-1/6 resilient layer, with a job's ``stop::Deadline`` budget
-charged from *arrival* (queue wait consumes it).
-
-Result fidelity is contractual: a completed job's solution is
-byte-identical to solving it alone (PR-4's lockstep compaction and the
-blocking distributed path both preserve bit-exact arithmetic;
-``overlap=True`` relaxes this and is off by default).
+lockstep batch lane.  Large systems, and methods that run only
+distributed, take the distributed route.  Every route has one body:
+stage the route's operands (a ``Csr`` copy, the lane's ``BatchCsr``,
+or the distributed matrix), run them once through the resilient loop
+(:func:`~repro.core.resilient.resilient_run`) with the service's retry
+and fallback policies and each job's remaining deadline budget (queue
+wait spends it), and answer each job from its own per-system report
+(:func:`_answer`).  So a job gets the same status on every route, and
+a completed job's solution is byte-identical to solving it alone
+(``overlap=True`` distributed matrices relax this and are off by
+default).
 
 Event-loop shape (one iteration)::
 
@@ -35,11 +37,8 @@ are annotated on it, so ``pg.profile()`` traces show the scheduler the
 same way it shows kernels.  SLO metrics (latency percentiles,
 throughput, coalesce ratio, deadline misses) land in a
 :class:`~repro.ginkgo.log.MetricsRegistry` under ``service_*`` names.
-
-Workers are *modelled*: each owns its own executor and simulated
-timeline, and the event loop runs every dispatched solve to completion
-on the calling thread.  Parallelism between workers exists only on the
-simulated clock.
+Workers are *modelled*: every dispatched solve runs to completion on
+the calling thread; parallelism exists only on the simulated clock.
 """
 
 from __future__ import annotations
@@ -48,40 +47,36 @@ import numpy as np
 
 from repro.core import batch_api, distributed_api
 from repro.core.device import device as _device_factory
-from repro.core.interop import to_numpy, to_scipy
+from repro.core.interop import to_scipy
 from repro.core.resilient import (
+    BatchSolve,
+    DistributedSolve,
     FallbackChain,
-    ResilienceReport,
     RetryPolicy,
-    resilient_batch_solve,
-    resilient_solve,
+    ScalarSolve,
+    expired_report,
+    resilient_run,
 )
-from repro.ginkgo.exceptions import GinkgoError, ResilienceExhausted
+from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.log.metrics import MetricsRegistry
 from repro.ginkgo.matrix.dense import Dense
+from repro.ginkgo.solver import methods_on
 from repro.service.coalesce import Coalescer
 from repro.service.job import ROUTES, JobResult, SolveJob
 from repro.service.scheduler import AdmissionControl, JobQueue
 
 
-#: Per-system events of a resilient batch solve a lane job's report keeps.
-_SYSTEM_EVENTS = ("system_quarantined", "system_recovered", "system_unrecovered")
-
-
-def _failed(job, attempts: int, events: list, executor_name: str) -> dict:
-    """The answer to a job whose every retry failed: status ``failed``,
-    the zero initial guess, and a breakdown report saying so."""
-    report = ResilienceReport(
-        converged=False,
-        breakdown=True,
-        num_iterations=0,
-        final_residual_norm=float("nan"),
-        events=events,
-        attempts=attempts,
-        executor_name=executor_name,
-        partial=True,
-    )
-    return {"x": np.zeros_like(job.rhs), "report": report, "status": "failed"}
+def _answer(job, report, x) -> dict:
+    """Job ``job``'s answer from its own report: the one place that
+    decides between ``completed``, ``timed_out`` and ``failed`` (every
+    attempt failed: the zero initial guess)."""
+    if report.timed_out:
+        status = "timed_out"
+    elif report.exhausted:
+        status, x = "failed", np.zeros_like(job.rhs)
+    else:
+        status = "completed"
+    return {"x": x, "report": report, "status": status}
 
 
 class _Worker:
@@ -123,15 +118,17 @@ class SolverService:
         max_lane: Largest coalesced lane, anchor included.
         admission: :class:`AdmissionControl`; default admits everything.
         distributed_threshold: Jobs with at least this many rows route
-            to the distributed path (``None`` disables routing).
+            to the distributed path when their method runs distributed
+            (``None``: only methods that run nowhere else go there).
         distributed_ranks: Simulated ranks for distributed solves.
         overlap: Use comm/compute-overlap distributed matrices.  Off by
             default because overlap relaxes the byte-identity contract
             to a rounding tolerance (see DESIGN.md).
-        retry: :class:`RetryPolicy` for the resilient solve paths.
+        retry: :class:`RetryPolicy` for every route's resilient solve.
         fallback: Shared :class:`FallbackChain` (e.g. carrying a
-            :class:`~repro.core.resilient.CircuitBreaker`) so scalar
-            jobs reroute off an unhealthy device instead of being lost.
+            :class:`~repro.core.resilient.CircuitBreaker`) so jobs on
+            every route reroute off an unhealthy device instead of
+            being lost.
             ``None`` pins each solve to its worker's executor.
         metrics: Shared :class:`MetricsRegistry`; one is created when
             omitted.  Also fed by the resilient layer per solve.
@@ -302,7 +299,11 @@ class SolverService:
     # dispatch
     # ------------------------------------------------------------------
     def _route_for(self, job: SolveJob) -> str:
-        if (
+        """Distributed when the job is large and its method runs
+        distributed, or when that is its method's only instance."""
+        if job.solver not in methods_on("distributed"):
+            return "scalar"
+        if job.solver not in methods_on("scalar") or (
             self.distributed_threshold is not None
             and job.num_rows >= self.distributed_threshold
         ):
@@ -347,36 +348,14 @@ class SolverService:
         the returned solution is the untouched zero initial guess, and
         the partial report says so.
         """
-        report = ResilienceReport(
-            converged=False,
-            breakdown=False,
-            num_iterations=0,
-            final_residual_norm=float("nan"),
-            events=[
-                (
-                    "deadline_expired_in_queue",
-                    {"job": job.job_id, "deadline": job.deadline},
-                )
-            ],
-            attempts=0,
-            executor_name="",
-            timed_out=True,
-            partial=True,
+        report = expired_report([(
+            "deadline_expired_in_queue",
+            {"job": job.job_id, "deadline": job.deadline},
+        )])
+        self._answered(
+            job, _answer(job, report, np.zeros_like(job.rhs)), results,
+            outstanding, route="none", started=self.now, finished=self.now,
         )
-        result = JobResult(
-            job=job,
-            status="timed_out",
-            x=np.zeros_like(job.rhs),
-            report=report,
-            route="none",
-            arrival=job.arrival,
-            started=self.now,
-            finished=self.now,
-            deadline_missed=True,
-        )
-        results[job.job_id] = result
-        outstanding[job.tenant] -= 1
-        self._record(result)
         self.clock.annotate(
             "deadline_expired_in_queue", job=job.job_id, tenant=job.tenant
         )
@@ -401,184 +380,90 @@ class SolverService:
             jobs=",".join(str(j.job_id) for j in lane),
         )
         try:
-            if route == "batch":
-                payloads = self._solve_batch(worker.exec_, lane)
-            elif route == "distributed":
-                payloads = self._solve_distributed(worker.exec_, lane[0])
-            else:
-                payloads = self._solve_scalar(
-                    worker.exec_, lane[0], dispatch_now
-                )
+            report, x = self._solve(worker.exec_, lane, route, dispatch_now)
         finally:
             clock.pop_span()
-        return clock.now - start, payloads
+        reports = report.systems if route == "batch" else [report]
+        xs = [None] * len(lane) if x is None else x.to_numpy().reshape(
+            len(lane), *lane[0].rhs.shape
+        )
+        return clock.now - start, list(map(_answer, lane, reports, xs))
 
-    def _solve_scalar(self, exec_, job, dispatch_now) -> list:
-        mtx = (
-            job.matrix
-            if job.matrix.executor is exec_
-            else job.matrix.copy_to(exec_)
-        )
-        b = Dense.create(exec_, job.rhs)
-        # The deadline budget is what's left after queueing: waiting in
+    def _solve(self, exec_, lane, route, dispatch_now):
+        """Stage the route's operands from the jobs' host data and run
+        them once through the resilient loop."""
+        job = lane[0]
+        rhs = np.stack([j.rhs for j in lane]) if route == "batch" else job.rhs
+        if route == "batch":
+            mtx = batch_api.matrices(exec_, [to_scipy(j.matrix) for j in lane])
+            b = batch_api.vectors(exec_, [j.rhs for j in lane])
+            solve, x = BatchSolve, batch_api.zeros_like(b)
+        elif route == "distributed":
+            part = distributed_api.partition(
+                job.num_rows, self.distributed_ranks
+            )
+            mtx = distributed_api.matrix(
+                exec_, part, to_scipy(job.matrix).tocsr(), overlap=self.overlap
+            )
+            b = distributed_api.vector(exec_, part, rhs, comm=mtx.comm)
+            solve, x = DistributedSolve, distributed_api.zeros_like(b)
+        else:
+            mtx = job.matrix
+            if mtx.executor is not exec_:
+                mtx = mtx.copy_to(exec_)
+            b = Dense.create(exec_, rhs)
+            solve, x = ScalarSolve, Dense.create(exec_, np.zeros_like(rhs))
+        # Each job's budget is what is left after queueing: waiting in
         # the backlog spends it exactly like solving does.
-        remaining = (
-            None if job.deadline is None else job.deadline - dispatch_now
-        )
-        fallback = (
-            self._fallback if self._fallback is not None else FallbackChain(exec_)
-        )
-        try:
-            report, x = resilient_solve(
-                exec_,
-                mtx,
-                b,
-                solver=job.solver,
+        budget = np.array([
+            np.inf if j.deadline is None else j.deadline - dispatch_now
+            for j in lane
+        ])
+        deadline = None
+        if np.isfinite(budget).any():
+            deadline = budget if route == "batch" else float(budget[0])
+        return resilient_run(
+            solve(
+                mtx, b, x, rhs, np.zeros_like(rhs), solver=job.solver,
                 max_iters=job.max_iters,
                 reduction_factor=job.reduction_factor,
-                retry=self._retry,
-                fallback=fallback,
-                deadline=remaining,
-                metrics=self.metrics,
-            )
-        except ResilienceExhausted as exc:
-            history = [
-                ("attempt_failed", {"executor": name, "error": type(e).__name__})
-                for name, e in exc.history
-            ]
-            return [_failed(job, exc.attempts, history, exec_.name)]
-        status = "timed_out" if report.timed_out else "completed"
-        return [
-            {
-                "x": np.array(to_numpy(x), copy=True),
-                "report": report,
-                "status": status,
-            }
-        ]
-
-    def _solve_batch(self, exec_, lane) -> list:
-        bm = batch_api.matrices(
-            exec_, [to_scipy(job.matrix) for job in lane]
+            ),
+            exec_, self._retry, self._fallback or FallbackChain(exec_),
+            deadline, self.metrics,
         )
-        bb = batch_api.vectors(exec_, [job.rhs for job in lane])
-        anchor = lane[0]
-        report, x = resilient_batch_solve(
-            exec_,
-            bm,
-            bb,
-            solver=anchor.solver,
-            max_iters=anchor.max_iters,
-            reduction_factor=anchor.reduction_factor,
-            retry=self._retry,
-            metrics=self.metrics,
-        )
-        payloads = []
-        for k, job in enumerate(lane):
-            events = [("batch_lane", {"lane": len(lane), "system": k})] + [
-                (name, payload) for name, payload in report.events
-                if name in _SYSTEM_EVENTS and payload["system"] == k
-            ]
-            if events[-1][0] == "system_unrecovered":
-                attempts = events[-1][1]["attempts"]
-                payloads.append(
-                    _failed(job, attempts, events, report.executor_name)
-                )
-                continue
-            # Distil the per-system slice of the batch report into the
-            # scalar report shape the JobResult contract promises.
-            payloads.append(
-                {
-                    "x": np.array(x._data[k], copy=True),
-                    "report": ResilienceReport(
-                        converged=bool(report.converged[k]),
-                        breakdown=False,
-                        num_iterations=int(report.num_iterations[k]),
-                        final_residual_norm=float(
-                            report.final_residual_norm[k]
-                        ),
-                        events=events,
-                        attempts=report.attempts,
-                        executor_name=report.executor_name,
-                    ),
-                    "status": "completed",
-                }
-            )
-        return payloads
-
-    def _solve_distributed(self, exec_, job) -> list:
-        sp_mtx = to_scipy(job.matrix).tocsr()
-        part = distributed_api.partition(job.num_rows, self.distributed_ranks)
-        mtx = distributed_api.matrix(exec_, part, sp_mtx, overlap=self.overlap)
-        b = distributed_api.vector(exec_, part, job.rhs, comm=mtx.comm)
-        x = distributed_api.zeros_like(b)
-        if job.solver not in distributed_api.SOLVERS:
-            raise GinkgoError(
-                f"no distributed route for solver {job.solver!r}; "
-                f"available: {sorted(distributed_api.SOLVERS)}"
-            )
-        handle = distributed_api.SOLVERS[job.solver](
-            exec_,
-            mtx,
-            max_iters=job.max_iters,
-            reduction_factor=job.reduction_factor,
-        )
-        logger, x = handle.apply(b, x)
-        report = ResilienceReport(
-            converged=logger.converged,
-            breakdown=logger.breakdown,
-            num_iterations=logger.num_iterations,
-            final_residual_norm=logger.final_residual_norm,
-            residual_norms=list(logger.residual_norms),
-            events=[
-                (
-                    "distributed_solve",
-                    {
-                        "ranks": self.distributed_ranks,
-                        "overlap": self.overlap,
-                        "reductions": handle.num_reductions,
-                    },
-                )
-            ],
-            attempts=1,
-            executor_name=exec_.name,
-            logger=logger,
-        )
-        xh = np.asarray(x.to_numpy(), dtype=np.float64).reshape(-1, 1)
-        return [{"x": xh, "report": report, "status": "completed"}]
 
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
     def _complete(self, worker, results, outstanding) -> None:
         finished = worker.free_at
-        lane, payloads = worker.lane, worker.payloads
-        for job, payload in zip(lane, payloads):
-            missed = payload["status"] == "timed_out" or (
-                job.deadline is not None and finished > job.deadline
+        for job, answer in zip(worker.lane, worker.payloads):
+            self._answered(
+                job, answer, results, outstanding, route=worker.route,
+                lane_size=len(worker.lane), worker=worker.index,
+                started=worker.dispatched_at, finished=finished,
             )
-            result = JobResult(
-                job=job,
-                status=payload["status"],
-                x=payload["x"],
-                report=payload["report"],
-                route=worker.route,
-                lane_size=len(lane),
-                worker=worker.index,
-                arrival=job.arrival,
-                started=worker.dispatched_at,
-                finished=finished,
-                deadline_missed=missed,
-            )
-            results[job.job_id] = result
-            outstanding[job.tenant] -= 1
-            self._record(result)
         self.clock.annotate(
             "solve_completed",
-            jobs=",".join(str(j.job_id) for j in lane),
+            jobs=",".join(str(j.job_id) for j in worker.lane),
             worker=worker.index,
             route=worker.route,
         )
         worker.reset()
+
+    def _answered(self, job, answer, results, outstanding, **timing) -> None:
+        """Record ``job``'s answer; it missed its deadline when it timed
+        out or finished after it."""
+        missed = answer["status"] == "timed_out" or (
+            job.deadline is not None and timing["finished"] > job.deadline
+        )
+        result = JobResult(
+            job=job, **answer, arrival=job.arrival, deadline_missed=missed,
+            **timing,
+        )
+        results[job.job_id] = result
+        outstanding[job.tenant] -= 1
+        self._record(result)
 
     def _record(self, result: JobResult) -> None:
         metrics = self.metrics

@@ -307,3 +307,35 @@ def test_quarantined_system_keeps_method_parameters():
     assert report.num_iterations[k] == scalar.num_iterations
     assert report.final_residual_norm[k] == scalar.final_residual_norm
     assert x._data[k].tobytes() == x_k._data.tobytes()
+
+
+def test_quarantined_system_keeps_the_lane_preconditioner():
+    injector = FaultInjector(schedule={"batch": [(2, "corruption")]})
+    dev = FaultyExecutor.create(
+        OmpExecutor.create(num_threads=4, noisy=False), injector
+    )
+    rng = np.random.default_rng(5)
+    mats = [
+        sp.diags([-np.ones(39), 2.5 + 4 * rng.random(40), -np.ones(39)],
+                 [-1, 0, 1], format="csr")
+        for _ in range(4)
+    ]
+    with injector.paused():
+        mtx = batch_api.matrices(dev, mats)
+        b = batch_api.vectors(dev, [rng.standard_normal(40) for _ in mats])
+    report, x = resilient_batch_solve(
+        dev, mtx, b, solver="cg", preconditioner=batch_api.jacobi(dev),
+        max_iters=200, reduction_factor=1e-12,
+    )
+    (k,) = report.recovered
+    ref = OmpExecutor.create(num_threads=4, noisy=False)
+    solo, x_k = resilient_solve(
+        ref, mtx.item(k).copy_to(ref), Dense.create(ref, b._data[k]),
+        x=Dense.create(ref, np.zeros_like(b._data[k])), solver="cg",
+        preconditioner="jacobi", max_iters=200, reduction_factor=1e-12,
+        fallback=FallbackChain(ref),
+    )
+    system = report.systems[k]
+    assert system.num_iterations == solo.num_iterations
+    assert system.final_residual_norm == solo.final_residual_norm
+    assert x._data[k].tobytes() == x_k._data.tobytes()

@@ -27,7 +27,7 @@ from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import METHODS, Cg, Gmres
 from repro.ginkgo.solver import SOLVERS as SCALAR
 from repro.ginkgo.solver.gmres import GmresRecurrence
-from repro.ginkgo.stop import Divergence, Iteration, ResidualNorm
+from repro.ginkgo.stop import Deadline, Divergence, Iteration, ResidualNorm
 from repro.ginkgo.executor import OmpExecutor, ReferenceExecutor
 from tests.ginkgo.test_distributed import distributed_history
 
@@ -344,6 +344,29 @@ class TestBatchCriteria:
         )
         assert stop.tolist() == [True, True, False, False]
         assert conv.tolist() == [False, True, False, False]
+
+    def test_per_system_deadline_is_one_vectorized_comparison(self, ref):
+        now, rhs = ref.clock.now, np.ones((3, 1))
+        factory = crit() | Deadline([now, now + 1.0, np.inf])
+        criteria = BatchCriteria(factory, rhs, rhs, ref.clock, now)
+        assert criteria.vectorized
+        stop, conv = criteria.check(np.ones(3, int), rhs, np.arange(3))
+        assert stop.tolist() == criteria.timed_out.tolist() == [1, 0, 0]
+        assert not conv.any()
+        mats, bs = make_batch(np.random.default_rng(2), K=3)
+        scalar = Cg(ref, criteria=factory).generate(
+            Csr.from_scipy(ref, mats[0])
+        )
+        b0 = Dense.create(ref, bs[0])
+        with pytest.raises(GinkgoError, match="batched solve"):
+            scalar.apply(b0, Dense.create(ref, 0 * bs[0]))
+        solver = BatchCg(ref, criteria=factory).generate(
+            BatchCsr.from_scipy_list(ref, mats)
+        )
+        b = BatchDense(ref, np.stack(bs))
+        status = solver.apply(b, BatchDense(ref, 0 * b.data))
+        assert status.timed_out.tolist() == [True, False, False]
+        assert status.system(0)["timed_out"] and status.converged[1:].all()
 
     def test_unknown_criterion_falls_back_to_per_system(self, ref):
         factory = Iteration(10) | Divergence(1e6)

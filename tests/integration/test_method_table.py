@@ -4,7 +4,8 @@
   every route built from it (binding symbols, the ``pg`` namespaces, the
   config types, the coalescer, ``resilient_batch_solve``, the service's
   distributed route), and every undeclared pair is rejected there with
-  the error type it always had;
+  the error type it always had — except the service, which routes a
+  large job of a method without a distributed instance scalar;
 * lint — no ``src/repro`` module outside the table spells out two or
   more method names in one literal container, and no loop there
   hand-writes Gram-Schmidt (``GmresRecurrence.arnoldi`` is the one copy).
@@ -116,6 +117,16 @@ def test_config_type_and_alias(name):
             validate({"type": name})
 
 
+def test_solve_names_the_instances_of_a_method_without_scalar(ref):
+    (name,) = [m for m in METHODS if "scalar" not in METHODS[m].instances]
+    b = pg.as_tensor(np.ones((16, 1)), device=ref)
+    with pytest.raises(ConfigError, match="no scalar instance") as info:
+        pg.solve(ref, Csr.from_scipy(ref, _spd()), b, solver=name)
+    for instance in ("batch", "distributed"):
+        named = f"pg.{instance}.{name}" in str(info.value)
+        assert named == (instance in METHODS[name].instances)
+
+
 @pytest.mark.parametrize("name", METHODS)
 def test_coalescer_eligible_iff_batched(ref, name):
     job = SolveJob(
@@ -149,12 +160,13 @@ def test_service_distributed_route(ref, name):
         matrix=Csr.from_scipy(ref, _spd()), rhs=np.ones((16, 1)),
         solver=name, max_iters=200, reduction_factor=1e-10,
     )
-    if "distributed" in METHODS[name].instances:
-        (result,) = service.run([job])
-        assert result.route == "distributed" and result.converged
-    else:
-        with pytest.raises(GinkgoError, match="no distributed route"):
-            service.run([job])
+    # A large job whose method has no distributed instance runs scalar.
+    (result,) = service.run([job])
+    distributed = "distributed" in METHODS[name].instances
+    assert result.route == ("distributed" if distributed else "scalar")
+    assert result.status == "completed"
+    # Unrelaxed IR (Richardson) diverges on this system.
+    assert result.converged == (name != "ir")
 
 
 def test_config_keys_match_the_literal_sets():

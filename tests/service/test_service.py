@@ -268,3 +268,35 @@ class TestObservability:
             fast.slo_report()["throughput"]
             > slow.slo_report()["throughput"]
         )
+
+
+
+@pytest.mark.parametrize("solver,threshold,route", [
+    ("minres", 100, "scalar"), ("bicg", 100, "scalar"),
+    ("pipelined_cg", None, "distributed"),
+])
+def test_job_runs_on_an_instance_its_method_has(ref, solver, threshold, route):
+    """Distributed when large and the method runs there, or when that is
+    the method's only instance; else scalar."""
+    from repro.suitesparse.generators import poisson_2d
+
+    job = SolveJob(
+        matrix=Csr.from_scipy(ref, poisson_2d(12)), rhs=np.ones((144, 1)),
+        solver=solver, max_iters=300, reduction_factor=1e-9,
+    )
+    (result,) = SolverService(
+        num_workers=1, coalesce=False, distributed_threshold=threshold
+    ).run([job])
+    assert (result.status, result.route) == ("completed", route)
+    if route == "scalar":
+        solo = _solo(job)
+    else:
+        dev = pg.device("reference", fresh=True)
+        part = pg.distributed.partition(144, 4)
+        A = pg.distributed.matrix(dev, part, pg.to_scipy(job.matrix))
+        b = pg.distributed.vector(dev, part, job.rhs, comm=A.comm)
+        _, x = pg.distributed.SOLVERS[solver](
+            dev, A, max_iters=300, reduction_factor=1e-9
+        ).apply(b, pg.distributed.zeros_like(b))
+        solo = x.to_numpy()
+    assert result.x.tobytes() == solo.tobytes()
