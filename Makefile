@@ -23,6 +23,10 @@ profile-smoke:
 # histories and same-seed traces, and an untraced warm solve must end at
 # the same simulated clock.now and kernel count as a pg.profile()-traced
 # one (the cold/warm wall ratio is reported with the core count, not gated).
+# Step plans: every scalar method's bound kernels give the late-bound
+# apply path's bytes, histories, clock and logger events, listened or
+# traced; validation runs per solve, not per iteration; run faults fire
+# at the same kernels.
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;
@@ -38,6 +42,7 @@ profile-smoke:
 # and same-seed traces (the wall-clock ratio is reported, not gated).
 perf-smoke: mixed-smoke
 	$(PYTHON) benchmarks/bench_hot_path.py --smoke
+	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py
 	$(PYTHON) benchmarks/bench_batch.py --smoke
 	$(PYTHON) benchmarks/bench_overlap.py --smoke
 	$(PYTHON) benchmarks/bench_fusion.py --smoke

@@ -30,6 +30,7 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
+from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.workspace import Workspace
@@ -138,6 +139,9 @@ class _HeadOperator:
 
     def apply(self, b: "_Head", x: "_Head") -> None:
         self._kernel(b._data, x._data)
+
+    #: The default binding: the late-bound ``apply``.
+    bind = LinOp.bind
 
     def apply_advanced(self, alpha, b: "_Head", beta, x: "_Head") -> None:
         """``x = alpha op(b) + beta x``, rounded as ``Csr`` rounds it."""

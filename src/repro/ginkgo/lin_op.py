@@ -10,6 +10,8 @@ operator combinations.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
 from repro.ginkgo.executor import Executor
@@ -161,6 +163,29 @@ class LinOp:
         x.mark_modified()
         return x
 
+    def bind(self, b, x):
+        """``apply(b, x)`` as a zero-argument callable, made once per solve:
+        the late-bound ``apply``, or :meth:`_bound` where an operator has
+        a cheaper kernel for the operands."""
+        return partial(self.apply, b, x)
+
+    def _bound(self, b, x, kernel):
+        """A binding validated once that runs ``kernel()`` (charging what
+        ``apply`` charges) and marks ``x`` modified — or, whenever this
+        operator has loggers or its clock is traced, takes ``apply``, so
+        spans and logger events stay those of ``apply``."""
+        self._validate_application(b, x)
+        loggers, clock, apply = self._loggers, self._exec.clock, self.apply
+
+        def run():
+            if loggers or clock._traced:
+                return apply(b, x)
+            kernel()
+            x.mark_modified()
+            return x
+
+        return run
+
     def _validate_application(self, b, x) -> None:
         if b.size.rows != self._size.cols:
             raise DimensionMismatch(
@@ -248,6 +273,13 @@ class Identity(LinOp):
 
     def _apply_impl(self, b, x) -> None:
         x.copy_values_from(b)
+
+    def bind(self, b, x):
+        from repro.ginkgo.matrix.dense import Dense
+
+        if not (isinstance(b, Dense) and isinstance(x, Dense)):
+            return super().bind(b, x)
+        return self._bound(b, x, partial(x.copy_values_from, b))
 
     def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
         x.scale(beta)

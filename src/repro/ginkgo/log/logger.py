@@ -83,8 +83,8 @@ class ConvergenceLogger(Logger):
     def on_iteration_complete(self, op, iteration=0, residual_norm=None, **kwargs):
         self.num_iterations = iteration
         if residual_norm is not None:
-            self.residual_norms.append(float(np.max(residual_norm)))
             self.final_residual_norm = float(np.max(residual_norm))
+            self.residual_norms.append(self.final_residual_norm)
 
     def on_converged(self, op, iteration=0, residual_norm=None, **kwargs) -> None:
         self.converged = True

@@ -15,6 +15,7 @@ import hashlib
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
@@ -136,6 +137,31 @@ class Csr(SparseBase):
 
     def _spmv_cost_kwargs(self) -> dict:
         return {"strategy": self._strategy}
+
+    def bind(self, b, x):
+        """SpMV of one contiguous ``Dense`` column of the matrix's value
+        type: SciPy's compiled kernel on the stored arrays, as ``@``
+        calls it on the cached view, priced once."""
+        from repro.ginkgo.matrix.dense import Dense
+
+        dtype = self._value_dtype
+        if not (
+            isinstance(b, Dense) and isinstance(x, Dense) and b.size.cols == 1
+            and b.dtype == x.dtype == dtype and dtype != np.float16
+            and b._data.flags.c_contiguous and x._data.flags.c_contiguous
+        ):
+            return super().bind(b, x)
+        rows, cols = self.shape
+        arrays = (self._row_ptrs, self._col_idxs, self._values)
+        bd, xd = b._data.reshape(-1), x._data.reshape(-1)
+        run, cost = self._exec.run, self._spmv_cost(1)
+
+        def spmv():
+            xd.fill(0)
+            csr_matvec(rows, cols, *arrays, bd, xd)
+            run(cost)
+
+        return self._bound(b, x, spmv)
 
     def _to_scipy(self) -> sp.csr_matrix:
         from repro.ginkgo.matrix.base import scipy_safe

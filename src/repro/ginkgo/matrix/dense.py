@@ -20,6 +20,11 @@ from repro.ginkgo.executor import Executor
 from repro.ginkgo.lin_op import LinOp
 from repro.perfmodel import blas1_cost, dot_cost, spmv_cost
 
+try:  # what np.einsum calls without `optimize`, minus its dispatch layer
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # NumPy < 2
+    from numpy.core.multiarray import c_einsum
+
 
 def _scalar_value(alpha) -> float:
     """Extract a Python scalar from a float or a 1x1 Dense."""
@@ -313,12 +318,7 @@ class Dense(LinOp):
 
     def compute_dot(self, other: "Dense") -> np.ndarray:
         """Column-wise dot products ``self^T other`` (length-k vector)."""
-        self._check_same_shape(other, "compute_dot")
-        result = np.einsum("ij,ij->j", self._data, other._data)
-        self._exec.run(
-            dot_cost(self._size.rows, self.value_bytes, self._size.cols)
-        )
-        return result
+        return self.bind_dot(other)()
 
     def compute_conj_dot(self, other: "Dense") -> np.ndarray:
         """Column-wise conjugated dot products."""
@@ -331,13 +331,7 @@ class Dense(LinOp):
 
     def compute_norm2(self) -> np.ndarray:
         """Column-wise Euclidean norms (length-k vector)."""
-        result = np.sqrt(
-            np.einsum("ij,ij->j", self._data, self._data).astype(np.float64)
-        )
-        self._exec.run(
-            dot_cost(self._size.rows, self.value_bytes, self._size.cols)
-        )
-        return result
+        return self.bind_norm2()()
 
     def compute_norm1(self) -> np.ndarray:
         """Column-wise 1-norms."""
@@ -360,22 +354,45 @@ class Dense(LinOp):
             return ws.dense_like(name, self)
         return ws.dense(name, self._size, self.dtype)
 
-    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
-        """Run ``op(lo, hi, *coefficients)`` as one fused streaming kernel.
-
-        ``op`` updates rows ``[lo, hi)`` of the operands it closes over;
-        coefficients arrive broadcastable (scalar or per-column row).
-        Records one kernel touching ``num_vectors`` vector operands.
-        """
-        op(0, self._size.rows, *(_coef(c, self.dtype) for c in coefficients))
-        self._exec.run(
-            blas1_cost(name, self._size.num_elements, self.value_bytes, num_vectors)
-        )
-        self.mark_modified()
-
     def all_reduce(self, payload, label: str):
         """Globally reduce a locally reduced ``payload``: already global."""
         return payload
+
+    # ------------------------------------------------------------------
+    # bound kernels: zero-argument callables over one solve's operands,
+    # checked and priced once (repro.ginkgo.solver.kernels binds them)
+    # ------------------------------------------------------------------
+    def bind_dot(self, other: "Dense"):
+        """``compute_dot(other)``, bound."""
+        self._check_same_shape(other, "compute_dot")
+        a, b, run = self._data, other._data, self._exec.run
+        cost = dot_cost(self._size.rows, self.value_bytes, self._size.cols)
+
+        def dot():
+            result = c_einsum("ij,ij->j", a, b)
+            run(cost)
+            return result
+
+        return dot
+
+    def bind_norm2(self):
+        """``compute_norm2()``, bound."""
+        dot = self.bind_dot(self)
+        return lambda: np.sqrt(dot().astype(np.float64, copy=False))
+
+    def bind_elementwise(self, name: str, op, num_vectors: int):
+        """The ``elementwise`` hook, bound: a one-coefficient callable
+        running ``op(lo, hi, coefficient)`` over all rows as one fused
+        streaming kernel touching ``num_vectors`` vector operands."""
+        rows, dtype, run = self._size.rows, self.dtype, self._exec.run
+        cost = blas1_cost(name, self._size.num_elements, self.value_bytes, num_vectors)
+
+        def kernel(coefficient):
+            op(0, rows, _coef(coefficient, dtype))
+            run(cost)
+            self.mark_modified()
+
+        return kernel
 
     # ------------------------------------------------------------------
     # structural operations

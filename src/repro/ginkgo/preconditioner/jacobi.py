@@ -148,6 +148,10 @@ class JacobiOperator(LinOp):
         return out
 
     def _record(self, num_rhs: int) -> None:
+        for cost in self._costs(num_rhs):
+            self._exec.run(cost)
+
+    def _costs(self, num_rhs: int) -> list:
         bs = self._block_size
         # Block-diagonal storage, charged at each block's storage width:
         # one SpMV-shaped charge per distinct width (a single charge on
@@ -162,18 +166,32 @@ class JacobiOperator(LinOp):
                 width = acc.storage_bytes
                 rows = acc.read().shape[0]
                 rows_by_width[width] = rows_by_width.get(width, 0) + rows
-        for width, rows in sorted(rows_by_width.items()):
-            self._exec.run(
-                spmv_cost(
-                    "csr",
-                    rows,
-                    rows,
-                    rows * bs,
-                    width,
-                    self._matrix.index_bytes,
-                    num_rhs=num_rhs,
-                )
+        return [
+            spmv_cost(
+                "csr", rows, rows, rows * bs, width,
+                self._matrix.index_bytes, num_rhs=num_rhs,
             )
+            for width, rows in sorted(rows_by_width.items())
+        ]
+
+    def bind(self, b, x):
+        """Uniform scalar Jacobi on ``Dense`` operands: one priced multiply."""
+        dtype = self._arith_dtype
+        if not (
+            self._scalar_inverse is not None and not self.is_mixed
+            and isinstance(b, Dense) and isinstance(x, Dense)
+            and b.dtype == x.dtype == dtype
+        ):
+            return super().bind(b, x)
+        inv = self._scalar_inverse.read()[:, None]
+        bd, xd, run = b._data, x._data, self._exec.run
+        (cost,) = self._costs(b.size.cols)
+
+        def scale():
+            np.multiply(inv, bd, out=xd)
+            run(cost)
+
+        return self._bound(b, x, scale)
 
     def _run_apply(self, plan) -> None:
         """Run an apply plan, crossing the mixed binding when reduced.

@@ -248,7 +248,7 @@ class IterativeSolver(LinOp):
             iteration: int, residual_norm, breakdown=False, exact=False
         ) -> bool:
             norms = np.asarray(residual_norm, dtype=np.float64)
-            worst = float(np.max(norms))
+            worst = float(norms.max())
             if exact:
                 # x is exact at an iteration already logged and checked:
                 # the host reads the zero norm back and records the stop.
@@ -260,7 +260,7 @@ class IterativeSolver(LinOp):
             # lost the plot (corrupted data, singular preconditioner, ...)
             # and would otherwise silently spin to max_iters; a step that
             # meets an exact breakdown reports its finite residual here.
-            if breakdown or not np.all(np.isfinite(norms)):
+            if breakdown or not np.isfinite(norms).all():
                 self._set_verdict(iteration, False, worst, breakdown=True)
                 self._log(
                     "breakdown",

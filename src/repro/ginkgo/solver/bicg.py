@@ -7,6 +7,7 @@ system matrix for the shadow sequence.
 from __future__ import annotations
 
 from repro.ginkgo.exceptions import NotSupported
+from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -38,25 +39,31 @@ class BicgRecurrence(Recurrence):
         self.p = self.z.scratch(ws, "bicg.p", copy=True)
         self.p2 = self.z2.scratch(ws, "bicg.p2", copy=True)
         self.rz = self.r2.compute_dot(self.z)
+        self._precondition = M.bind(r, self.z)
+        self._precondition2 = M.bind(self.r2, self.z2)
+        self._spmv = A.bind(self.p, self.q)
+        self._spmv_t = self.At.bind(self.p2, self.q2)
+        self._rz, self._pq = bind_dot(self.r2, self.z), bind_dot(self.p2, self.q)
+        self._norm = bind_norm2(r)
 
     def step(self, iteration: int) -> tuple:
         x, r, r2, p, p2 = self.x, self.r, self.r2, self.p, self.p2
         z, z2, q, q2 = self.z, self.z2, self.q, self.q2
         if iteration:
-            self.M.apply(r, z)
-            self.M.apply(r2, z2)
-            rz_new = r2.compute_dot(z)
+            self._precondition()
+            self._precondition2()
+            rz_new = self._rz()
             beta = safe_divide(rz_new, self.rz)
             p.scale(beta)
             p.add_scaled(1.0, z)
             p2.scale(beta)
             p2.add_scaled(1.0, z2)
             self.rz = rz_new
-        self.A.apply(p, q)
-        self.At.apply(p2, q2)
-        alpha = safe_divide(self.rz, p2.compute_dot(q))
+        self._spmv()
+        self._spmv_t()
+        alpha = safe_divide(self.rz, self._pq())
         x.add_scaled(alpha, p)
         r.sub_scaled(alpha, q)
         r2.sub_scaled(alpha, q2)
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())

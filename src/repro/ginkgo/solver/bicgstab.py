@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -28,31 +29,35 @@ class BicgstabRecurrence(Recurrence):
         self.rho_old = None
         self.alpha = None
         self.omega = None
+        p, p_hat, s, s_hat, t = self.p, self.p_hat, self.s, self.s_hat, self.t
+        self._precondition_p, self._spmv_p = M.bind(p, p_hat), A.bind(p_hat, self.v)
+        self._precondition_s, self._spmv_s = M.bind(s, s_hat), A.bind(s_hat, t)
+        self._rho, self._rv = bind_dot(self.r_tld, r), bind_dot(self.r_tld, self.v)
+        self._tt, self._ts = bind_dot(t, t), bind_dot(t, s)
+        self._s_norm, self._norm = bind_norm2(s), bind_norm2(r)
 
     def step(self, iteration: int) -> tuple:
-        A, M, x, r, r_tld, p, v = (
-            self.A, self.M, self.x, self.r, self.r_tld, self.p, self.v
-        )
+        x, r, p, v = self.x, self.r, self.p, self.v
         p_hat, s_hat, s, t = self.p_hat, self.s_hat, self.s, self.t
-        rho = r_tld.compute_dot(r)
+        rho = self._rho()
         if self.rho_old is not None:
             beta = safe_divide(rho * self.alpha, self.rho_old * self.omega)
             # p = r + beta * (p - omega * v)
             p.sub_scaled(self.omega, v)
             p.scale(beta)
             p.add_scaled(1.0, r)
-        M.apply(p, p_hat)
-        A.apply(p_hat, v)
-        alpha = safe_divide(rho, r_tld.compute_dot(v))
+        self._precondition_p()
+        self._spmv_p()
+        alpha = safe_divide(rho, self._rv())
         # s = r - alpha v
         s.copy_values_from(r)
         s.sub_scaled(alpha, v)
         # Half-step norm (Ginkgo evaluates it for the early exit).
-        s.compute_norm2()
-        M.apply(s, s_hat)
-        A.apply(s_hat, t)
-        tt = t.compute_dot(t)
-        omega = safe_divide(t.compute_dot(s), tt)
+        self._s_norm()
+        self._precondition_s()
+        self._spmv_s()
+        tt = self._tt()
+        omega = safe_divide(self._ts(), tt)
         x.add_scaled(alpha, p_hat)
         x.add_scaled(omega, s_hat)
         # r = s - omega t
@@ -60,4 +65,4 @@ class BicgstabRecurrence(Recurrence):
         r.sub_scaled(omega, t)
         self.alpha, self.omega, self.rho_old = alpha, omega, rho
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())

@@ -7,7 +7,7 @@ independently in one apply.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2, fused_step
+from repro.ginkgo.solver.kernels import bind_dot, bind_norm2, cg_step_1, cg_step_2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -25,29 +25,22 @@ class CgRecurrence(Recurrence):
 
     def __init__(self, A, M, b, x, r, ws, monitor) -> None:
         super().__init__(A, M, b, x, r, ws, monitor)
-        self.z = r.scratch(ws, "cg.z")
-        M.apply(r, self.z)
-        self.p = self.z.scratch(ws, "cg.p", copy=True)
-        self.q = r.scratch(ws, "cg.q")
-        self.rz = r.compute_dot(self.z)
+        self.z = z = r.scratch(ws, "cg.z")
+        M.apply(r, z)
+        self.p = p = z.scratch(ws, "cg.p", copy=True)
+        self.q = q = r.scratch(ws, "cg.q")
+        self.rz = r.compute_dot(z)
+        self._precondition, self._spmv = M.bind(r, z), A.bind(p, q)
+        self._rz, self._pq, self._norm = bind_dot(r, z), bind_dot(p, q), bind_norm2(r)
+        self._step_1, self._step_2 = cg_step_1(p, z), cg_step_2(x, r, p, q)
 
     def step(self, iteration: int) -> tuple:
-        x, r, p, q, z = self.x, self.r, self.p, self.q, self.z
-        exec_ = x.executor
         if iteration:
-            self.M.apply(r, z)
-            rz_new = r.compute_dot(z)
-            beta = safe_divide(rz_new, self.rz)
-            # cg_step_1 fuses the scale+add of p = z + beta p.
-            with fused_step(exec_, "cg::step_1", ops_replaced=2):
-                cg_step_1(p, z, beta)
+            self._precondition()
+            rz_new = self._rz()
+            self._step_1(safe_divide(rz_new, self.rz))
             self.rz = rz_new
-        self.A.apply(p, q)
-        alpha = safe_divide(self.rz, p.compute_dot(q))
-        # cg_step_2 is one fused kernel standing in for the two eager
-        # axpys (x += alpha p, r -= alpha q) — mark it as a fused
-        # region so attribution counts the amortisation.
-        with fused_step(exec_, "cg::step_2", ops_replaced=2):
-            cg_step_2(x, r, p, q, alpha)
+        self._spmv()
+        self._step_2(safe_divide(self.rz, self._pq()))
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.solver.kernels import cgs_step_1, cgs_step_2, cgs_step_3
+from repro.ginkgo.solver.kernels import (
+    bind_dot, bind_norm2, cgs_step_1, cgs_step_2, cgs_step_3,
+)
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -36,24 +38,30 @@ class CgsRecurrence(Recurrence):
         self.t = r.scratch(ws, "cgs.t")
         self.u_hat = r.scratch(ws, "cgs.u_hat")
         self.rho_old = np.ones(r.size.cols)
+        # v = A M^{-1} p, then v = A M^{-1} t through the same u_hat.
+        self._precondition_p = M.bind(self.p, self.u_hat)
+        self._precondition_t = M.bind(self.t, self.u_hat)
+        self._spmv = A.bind(self.u_hat, self.v)
+        self._rho, self._tv = bind_dot(self.r_tld, r), bind_dot(self.r_tld, self.v)
+        self._norm = bind_norm2(r)
 
     def step(self, iteration: int) -> tuple:
-        A, M, x, r, r_tld = self.A, self.M, self.x, self.r, self.r_tld
+        x, r = self.x, self.r
         p, u, q, v, t, u_hat = self.p, self.u, self.q, self.v, self.t, self.u_hat
-        rho = r_tld.compute_dot(r)
+        rho = self._rho()
         beta = safe_divide(rho, self.rho_old)
         # Fused: u = r + beta q ; p = u + beta (q + beta p).
         cgs_step_1(u, p, r, q, beta)
         # v = A M^{-1} p
-        M.apply(p, u_hat)
-        A.apply(u_hat, v)
-        alpha = safe_divide(rho, r_tld.compute_dot(v))
+        self._precondition_p()
+        self._spmv()
+        alpha = safe_divide(rho, self._tv())
         # Fused: q = u - alpha v ; t = u + q.
         cgs_step_2(q, t, u, v, alpha)
         # x += alpha M^{-1} t ; r -= alpha A M^{-1} t.
-        M.apply(t, u_hat)
-        A.apply(u_hat, v)
+        self._precondition_t()
+        self._spmv()
         cgs_step_3(x, r, u_hat, v, alpha)
         self.rho_old = rho
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())

@@ -7,6 +7,7 @@ preconditioners that change between iterations.
 
 from __future__ import annotations
 
+from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -30,11 +31,14 @@ class FcgRecurrence(Recurrence):
         self.q = r.scratch(ws, "fcg.q")
         self.r_old = r.scratch(ws, "fcg.r_old", copy=True)
         self.rz = r.compute_dot(self.z)
+        self._precondition, self._spmv = M.bind(r, self.z), A.bind(self.p, self.q)
+        self._rz, self._pq = bind_dot(r, self.z), bind_dot(self.p, self.q)
+        self._norm = bind_norm2(r)
 
     def step(self, iteration: int) -> tuple:
         x, r, p, q, z = self.x, self.r, self.p, self.q, self.z
         if iteration:
-            self.M.apply(r, z)
+            self._precondition()
             # Flexible beta: ((r - r_old), z) / rz.
             diff = r.scratch(self.ws, "fcg.diff", copy=True)
             diff.sub_scaled(1.0, self.r_old)
@@ -42,10 +46,10 @@ class FcgRecurrence(Recurrence):
             p.scale(beta)
             p.add_scaled(1.0, z)
             self.r_old.copy_values_from(r)
-            self.rz = r.compute_dot(z)
-        self.A.apply(p, q)
-        alpha = safe_divide(self.rz, p.compute_dot(q))
+            self.rz = self._rz()
+        self._spmv()
+        alpha = safe_divide(self.rz, self._pq())
         x.add_scaled(alpha, p)
         r.sub_scaled(alpha, q)
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())

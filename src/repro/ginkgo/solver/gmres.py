@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.kernels import (
-    fused_step,
+    bind_norm2,
+    fused_region,
     givens_update,
-    gmres_multidot,
-    gmres_update,
+    gmres_project,
     hessenberg_solve,
     record_fused,
     stacked,
@@ -71,9 +71,13 @@ class GmresRecurrence(Recurrence):
         self.krylov_dim = int(krylov_dim)
         if self.krylov_dim < 1:
             raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        self.w = r.scratch(ws, "gmres.w")
+        self.w = w = r.scratch(ws, "gmres.w")
         self.j = 0
         self.closed = None
+        # The Arnoldi applies: v_j is loaded into r without M, w with it.
+        self._spmv = A.bind(r, w) if M is None else A.bind(w, r)
+        self._precondition = None if M is None else M.bind(r, w)
+        self._norm = bind_norm2(w)
 
     @property
     def at_restart(self) -> bool:
@@ -128,15 +132,14 @@ class GmresRecurrence(Recurrence):
         """Hessenberg column ``j`` and ``v_{j+1}`` from ``w = M^{-1} A v_j``
         (``A v_j`` without ``M``), orthogonalised in ``passes`` summed fused
         Gram-Schmidt passes (two: CGS2); returns ``h_{j+1,j}`` per system."""
-        A, M, w, r, basis = self.A, self.M, self.w, self.r, self.basis
-        v, av = (r, w) if M is None else (w, r)
-        self._load(basis, j, v)
-        A.apply(v, av)
-        if M is not None:
-            M.apply(r, w)
+        w, r, basis = self.w, self.r, self.basis
+        self._load(basis, j, r if self.M is None else w)
+        self._spmv()
+        if self._precondition is not None:
+            self._precondition()
         coeffs = [self._orthogonalize(basis, w, j + 1) for _ in range(passes)]
         self.hessenberg[:, : j + 1, j] = sum(coeffs[1:], coeffs[0])
-        h_next = w.compute_norm2().reshape(-1)
+        h_next = self._norm().reshape(-1)
         self.hessenberg[:, j + 1, j] = h_next
         rows = h_next.nonzero()[0]
         if rows.size:
@@ -177,12 +180,10 @@ class GmresRecurrence(Recurrence):
         """Gram-Schmidt ``w`` against ``count`` basis vectors; the coefficients."""
         # Ginkgo's fused multi-dot + rank update each collapse `count`
         # eager dots / axpys into one kernel: a fused region.
-        with fused_step(
-            w.executor, "gmres::orthogonalize", ops_replaced=2 * count
-        ):
-            coeffs = gmres_multidot(basis, w, count)
-            gmres_update(basis, w, coeffs, count)
-        return coeffs
+        return fused_region(
+            w.executor, "gmres::orthogonalize", 2 * count,
+            gmres_project, basis, w, count,
+        )
 
     def _extend(self, basis, w, j: int, h_next, rows) -> None:
         """``v_j = w / h_next`` for the systems ``rows`` indexes."""

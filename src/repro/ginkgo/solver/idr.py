@@ -62,6 +62,10 @@ class IdrRecurrence(Recurrence):
         self.v = r.scratch(ws, "idr.v")
         self.v_hat = r.scratch(ws, "idr.v_hat")
         self.t = r.scratch(ws, "idr.t")
+        self._precondition_v = M.bind(self.v, self.v_hat)
+        self._spmv_v = A.bind(self.v, self.t)
+        self._precondition_r = M.bind(r, self.v_hat)
+        self._spmv_v_hat = A.bind(self.v_hat, self.t)
 
     def _breakdown(self, iteration: int) -> tuple:
         """Stop at a singular projection, reporting the true residual.
@@ -74,7 +78,7 @@ class IdrRecurrence(Recurrence):
         )
 
     def step(self, iteration: int) -> tuple:
-        A, M, x, r = self.A, self.M, self.x, self.r
+        x, r = self.x, self.r
         v, v_hat, t = self.v, self.v_hat, self.t
         p_block, g_block, u_block = self.p_block, self.g_block, self.u_block
         m_small = self.m_small
@@ -94,13 +98,13 @@ class IdrRecurrence(Recurrence):
             # v = r - G[:, k:] c  (fused rank-update).
             v._data[:, 0] = r._data[:, 0] - g_block[:, k:] @ c
             record_fused(exec_, "idr_update_v", n * (s - k), vb, 2)
-            M.apply(v, v_hat)
+            self._precondition_v()
             # U[:, k] = U[:, k:] c + omega * v_hat.
             u_block[:, k] = u_block[:, k:] @ c + self.omega * v_hat._data[:, 0]
             record_fused(exec_, "idr_update_u", n * (s - k), vb, 2)
             # G[:, k] = A U[:, k].
             v._data[:, 0] = u_block[:, k]
-            A.apply(v, t)
+            self._spmv_v()
             g_block[:, k] = t._data[:, 0]
             # Bi-orthogonalise against P[:, :k].
             for i in range(k):
@@ -127,8 +131,8 @@ class IdrRecurrence(Recurrence):
 
         # Dimension-reduction step: omega from the (t, r) angle with
         # Ginkgo's kappa safeguard against tiny omegas.
-        M.apply(r, v_hat)
-        A.apply(v_hat, t)
+        self._precondition_r()
+        self._spmv_v_hat()
         tt = float(t.compute_dot(t)[0])
         tr = float(t.compute_dot(r)[0])
         if tt == 0.0:

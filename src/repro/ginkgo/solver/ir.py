@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.solver.base import IterativeSolver
+from repro.ginkgo.solver.kernels import bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence
 
 
@@ -32,15 +33,17 @@ class IrRecurrence(Recurrence):
         super().__init__(A, M, b, x, r, ws, monitor)
         self.relaxation = float(relaxation_factor)
         self.correction = r.scratch(ws, "ir.correction")
+        self._precondition = M.bind(r, self.correction)
+        self._norm = bind_norm2(r)
 
     def step(self, iteration: int) -> tuple:
         x, r = self.x, self.r
-        self.M.apply(r, self.correction)
+        self._precondition()
         x.add_scaled(self.relaxation, self.correction)
         r.copy_values_from(self.b)
         self.A.apply_advanced(-1.0, x, 1.0, r)
         iteration += 1
-        return iteration, self.monitor(iteration, r.compute_norm2())
+        return iteration, self.monitor(iteration, self._norm())
 
 
 class IrSolver(IterativeSolver):

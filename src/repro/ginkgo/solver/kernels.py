@@ -7,15 +7,15 @@ Python-dispatched frameworks (the effect measured in the paper's Fig. 3c).
 
 These helpers perform the update numerically on the operands' buffers and
 record exactly one kernel with the combined byte traffic.  The CG steps
-and the GMRES orthogonalisation pair run through the vector hooks
-(``elementwise`` / ``all_reduce``) and the GMRES helpers over a leading
-systems axis (:func:`stacked`), so the same definition serves ``Dense``,
-``distributed.Vector`` and the batched active head.
+(bound once per solve, like the dots and norms) and the GMRES projection
+run through the vector hooks (``elementwise`` / ``all_reduce``), the
+GMRES helpers over a leading systems axis (:func:`stacked`), so the same
+definition serves ``Dense``, ``distributed.Vector`` and the batched head.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -28,25 +28,51 @@ def record_fused(exec_, name: str, length: int, value_bytes: int, num_vectors: i
     exec_.run(blas1_cost(name, length, value_bytes, num_vectors))
 
 
-@contextmanager
-def fused_step(exec_, name: str, ops_replaced: int):
-    """Mark a solver's hand-fused update as a ``fused_region`` span.
-
-    The scalar solvers' inner loops already run Ginkgo-style fused step
-    kernels; this span makes that visible to the attribution layer with
-    the eager op count each step replaced.  Zero-cost: no charges, just
-    trace structure.
-    """
+def fused_region(exec_, region: str, ops_replaced: int, kernel, *args):
+    """``kernel(*args)``, in a ``fused_region`` span (free, trace-only)
+    showing attribution the eager op count a hand-fused update replaced."""
     clock = exec_.clock
-    clock.push_span(name, "fused_region", ops_replaced=int(ops_replaced))
+    if not clock._traced:
+        return kernel(*args)
+    clock.push_span(region, "fused_region", ops_replaced=int(ops_replaced))
     try:
-        yield
+        return kernel(*args)
     finally:
         clock.pop_span()
 
 
-def cg_step_1(p, z, beta) -> None:
-    """Fused ``p = z + beta * p`` (one kernel, 3 vector operands)."""
+def bind_dot(u, v):
+    """``u.compute_dot(v)`` bound for a solve (``Dense``: priced once)."""
+    return u.bind_dot(v) if isinstance(u, Dense) else partial(u.compute_dot, v)
+
+
+def bind_norm2(u):
+    """``u.compute_norm2()`` bound for a solve (``Dense``: priced once)."""
+    return u.bind_norm2() if isinstance(u, Dense) else u.compute_norm2
+
+
+def fused_kernel(vec, name, op, num_vectors, region, ops_replaced, also=()):
+    """A fused step kernel bound for a solve, called with its coefficient:
+    ``op(lo, hi, coefficient)`` over ``vec``'s extent as one kernel of
+    ``num_vectors`` operands (``Dense``: priced once, else
+    ``vec.elementwise``) in ``fused_region`` ``region``; marks ``also``."""
+    if isinstance(vec, Dense):
+        run = vec.bind_elementwise(name, op, num_vectors)
+    else:
+        run = partial(vec.elementwise, name, op, num_vectors)
+    exec_ = vec.executor
+
+    def kernel(coefficient) -> None:
+        fused_region(exec_, region, ops_replaced, run, coefficient)
+        for other in also:
+            other.mark_modified()
+
+    return kernel
+
+
+def cg_step_1(p, z):
+    """Fused ``p = z + beta * p`` (one kernel, 3 vector operands); call
+    with ``beta``."""
     pd, zd = p._data, z._data
 
     def op(lo, hi, b):
@@ -54,11 +80,12 @@ def cg_step_1(p, z, beta) -> None:
         ps *= b
         ps += zd[lo:hi]
 
-    p.elementwise("cg_step_1", op, 3, beta)
+    return fused_kernel(p, "cg_step_1", op, 3, "cg::step_1", 2)
 
 
-def cg_step_2(x, r, p, q, alpha) -> None:
-    """Fused ``x += alpha p ; r -= alpha q`` (one kernel, 6 operands)."""
+def cg_step_2(x, r, p, q):
+    """Fused ``x += alpha p ; r -= alpha q`` (one kernel, 6 operands);
+    call with ``alpha``.  It stands for the two eager axpys."""
     xd, rd, pd, qd = x._data, r._data, p._data, q._data
 
     def op(lo, hi, a):
@@ -66,8 +93,7 @@ def cg_step_2(x, r, p, q, alpha) -> None:
         xs += a * pd[lo:hi]
         rs -= a * qd[lo:hi]
 
-    x.elementwise("cg_step_2", op, 6, alpha)
-    r.mark_modified()
+    return fused_kernel(x, "cg_step_2", op, 6, "cg::step_2", 2, also=(r,))
 
 
 def cgs_step_1(u: Dense, p: Dense, r: Dense, q: Dense, beta) -> None:
@@ -104,37 +130,27 @@ def stacked(vec) -> np.ndarray:
     return data[None] if data.ndim == 2 else vec.head
 
 
-def gmres_multidot(basis, w, count: int):
-    """Fused multi-dot: coefficients of ``w`` against ``count`` basis vectors.
+def gmres_project(basis, w, count: int):
+    """One Gram-Schmidt pass of ``w`` against ``count`` basis vectors.
 
-    ``basis`` is ``(systems, rows, krylov_dim + 1)``; the result is
-    ``(systems, count)``.  One batched reduction kernel (plus its
-    finalisation pass), as in Ginkgo's ``gmres::multi_dot``.  Evaluated
-    as an einsum contraction, whose per-system reduction order does not
-    depend on the number of systems (BLAS gemv blocks its accumulation
-    differently).  A distributed ``w`` then pays one all-reduce of the
-    ``count`` coefficients.
+    ``basis`` is ``(systems, rows, krylov_dim + 1)``.  The fused
+    multi-dot (one batched reduction kernel plus its finalisation pass,
+    as in Ginkgo's ``gmres::multi_dot``) gives the ``(systems, count)``
+    coefficients; a distributed ``w`` then pays one all-reduce of them.
+    The fused rank-``count`` update ``w -= V[:, :count] @ coeffs``
+    follows.  Both are einsum contractions, whose per-system reduction
+    order does not depend on the number of systems (BLAS gemv blocks
+    its accumulation differently).  Returns the coefficients.
     """
     wd = stacked(w)
     systems, rows, _ = wd.shape
-    coeffs = np.einsum("kij,ki->kj", basis[:, :, :count], wd[:, :, 0])
-    w.executor.run(
-        blas1_cost(
-            "gmres_multidot", systems * rows * count, wd.dtype.itemsize, 2
-        )
-    )
-    return w.all_reduce(coeffs, "all_reduce_multidot")
-
-
-def gmres_update(basis, w, coeffs, count: int) -> None:
-    """Fused rank-``count`` update ``w -= V[:, :count] @ coeffs`` per system."""
-    wd = stacked(w)
-    systems, rows, _ = wd.shape
-    wd[:, :, 0] -= np.einsum("kij,kj->ki", basis[:, :, :count], coeffs)
-    record_fused(
-        w.executor, "gmres_update", systems * rows * count,
-        wd.dtype.itemsize, 2,
-    )
+    block, length = basis[:, :, :count], systems * rows * count
+    coeffs = np.einsum("kij,ki->kj", block, wd[:, :, 0])
+    record_fused(w.executor, "gmres_multidot", length, wd.dtype.itemsize, 2)
+    coeffs = w.all_reduce(coeffs, "all_reduce_multidot")
+    wd[:, :, 0] -= np.einsum("kij,kj->ki", block, coeffs)
+    record_fused(w.executor, "gmres_update", length, wd.dtype.itemsize, 2)
+    return coeffs
 
 
 def givens_update(exec_, hessenberg, givens_cos, givens_sin, g, j: int):

@@ -49,11 +49,11 @@ class MinresRecurrence(Recurrence):
         self.spare = r.scratch(ws, "minres.w1")
         self.r2 = r.scratch(ws, "minres.r2", copy=True)
         self.v = r.scratch(ws, "minres.v")
+        self._spmv = A.bind(self.v, self.y)
+        self._precondition = M.bind(self.r2, self.y)
 
     def step(self, iteration: int) -> tuple:
-        A, M, x, r1, r2, y, v = (
-            self.A, self.M, self.x, self.r, self.r2, self.y, self.v
-        )
+        x, r1, r2, y, v = self.x, self.r, self.r2, self.y, self.v
         beta, oldb = self.beta, self.oldb
         if beta == 0.0:
             # The Lanczos sequence ended on an invariant subspace: x is
@@ -63,14 +63,14 @@ class MinresRecurrence(Recurrence):
         # Lanczos step.
         v.copy_values_from(y)
         v.scale(1.0 / beta)
-        A.apply(v, y)
+        self._spmv()
         if iteration >= 2:
             y.sub_scaled(beta / oldb, r1)
         alfa = float(v.compute_dot(y)[0])
         y.sub_scaled(alfa / beta, r2)
         r1.copy_values_from(r2)
         r2.copy_values_from(y)
-        M.apply(r2, y)
+        self._precondition()
         oldb, beta = beta, _m_norm(r2, y)
 
         # QR update via Givens rotations.

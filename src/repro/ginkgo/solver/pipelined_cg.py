@@ -116,6 +116,8 @@ class PipelinedCgRecurrence(Recurrence):
         self.q = r.scratch(ws, "pcg.q").fill(0.0)
         self.s = r.scratch(ws, "pcg.s").fill(0.0)
         self.p = r.scratch(ws, "pcg.p").fill(0.0)
+        self._precondition = M.bind(self.w, self.m)
+        self._spmv = A.bind(self.m, self.n)
         self.prev_gamma = None
         self.alpha = None
 
@@ -127,8 +129,8 @@ class PipelinedCgRecurrence(Recurrence):
         request = r.iall_reduce(reduced, "iallreduce_pcg")
         # … hidden behind the next preconditioner apply + SpMV
         # (the point of the pipelined formulation).
-        self.M.apply(w, m)
-        self.A.apply(m, n)
+        self._precondition()
+        self._spmv()
         request.wait()
         gamma, delta, rr = reduced
         # Pipeline depth 1: this pass's reduction delivers the

@@ -16,6 +16,10 @@ hooks each vector type implements:
 * ``all_reduce(payload, label)`` — globally reduce a locally reduced
   payload (a no-op off the distributed path).
 
+``__init__`` binds what ``step`` runs once per solve — operator applies
+(``LinOp.bind``), dots, norms and fused kernels, costs resolved — so a
+step is NumPy calls plus one ``exec_.run`` per kernel.
+
 All ten methods are recurrences: CG, FCG, BiCG, CGS, BiCGSTAB and IR
 step one iteration, MINRES one Lanczos/QR update, GMRES and CB-GMRES
 one inner iteration of their restart cycle, IDR(s) one cycle.  A
@@ -41,10 +45,10 @@ def safe_divide(num, den):
     """Elementwise num/den with 0 where den == 0 (breakdown guard)."""
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
-    out = np.zeros_like(num)
-    mask = den != 0
-    np.divide(num, den, out=out, where=mask)
-    return out
+    if num.shape == den.shape == (1,):
+        # One column: the plain divide is bitwise the masked one.
+        return num / den if den[0] != 0 else np.zeros(1)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
 class Recurrence:

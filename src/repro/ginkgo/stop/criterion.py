@@ -52,10 +52,11 @@ class CriterionFactory:
 
 
 class Criterion:
-    """Base class of bound criteria."""
+    """Base class of bound criteria; ``state`` becomes attributes."""
 
-    def __init__(self) -> None:
+    def __init__(self, **state) -> None:
         self.converged = False
+        self.__dict__.update(state)
 
     def check(self, iteration: int, residual_norm) -> bool:
         """Return True when the solver should stop."""
@@ -71,13 +72,7 @@ class Iteration(CriterionFactory):
         self.max_iters = int(max_iters)
 
     def generate(self, context: CriterionContext) -> Criterion:
-        factory = self
-
-        class _Bound(Criterion):
-            def check(self, iteration: int, residual_norm) -> bool:
-                return iteration >= factory.max_iters
-
-        return _Bound()
+        return _IterationCheck(max_iters=self.max_iters)
 
     def __repr__(self) -> str:
         return f"Iteration(max_iters={self.max_iters})"
@@ -120,21 +115,9 @@ class ResidualNorm(CriterionFactory):
         # fall back to absolute semantics for those entries, as Ginkgo
         # does, so the b = 0 solve converges to x = 0.
         reference = np.where(reference > 0.0, reference, 1.0)
-        threshold = self.reduction_factor * reference
-        factory = self
-
-        class _Bound(Criterion):
-            def check(self, iteration: int, residual_norm) -> bool:
-                norm = np.asarray(residual_norm, dtype=np.float64)
-                stop = bool(np.all(norm <= threshold))
-                if stop:
-                    self.converged = True
-                return stop
-
-        bound = _Bound()
-        bound.threshold = threshold
-        bound.factory = factory
-        return bound
+        return _ResidualNormCheck(
+            factory=self, threshold=self.reduction_factor * reference
+        )
 
     def __repr__(self) -> str:
         return (
@@ -160,15 +143,7 @@ class Divergence(CriterionFactory):
     def generate(self, context: CriterionContext) -> Criterion:
         reference = np.asarray(context.initial_resnorm, dtype=np.float64)
         threshold = self.limit * np.where(reference > 0.0, reference, 1.0)
-
-        class _Bound(Criterion):
-            def check(self, iteration: int, residual_norm) -> bool:
-                norm = np.asarray(residual_norm, dtype=np.float64)
-                return bool(
-                    np.any(~np.isfinite(norm)) or np.any(norm > threshold)
-                )
-
-        return _Bound()
+        return _DivergenceCheck(threshold=threshold)
 
     def __repr__(self) -> str:
         return f"Divergence(limit={self.limit})"
@@ -183,17 +158,10 @@ class Time(CriterionFactory):
         self.time_limit = float(time_limit)
 
     def generate(self, context: CriterionContext) -> Criterion:
-        factory = self
-        clock = context.clock
-        start = context.start_time
-
-        class _Bound(Criterion):
-            def check(self, iteration: int, residual_norm) -> bool:
-                if clock is None:
-                    return False
-                return (clock.now - start) >= factory.time_limit
-
-        return _Bound()
+        return _TimeCheck(
+            clock=context.clock, start=context.start_time,
+            time_limit=self.time_limit,
+        )
 
     def __repr__(self) -> str:
         return f"Time(time_limit={self.time_limit})"
@@ -230,23 +198,7 @@ class Deadline(CriterionFactory):
                 "a per-system deadline needs a batched solve; a scalar "
                 "solve takes one instant"
             )
-        factory = self
-        clock = context.clock
-
-        class _Bound(Criterion):
-            def __init__(self) -> None:
-                super().__init__()
-                self.timed_out = False
-
-            def check(self, iteration: int, residual_norm) -> bool:
-                if clock is None:
-                    return False
-                if clock.now >= factory.at:
-                    self.timed_out = True
-                    return True
-                return False
-
-        return _Bound()
+        return _DeadlineCheck(clock=context.clock, at=self.at, timed_out=False)
 
     def __repr__(self) -> str:
         return f"Deadline(at={self.at})"
@@ -261,21 +213,62 @@ class Combined(CriterionFactory):
             raise GinkgoError("Combined needs at least one criterion factory")
 
     def generate(self, context: CriterionContext) -> Criterion:
-        bound = [f.generate(context) for f in self.factories]
-
-        class _Bound(Criterion):
-            def check(self, iteration: int, residual_norm) -> bool:
-                stop = False
-                for criterion in bound:
-                    if criterion.check(iteration, residual_norm):
-                        stop = True
-                        if criterion.converged:
-                            self.converged = True
-                        if getattr(criterion, "timed_out", False):
-                            self.timed_out = True
-                return stop
-
-        return _Bound()
+        return _AnyCheck(bound=[f.generate(context) for f in self.factories])
 
     def __repr__(self) -> str:
         return f"Combined({list(self.factories)!r})"
+
+
+# ----------------------------------------------------------------------
+# the bound criteria :meth:`CriterionFactory.generate` returns
+# ----------------------------------------------------------------------
+class _IterationCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        return iteration >= self.max_iters
+
+
+class _ResidualNormCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        norm = np.asarray(residual_norm, dtype=np.float64)
+        stop = bool((norm <= self.threshold).all())
+        if stop:
+            self.converged = True
+        return stop
+
+
+class _DivergenceCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        norm = np.asarray(residual_norm, dtype=np.float64)
+        return bool(
+            np.any(~np.isfinite(norm)) or np.any(norm > self.threshold)
+        )
+
+
+class _TimeCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        if self.clock is None:
+            return False
+        return (self.clock.now - self.start) >= self.time_limit
+
+
+class _DeadlineCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        if self.clock is None:
+            return False
+        if self.clock.now >= self.at:
+            self.timed_out = True
+            return True
+        return False
+
+
+class _AnyCheck(Criterion):
+    def check(self, iteration: int, residual_norm) -> bool:
+        stop = False
+        for criterion in self.bound:
+            if criterion.check(iteration, residual_norm):
+                stop = True
+                if criterion.converged:
+                    self.converged = True
+                if getattr(criterion, "timed_out", False):
+                    self.timed_out = True
+        return stop

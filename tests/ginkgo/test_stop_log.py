@@ -10,6 +10,8 @@ from repro.ginkgo.log import ConvergenceLogger, RecordLogger, StreamLogger
 from repro.ginkgo.stop import (
     Combined,
     CriterionContext,
+    Deadline,
+    Divergence,
     Iteration,
     ResidualNorm,
     Time,
@@ -153,6 +155,26 @@ class TestCombined:
     def test_empty_rejected(self):
         with pytest.raises(GinkgoError):
             Combined([])
+
+
+def test_generate_builds_no_class_per_call():
+    clock = SimClock(NVIDIA_A100)
+    context = CriterionContext(
+        rhs_norm=1.0, initial_resnorm=2.0, clock=clock, start_time=0.0
+    )
+    factory = (
+        Iteration(3) | ResidualNorm(1e-2) | Divergence(10.0) | Time(1e-3)
+        | Deadline(2e-3)
+    )
+    first, second = factory.generate(context), factory.generate(context)
+    assert type(first) is type(second)
+    assert [type(c) for c in first.bound] == [type(c) for c in second.bound]
+    assert not first.check(1, 0.5)
+    assert first.check(1, 5e-3) and first.converged
+    assert second.check(3, 0.5) and not second.converged
+    assert factory.generate(context).check(1, 25.0)  # diverged
+    clock.advance(2e-3)
+    assert second.check(1, 0.5) and second.timed_out
 
 
 class TestConvergenceLogger:
