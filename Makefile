@@ -23,10 +23,11 @@ profile-smoke:
 # histories and same-seed traces, and an untraced warm solve must end at
 # the same simulated clock.now and kernel count as a pg.profile()-traced
 # one (the cold/warm wall ratio is reported with the core count, not gated).
-# Step plans: every scalar method's bound kernels give the late-bound
-# apply path's bytes, histories, clock and logger events, listened or
-# traced; validation runs per solve, not per iteration; run faults fire
-# at the same kernels.
+# Step plans: every scalar method's unlistened, listened and traced
+# solves give the same bytes, histories and clock, with apply's logger
+# events; the CSR column kernel is SciPy's matmul byte for byte;
+# validation runs per solve, not per iteration; run faults fire at the
+# same kernels.
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;

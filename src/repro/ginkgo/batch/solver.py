@@ -23,6 +23,8 @@ rejoins at the others' next restart point.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.ginkgo.batch.matrix import BatchCsr, BatchDense
@@ -30,7 +32,6 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
-from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.workspace import Workspace
@@ -140,8 +141,9 @@ class _HeadOperator:
     def apply(self, b: "_Head", x: "_Head") -> None:
         self._kernel(b._data, x._data)
 
-    #: The default binding: the late-bound ``apply``.
-    bind = LinOp.bind
+    def bind(self, b: "_Head", x: "_Head"):
+        """The late-bound ``apply`` (the active head moves every check)."""
+        return partial(self.apply, b, x)
 
     def apply_advanced(self, alpha, b: "_Head", beta, x: "_Head") -> None:
         """``x = alpha op(b) + beta x``, rounded as ``Csr`` rounds it."""
@@ -243,6 +245,17 @@ class _Head:
     def all_reduce(self, payload, label: str):
         """Per-system reductions are already complete."""
         return payload
+
+    # Bound kernels (see ``Dense.bind_dot``): late-bound, since the
+    # active head a kernel covers shrinks as systems converge.
+    def bind_dot(self, other: "_Head"):
+        return partial(self.compute_dot, other)
+
+    def bind_norm2(self):
+        return self.compute_norm2
+
+    def bind_elementwise(self, name: str, op, num_vectors: int):
+        return partial(self.elementwise, name, op, num_vectors)
 
 
 class _Rows(_Head):

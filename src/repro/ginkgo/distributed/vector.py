@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -341,6 +342,16 @@ class Vector(LinOp):
             np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64)),
             "all_reduce_norm",
         )
+
+    # Bound kernels (see ``Dense.bind_dot``): the late-bound hooks.
+    def bind_dot(self, other: "Vector"):
+        return partial(self.compute_dot, other)
+
+    def bind_norm2(self):
+        return self.compute_norm2
+
+    def bind_elementwise(self, name: str, op, num_vectors: int):
+        return partial(self.elementwise, name, op, num_vectors)
 
     def all_reduce(self, payload: np.ndarray, label: str) -> np.ndarray:
         """Charge the all-reduce of a locally reduced ``payload``.

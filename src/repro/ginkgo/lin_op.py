@@ -10,8 +10,6 @@ operator combinations.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
 from repro.ginkgo.executor import Executor
@@ -164,23 +162,22 @@ class LinOp:
         return x
 
     def bind(self, b, x):
-        """``apply(b, x)`` as a zero-argument callable, made once per solve:
-        the late-bound ``apply``, or :meth:`_bound` where an operator has
-        a cheaper kernel for the operands."""
-        return partial(self.apply, b, x)
+        """``apply(b, x)`` as a zero-argument callable, made once per solve.
 
-    def _bound(self, b, x, kernel):
-        """A binding validated once that runs ``kernel()`` (charging what
-        ``apply`` charges) and marks ``x`` modified — or, whenever this
-        operator has loggers or its clock is traced, takes ``apply``, so
-        spans and logger events stay those of ``apply``."""
+        The operands are validated once, here.  A call runs the same
+        ``_apply_impl`` kernel ``apply`` runs and marks ``x`` modified —
+        or, whenever this operator has loggers or its clock is traced,
+        takes ``apply`` itself, so spans and logger events stay those of
+        ``apply``.
+        """
         self._validate_application(b, x)
-        loggers, clock, apply = self._loggers, self._exec.clock, self.apply
+        loggers, clock = self._loggers, self._exec.clock
+        apply, impl = self.apply, self._apply_impl
 
         def run():
             if loggers or clock._traced:
                 return apply(b, x)
-            kernel()
+            impl(b, x)
             x.mark_modified()
             return x
 
@@ -273,13 +270,6 @@ class Identity(LinOp):
 
     def _apply_impl(self, b, x) -> None:
         x.copy_values_from(b)
-
-    def bind(self, b, x):
-        from repro.ginkgo.matrix.dense import Dense
-
-        if not (isinstance(b, Dense) and isinstance(x, Dense)):
-            return super().bind(b, x)
-        return self._bound(b, x, partial(x.copy_values_from, b))
 
     def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
         x.scale(beta)

@@ -74,6 +74,8 @@ class SparseBase(LinOp):
         self._value_dtype = check_value_dtype(value_dtype)
         self._index_dtype = check_index_dtype(index_dtype)
         self._scipy_cache: sp.spmatrix | None = None
+        #: num_rhs -> the ``KernelCost`` of one apply (see :meth:`_spmv_cost`).
+        self._spmv_costs: dict = {}
         #: (data_version, count) of :meth:`_count_nonzero_values`.
         self._nonzero_values: tuple | None = None
 
@@ -163,6 +165,7 @@ class SparseBase(LinOp):
         """
         super().mark_modified()
         self._scipy_cache = None
+        self._spmv_costs.clear()
 
     def _invalidate_cache(self) -> None:
         self.mark_modified()
@@ -189,17 +192,21 @@ class SparseBase(LinOp):
         return {}
 
     def _spmv_cost(self, num_rhs: int):
-        """The ``KernelCost`` of one apply to ``num_rhs`` columns."""
-        return spmv_cost(
-            self._format_name,
-            self._size.rows,
-            self._size.cols,
-            self.nnz,
-            self.value_bytes,
-            self.index_bytes,
-            num_rhs=num_rhs,
-            **self._spmv_cost_kwargs(),
-        )
+        """The ``KernelCost`` of one apply to ``num_rhs`` columns, priced
+        once until the matrix (or its kernel strategy) changes."""
+        cost = self._spmv_costs.get(num_rhs)
+        if cost is None:
+            cost = self._spmv_costs[num_rhs] = spmv_cost(
+                self._format_name,
+                self._size.rows,
+                self._size.cols,
+                self.nnz,
+                self.value_bytes,
+                self.index_bytes,
+                num_rhs=num_rhs,
+                **self._spmv_cost_kwargs(),
+            )
+        return cost
 
     def _record_spmv(self, num_rhs: int) -> None:
         self._exec.run(self._spmv_cost(num_rhs))

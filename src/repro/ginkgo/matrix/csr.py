@@ -15,7 +15,6 @@ import hashlib
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
@@ -23,6 +22,11 @@ from repro.ginkgo.executor import Executor
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.matrix.base import SparseBase, check_index_dtype, check_value_dtype
 from repro.perfmodel import conversion_cost
+
+try:  # SciPy's compiled CSR SpMV: what ``@`` runs for one column
+    from scipy.sparse._sparsetools import csr_matvec
+except ImportError:  # not exposed by this SciPy: every apply uses ``@``
+    csr_matvec = None
 
 CSR_STRATEGIES = ("classical", "load_balance", "sparselib", "merge_path")
 
@@ -119,6 +123,7 @@ class Csr(SparseBase):
                 f"unknown CSR strategy {value!r}; available: {CSR_STRATEGIES}"
             )
         self._strategy = value
+        self._spmv_costs.clear()
 
     @property
     def row_ptrs(self) -> np.ndarray:
@@ -138,30 +143,22 @@ class Csr(SparseBase):
     def _spmv_cost_kwargs(self) -> dict:
         return {"strategy": self._strategy}
 
-    def bind(self, b, x):
-        """SpMV of one contiguous ``Dense`` column of the matrix's value
-        type: SciPy's compiled kernel on the stored arrays, as ``@``
-        calls it on the cached view, priced once."""
-        from repro.ginkgo.matrix.dense import Dense
-
-        dtype = self._value_dtype
-        if not (
-            isinstance(b, Dense) and isinstance(x, Dense) and b.size.cols == 1
-            and b.dtype == x.dtype == dtype and dtype != np.float16
-            and b._data.flags.c_contiguous and x._data.flags.c_contiguous
+    def _apply_impl(self, b, x) -> None:
+        """``x = A b``.  One contiguous column of the value type runs
+        SciPy's compiled kernel on the cached view's arrays into ``x`` —
+        the kernel ``@`` calls for it, without its dispatch and result
+        allocation; any other operand takes ``@``."""
+        bd, xd, dtype = b._data, x._data, self._value_dtype
+        if (
+            csr_matvec is None or bd.shape[1] != 1 or dtype == np.float16
+            or not bd.dtype == xd.dtype == dtype
+            or not (bd.flags.c_contiguous and xd.flags.c_contiguous)
         ):
-            return super().bind(b, x)
-        rows, cols = self.shape
-        arrays = (self._row_ptrs, self._col_idxs, self._values)
-        bd, xd = b._data.reshape(-1), x._data.reshape(-1)
-        run, cost = self._exec.run, self._spmv_cost(1)
-
-        def spmv():
-            xd.fill(0)
-            csr_matvec(rows, cols, *arrays, bd, xd)
-            run(cost)
-
-        return self._bound(b, x, spmv)
+            return super()._apply_impl(b, x)
+        view = self._scipy_view()
+        xd.fill(0)
+        csr_matvec(*view.shape, view.indptr, view.indices, view.data, bd, xd)
+        self._exec.run(self._spmv_cost(1))
 
     def _to_scipy(self) -> sp.csr_matrix:
         from repro.ginkgo.matrix.base import scipy_safe

@@ -22,8 +22,8 @@ from repro.perfmodel import blas1_cost, dot_cost, spmv_cost
 
 try:  # what np.einsum calls without `optimize`, minus its dispatch layer
     from numpy._core.multiarray import c_einsum
-except ImportError:  # NumPy < 2
-    from numpy.core.multiarray import c_einsum
+except ImportError:  # not at this NumPy's private path: the public call
+    c_einsum = np.einsum
 
 
 def _scalar_value(alpha) -> float:

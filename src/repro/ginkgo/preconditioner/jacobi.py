@@ -101,6 +101,9 @@ class JacobiOperator(LinOp):
                     )
                 )
             self._block_inverses = accessors
+        #: Scalar Jacobi stored at the working precision: an apply is one multiply.
+        self._uniform_scalar = self._scalar_inverse is not None and not self.is_mixed
+        self._apply_costs: dict = {}
         self._exec.run(
             factorization_cost(
                 "jacobi", n, matrix.nnz, matrix.value_bytes,
@@ -152,6 +155,13 @@ class JacobiOperator(LinOp):
             self._exec.run(cost)
 
     def _costs(self, num_rhs: int) -> list:
+        """The kernel costs of one apply, priced once per ``num_rhs``."""
+        costs = self._apply_costs.get(num_rhs)
+        if costs is None:
+            costs = self._apply_costs[num_rhs] = self._price(num_rhs)
+        return costs
+
+    def _price(self, num_rhs: int) -> list:
         bs = self._block_size
         # Block-diagonal storage, charged at each block's storage width:
         # one SpMV-shaped charge per distinct width (a single charge on
@@ -174,25 +184,6 @@ class JacobiOperator(LinOp):
             for width, rows in sorted(rows_by_width.items())
         ]
 
-    def bind(self, b, x):
-        """Uniform scalar Jacobi on ``Dense`` operands: one priced multiply."""
-        dtype = self._arith_dtype
-        if not (
-            self._scalar_inverse is not None and not self.is_mixed
-            and isinstance(b, Dense) and isinstance(x, Dense)
-            and b.dtype == x.dtype == dtype
-        ):
-            return super().bind(b, x)
-        inv = self._scalar_inverse.read()[:, None]
-        bd, xd, run = b._data, x._data, self._exec.run
-        (cost,) = self._costs(b.size.cols)
-
-        def scale():
-            np.multiply(inv, bd, out=xd)
-            run(cost)
-
-        return self._bound(b, x, scale)
-
     def _run_apply(self, plan) -> None:
         """Run an apply plan, crossing the mixed binding when reduced.
 
@@ -210,6 +201,13 @@ class JacobiOperator(LinOp):
             plan()
 
     def _apply_impl(self, b: Dense, x: Dense) -> None:
+        if self._uniform_scalar and b.dtype == x.dtype == self._arith_dtype:
+            # The plan's product, written into x without its temporary.
+            np.multiply(self._scalar_inverse.read()[:, None], b._data, out=x._data)
+            (cost,) = self._costs(b.size.cols)
+            self._exec.run(cost)
+            return
+
         def plan():
             np.copyto(
                 x._data,

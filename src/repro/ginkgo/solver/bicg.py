@@ -7,7 +7,6 @@ system matrix for the shadow sequence.
 from __future__ import annotations
 
 from repro.ginkgo.exceptions import NotSupported
-from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -43,8 +42,8 @@ class BicgRecurrence(Recurrence):
         self._precondition2 = M.bind(self.r2, self.z2)
         self._spmv = A.bind(self.p, self.q)
         self._spmv_t = self.At.bind(self.p2, self.q2)
-        self._rz, self._pq = bind_dot(self.r2, self.z), bind_dot(self.p2, self.q)
-        self._norm = bind_norm2(r)
+        self._rz, self._pq = self.r2.bind_dot(self.z), self.p2.bind_dot(self.q)
+        self._norm = r.bind_norm2()
 
     def step(self, iteration: int) -> tuple:
         x, r, r2, p, p2 = self.x, self.r, self.r2, self.p, self.p2

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -32,9 +31,9 @@ class BicgstabRecurrence(Recurrence):
         p, p_hat, s, s_hat, t = self.p, self.p_hat, self.s, self.s_hat, self.t
         self._precondition_p, self._spmv_p = M.bind(p, p_hat), A.bind(p_hat, self.v)
         self._precondition_s, self._spmv_s = M.bind(s, s_hat), A.bind(s_hat, t)
-        self._rho, self._rv = bind_dot(self.r_tld, r), bind_dot(self.r_tld, self.v)
-        self._tt, self._ts = bind_dot(t, t), bind_dot(t, s)
-        self._s_norm, self._norm = bind_norm2(s), bind_norm2(r)
+        self._rho, self._rv = self.r_tld.bind_dot(r), self.r_tld.bind_dot(self.v)
+        self._tt, self._ts = t.bind_dot(t), t.bind_dot(s)
+        self._s_norm, self._norm = s.bind_norm2(), r.bind_norm2()
 
     def step(self, iteration: int) -> tuple:
         x, r, p, v = self.x, self.r, self.p, self.v

@@ -7,7 +7,7 @@ independently in one apply.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.kernels import bind_dot, bind_norm2, cg_step_1, cg_step_2
+from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -31,7 +31,7 @@ class CgRecurrence(Recurrence):
         self.q = q = r.scratch(ws, "cg.q")
         self.rz = r.compute_dot(z)
         self._precondition, self._spmv = M.bind(r, z), A.bind(p, q)
-        self._rz, self._pq, self._norm = bind_dot(r, z), bind_dot(p, q), bind_norm2(r)
+        self._rz, self._pq, self._norm = r.bind_dot(z), p.bind_dot(q), r.bind_norm2()
         self._step_1, self._step_2 = cg_step_1(p, z), cg_step_2(x, r, p, q)
 
     def step(self, iteration: int) -> tuple:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.solver.kernels import (
-    bind_dot, bind_norm2, cgs_step_1, cgs_step_2, cgs_step_3,
-)
+from repro.ginkgo.solver.kernels import cgs_step_1, cgs_step_2, cgs_step_3
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -42,8 +40,8 @@ class CgsRecurrence(Recurrence):
         self._precondition_p = M.bind(self.p, self.u_hat)
         self._precondition_t = M.bind(self.t, self.u_hat)
         self._spmv = A.bind(self.u_hat, self.v)
-        self._rho, self._tv = bind_dot(self.r_tld, r), bind_dot(self.r_tld, self.v)
-        self._norm = bind_norm2(r)
+        self._rho, self._tv = self.r_tld.bind_dot(r), self.r_tld.bind_dot(self.v)
+        self._norm = r.bind_norm2()
 
     def step(self, iteration: int) -> tuple:
         x, r = self.x, self.r

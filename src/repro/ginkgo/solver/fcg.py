@@ -7,7 +7,6 @@ preconditioners that change between iterations.
 
 from __future__ import annotations
 
-from repro.ginkgo.solver.kernels import bind_dot, bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence, safe_divide
 
 
@@ -32,8 +31,8 @@ class FcgRecurrence(Recurrence):
         self.r_old = r.scratch(ws, "fcg.r_old", copy=True)
         self.rz = r.compute_dot(self.z)
         self._precondition, self._spmv = M.bind(r, self.z), A.bind(self.p, self.q)
-        self._rz, self._pq = bind_dot(r, self.z), bind_dot(self.p, self.q)
-        self._norm = bind_norm2(r)
+        self._rz, self._pq = r.bind_dot(self.z), self.p.bind_dot(self.q)
+        self._norm = r.bind_norm2()
 
     def step(self, iteration: int) -> tuple:
         x, r, p, q, z = self.x, self.r, self.p, self.q, self.z

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.solver.kernels import (
-    bind_norm2,
     fused_region,
     givens_update,
     gmres_project,
@@ -77,7 +76,7 @@ class GmresRecurrence(Recurrence):
         # The Arnoldi applies: v_j is loaded into r without M, w with it.
         self._spmv = A.bind(r, w) if M is None else A.bind(w, r)
         self._precondition = None if M is None else M.bind(r, w)
-        self._norm = bind_norm2(w)
+        self._norm = w.bind_norm2()
 
     @property
     def at_restart(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.solver.base import IterativeSolver
-from repro.ginkgo.solver.kernels import bind_norm2
 from repro.ginkgo.solver.recurrence import Recurrence
 
 
@@ -34,7 +33,7 @@ class IrRecurrence(Recurrence):
         self.relaxation = float(relaxation_factor)
         self.correction = r.scratch(ws, "ir.correction")
         self._precondition = M.bind(r, self.correction)
-        self._norm = bind_norm2(r)
+        self._norm = r.bind_norm2()
 
     def step(self, iteration: int) -> tuple:
         x, r = self.x, self.r

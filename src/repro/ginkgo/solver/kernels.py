@@ -15,8 +15,6 @@ definition serves ``Dense``, ``distributed.Vector`` and the batched head.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.ginkgo.matrix.dense import Dense, _coef
@@ -41,26 +39,12 @@ def fused_region(exec_, region: str, ops_replaced: int, kernel, *args):
         clock.pop_span()
 
 
-def bind_dot(u, v):
-    """``u.compute_dot(v)`` bound for a solve (``Dense``: priced once)."""
-    return u.bind_dot(v) if isinstance(u, Dense) else partial(u.compute_dot, v)
-
-
-def bind_norm2(u):
-    """``u.compute_norm2()`` bound for a solve (``Dense``: priced once)."""
-    return u.bind_norm2() if isinstance(u, Dense) else u.compute_norm2
-
-
 def fused_kernel(vec, name, op, num_vectors, region, ops_replaced, also=()):
     """A fused step kernel bound for a solve, called with its coefficient:
     ``op(lo, hi, coefficient)`` over ``vec``'s extent as one kernel of
-    ``num_vectors`` operands (``Dense``: priced once, else
-    ``vec.elementwise``) in ``fused_region`` ``region``; marks ``also``."""
-    if isinstance(vec, Dense):
-        run = vec.bind_elementwise(name, op, num_vectors)
-    else:
-        run = partial(vec.elementwise, name, op, num_vectors)
-    exec_ = vec.executor
+    ``num_vectors`` operands (``vec.bind_elementwise``) in
+    ``fused_region`` ``region``; marks ``also``."""
+    run, exec_ = vec.bind_elementwise(name, op, num_vectors), vec.executor
 
     def kernel(coefficient) -> None:
         fused_region(exec_, region, ops_replaced, run, coefficient)

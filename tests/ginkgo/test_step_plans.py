@@ -1,9 +1,9 @@
 """Per-solve step plans: a recurrence binds its kernels once per solve.
 
-Bound operator applies (``LinOp.bind``) skip validation and cost lookups
-when nothing listens and take ``apply`` when something does, so the
-numerics, the simulated clock, logger events and fault schedules are
-those of the late-bound ``apply`` path on every method.
+A bound operator apply (``LinOp.bind``) is validated once and runs the
+operator's one ``_apply_impl`` kernel when nothing listens, and takes
+``apply`` when something does, so the numerics, the simulated clock,
+logger events and fault schedules are those of ``apply`` on every method.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import repro as pg
 from repro.ginkgo.exceptions import CudaError
 from repro.ginkgo.executor import ReferenceExecutor
 from repro.ginkgo.fault import FaultInjector, FaultyExecutor
-from repro.ginkgo.lin_op import Identity, LinOp
+from repro.ginkgo.lin_op import LinOp
 from repro.ginkgo.log import ConvergenceLogger, RecordLogger
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Jacobi
-from repro.ginkgo.preconditioner.jacobi import JacobiOperator
 from repro.ginkgo.solver import Cg, methods_on
 from repro.ginkgo.stop import Iteration, ResidualNorm
 from tests.baselines.record_uniform_histories import (
@@ -28,13 +27,6 @@ from tests.baselines.record_uniform_histories import (
     general_matrix,
     spd_matrix,
 )
-
-
-@pytest.fixture
-def late_bound(monkeypatch):
-    """Every operator binding falls back to ``LinOp.bind`` (plain ``apply``)."""
-    for cls in (Csr, Identity, JacobiOperator):
-        monkeypatch.setattr(cls, "bind", LinOp.bind)
 
 
 def solve(case, listen=False, profile=False):
@@ -83,13 +75,16 @@ def test_listened_and_traced_solves_match_the_unlistened_one(case):
     }
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
-def test_bound_kernels_match_apply(case, request):
-    bound, bound_events = solve(case), solve(case, listen=True)[1]
-    request.getfixturevalue("late_bound")
-    late, late_events = solve(case), solve(case, listen=True)[1]
-    assert bound == late
-    assert bound_events == late_events
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csr_column_kernel_is_scipys_matmul(dtype):
+    exec_ = ReferenceExecutor.create(noisy=False)
+    mtx = Csr.from_scipy(exec_, general_matrix(), value_dtype=dtype)
+    n = mtx.size.rows
+    rhs = np.random.default_rng(3).standard_normal((n, 2)).astype(dtype)
+    for b in (rhs[:, :1], rhs):  # the compiled column kernel, then ``@``
+        x = Dense.full(exec_, b.shape, 1.0, dtype)  # apply overwrites x
+        mtx.apply(Dense.create(exec_, b), x)
+        assert x.to_numpy().tobytes() == (mtx._scipy_view() @ b).tobytes()
 
 
 def cg_validations(monkeypatch, iterations: int) -> int:
@@ -137,7 +132,7 @@ def faulted_cg(schedule):
     return [payload["detail"] for _, _, payload in trail.events]
 
 
-def test_run_faults_fire_at_the_kernels_apply_runs(request):
+def test_run_faults_fire_at_the_kernels_apply_runs():
     every = {"run": [(k, "stall") for k in range(200)]}
     bound = faulted_cg(every)
     # One iteration: SpMV, p.q, cg_step_2, ||r||, Jacobi, r.z, cg_step_1.
@@ -148,5 +143,3 @@ def test_run_faults_fire_at_the_kernels_apply_runs(request):
     transient = {5: "spmv_csr", 17: "dot", 23: "spmv_csr"}
     for call, kernel in transient.items():
         assert faulted_cg({"run": [(call, "transient")]}) == kernel
-    request.getfixturevalue("late_bound")
-    assert faulted_cg(every) == bound
