@@ -23,11 +23,13 @@ profile-smoke:
 # histories and same-seed traces, and an untraced warm solve must end at
 # the same simulated clock.now and kernel count as a pg.profile()-traced
 # one (the cold/warm wall ratio is reported with the core count, not gated).
-# Step plans: every scalar method's unlistened, listened and traced
-# solves give the same bytes, histories and clock, with apply's logger
-# events; the CSR column kernel is SciPy's matmul byte for byte;
-# validation runs per solve, not per iteration; run faults fire at the
-# same kernels.
+# Step plans: every scalar, batched and distributed method's unlistened,
+# listened and traced solves give the same bytes, histories and clock,
+# with apply's logger events; the CSR and batched-head column kernels are
+# SciPy's matmul byte for byte; validation runs per solve and batched
+# kernels are priced per active count, not per iteration; run faults
+# fire at the same kernels; sequential-rank and rank-failure solves keep
+# their pinned results and charges; halo buffers do not leak.
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;

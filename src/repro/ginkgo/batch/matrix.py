@@ -17,6 +17,8 @@ residual-history parity with sequential solves.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -27,6 +29,10 @@ from repro.ginkgo.matrix.base import check_index_dtype, check_value_dtype, scipy
 from repro.ginkgo.matrix.csr import Csr
 from repro.ginkgo.matrix.dense import Dense
 from repro.perfmodel import spmv_cost
+
+
+#: A CSR operator's arrays, as SciPy's compiled kernels take them.
+_Block = namedtuple("_Block", "shape indptr indices data")
 
 
 def _batched_cost(cost, name: str):
@@ -423,26 +429,31 @@ class BatchCsr:
             self._block_pattern = (indices_full, indptr_full)
         return self._block_pattern
 
-    def block_operator(self, count: int, values: np.ndarray) -> sp.csr_matrix:
-        """Block-diagonal SciPy matrix over the leading ``count`` systems.
+    def block_arrays(self, count: int, values: np.ndarray) -> _Block:
+        """The block-diagonal CSR arrays over the leading ``count`` systems.
 
         ``values`` must be a ``(>= count, nnz)`` C-contiguous block; the
-        returned matrix references ``values[:count]`` as its data, so
-        in-place compaction of the block followed by a rebuild needs no
-        index recomputation.
+        arrays are views (``values[:count]`` is the data), so in-place
+        compaction of the block needs no index recomputation.
         """
         indices_full, indptr_full = self.block_pattern()
         n, c = self._size.rows, self._size.cols
+        return _Block(
+            (count * n, count * c), indptr_full[: count * n + 1],
+            indices_full[: count * self.nnz], values[:count].reshape(-1),
+        )
+
+    def block_operator(self, count: int, values: np.ndarray) -> sp.csr_matrix:
+        """:meth:`block_arrays` as a SciPy matrix (float16 data cast)."""
+        block = self.block_arrays(count, values)
         return sp.csr_matrix(
-            (
-                scipy_safe(values[:count].reshape(-1)),
-                indices_full[: count * self.nnz],
-                indptr_full[: count * n + 1],
-            ),
-            shape=(count * n, count * c),
+            (scipy_safe(block.data), block.indices, block.indptr),
+            shape=block.shape,
         )
 
     def _spmv_cost(self, count: int, num_rhs: int):
+        """One SpMV over the first ``count`` systems (a batched solve
+        prices it once per active count)."""
         cost = spmv_cost(
             "csr",
             count * self._size.rows,

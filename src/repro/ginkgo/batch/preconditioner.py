@@ -38,6 +38,8 @@ class BatchIdentity:
 
     def __init__(self, exec_=None) -> None:
         self._exec = exec_
+        #: ``{(count, r.shape, r.dtype): KernelCost}``, priced once each.
+        self._costs: dict = {}
 
     def generate(self, batch_matrix) -> "BatchIdentity":
         return BatchIdentity(batch_matrix.executor)
@@ -49,9 +51,13 @@ class BatchIdentity:
         np.copyto(z[:count], r[:count])
         exec_ = self._exec
         if exec_ is not None:
-            exec_.run(
-                blas1_cost("copy", r[:count].size, r.dtype.itemsize, 2)
-            )
+            key = (count, r.shape, r.dtype)
+            cost = self._costs.get(key)
+            if cost is None:
+                cost = self._costs[key] = blas1_cost(
+                    "copy", r[:count].size, r.dtype.itemsize, 2
+                )
+            exec_.run(cost)
 
 
 class BatchJacobi:
@@ -98,6 +104,8 @@ class BatchJacobiOperator:
         inverse[mask] = 1.0 / diagonal[mask]
         self._inverse = inverse.astype(value_type).astype(arith)
         self._index_bytes = batch_matrix.index_bytes
+        #: ``{(count, r.shape, r.dtype): KernelCost}``, priced once each.
+        self._costs: dict = {}
         base = factorization_cost(
             "jacobi",
             batch_matrix.size.rows,
@@ -127,14 +135,15 @@ class BatchJacobiOperator:
         # z[k] = diag(inv[k]) @ r[k] — identical elementwise math to the
         # scalar Jacobi apply (inv[:, None] * rhs) per system.
         z[:count] = state[:count, :, None] * r[:count]
-        rows = r.shape[1]
-        base = spmv_cost(
-            "csr",
-            count * rows,
-            count * rows,
-            count * rows,
-            r.dtype.itemsize,
-            self._index_bytes,
-            num_rhs=r.shape[2],
-        )
-        self._exec.run(replace(base, name="batch_jacobi_apply"))
+        key = (count, r.shape, r.dtype)
+        cost = self._costs.get(key)
+        if cost is None:
+            rows = count * r.shape[1]
+            cost = self._costs[key] = replace(
+                spmv_cost(
+                    "csr", rows, rows, rows, r.dtype.itemsize,
+                    self._index_bytes, num_rhs=r.shape[2],
+                ),
+                name="batch_jacobi_apply",
+            )
+        self._exec.run(cost)

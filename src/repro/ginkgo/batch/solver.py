@@ -19,6 +19,11 @@ batched solve therefore match ``K`` sequential scalar solves exactly, by
 construction.  A GMRES system whose restart cycle closes alone (an
 invariant subspace, no stop) leaves the head like a stopped one and
 rejoins at the others' next restart point.
+
+A lockstep step is NumPy calls plus one ``exec_.run`` per kernel: each
+head kernel is priced once per active count (:meth:`_ActiveSystems.cost`),
+the head SpMV runs SciPy's compiled kernel straight into the head, and a
+check where nothing broke down and nobody listens is array work only.
 """
 
 from __future__ import annotations
@@ -32,19 +37,30 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
+from repro.ginkgo.matrix.csr import column_kernel, matvec_into
 from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.workspace import Workspace
 from repro.perfmodel import blas1_cost, dot_cost
 
 
+def _streaming(count, name, length, value_bytes, num_vectors):
+    """One batched streaming kernel over ``count`` systems' ``length`` values."""
+    return blas1_cost(name, count * length, value_bytes, num_vectors)
+
+
+def _reduction(count, rows, value_bytes, cols):
+    """Per-system, per-column dot products over ``count`` systems."""
+    return dot_cost(rows, value_bytes, count * cols)
+
+
 class _ActiveSystems:
     """The compacted active set: its system operator and preconditioner.
 
     Owns a pooled ``(K, nnz)`` copy of the batch's matrix values whose
-    leading ``[:count]`` rows always hold the active systems, the SciPy
-    block-diagonal operator over them, and the matching rows of the
-    preconditioner state.
+    leading ``[:count]`` rows always hold the active systems (the data
+    of the block-diagonal operator over them) and the matching rows of
+    the preconditioner state.
 
     A recurrence sees :meth:`spmv` as ``A`` and :meth:`precondition` as
     ``M`` (each wrapped in a :class:`_HeadOperator`).
@@ -63,6 +79,19 @@ class _ActiveSystems:
         #: ``ids[i]`` is the system at head position ``i``.
         self.ids = np.zeros(0, dtype=np.int64)
         self._op = None
+        #: ``{(price, count, *args): KernelCost}`` (:meth:`cost`).
+        self._costs: dict = {}
+
+    def cost(self, price, *args):
+        """Head kernel ``price(count, *args)`` at the active count, priced
+        once per count: at most ``K`` per kernel, as the count only
+        shrinks within a solve (a GMRES system rejoining at a restart
+        returns it to an earlier one)."""
+        key = (price, self.count, *args)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = price(self.count, *args)
+        return cost
 
     def reset(self, ids: np.ndarray) -> None:
         """Gather the systems in ``ids`` into the active head."""
@@ -92,21 +121,33 @@ class _ActiveSystems:
 
     def _rebuild(self, count: int) -> None:
         self.count = count
-        self._op = (
-            self._mat.block_operator(count, self._vals) if count else None
-        )
+        self._op = None
+
+    @property
+    def op(self):
+        """The SciPy block-diagonal operator over the active systems."""
+        if self._op is None:
+            self._op = self._mat.block_operator(self.count, self._vals)
+        return self._op
 
     def spmv(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """``dst[k] = A[k] @ src[k]`` over the active head — one kernel."""
-        count = self.count
+        """``dst[k] = A[k] @ src[k]`` over the active head — one kernel.
+
+        One contiguous column of the value type runs SciPy's compiled
+        kernel on the block-diagonal arrays straight into the head (the
+        kernel ``@`` calls for it, as in ``Csr``); any other operand
+        takes ``@`` on :attr:`op`.
+        """
+        count, mat = self.count, self._mat
         num_rhs = src.shape[2]
-        n = self._mat.size.rows
-        c = self._mat.size.cols
-        xs = src[:count].reshape(count * c, num_rhs)
-        out = dst[:count].reshape(count * n, num_rhs)
-        out[:] = self._op @ xs
+        xs = src[:count].reshape(count * mat.size.cols, num_rhs)
+        out = dst[:count].reshape(count * mat.size.rows, num_rhs)
+        if column_kernel(xs, out, self._vals.dtype):
+            matvec_into(mat.block_arrays(count, self._vals), xs, out)
+        else:
+            out[:] = self.op @ xs
         exec_ = self._exec
-        exec_.run(self._mat._spmv_cost(count, num_rhs))
+        exec_.run(self.cost(self._mat._spmv_cost, num_rhs))
         # Per-system fault site: corruption lands in exactly one active
         # system's output block, which the monitor then quarantines via
         # the existing breakdown compaction — the rest of the batch is
@@ -142,8 +183,8 @@ class _HeadOperator:
         self._kernel(b._data, x._data)
 
     def bind(self, b: "_Head", x: "_Head"):
-        """The late-bound ``apply`` (the active head moves every check)."""
-        return partial(self.apply, b, x)
+        """``apply(b, x)``: the kernel covers whatever head is active."""
+        return partial(self._kernel, b._data, x._data)
 
     def apply_advanced(self, alpha, b: "_Head", beta, x: "_Head") -> None:
         """``x = alpha op(b) + beta x``, rounded as ``Csr`` rounds it."""
@@ -159,10 +200,11 @@ class _Head:
 
     The batched instance of the vector API the recurrences are written
     against: every operation covers the leading ``active.count`` systems
-    of ``data`` in one NumPy call and records one batched kernel.
-    Coefficients are ``(count, cols)`` arrays — one per system and
-    column — cast and broadcast exactly as ``Dense`` casts its
-    per-column row, so each system's arithmetic is the scalar solve's.
+    of ``data`` in one NumPy call and records one batched kernel, priced
+    once per active count.  Coefficients are ``(count, cols)`` arrays —
+    one per system and column — cast and broadcast exactly as ``Dense``
+    casts its per-column row, so each system's arithmetic is the scalar
+    solve's.
     """
 
     def __init__(self, active: _ActiveSystems, data: np.ndarray) -> None:
@@ -186,12 +228,10 @@ class _Head:
     def _record(self, name: str, num_vectors: int) -> None:
         """One batched streaming kernel over the active head."""
         _, n, cols = self._data.shape
-        self._active._exec.run(
-            blas1_cost(
-                name, self._active.count * n * cols,
-                self._data.dtype.itemsize, num_vectors,
-            )
-        )
+        active = self._active
+        active._exec.run(active.cost(
+            _streaming, name, n * cols, self._data.dtype.itemsize, num_vectors
+        ))
 
     def mark_modified(self) -> None:
         """Nothing derives from a state tensor, so nothing to invalidate."""
@@ -234,8 +274,9 @@ class _Head:
         """Per-system, per-column dot products, shape ``(count, cols)``."""
         result = np.einsum("kij,kij->kj", self.head, other.head)
         _, n, cols = self._data.shape
-        self._active._exec.run(
-            dot_cost(n, self._data.dtype.itemsize, self._active.count * cols)
+        active = self._active
+        active._exec.run(
+            active.cost(_reduction, n, self._data.dtype.itemsize, cols)
         )
         return result
 
@@ -317,6 +358,8 @@ class BatchIterativeSolver:
         self._system_loggers = [[] for _ in range(matrix.num_systems)]
         #: Which systems have a logger (the only ones events go to).
         self._listened = np.zeros(matrix.num_systems, dtype=bool)
+        #: Whether no system of the running apply has a logger.
+        self._quiet = True
         self.status = BatchStatus(matrix.num_systems)
         self._criteria = None
         self._first_breakdown = None
@@ -411,6 +454,25 @@ class BatchIterativeSolver:
             clock.synchronize()
             status.stop(ids, iterations, maxed, exact)
             return ~exact
+        if (
+            self._quiet and np.isfinite(maxed).all()
+            and (breakdown is None or not breakdown.any())
+        ):
+            # The common check: nothing broke down and nobody listens.
+            status.record(ids, maxed)
+            clock.synchronize()
+            stop, conv = self._criteria.check(iterations, norms, ids)
+            if stop.any():
+                status.stop(
+                    ids, iterations, maxed, stop, converged=conv[stop],
+                    timed_out=self._criteria.timed_out[stop],
+                )
+            if clock._traced:
+                clock.annotate(
+                    "iteration", iteration=int(iterations.max(initial=0)),
+                    active=int(m), stopped=int(stop.sum()),
+                )
+            return ~stop
         keep = np.isfinite(norms).all(axis=1)
         if breakdown is not None:
             keep &= ~breakdown
@@ -491,6 +553,7 @@ class BatchIterativeSolver:
             self.status = BatchStatus(K)
             self._first_breakdown = None
             listeners = np.flatnonzero(self._listened)
+            self._quiet = listeners.size == 0
             for s in listeners:
                 self._log_system(s, "apply_started", b=b, x=x)
             start_time = clock.now

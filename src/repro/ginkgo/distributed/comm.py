@@ -223,10 +223,22 @@ class Communicator:
         #: a NaN-corrupted reduction then raises instead of flowing on
         #: into the iteration (where it would end as a breakdown).
         self.detect_corruption = False
+        #: ``{(price, *args): seconds}`` at this rank count (:meth:`_time`).
+        self._times: dict = {}
 
     @property
     def executor(self):
         return self._exec
+
+    def _time(self, price, *args) -> float:
+        """Modeled seconds ``price(*args, self.network)``, priced once
+        (the network is fixed; :meth:`shrink` drops the entries of the
+        old rank count)."""
+        key = (price, *args)
+        seconds = self._times.get(key)
+        if seconds is None:
+            seconds = self._times[key] = price(*args, self.network)
+        return seconds
 
     # ------------------------------------------------------------------
     # fault boundary
@@ -302,7 +314,7 @@ class Communicator:
             if injector is not None
             else None
         )
-        seconds = allreduce_time(nbytes, self.num_ranks, self.network)
+        seconds = self._time(allreduce_time, nbytes, self.num_ranks)
         clock = self._exec.clock
         clock.push_span(label, "comm_op", ranks=self.num_ranks)
         try:
@@ -356,7 +368,7 @@ class Communicator:
                 f"halo exchange {label!r} dropped "
                 f"({num_messages} messages, {int(nbytes)} bytes)"
             )
-        seconds = halo_exchange_time(nbytes, num_messages, self.network)
+        seconds = self._time(halo_exchange_time, nbytes, num_messages)
         clock = self._exec.clock
         clock.push_span(label, "comm_op", ranks=self.num_ranks)
         try:
@@ -416,7 +428,7 @@ class Communicator:
             "allreduce",
             nbytes,
             label,
-            seconds=allreduce_time(nbytes, self.num_ranks, self.network),
+            seconds=self._time(allreduce_time, nbytes, self.num_ranks),
             payload=payload,
         )
 
@@ -445,7 +457,7 @@ class Communicator:
             "halo",
             nbytes,
             label,
-            seconds=halo_exchange_time(nbytes, num_messages, self.network),
+            seconds=self._time(halo_exchange_time, nbytes, num_messages),
             num_messages=num_messages,
         )
 
@@ -464,6 +476,7 @@ class Communicator:
             raise GinkgoError("cannot shrink a single-rank communicator")
         self.num_ranks -= 1
         self.num_shrinks += 1
+        self._times.clear()
         return self.num_ranks
 
     def reset_counters(self) -> None:

@@ -50,8 +50,18 @@ from repro.ginkgo.matrix.base import (
     check_value_dtype,
     scipy_safe,
 )
+from repro.ginkgo.matrix.csr import column_kernel, matvec_into
 from repro.perfmodel import KernelCost, spmv_cost
 from repro.perfmodel.comm import DEFAULT_NETWORK, halo_exchange_time
+
+
+def _matvec(block: sp.csr_matrix, src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst = block @ src`` (cast as ``np.copyto`` casts), by the column
+    kernel where it applies."""
+    if column_kernel(src, dst, block.dtype):
+        matvec_into(block, src, dst)
+    else:
+        np.copyto(dst, block @ src)
 
 
 class RowGatherer:
@@ -88,33 +98,34 @@ class RowGatherer:
                 )
             self._messages.append(int(np.unique(owners).size))
         self._buffers: list[np.ndarray | None] = [None] * len(self._recv)
+        self._total = int(sum(cols.size for cols in self._recv))
+        self._num_messages = int(sum(self._messages))
+        #: The source arena the gather plan was built for (:meth:`_plan`).
+        self._arena = None
+        self._takes: list = []
+        self._weights: list = []
+        self._cost = None
 
     @property
     def total_recv_size(self) -> int:
         """Total ghost entries gathered per apply, summed over ranks."""
-        return int(sum(cols.size for cols in self._recv))
+        return self._total
 
     @property
     def num_messages(self) -> int:
         """Point-to-point messages per exchange, summed over ranks."""
-        return int(sum(self._messages))
+        return self._num_messages
 
     def recv_indices(self, rank: int) -> np.ndarray:
         """Sorted global row indices rank ``rank`` receives."""
         return self._recv[rank]
 
-    def gather(self, source: Vector) -> list:
-        """Fill the per-rank halo buffers from ``source``'s arena.
-
-        Returns the buffer list (entry ``k`` is ``None`` when rank ``k``
-        has no ghosts).  Buffers are pooled across applies.
-        """
-        if self.total_recv_size == 0:
-            return self._buffers
-        arena = source._data
+    def _plan(self, arena: np.ndarray) -> None:
+        """The gather from ``arena``: per ghost-receiving rank its
+        indices and a halo buffer of the arena's columns and type (a
+        buffer of another shape is freed and replaced), and the cost."""
         cols = arena.shape[1]
-        tasks = []
-        parts = []
+        takes = []
         for rank, recv in enumerate(self._recv):
             if recv.size == 0:
                 continue
@@ -122,24 +133,40 @@ class RowGatherer:
             if buf is None or buf.shape != (recv.size, cols) or (
                 buf.dtype != arena.dtype
             ):
+                if buf is not None:
+                    self._exec.free(buf)
+                    self._buffers[rank] = None
                 buf = self._exec.alloc((recv.size, cols), arena.dtype)
                 self._buffers[rank] = buf
-
-            def task(recv=recv, buf=buf):
-                np.take(arena, recv, axis=0, out=buf)
-
-            tasks.append(task)
-            parts.append({"weight": float(recv.size), "rank": rank})
-        vb = arena.dtype.itemsize
-        total = self.total_recv_size
-        cost = KernelCost(
+            takes.append((recv, buf))
+        self._takes = takes
+        self._weights = [recv.size for recv, _ in takes]
+        self._cost = KernelCost(
             "halo_gather",
             flops=0.0,
-            bytes=float(total * (2 * vb * cols + 8)),
-            launches=len(tasks),
+            bytes=float(self._total * (2 * arena.dtype.itemsize * cols + 8)),
+            launches=len(takes),
             dtype_name=arena.dtype.name,
         )
-        run_rankwise(self._exec, cost, tasks, parts)
+        self._arena = arena
+
+    def _take(self, i: int, arena: np.ndarray) -> None:
+        recv, buf = self._takes[i]
+        np.take(arena, recv, axis=0, out=buf)
+
+    def gather(self, source: Vector) -> list:
+        """Fill the per-rank halo buffers from ``source``'s arena.
+
+        Returns the buffer list (entry ``k`` is ``None`` when rank ``k``
+        has no ghosts).  Buffers are pooled across applies; the gather
+        is planned once per source arena.
+        """
+        if self._total == 0:
+            return self._buffers
+        arena = source._data
+        if arena is not self._arena:
+            self._plan(arena)
+        run_rankwise(self._exec, self._cost, self._take, self._weights, arena)
         return self._buffers
 
     def __repr__(self) -> str:
@@ -237,6 +264,8 @@ class Matrix(LinOp):
         #: entries in storage order, so this matvec is bitwise identical
         #: to the per-rank block matvecs.
         self._stacked: sp.csr_matrix | None = None
+        #: ``{(kernel, num_rhs): KernelCost}`` for this partition and mode.
+        self._costs: dict = {}
 
     def _stacked_matrix(self) -> sp.csr_matrix:
         if self._stacked is None:
@@ -290,6 +319,11 @@ class Matrix(LinOp):
     @overlap.setter
     def overlap(self, enabled: bool) -> None:
         self._overlap = bool(enabled)
+        self._costs.clear()
+
+    def mark_modified(self) -> None:
+        super().mark_modified()
+        self._costs.clear()
 
     def _build_structural_blocks(self) -> None:
         locals_, non_locals = [], []
@@ -395,6 +429,7 @@ class Matrix(LinOp):
         self._local_nnz = []
         self._non_local_nnz = []
         self._stacked = None
+        self._costs.clear()
         for lo, hi in new_partition.ranges:
             block = mat[lo:hi, :]
             self._row_blocks.append(block)
@@ -447,50 +482,74 @@ class Matrix(LinOp):
         if gatherer.total_recv_size == 0:
             return
         gatherer.gather(b)
-        nbytes = (
-            gatherer.total_recv_size * b.value_bytes * b.size.cols
-        )
+        nbytes = gatherer.total_recv_size * b.value_bytes * b.size.cols
         self._comm.halo_exchange(nbytes, gatherer.num_messages)
 
+    def _cost(self, name: str, num_rhs: int) -> KernelCost:
+        """Kernel ``name``'s cost for ``num_rhs`` columns, priced once per
+        partition: the full SpMV, or an overlapped SpMV's local or
+        non-local block product."""
+        cost = self._costs.get((name, num_rhs))
+        if cost is None:
+            if name == "spmv_distributed_csr":
+                cols, nnz = self._size.cols, self._nnz
+            elif name == "spmv_distributed_local":
+                cols, nnz = max(self._size.cols, 1), sum(self._local_nnz)
+            else:
+                cols = max(self._gatherer.total_recv_size, 1)
+                nnz = sum(self._non_local_nnz)
+            cost = self._costs[name, num_rhs] = dataclasses.replace(
+                spmv_cost(
+                    "csr", self._size.rows, cols, nnz,
+                    self.value_bytes, self.index_bytes, num_rhs=num_rhs,
+                    strategy="load_balance",
+                ),
+                name=name,
+            )
+        return cost
+
     def _spmv_cost(self, num_rhs: int) -> KernelCost:
-        cost = spmv_cost(
-            "csr",
-            self._size.rows,
-            self._size.cols,
-            self._nnz,
-            self.value_bytes,
-            self.index_bytes,
-            num_rhs=num_rhs,
-            strategy="load_balance",
-        )
-        return dataclasses.replace(cost, name="spmv_distributed_csr")
+        return self._cost("spmv_distributed_csr", num_rhs)
 
-    def _rank_parts(self) -> list:
-        return [
-            {"weight": float(nnz) or 1.0, "rank": rank}
-            for rank, nnz in enumerate(self._rank_nnz)
-        ]
+    @staticmethod
+    def _rows(block, lo, hi, src, dst, coefs) -> None:
+        """``dst[lo:hi] = block @ src``; with ``coefs = (a, bt)``,
+        ``dst[lo:hi] = a (block @ src) + bt dst[lo:hi]``."""
+        if coefs is None:
+            _matvec(block, src, dst[lo:hi])
+            return
+        a, bt = coefs
+        result = block @ src
+        dst[lo:hi] *= bt
+        dst[lo:hi] += a * result.astype(dst.dtype, copy=False)
 
-    def _overlap_cost(self, name: str, nnz: int, num_cols: int, num_rhs):
-        cost = spmv_cost(
-            "csr",
-            self._size.rows,
-            max(num_cols, 1),
-            nnz,
-            self.value_bytes,
-            self.index_bytes,
-            num_rhs=num_rhs,
-            strategy="load_balance",
-        )
-        return dataclasses.replace(cost, name=name)
+    def _spmv_rows(self, rank, src, dst, coefs) -> None:
+        """Rank ``rank``'s full-width row block; the stacked operator over
+        every row for ``None``."""
+        if rank is None:
+            self._rows(self._stacked_matrix(), 0, self._size.rows, src, dst, coefs)
+            return
+        lo, hi = self._partition.range_of(rank)
+        self._rows(self._row_blocks[rank], lo, hi, src, dst, coefs)
 
-    def _overlap_parts(self, nnz_per_rank) -> list:
-        return [
-            {"weight": float(nnz) or 1.0, "rank": rank}
-            for rank, nnz in enumerate(nnz_per_rank)
-        ]
+    def _local_rows(self, rank, src, dst, coefs) -> None:
+        """Rank ``rank``'s diagonal block against its own rows of ``src``."""
+        lo, hi = self._partition.range_of(rank)
+        self._rows(self._local_blocks[rank], lo, hi, src[lo:hi], dst, coefs)
 
-    def _apply_overlapped(self, b: Vector, x: Vector, alpha=None, beta=None):
+    def _ghost_rows(self, rank, buffers, dst, coefs) -> None:
+        """Rank ``rank``'s non-local block against its gathered ghosts."""
+        block, buf = self._non_local_blocks[rank], buffers[rank]
+        if block.nnz == 0 or buf is None:
+            return
+        if self._value_dtype == np.float16:
+            buf = buf.astype(np.float32)
+        lo, hi = self._partition.range_of(rank)
+        result = np.empty_like(dst[lo:hi])
+        _matvec(block, buf, result)
+        dst[lo:hi] += result if coefs is None else coefs[0] * result
+
+    def _apply_overlapped(self, b: Vector, src, dst, coefs) -> None:
         """Two-phase SpMV: local block under an in-flight halo exchange.
 
         Phase 1 packs the ghost values (the gather), posts the exchange,
@@ -506,149 +565,43 @@ class Matrix(LinOp):
             self._build_structural_blocks()
         gatherer = self._gatherer
         buffers = gatherer.gather(b)
-        nbytes = gatherer.total_recv_size * b.value_bytes * b.size.cols
-        request = self._comm.ihalo_exchange(nbytes, gatherer.num_messages)
-        src, dst = b._data, x._data
-        half = self._value_dtype == np.float16
-        b_c = src.astype(np.float32) if half else src
-        dtype = dst.dtype
-        advanced = alpha is not None
-        if advanced:
-            a, bt = dtype.type(float(alpha)), dtype.type(float(beta))
-
-        def make_local_task(rank):
-            lo, hi = self._partition.range_of(rank)
-            block = self._local_blocks[rank]
-
-            def task():
-                result = block @ b_c[lo:hi]
-                if advanced:
-                    dst[lo:hi] *= bt
-                    dst[lo:hi] += a * result.astype(dtype, copy=False)
-                else:
-                    np.copyto(dst[lo:hi], result.astype(dtype, copy=False))
-
-            return task
-
         num_rhs = b.size.cols
+        nbytes = gatherer.total_recv_size * b.value_bytes * num_rhs
+        request = self._comm.ihalo_exchange(nbytes, gatherer.num_messages)
         run_rankwise(
-            self._exec,
-            self._overlap_cost(
-                "spmv_distributed_local",
-                sum(self._local_nnz),
-                self._size.cols,
-                num_rhs,
-            ),
-            [make_local_task(r) for r in range(self.num_ranks)],
-            self._overlap_parts(self._local_nnz),
+            self._exec, self._cost("spmv_distributed_local", num_rhs),
+            self._local_rows, self._local_nnz, src, dst, coefs,
         )
         request.wait()
-
-        def make_ghost_task(rank):
-            lo, hi = self._partition.range_of(rank)
-            block = self._non_local_blocks[rank]
-            buf = buffers[rank]
-
-            def task():
-                if block.nnz == 0 or buf is None:
-                    return
-                ghosts = buf.astype(np.float32) if half else buf
-                result = block @ ghosts
-                if advanced:
-                    dst[lo:hi] += a * result.astype(dtype, copy=False)
-                else:
-                    dst[lo:hi] += result.astype(dtype, copy=False)
-
-            return task
-
         run_rankwise(
-            self._exec,
-            self._overlap_cost(
-                "spmv_distributed_non_local",
-                sum(self._non_local_nnz),
-                gatherer.total_recv_size,
-                num_rhs,
-            ),
-            [make_ghost_task(r) for r in range(self.num_ranks)],
-            self._overlap_parts(self._non_local_nnz),
+            self._exec, self._cost("spmv_distributed_non_local", num_rhs),
+            self._ghost_rows, self._non_local_nnz, buffers, dst, coefs,
+        )
+
+    def _spmv(self, b: Vector, x: Vector, coefs, op_name: str) -> None:
+        """``x = A b``, or ``x = a A b + bt x`` with ``coefs = (a, bt)``:
+        the halo exchange, then one whole-arena SpMV (or the two-phase
+        overlapped one)."""
+        self._check_operands(b, x, op_name)
+        src = b._data
+        if self._value_dtype == np.float16:
+            src = src.astype(np.float32)
+        if self._overlap and self._gatherer.total_recv_size > 0:
+            self._apply_overlapped(b, src, x._data, coefs)
+            return
+        self._exchange_halo(b)
+        run_rankwise(
+            self._exec, self._spmv_cost(b.size.cols), self._spmv_rows,
+            self._rank_nnz, src, x._data, coefs, whole=True,
         )
 
     def _apply_impl(self, b: Vector, x: Vector) -> None:
-        self._check_operands(b, x, "apply")
-        if self._overlap and self._gatherer.total_recv_size > 0:
-            self._apply_overlapped(b, x)
-            return
-        self._exchange_halo(b)
-        src, dst = b._data, x._data
-        half = self._value_dtype == np.float16
-        b_c = src.astype(np.float32) if half else src
-
-        def make_task(rank):
-            lo, hi = self._partition.range_of(rank)
-            block = self._row_blocks[rank]
-
-            def task():
-                result = block @ b_c
-                if half:
-                    result = result.astype(np.float16)
-                np.copyto(dst[lo:hi], result)
-
-            return task
-
-        def fused():
-            result = self._stacked_matrix() @ b_c
-            if half:
-                result = result.astype(np.float16)
-            np.copyto(dst, result)
-
-        tasks = [make_task(r) for r in range(self.num_ranks)]
-        run_rankwise(
-            self._exec,
-            self._spmv_cost(b.size.cols),
-            tasks,
-            self._rank_parts(),
-            fused=fused,
-        )
+        self._spmv(b, x, None, "apply")
 
     def _apply_advanced_impl(self, alpha, b: Vector, beta, x: Vector) -> None:
-        self._check_operands(b, x, "apply_advanced")
-        if self._overlap and self._gatherer.total_recv_size > 0:
-            self._apply_overlapped(b, x, alpha=alpha, beta=beta)
-            return
-        self._exchange_halo(b)
-        src, dst = b._data, x._data
-        half = self._value_dtype == np.float16
-        b_c = src.astype(np.float32) if half else src
-        a = float(alpha)
-        bt = float(beta)
-        dtype = dst.dtype
-
-        def make_task(rank):
-            lo, hi = self._partition.range_of(rank)
-            block = self._row_blocks[rank]
-
-            def task():
-                result = block @ b_c
-                dst[lo:hi] *= dtype.type(bt)
-                dst[lo:hi] += dtype.type(a) * result.astype(
-                    dtype, copy=False
-                )
-
-            return task
-
-        def fused():
-            result = self._stacked_matrix() @ b_c
-            dst[:] *= dtype.type(bt)
-            dst[:] += dtype.type(a) * result.astype(dtype, copy=False)
-
-        tasks = [make_task(r) for r in range(self.num_ranks)]
-        run_rankwise(
-            self._exec,
-            self._spmv_cost(b.size.cols),
-            tasks,
-            self._rank_parts(),
-            fused=fused,
-        )
+        dtype = x._data.dtype
+        coefs = (dtype.type(float(alpha)), dtype.type(float(beta)))
+        self._spmv(b, x, coefs, "apply_advanced")
 
     def __repr__(self) -> str:
         return (

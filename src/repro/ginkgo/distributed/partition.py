@@ -48,6 +48,7 @@ class Partition:
             )
         self._global_size = global_size
         self._ranges = tuple(ranges)
+        self._sizes = tuple(hi - lo for lo, hi in ranges)
         #: Range begins plus the final end, for O(log K) row->rank lookup.
         self._offsets = np.array(
             [lo for lo, _ in ranges] + [global_size], dtype=np.int64
@@ -126,7 +127,7 @@ class Partition:
     @property
     def sizes(self) -> tuple:
         """Rows per rank, indexed by rank."""
-        return tuple(hi - lo for lo, hi in self._ranges)
+        return self._sizes
 
     def owner_of(self, row) -> np.ndarray | int:
         """Rank(s) owning the given global row index (or index array)."""

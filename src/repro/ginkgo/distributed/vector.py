@@ -5,7 +5,9 @@ A distributed vector owns one executor-resident arena of shape
 storage (the simulated ranks share an address space, like MPI windows on
 one node); :meth:`local` hands out a writable zero-copy ``Dense`` view of
 one rank's block.  Rank-local work runs as one fused region per
-operation (:func:`run_rankwise`).
+operation (:func:`run_rankwise`); kernel costs are priced once per
+vector shape, and per-rank dispatch is built only under
+:func:`sequential_ranks`.
 
 Reductions (dots, norms) are the crux of the bit-identity guarantee: the
 partial results of a real distributed dot would be combined in rank order
@@ -35,7 +37,7 @@ from repro.ginkgo.exceptions import (
     GinkgoError,
 )
 from repro.ginkgo.lin_op import LinOp
-from repro.ginkgo.matrix.dense import Dense, _coef
+from repro.ginkgo.matrix.dense import Dense, _coef, c_einsum
 from repro.perfmodel import blas1_cost, dot_cost
 
 #: Payload bytes of one scalar reduction result (always float64).
@@ -68,9 +70,9 @@ def sequential_ranks():
         _SEQUENTIAL_RANKS = previous
 
 
-def _split_cost(cost, parts):
+def _split_cost(cost, weights):
     """Split an aggregate kernel cost into per-rank shares by weight."""
-    weights = [float(p.get("weight", 1.0)) or 1.0 for p in parts]
+    weights = [float(w) or 1.0 for w in weights]
     total = sum(weights) or 1.0
     return [
         replace(
@@ -83,33 +85,29 @@ def _split_cost(cost, parts):
     ]
 
 
-def run_rankwise(exec_, cost, tasks, parts=None, fused=None):
-    """Run one-task-per-rank work as a single modeled kernel.
+def run_rankwise(exec_, cost, kernel, weights, *args, whole=False):
+    """Run the rank-local work ``kernel(rank, *args)`` as one modeled kernel.
 
-    The rank loop runs on the calling thread whatever the executor's
-    (modelled) ``num_threads``.  When the caller supplies ``fused`` — one
-    whole-arena callable equivalent to running every task — that single
-    kernel replaces the per-rank loop (bitwise-identical by the
-    global-arena construction, and free of per-rank dispatch overhead).
+    Every rank's share runs on the calling thread whatever the
+    executor's (modelled) ``num_threads``, then ``cost`` is charged once.
+    With ``whole`` the single whole-arena call ``kernel(None, *args)``
+    replaces the rank loop (bitwise the same, by the global-arena
+    construction, and free of per-rank dispatch overhead).
 
-    Under :func:`sequential_ranks` every task instead pays its own
-    dispatch, with ``cost`` split across ranks by partition weight.
+    Under :func:`sequential_ranks` every rank instead pays its own
+    dispatch, with ``cost`` split across ranks by ``weights``.
     """
-    if _SEQUENTIAL_RANKS and len(tasks) > 1:
-        if parts is None:
-            parts = [{} for _ in tasks]
-        results = []
-        for task, sub_cost in zip(tasks, _split_cost(cost, parts)):
-            results.append(task())
-            exec_.run(sub_cost)
-        return results
-    if fused is not None:
-        result = fused()
-        exec_.run(cost)
-        return result
-    results = [task() for task in tasks]
+    if _SEQUENTIAL_RANKS and len(weights) > 1:
+        for rank, share in enumerate(_split_cost(cost, weights)):
+            kernel(rank, *args)
+            exec_.run(share)
+        return
+    if whole:
+        kernel(None, *args)
+    else:
+        for rank in range(len(weights)):
+            kernel(rank, *args)
     exec_.run(cost)
-    return results
 
 
 class Vector(LinOp):
@@ -163,6 +161,8 @@ class Vector(LinOp):
         self._partition = partition
         self._comm = comm or Communicator(exec_, partition.num_ranks)
         self._locals: dict[int, Dense] = {}
+        #: ``{(price, *args): KernelCost}`` — shape-only, priced once.
+        self._costs: dict = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -243,35 +243,36 @@ class Vector(LinOp):
     # ------------------------------------------------------------------
     # elementwise operations (rank-local, one fused region)
     # ------------------------------------------------------------------
-    def _rank_parts(self) -> list:
-        return [
-            {"weight": float(hi - lo) or 1.0, "rank": rank, "rows": hi - lo}
-            for rank, (lo, hi) in enumerate(self._partition.ranges)
-        ]
+    def _cost(self, price, *args):
+        """``price(*args)`` for this vector, priced once (shape-only)."""
+        key = (price, *args)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = price(*args)
+        return cost
+
+    def _apply_op(self, rank, op, coefs) -> None:
+        """``op`` over rank ``rank``'s rows; over the arena for ``None``."""
+        if rank is None:
+            op(0, self._size.rows, *coefs)
+        else:
+            op(*self._partition.range_of(rank), *coefs)
 
     def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
         """Run ``op(lo, hi, *coefficients)`` per rank as one fused kernel.
 
         The rank-aware form of ``Dense.elementwise``: same ``op``, same
-        coefficient broadcasting, one task per rank's row block.
+        coefficient broadcasting; elementwise ops are position-independent,
+        so the whole-arena call is bitwise the per-rank loop.
         """
-        coefs = tuple(_coef(c, self.dtype) for c in coefficients)
-
-        def make_task(lo, hi):
-            return lambda: op(lo, hi, *coefs)
-
-        tasks = [make_task(lo, hi) for lo, hi in self._partition.ranges]
-        cost = blas1_cost(
-            name, self._size.num_elements, self.value_bytes, num_vectors
+        cost = self._cost(
+            blas1_cost, name, self._size.num_elements, self.value_bytes,
+            num_vectors,
         )
-        # Elementwise ops are position-independent, so the whole-arena
-        # call is bitwise identical to the per-rank loop.
+        coefs = tuple(_coef(c, self.dtype) for c in coefficients)
         run_rankwise(
-            self._exec,
-            cost,
-            tasks,
-            self._rank_parts(),
-            fused=lambda: op(0, self._size.rows, *coefs),
+            self._exec, cost, self._apply_op, self._partition.sizes, op,
+            coefs, whole=True,
         )
         self.mark_modified()
 
@@ -331,24 +332,25 @@ class Vector(LinOp):
         vector); the communicator charges the all-reduce of the ``cols``
         partial results.
         """
-        self._check_compatible(other, "compute_dot")
-        return self.all_reduce(
-            self._reduce("ij,ij->j", other), "all_reduce_dot"
-        )
+        return self.bind_dot(other)()
 
     def compute_norm2(self) -> np.ndarray:
         """Column-wise Euclidean norms, globally reduced."""
-        return self.all_reduce(
-            np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64)),
-            "all_reduce_norm",
-        )
+        return self.bind_norm2()()
 
-    # Bound kernels (see ``Dense.bind_dot``): the late-bound hooks.
+    # Bound kernels (see ``Dense.bind_dot``): checked once, priced once
+    # per shape; a call reads the partition it runs on, so a repartition
+    # between calls (rank-failure recovery) is followed.
     def bind_dot(self, other: "Vector"):
-        return partial(self.compute_dot, other)
+        self._check_compatible(other, "compute_dot")
+        reduce, all_reduce = self._reduce, self.all_reduce
+        return lambda: all_reduce(reduce(other), "all_reduce_dot")
 
     def bind_norm2(self):
-        return self.compute_norm2
+        reduce, all_reduce = self._reduce, self.all_reduce
+        return lambda: all_reduce(
+            np.sqrt(reduce(self).astype(np.float64)), "all_reduce_norm"
+        )
 
     def bind_elementwise(self, name: str, op, num_vectors: int):
         return partial(self.elementwise, name, op, num_vectors)
@@ -373,29 +375,28 @@ class Vector(LinOp):
             payload.size * _REDUCE_BYTES, label=label, payload=payload
         )
 
-    def _reduce(self, contraction: str, other: "Vector") -> np.ndarray:
-        """Contract the arenas, charging the reduction's kernel cost.
+    def _reduce(self, other: "Vector") -> np.ndarray:
+        """Contract the arenas column-wise, charging the reduction's cost.
 
         Fused mode contracts once over the full arena in global element
         order (the bit-identity mechanism); under ``sequential_ranks``
         each rank contracts its own block with its own dispatch and the
         partials are combined in rank order, like a real allreduce.
         """
-        cost = dot_cost(self._size.rows, self.value_bytes, self._size.cols)
+        cost = self._cost(
+            dot_cost, self._size.rows, self.value_bytes, self._size.cols
+        )
+        a, b = self._data, other._data
         if _SEQUENTIAL_RANKS and self.num_ranks > 1:
-            parts = self._rank_parts()
+            partition = self._partition
             partials = []
-            for (lo, hi), sub_cost in zip(
-                self._partition.ranges, _split_cost(cost, parts)
+            for (lo, hi), share in zip(
+                partition.ranges, _split_cost(cost, partition.sizes)
             ):
-                partials.append(
-                    np.einsum(
-                        contraction, self._data[lo:hi], other._data[lo:hi]
-                    )
-                )
-                self._exec.run(sub_cost)
+                partials.append(c_einsum("ij,ij->j", a[lo:hi], b[lo:hi]))
+                self._exec.run(share)
             return np.add.reduce(np.stack(partials), axis=0)
-        result = np.einsum(contraction, self._data, other._data)
+        result = c_einsum("ij,ij->j", a, b)
         self._exec.run(cost)
         return result
 

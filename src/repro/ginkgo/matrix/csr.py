@@ -28,6 +28,26 @@ try:  # SciPy's compiled CSR SpMV: what ``@`` runs for one column
 except ImportError:  # not exposed by this SciPy: every apply uses ``@``
     csr_matvec = None
 
+
+def column_kernel(src: np.ndarray, dst: np.ndarray, dtype) -> bool:
+    """Whether ``dst = A @ src`` may run :func:`matvec_into`: one
+    contiguous column, ``src`` and ``dst`` of value type ``dtype``
+    (float32/float64, as SciPy's kernel computes it)."""
+    return (
+        csr_matvec is not None and src.shape[1] == 1 and dtype != np.float16
+        and src.dtype == dst.dtype == dtype
+        and src.flags.c_contiguous and dst.flags.c_contiguous
+    )
+
+
+def matvec_into(view, src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst = view @ src`` by the compiled kernel ``@`` runs for one
+    column, on the CSR ``view``'s arrays, without ``@``'s dispatch and
+    result allocation (byte for byte ``@``; see :func:`column_kernel`)."""
+    dst.fill(0)
+    csr_matvec(*view.shape, view.indptr, view.indices, view.data, src, dst)
+
+
 CSR_STRATEGIES = ("classical", "load_balance", "sparselib", "merge_path")
 
 
@@ -148,16 +168,10 @@ class Csr(SparseBase):
         SciPy's compiled kernel on the cached view's arrays into ``x`` —
         the kernel ``@`` calls for it, without its dispatch and result
         allocation; any other operand takes ``@``."""
-        bd, xd, dtype = b._data, x._data, self._value_dtype
-        if (
-            csr_matvec is None or bd.shape[1] != 1 or dtype == np.float16
-            or not bd.dtype == xd.dtype == dtype
-            or not (bd.flags.c_contiguous and xd.flags.c_contiguous)
-        ):
+        bd, xd = b._data, x._data
+        if not column_kernel(bd, xd, self._value_dtype):
             return super()._apply_impl(b, x)
-        view = self._scipy_view()
-        xd.fill(0)
-        csr_matvec(*view.shape, view.indptr, view.indices, view.data, bd, xd)
+        matvec_into(self._scipy_view(), bd, xd)
         self._exec.run(self._spmv_cost(1))
 
     def _to_scipy(self) -> sp.csr_matrix:

@@ -243,6 +243,13 @@ class IterativeSolver(LinOp):
         else:
             context.initial_resnorm = resume.initial_resnorm
         criterion = self._factory.criteria.generate(context)
+        clock = self._exec.clock
+        # The attached loggers' per-iteration handlers, resolved once.
+        on_iteration, on_check, on_converged = (
+            [h for h in (getattr(lg, f"on_{e}", None) for lg in self._loggers)
+             if h is not None]
+            for e in ("iteration_complete", "criterion_check_completed", "converged")
+        )
 
         def monitor(
             iteration: int, residual_norm, breakdown=False, exact=False
@@ -253,7 +260,7 @@ class IterativeSolver(LinOp):
                 # x is exact at an iteration already logged and checked:
                 # the host reads the zero norm back and records the stop.
                 # That check did not stop, so the solve did not converge.
-                self._exec.clock.synchronize()
+                clock.synchronize()
                 self._set_verdict(iteration, False, worst)
                 return True
             # Breakdown guard: a NaN/Inf residual means the iteration has
@@ -267,44 +274,43 @@ class IterativeSolver(LinOp):
                     iteration=iteration,
                     residual_norm=residual_norm,
                 )
-                self._exec.clock.annotate(
+                clock.annotate(
                     "breakdown", iteration=iteration, residual_norm=worst
                 )
                 if self._factory.strict_breakdown:
                     raise SolverBreakdown(iteration, worst)
                 return True
-            self._log(
-                "iteration_complete",
-                iteration=iteration,
-                residual_norm=residual_norm,
-                solution=x,
-            )
+            for handler in on_iteration:
+                handler(
+                    self, iteration=iteration, residual_norm=residual_norm,
+                    solution=x,
+                )
             # The host-driven iteration loop reads the stopping status back
             # from the device once per check (Ginkgo behaviour).
-            self._exec.clock.synchronize()
+            clock.synchronize()
             stop = criterion.check(iteration, residual_norm)
-            self._log(
-                "criterion_check_completed", iteration=iteration, stopped=stop
-            )
-            # Iteration boundary marker for attached profilers: the time
-            # since the previous marker is this iteration's span.
-            self._exec.clock.annotate(
-                "iteration",
-                iteration=iteration,
-                residual_norm=worst,
-                stopped=stop,
-            )
+            for handler in on_check:
+                handler(self, iteration=iteration, stopped=stop)
+            if clock._traced:
+                # Iteration boundary marker for attached profilers: the
+                # time since the previous marker is this iteration's span.
+                clock.annotate(
+                    "iteration",
+                    iteration=iteration,
+                    residual_norm=worst,
+                    stopped=stop,
+                )
             if stop:
                 self._set_verdict(
                     iteration, criterion.converged, worst,
                     timed_out=bool(getattr(criterion, "timed_out", False)),
                 )
                 if criterion.converged:
-                    self._log(
-                        "converged",
-                        iteration=iteration,
-                        residual_norm=residual_norm,
-                    )
+                    for handler in on_converged:
+                        handler(
+                            self, iteration=iteration,
+                            residual_norm=residual_norm,
+                        )
             return stop
 
         # Check the initial residual before iterating (already converged?).

@@ -48,6 +48,9 @@ def safe_divide(num, den):
     if num.shape == den.shape == (1,):
         # One column: the plain divide is bitwise the masked one.
         return num / den if den[0] != 0 else np.zeros(1)
+    if den.all():
+        # No zero to guard: again bitwise the masked divide.
+        return num / den
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
