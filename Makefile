@@ -29,7 +29,11 @@ profile-smoke:
 # SciPy's matmul byte for byte; validation runs per solve and batched
 # kernels are priced per active count, not per iteration; run faults
 # fire at the same kernels; sequential-rank and rank-failure solves keep
-# their pinned results and charges; halo buffers do not leak.
+# their pinned results and charges; halo buffers do not leak, also across
+# a rank-failure repartition.  One vector protocol: no instance class
+# (Dense, BatchDense, the batched head, distributed.Vector) re-defines a
+# protocol method, and every instance's scale/add_scaled/sub_scaled over
+# NaN and Inf data equals Dense's in bytes, clock and kernel count.
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;
@@ -45,7 +49,7 @@ profile-smoke:
 # and same-seed traces (the wall-clock ratio is reported, not gated).
 perf-smoke: mixed-smoke
 	$(PYTHON) benchmarks/bench_hot_path.py --smoke
-	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py
+	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py tests/ginkgo/test_krylov_core.py
 	$(PYTHON) benchmarks/bench_batch.py --smoke
 	$(PYTHON) benchmarks/bench_overlap.py --smoke
 	$(PYTHON) benchmarks/bench_fusion.py --smoke

@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
 from repro.ginkgo.executor import Executor
+from repro.ginkgo.krylov_vector import KrylovVector
 from repro.ginkgo.matrix.base import check_index_dtype, check_value_dtype, scipy_safe
 from repro.ginkgo.matrix.csr import Csr
 from repro.ginkgo.matrix.dense import Dense
@@ -42,11 +43,12 @@ def _batched_cost(cost, name: str):
     return replace(cost, name=name)
 
 
-class BatchDense:
+class BatchDense(KrylovVector):
     """``K`` stacked dense blocks: one ``(K, rows, cols)`` buffer.
 
-    Used as the batched (multi-)vector type: right-hand sides and
-    solutions of a batched solve are ``(K, n, 1)`` BatchDense objects.
+    Used as the batched (multi-)vector type (``gko::batch::MultiVector``,
+    the all-systems instance of the recurrence vector protocol):
+    right-hand sides and solutions of a batched solve are ``(K, n, 1)``.
     """
 
     def __init__(self, exec_: Executor, data) -> None:
@@ -59,6 +61,7 @@ class BatchDense:
             )
         self._exec = exec_
         self._size = Dim(data.shape[1], data.shape[2])
+        self._coef_shape = (-1, 1, data.shape[2])
         self._data = exec_.alloc_like(np.ascontiguousarray(data))
         np.copyto(self._data, data)
 
@@ -88,16 +91,13 @@ class BatchDense:
         obj = cls.__new__(cls)
         obj._exec = exec_
         obj._size = size
+        obj._coef_shape = (-1, 1, size.cols)
         obj._data = exec_.alloc((int(num_systems), size.rows, size.cols), dtype)
         return obj
 
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> Executor:
-        return self._exec
-
     @property
     def num_systems(self) -> int:
         return int(self._data.shape[0])
@@ -112,17 +112,15 @@ class BatchDense:
         return self._data.shape
 
     @property
-    def dtype(self) -> np.dtype:
-        return self._data.dtype
-
-    @property
-    def value_bytes(self) -> int:
-        return self._data.dtype.itemsize
-
-    @property
     def data(self) -> np.ndarray:
         """The stacked ``(K, rows, cols)`` buffer (executor-resident)."""
         return self._data
+
+    @property
+    def extent(self) -> np.ndarray:
+        return self._data
+
+    _operand = extent
 
     # ------------------------------------------------------------------
     # access
@@ -131,34 +129,8 @@ class BatchDense:
         """Writable ``Dense`` view of system ``k`` (aliases the buffer)."""
         return Dense._wrap(self._exec, self._data[k])
 
-    def to_numpy(self) -> np.ndarray:
-        """Host copy of the stacked ``(K, rows, cols)`` buffer."""
-        if self._exec.is_host:
-            return self._data.copy()
-        return self._exec.get_master().copy_from(self._exec, self._data)
-
     def mark_modified(self) -> None:
         """Nothing is derived from a BatchDense, so nothing to invalidate."""
-
-    def fill(self, value) -> "BatchDense":
-        self._data.fill(value)
-        return self
-
-    def compute_norm2(self) -> np.ndarray:
-        """Per-system column norms, shape ``(K, cols)`` — one fused kernel."""
-        from repro.perfmodel import dot_cost
-
-        result = np.sqrt(
-            np.einsum("kij,kij->kj", self._data, self._data).astype(np.float64)
-        )
-        self._exec.run(
-            dot_cost(
-                self._size.rows,
-                self.value_bytes,
-                self.num_systems * self._size.cols,
-            )
-        )
-        return result
 
     def __repr__(self) -> str:
         return (

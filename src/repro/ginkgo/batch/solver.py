@@ -13,7 +13,8 @@ remaining systems keep iterating with no masked dead work.  The batched
 solvers — one per method whose recurrence lists ``"batch"`` in its
 ``instances`` — are the scalar recurrences
 (:mod:`repro.ginkgo.solver.recurrence`) instantiated over
-:class:`_Head` — the active-head view of a stacked state tensor — with
+:class:`_Head` — the active-head view of a stacked state tensor, the
+active-systems instance of the recurrence vector protocol — with
 the compaction as a driver around ``step``; residual histories of a
 batched solve therefore match ``K`` sequential scalar solves exactly, by
 construction.  A GMRES system whose restart cycle closes alone (an
@@ -21,9 +22,11 @@ invariant subspace, no stop) leaves the head like a stopped one and
 rejoins at the others' next restart point.
 
 A lockstep step is NumPy calls plus one ``exec_.run`` per kernel: each
-head kernel is priced once per active count (:meth:`_ActiveSystems.cost`),
-the head SpMV runs SciPy's compiled kernel straight into the head, and a
-check where nothing broke down and nobody listens is array work only.
+head kernel is priced once per active count (a bound vector kernel is
+resolved once per active set, the SpMV through
+:meth:`_ActiveSystems.cost`), the head SpMV runs SciPy's compiled kernel
+straight into the head, and a check where nothing broke down and nobody
+listens is array work only.
 """
 
 from __future__ import annotations
@@ -37,21 +40,12 @@ from repro.ginkgo.batch.preconditioner import BatchIdentity
 from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
+from repro.ginkgo.krylov_vector import KrylovVector
 from repro.ginkgo.matrix.csr import column_kernel, matvec_into
 from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.workspace import Workspace
 from repro.perfmodel import blas1_cost, dot_cost
-
-
-def _streaming(count, name, length, value_bytes, num_vectors):
-    """One batched streaming kernel over ``count`` systems' ``length`` values."""
-    return blas1_cost(name, count * length, value_bytes, num_vectors)
-
-
-def _reduction(count, rows, value_bytes, cols):
-    """Per-system, per-column dot products over ``count`` systems."""
-    return dot_cost(rows, value_bytes, count * cols)
 
 
 class _ActiveSystems:
@@ -83,8 +77,8 @@ class _ActiveSystems:
         self._costs: dict = {}
 
     def cost(self, price, *args):
-        """Head kernel ``price(count, *args)`` at the active count, priced
-        once per count: at most ``K`` per kernel, as the count only
+        """Head SpMV price ``price(count, *args)`` at the active count,
+        priced once per count: at most ``K`` per kernel, as the count only
         shrinks within a solve (a GMRES system rejoining at a restart
         returns it to an earlier one)."""
         key = (price, self.count, *args)
@@ -190,48 +184,44 @@ class _HeadOperator:
         """``x = alpha op(b) + beta x``, rounded as ``Csr`` rounds it."""
         tmp = x.scratch(self._ws, "batch.spmv_tmp")
         self._kernel(b._data, tmp._data)
-        head = x.head
+        head = x.extent
         head *= head.dtype.type(beta)
-        head += head.dtype.type(alpha) * tmp.head
+        head += head.dtype.type(alpha) * tmp.extent
 
 
-class _Head:
-    """Active-head view of one pooled ``(K, n, cols)`` state tensor.
-
-    The batched instance of the vector API the recurrences are written
-    against: every operation covers the leading ``active.count`` systems
-    of ``data`` in one NumPy call and records one batched kernel, priced
-    once per active count.  Coefficients are ``(count, cols)`` arrays —
-    one per system and column — cast and broadcast exactly as ``Dense``
-    casts its per-column row, so each system's arithmetic is the scalar
-    solve's.
+class _Head(KrylovVector):
+    """Active-head view of one pooled ``(K, n, cols)`` state tensor: the
+    active-systems instance of the recurrence vector protocol, whose
+    extent is the leading ``active.count`` systems.  Coefficients are
+    ``(count, cols)`` arrays, cast as ``Dense`` casts its per-column row,
+    so each system's arithmetic is the scalar solve's.
     """
 
     def __init__(self, active: _ActiveSystems, data: np.ndarray) -> None:
         self._active = active
+        self._exec = active._exec
         self._data = data
+        self._coef_shape = (-1, 1, data.shape[2])
 
     @property
-    def executor(self):
-        return self._active._exec
-
-    @property
-    def head(self) -> np.ndarray:
+    def extent(self) -> np.ndarray:
         return self._data[: self._active.count]
 
-    def _coef(self, alpha):
-        arr = np.asarray(alpha)
-        if arr.ndim == 0:
-            return self._data.dtype.type(arr)
-        return arr.astype(self._data.dtype, copy=False)[:, None, :]
+    _operand = extent
 
-    def _record(self, name: str, num_vectors: int) -> None:
-        """One batched streaming kernel over the active head."""
-        _, n, cols = self._data.shape
-        active = self._active
-        active._exec.run(active.cost(
-            _streaming, name, n * cols, self._data.dtype.itemsize, num_vectors
-        ))
+    def _bind(self, build):
+        """Resolved once per active set (a new ``active.ids`` each change)."""
+        active, built = self._active, [None, None]
+
+        def kernel(*args):
+            if built[0] is not active.ids:
+                built[:] = active.ids, build()
+            return built[1](*args)
+
+        return kernel
+
+    def _check_compatible(self, other, op_name: str) -> None:
+        """Operands are state tensors of the same active set."""
 
     def mark_modified(self) -> None:
         """Nothing derives from a state tensor, so nothing to invalidate."""
@@ -241,74 +231,22 @@ class _Head:
             self._active, ws.tensor(name, self._data.shape, self._data.dtype)
         )
         if copy:
-            exec_ = self._active._exec
-            exec_.copy_into(exec_, self.head, out.head)
+            self._exec.copy_into(self._exec, self.extent, out.extent)
         return out
-
-    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
-        op(0, self._active.count, *(self._coef(c) for c in coefficients))
-        self._record(name, num_vectors)
-
-    def copy_values_from(self, other: "_Head") -> None:
-        np.copyto(self.head, other.head)
-        self._record("copy", 2)
-
-    def scale(self, alpha) -> None:
-        head = self.head
-        head *= self._coef(alpha)
-        self._record("scale", 2)
-
-    def add_scaled(self, alpha, other: "_Head") -> None:
-        a = self._coef(alpha)
-        head = self.head
-        if np.ndim(a) == 0 and a == 1.0:
-            head += other.head
-        else:
-            head += a * other.head
-        self._record("add_scaled", 3)
-
-    def sub_scaled(self, alpha, other: "_Head") -> None:
-        self.add_scaled(-np.asarray(alpha), other)
-
-    def compute_dot(self, other: "_Head") -> np.ndarray:
-        """Per-system, per-column dot products, shape ``(count, cols)``."""
-        result = np.einsum("kij,kij->kj", self.head, other.head)
-        _, n, cols = self._data.shape
-        active = self._active
-        active._exec.run(
-            active.cost(_reduction, n, self._data.dtype.itemsize, cols)
-        )
-        return result
-
-    def compute_norm2(self) -> np.ndarray:
-        return np.sqrt(self.compute_dot(self).astype(np.float64))
-
-    def all_reduce(self, payload, label: str):
-        """Per-system reductions are already complete."""
-        return payload
-
-    # Bound kernels (see ``Dense.bind_dot``): late-bound, since the
-    # active head a kernel covers shrinks as systems converge.
-    def bind_dot(self, other: "_Head"):
-        return partial(self.compute_dot, other)
-
-    def bind_norm2(self):
-        return self.compute_norm2
-
-    def bind_elementwise(self, name: str, op, num_vectors: int):
-        return partial(self.elementwise, name, op, num_vectors)
 
 
 class _Rows(_Head):
     """The caller's ``(K, n, cols)`` block read at the active systems' rows.
 
-    The batched right-hand side: ``head`` gathers ``data[ids]``, so it
+    The batched right-hand side: its extent gathers ``data[ids]``, so it
     follows every compaction without being carried.
     """
 
     @property
-    def head(self) -> np.ndarray:
+    def extent(self) -> np.ndarray:
         return self._data[self._active.ids]
+
+    _operand = extent
 
 
 class BatchSolverFactory(SolverFactory):
@@ -586,7 +524,7 @@ class BatchIterativeSolver:
             if keep.any():
                 if not keep.all():
                     keep_idx = np.flatnonzero(keep)
-                    r.head[: keep_idx.size] = r.head[keep_idx]
+                    r.extent[: keep_idx.size] = r.extent[keep_idx]
                     ops.compact(keep_idx)
                 self._iterate_batch(B, X, r, ops)
             for s in listeners:
@@ -622,8 +560,8 @@ class BatchIterativeSolver:
                 f"got {cols} columns"
             )
         x = _Head(ops, ws.tensor("batch.x", B.shape, B.dtype))
-        x.head[:] = X[ops.ids]
-        x._record("batch_pack", 2)
+        x.extent[:] = X[ops.ids]
+        exec_.run(blas1_cost("batch_pack", ops.count * n * cols, itemsize, 2))
         # A system's iteration count minus the run's, per system.
         offset = np.zeros(K, dtype=np.int64)
         keep = None

@@ -150,6 +150,13 @@ class RowGatherer:
         )
         self._arena = arena
 
+    def free(self) -> None:
+        """Return the halo buffers to the executor."""
+        for buf in self._buffers:
+            if buf is not None:
+                self._exec.free(buf)
+        self._buffers, self._arena = [None] * len(self._recv), None
+
     def _take(self, i: int, arena: np.ndarray) -> None:
         recv, buf = self._takes[i]
         np.take(arena, recv, axis=0, out=buf)
@@ -439,6 +446,7 @@ class Matrix(LinOp):
             self._ghost_cols.append(
                 np.unique(coo.col[outside]).astype(np.int64)
             )
+        self._gatherer.free()
         self._gatherer = RowGatherer(
             self._exec, new_partition, self._ghost_cols
         )

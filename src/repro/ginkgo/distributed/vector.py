@@ -4,26 +4,25 @@ A distributed vector owns one executor-resident arena of shape
 ``(global_rows, cols)`` whose disjoint row blocks are the per-rank local
 storage (the simulated ranks share an address space, like MPI windows on
 one node); :meth:`local` hands out a writable zero-copy ``Dense`` view of
-one rank's block.  Rank-local work runs as one fused region per
-operation (:func:`run_rankwise`); kernel costs are priced once per
-vector shape, and per-rank dispatch is built only under
-:func:`sequential_ranks`.
+one rank's block.  It is the one-system instance of the recurrence
+vector protocol (:class:`~repro.ginkgo.krylov_vector.KrylovVector`):
+each operation is one whole-arena kernel, and only under
+:func:`sequential_ranks` one dispatch per rank.
 
 Reductions (dots, norms) are the crux of the bit-identity guarantee: the
 partial results of a real distributed dot would be combined in rank order
 by ``MPI_Allreduce``, producing different rounding than a single-rank
 dot.  Here the reduction is instead evaluated once over the full arena in
-global element order — *exactly* the ``np.einsum`` contraction
-``Dense.compute_dot`` performs — while the communicator charges the
-all-reduce the real implementation would pay.  Residual histories of
-distributed solves therefore match single-rank solves byte for byte.
+global element order — *exactly* the contraction ``Dense.compute_dot``
+performs — while the communicator charges the all-reduce the real
+implementation would pay (:meth:`Vector._exchange`).  Residual histories
+of distributed solves therefore match single-rank solves byte for byte.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from repro.ginkgo.exceptions import (
     ExecutorMismatch,
     GinkgoError,
 )
+from repro.ginkgo.krylov_vector import CONTRACTION, KrylovVector, c_einsum
 from repro.ginkgo.lin_op import LinOp
-from repro.ginkgo.matrix.dense import Dense, _coef, c_einsum
-from repro.perfmodel import blas1_cost, dot_cost
+from repro.ginkgo.matrix.dense import Dense
 
 #: Payload bytes of one scalar reduction result (always float64).
 _REDUCE_BYTES = np.dtype(np.float64).itemsize
@@ -110,7 +109,7 @@ def run_rankwise(exec_, cost, kernel, weights, *args, whole=False):
     exec_.run(cost)
 
 
-class Vector(LinOp):
+class Vector(LinOp, KrylovVector):
     """A dense (multi-)vector row-partitioned over simulated ranks.
 
     Args:
@@ -161,8 +160,6 @@ class Vector(LinOp):
         self._partition = partition
         self._comm = comm or Communicator(exec_, partition.num_ranks)
         self._locals: dict[int, Dense] = {}
-        #: ``{(price, *args): KernelCost}`` — shape-only, priced once.
-        self._costs: dict = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -203,14 +200,6 @@ class Vector(LinOp):
     def comm(self) -> Communicator:
         return self._comm
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self._data.dtype
-
-    @property
-    def value_bytes(self) -> int:
-        return self._data.dtype.itemsize
-
     def local(self, rank: int) -> Dense:
         """Writable zero-copy ``Dense`` view of ``rank``'s row block."""
         wrapper = self._locals.get(rank)
@@ -228,142 +217,45 @@ class Vector(LinOp):
             )
         return self._data
 
-    def to_numpy(self) -> np.ndarray:
-        """Host copy of the full global vector."""
-        if self._exec.is_host:
-            return self._data.copy()
-        return self._exec.get_master().copy_from(self._exec, self._data)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        view = self.view()
-        if dtype is not None and dtype != view.dtype:
-            return view.astype(dtype)
-        return view
-
     # ------------------------------------------------------------------
-    # elementwise operations (rank-local, one fused region)
+    # protocol hooks: rank-wise kernels, communicator-charged reductions
     # ------------------------------------------------------------------
-    def _cost(self, price, *args):
-        """``price(*args)`` for this vector, priced once (shape-only)."""
-        key = (price, *args)
-        cost = self._costs.get(key)
-        if cost is None:
-            cost = self._costs[key] = price(*args)
-        return cost
+    def _ranks(self, cost):
+        """``((lo, hi), cost share)`` per rank under ``sequential_ranks``
+        (read at call time, so a repartition is followed); else None."""
+        if _SEQUENTIAL_RANKS and self.num_ranks > 1:
+            partition = self._partition
+            return zip(partition.ranges, _split_cost(cost, partition.sizes))
+        return None
 
-    def _apply_op(self, rank, op, coefs) -> None:
-        """``op`` over rank ``rank``'s rows; over the arena for ``None``."""
-        if rank is None:
-            op(0, self._size.rows, *coefs)
-        else:
-            op(*self._partition.range_of(rank), *coefs)
+    def _launch(self, cost, op, *args) -> None:
+        """One whole-arena call and kernel; under ``sequential_ranks`` one
+        per rank (elementwise ops are position-independent: bitwise the
+        same)."""
+        ranks = self._ranks(cost)
+        if ranks is None:
+            return super()._launch(cost, op, *args)
+        for (lo, hi), share in ranks:
+            op(lo, hi, *args)
+            self._exec.run(share)
 
-    def elementwise(self, name: str, op, num_vectors: int, *coefficients) -> None:
-        """Run ``op(lo, hi, *coefficients)`` per rank as one fused kernel.
+    def _contract(self, a, b, cost) -> np.ndarray:
+        """One contraction in global element order (the bit-identity
+        mechanism); under ``sequential_ranks`` one per rank block, each
+        with its own dispatch, summed in rank order like a real allreduce."""
+        ranks = self._ranks(cost)
+        if ranks is None:
+            return super()._contract(a, b, cost)
+        partials = []
+        for (lo, hi), share in ranks:
+            partials.append(c_einsum(CONTRACTION, a[lo:hi], b[lo:hi]))
+            self._exec.run(share)
+        return np.add.reduce(np.stack(partials), axis=0)
 
-        The rank-aware form of ``Dense.elementwise``: same ``op``, same
-        coefficient broadcasting; elementwise ops are position-independent,
-        so the whole-arena call is bitwise the per-rank loop.
-        """
-        cost = self._cost(
-            blas1_cost, name, self._size.num_elements, self.value_bytes,
-            num_vectors,
-        )
-        coefs = tuple(_coef(c, self.dtype) for c in coefficients)
-        run_rankwise(
-            self._exec, cost, self._apply_op, self._partition.sizes, op,
-            coefs, whole=True,
-        )
-        self.mark_modified()
-
-    def fill(self, value) -> "Vector":
-        """Set every entry to ``value``."""
-        data = self._data
-        self.elementwise(
-            "fill", lambda lo, hi: data[lo:hi].fill(value), 1
-        )
-        return self
-
-    def copy_values_from(self, other: "Vector") -> "Vector":
-        """Overwrite this vector's values with ``other``'s (same shape)."""
-        self._check_compatible(other, "copy_values_from")
-        src, dst = other._data, self._data
-        self.elementwise(
-            "copy", lambda lo, hi: np.copyto(dst[lo:hi], src[lo:hi]), 2
-        )
-        return self
-
-    def scale(self, alpha) -> "Vector":
-        """``self *= alpha`` in place (rank-local elementwise)."""
-        data = self._data
-        a = self.dtype.type(alpha)
-
-        def op(lo, hi):
-            data[lo:hi] *= a
-
-        self.elementwise("scale", op, 2)
-        return self
-
-    def add_scaled(self, alpha, other: "Vector") -> "Vector":
-        """``self += alpha * other`` (rank-local axpy)."""
-        self._check_compatible(other, "add_scaled")
-        dst, src = self._data, other._data
-        a = self.dtype.type(alpha)
-
-        def op(lo, hi):
-            dst[lo:hi] += a * src[lo:hi]
-
-        self.elementwise("add_scaled", op, 3)
-        return self
-
-    def sub_scaled(self, alpha, other: "Vector") -> "Vector":
-        """``self -= alpha * other`` in place."""
-        a = _coef(alpha, self.dtype)
-        return self.add_scaled(-a if np.ndim(a) else -float(a), other)
-
-    # ------------------------------------------------------------------
-    # reductions (global-order evaluation + simulated all_reduce)
-    # ------------------------------------------------------------------
-    def compute_dot(self, other: "Vector") -> np.ndarray:
-        """Column-wise dot products, globally reduced.
-
-        The contraction runs over the full arena in global element order
-        (bit-identical to ``Dense.compute_dot`` on the undistributed
-        vector); the communicator charges the all-reduce of the ``cols``
-        partial results.
-        """
-        return self.bind_dot(other)()
-
-    def compute_norm2(self) -> np.ndarray:
-        """Column-wise Euclidean norms, globally reduced."""
-        return self.bind_norm2()()
-
-    # Bound kernels (see ``Dense.bind_dot``): checked once, priced once
-    # per shape; a call reads the partition it runs on, so a repartition
-    # between calls (rank-failure recovery) is followed.
-    def bind_dot(self, other: "Vector"):
-        self._check_compatible(other, "compute_dot")
-        reduce, all_reduce = self._reduce, self.all_reduce
-        return lambda: all_reduce(reduce(other), "all_reduce_dot")
-
-    def bind_norm2(self):
-        reduce, all_reduce = self._reduce, self.all_reduce
-        return lambda: all_reduce(
-            np.sqrt(reduce(self).astype(np.float64)), "all_reduce_norm"
-        )
-
-    def bind_elementwise(self, name: str, op, num_vectors: int):
-        return partial(self.elementwise, name, op, num_vectors)
-
-    def all_reduce(self, payload: np.ndarray, label: str) -> np.ndarray:
-        """Charge the all-reduce of a locally reduced ``payload``.
-
-        The payload is already the global result (see the module
-        docstring); this is where the communicator charges the exchange,
-        injects faults, and — when a recovery driver armed detection —
-        raises on a NaN-corrupted result.  Each entry travels as one
-        float64.
-        """
+    def _exchange(self, payload: np.ndarray, label: str) -> np.ndarray:
+        """Charge the all-reduce of ``payload``, already the global result:
+        the communicator charges it (one float64 per entry), injects
+        faults and, when recovery armed detection, raises on a NaN."""
         self._comm.all_reduce(
             payload.size * _REDUCE_BYTES, label=label, payload=payload
         )
@@ -374,31 +266,6 @@ class Vector(LinOp):
         return self._comm.iallreduce(
             payload.size * _REDUCE_BYTES, label=label, payload=payload
         )
-
-    def _reduce(self, other: "Vector") -> np.ndarray:
-        """Contract the arenas column-wise, charging the reduction's cost.
-
-        Fused mode contracts once over the full arena in global element
-        order (the bit-identity mechanism); under ``sequential_ranks``
-        each rank contracts its own block with its own dispatch and the
-        partials are combined in rank order, like a real allreduce.
-        """
-        cost = self._cost(
-            dot_cost, self._size.rows, self.value_bytes, self._size.cols
-        )
-        a, b = self._data, other._data
-        if _SEQUENTIAL_RANKS and self.num_ranks > 1:
-            partition = self._partition
-            partials = []
-            for (lo, hi), share in zip(
-                partition.ranges, _split_cost(cost, partition.sizes)
-            ):
-                partials.append(c_einsum("ij,ij->j", a[lo:hi], b[lo:hi]))
-                self._exec.run(share)
-            return np.add.reduce(np.stack(partials), axis=0)
-        result = c_einsum("ij,ij->j", a, b)
-        self._exec.run(cost)
-        return result
 
     # ------------------------------------------------------------------
     # scratch
@@ -466,18 +333,11 @@ class Vector(LinOp):
                 f"{op_name} expects a distributed Vector, got "
                 f"{type(other).__name__}"
             )
-        if other.size != self._size:
-            raise DimensionMismatch(
-                op_name, expected=self._size, got=other.size
-            )
+        super()._check_compatible(other, op_name)
         if other._partition != self._partition:
             raise GinkgoError(
                 f"{op_name}: operands use different partitions "
                 f"({self._partition!r} vs {other._partition!r})"
-            )
-        if other.executor is not self._exec:
-            raise ExecutorMismatch(
-                op_name, expected=self._exec.name, got=other.executor.name
             )
 
     def __repr__(self) -> str:

@@ -31,8 +31,9 @@ import numpy as np
 from repro.bindings import dispatch
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
+from repro.ginkgo.krylov_vector import _coef, _scale_into
 from repro.ginkgo.matrix.base import SparseBase
-from repro.ginkgo.matrix.dense import Dense, _coef, _scale_into
+from repro.ginkgo.matrix.dense import Dense
 from repro.ginkgo.solver.workspace import Workspace
 from repro.perfmodel import fused_axpby_cost, fused_spmv_axpby_cost
 

@@ -1,7 +1,9 @@
 """Row-major dense matrices and vectors (``gko::matrix::Dense``).
 
 Dense doubles as the engine's (multi-)vector type: right-hand sides,
-solutions, and Krylov basis vectors are all ``n x k`` Dense operators.
+solutions, and Krylov basis vectors are all ``n x k`` Dense operators,
+the one-system instance of the recurrence vector protocol
+(:class:`~repro.ginkgo.krylov_vector.KrylovVector`).
 Every numerical member records its roofline cost on the owning executor's
 simulated clock, so solver timings emerge from the same model as SpMV.
 """
@@ -17,13 +19,9 @@ from repro.ginkgo.exceptions import (
     GinkgoError,
 )
 from repro.ginkgo.executor import Executor
+from repro.ginkgo.krylov_vector import KrylovVector, _coef
 from repro.ginkgo.lin_op import LinOp
 from repro.perfmodel import blas1_cost, dot_cost, spmv_cost
-
-try:  # what np.einsum calls without `optimize`, minus its dispatch layer
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # not at this NumPy's private path: the public call
-    c_einsum = np.einsum
 
 
 def _scalar_value(alpha) -> float:
@@ -35,37 +33,6 @@ def _scalar_value(alpha) -> float:
             )
         return float(alpha._data[0, 0])
     return float(alpha)
-
-
-def _coef(alpha, dtype):
-    """Coerce a scalar, per-column vector, or 1xk Dense into a coefficient.
-
-    Returns either a scalar of ``dtype`` or a ``(1, k)`` array broadcastable
-    over an ``n x k`` Dense — this is how the engine supports multi-RHS
-    Krylov iterations with one coefficient per column (Ginkgo passes a
-    ``1 x k`` Dense for alpha/beta).
-    """
-    if isinstance(alpha, Dense):
-        return alpha._data.reshape(1, -1).astype(dtype, copy=False)
-    arr = np.asarray(alpha)
-    if arr.ndim == 0:
-        return dtype.type(arr)
-    return arr.reshape(1, -1).astype(dtype, copy=False)
-
-
-def _scale_into(src: np.ndarray, coef, out: np.ndarray) -> None:
-    """``out = coef * src`` for a coefficient from :func:`_coef`.
-
-    A scalar ``0.0`` zero-fills (even over non-finite values) and ``1.0``
-    copies.  Eager ``Dense.scale`` and lazy regions share this, so their
-    bits match.
-    """
-    if np.ndim(coef) == 0 and coef == 0.0:
-        out.fill(0.0)
-    elif np.ndim(coef) != 0 or coef != 1.0:
-        np.multiply(src, coef, out=out)
-    elif out is not src:
-        np.copyto(out, src)
 
 
 def _clone_as(dense: "Dense", dtype) -> "Dense":
@@ -83,7 +50,7 @@ def _clone_as(dense: "Dense", dtype) -> "Dense":
     return Dense.empty(dense.executor, dense.size, dtype).copy_values_from(dense)
 
 
-class Dense(LinOp):
+class Dense(LinOp, KrylovVector):
     """A dense row-major matrix bound to an executor.
 
     Construct with :meth:`create` (from existing data), :meth:`empty`,
@@ -147,14 +114,6 @@ class Dense(LinOp):
     # properties and access
     # ------------------------------------------------------------------
     @property
-    def dtype(self) -> np.dtype:
-        return self._data.dtype
-
-    @property
-    def value_bytes(self) -> int:
-        return self._data.dtype.itemsize
-
-    @property
     def stride(self) -> int:
         return self._data.shape[1]
 
@@ -194,18 +153,6 @@ class Dense(LinOp):
                 got=self._exec.name,
             )
         return self._data
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        view = self.view()
-        if dtype is not None and dtype != view.dtype:
-            return view.astype(dtype)
-        return view
-
-    def to_numpy(self) -> np.ndarray:
-        """Copy out to host memory regardless of residence."""
-        if self._exec.is_host:
-            return self._data.copy()
-        return self._exec.get_master().copy_from(self._exec, self._data)
 
     # ------------------------------------------------------------------
     # expression operators (lazy-recordable)
@@ -254,84 +201,25 @@ class Dense(LinOp):
         """Deep copy on the same executor."""
         return self.copy_to(self._exec)
 
-    def copy_values_from(self, other: "Dense") -> "Dense":
-        """Overwrite this matrix's values with ``other``'s (same shape)."""
-        self._check_same_shape(other, "copy_values_from")
-        np.copyto(self._data, other._data)
-        self._exec.run(
-            blas1_cost("copy", self._size.num_elements, self.value_bytes, 2)
-        )
-        self.mark_modified()
-        return self
-
     # ------------------------------------------------------------------
     # BLAS-1 style operations
     # ------------------------------------------------------------------
-    def fill(self, value) -> "Dense":
-        """Set every entry to ``value``."""
-        self._data.fill(value)
-        self._exec.run(
-            blas1_cost("fill", self._size.num_elements, self.value_bytes, 1)
-        )
-        self.mark_modified()
-        return self
-
-    def scale(self, alpha) -> "Dense":
-        """``self *= alpha`` in place (scalar or per-column coefficients)."""
-        _scale_into(self._data, _coef(alpha, self.dtype), self._data)
-        self._exec.run(
-            blas1_cost("scale", self._size.num_elements, self.value_bytes, 2)
-        )
-        self.mark_modified()
-        return self
-
     def inv_scale(self, alpha) -> "Dense":
         """``self /= alpha`` in place (scalar or per-column coefficients)."""
-        a = _coef(alpha, self.dtype)
-        if np.any(np.asarray(a) == 0.0):
+        if np.any(np.asarray(_coef(alpha, self.dtype)) == 0.0):
             raise ZeroDivisionError("inv_scale by zero")
-        self._data /= a
-        self._exec.run(
-            blas1_cost("inv_scale", self._size.num_elements, self.value_bytes, 2)
+        data = self._data
+        self.elementwise(
+            "inv_scale",
+            lambda lo, hi, a: np.divide(data[lo:hi], a, out=data[lo:hi]), 2, alpha,
         )
-        self.mark_modified()
         return self
-
-    def add_scaled(self, alpha, other: "Dense") -> "Dense":
-        """``self += alpha * other`` (axpy; scalar or per-column alpha)."""
-        self._check_same_shape(other, "add_scaled")
-        a = _coef(alpha, self.dtype)
-        if np.ndim(a) == 0 and a == 1.0:
-            self._data += other._data
-        elif np.ndim(a) != 0 or a != 0.0:
-            self._data += a * other._data
-        self._exec.run(
-            blas1_cost("add_scaled", self._size.num_elements, self.value_bytes, 3)
-        )
-        self.mark_modified()
-        return self
-
-    def sub_scaled(self, alpha, other: "Dense") -> "Dense":
-        """``self -= alpha * other`` in place."""
-        a = _coef(alpha, self.dtype)
-        return self.add_scaled(-a if np.ndim(a) else -float(a), other)
-
-    def compute_dot(self, other: "Dense") -> np.ndarray:
-        """Column-wise dot products ``self^T other`` (length-k vector)."""
-        return self.bind_dot(other)()
 
     def compute_conj_dot(self, other: "Dense") -> np.ndarray:
         """Column-wise conjugated dot products."""
-        self._check_same_shape(other, "compute_conj_dot")
-        result = np.einsum("ij,ij->j", np.conj(self._data), other._data)
-        self._exec.run(
-            dot_cost(self._size.rows, self.value_bytes, self._size.cols)
-        )
-        return result
-
-    def compute_norm2(self) -> np.ndarray:
-        """Column-wise Euclidean norms (length-k vector)."""
-        return self.bind_norm2()()
+        self._check_compatible(other, "compute_conj_dot")
+        cost = dot_cost(self._size.rows, self.value_bytes, self._size.cols)
+        return self._contract(np.conj(self._data), other._data, cost)
 
     def compute_norm1(self) -> np.ndarray:
         """Column-wise 1-norms."""
@@ -353,46 +241,6 @@ class Dense(LinOp):
         if copy:
             return ws.dense_like(name, self)
         return ws.dense(name, self._size, self.dtype)
-
-    def all_reduce(self, payload, label: str):
-        """Globally reduce a locally reduced ``payload``: already global."""
-        return payload
-
-    # ------------------------------------------------------------------
-    # bound kernels: zero-argument callables over one solve's operands,
-    # checked and priced once (repro.ginkgo.solver.kernels binds them)
-    # ------------------------------------------------------------------
-    def bind_dot(self, other: "Dense"):
-        """``compute_dot(other)``, bound."""
-        self._check_same_shape(other, "compute_dot")
-        a, b, run = self._data, other._data, self._exec.run
-        cost = dot_cost(self._size.rows, self.value_bytes, self._size.cols)
-
-        def dot():
-            result = c_einsum("ij,ij->j", a, b)
-            run(cost)
-            return result
-
-        return dot
-
-    def bind_norm2(self):
-        """``compute_norm2()``, bound."""
-        dot = self.bind_dot(self)
-        return lambda: np.sqrt(dot().astype(np.float64, copy=False))
-
-    def bind_elementwise(self, name: str, op, num_vectors: int):
-        """The ``elementwise`` hook, bound: a one-coefficient callable
-        running ``op(lo, hi, coefficient)`` over all rows as one fused
-        streaming kernel touching ``num_vectors`` vector operands."""
-        rows, dtype, run = self._size.rows, self.dtype, self._exec.run
-        cost = blas1_cost(name, self._size.num_elements, self.value_bytes, num_vectors)
-
-        def kernel(coefficient):
-            op(0, rows, _coef(coefficient, dtype))
-            run(cost)
-            self.mark_modified()
-
-        return kernel
 
     # ------------------------------------------------------------------
     # structural operations
@@ -477,14 +325,6 @@ class Dense(LinOp):
                 self._exec, sp.csr_matrix(self._data), index_dtype=index_dtype
             ),
         )
-
-    def _check_same_shape(self, other: "Dense", op_name: str) -> None:
-        if other.size != self._size:
-            raise DimensionMismatch(op_name, expected=self._size, got=other.size)
-        if other.executor is not self._exec:
-            raise ExecutorMismatch(
-                op_name, expected=self._exec.name, got=other.executor.name
-            )
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,7 @@ import numpy as np
 from repro.ginkgo.accessor import arithmetic_dtype_for, value_dtype_for
 from repro.ginkgo.matrix.base import check_value_dtype
 from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM, GmresRecurrence
-from repro.ginkgo.solver.kernels import hessenberg_solve, stacked
+from repro.ginkgo.solver.kernels import hessenberg_solve
 from repro.perfmodel import blas1_cost
 
 
@@ -59,7 +59,7 @@ class CbGmresRecurrence(GmresRecurrence):
         self.x.executor.run(blas1_cost(name, length, self.storage.itemsize, 2))
 
     def _start(self, r, beta):
-        rd = stacked(r)
+        rd = r.extent
         systems, n, _ = rd.shape
         basis = self.ws.array(
             "cb_gmres.basis", (systems, n, self.krylov_dim + 1),
@@ -72,10 +72,10 @@ class CbGmresRecurrence(GmresRecurrence):
         return basis
 
     def _load(self, basis, j: int, w) -> None:
-        stacked(w)[:, :, 0] = basis[:, :, j].astype(self.arith)
+        w.extent[:, :, 0] = basis[:, :, j].astype(self.arith)
 
     def _orthogonalize(self, basis, w, count: int):
-        wd = stacked(w)
+        wd = w.extent
         systems, n, _ = wd.shape
         block = basis[:, :, :count].astype(self.arith)
         coeffs = np.stack([v.T @ c for v, c in zip(block, wd[:, :, 0])])
@@ -85,7 +85,7 @@ class CbGmresRecurrence(GmresRecurrence):
         return coeffs
 
     def _extend(self, basis, w, j: int, h_next, rows) -> None:
-        wd = stacked(w)
+        wd = w.extent
         h = h_next[rows]
         basis[rows, :, j] = (
             wd[rows, :, 0] / h.astype(wd.dtype)[:, None]
@@ -93,7 +93,7 @@ class CbGmresRecurrence(GmresRecurrence):
         self._charge("cb_gmres_scale", h.size * wd.shape[1])
 
     def _close(self, k: int, y) -> None:
-        xd = stacked(self.x)
+        xd = self.x.extent
         hessenberg_solve(self.x.executor, self.hessenberg[k], self.g[k], y)
         xd[k, :, 0] += self.basis[k][:, : y.size].astype(self.arith) @ y
         self._charge("cb_gmres_x_update", xd.shape[1] * y.size)

@@ -26,7 +26,6 @@ from repro.ginkgo.solver.kernels import (
     gmres_project,
     hessenberg_solve,
     record_fused,
-    stacked,
 )
 from repro.ginkgo.solver.recurrence import Recurrence
 from repro.perfmodel import KernelCost
@@ -94,7 +93,7 @@ class GmresRecurrence(Recurrence):
         A, M, x, w, r, ws = self.A, self.M, self.x, self.w, self.r, self.ws
         exec_ = x.executor
         j, m, work = self.j, self.krylov_dim, self.work_dtype
-        systems = stacked(x).shape[0]
+        systems = x.extent.shape[0]
         if j == 0:
             # Preconditioned residual r = M^{-1}(b - A x).
             w.copy_values_from(self.b)
@@ -160,7 +159,7 @@ class GmresRecurrence(Recurrence):
 
     def _start(self, r, beta):
         """The cycle's basis block (pooled) with ``v_0 = r / beta``."""
-        rd = stacked(r)
+        rd = r.extent
         systems, n, _ = rd.shape
         basis = self.ws.array("gmres.basis", (systems, n, self.krylov_dim + 1))
         # beta in the vector's precision, as a Python-float divisor would be.
@@ -172,7 +171,7 @@ class GmresRecurrence(Recurrence):
 
     def _load(self, basis, j: int, w) -> None:
         """``w = v_j``."""
-        stacked(w)[:, :, 0] = basis[:, :, j]
+        w.extent[:, :, 0] = basis[:, :, j]
 
     @staticmethod
     def _orthogonalize(basis, w, count: int):
@@ -186,7 +185,7 @@ class GmresRecurrence(Recurrence):
 
     def _extend(self, basis, w, j: int, h_next, rows) -> None:
         """``v_j = w / h_next`` for the systems ``rows`` indexes."""
-        wd = stacked(w)
+        wd = w.extent
         h = h_next[rows]
         basis[rows, :, j] = wd[rows, :, 0] / h.astype(wd.dtype)[:, None]
         record_fused(
@@ -200,7 +199,7 @@ class GmresRecurrence(Recurrence):
         exec_ = x.executor
         hessenberg_solve(exec_, self.hessenberg[k], self.g[k], y)
         basis = self.basis[k]
-        stacked(x)[k, :, 0] += basis[:, : y.size] @ y
+        x.extent[k, :, 0] += basis[:, : y.size] @ y
         record_fused(
             exec_, "gmres_x_update", basis.shape[0] * y.size,
             x._data.dtype.itemsize, 2,

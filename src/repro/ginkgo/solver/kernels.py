@@ -8,16 +8,18 @@ Python-dispatched frameworks (the effect measured in the paper's Fig. 3c).
 These helpers perform the update numerically on the operands' buffers and
 record exactly one kernel with the combined byte traffic.  The CG steps
 (bound once per solve, like the dots and norms) and the GMRES projection
-run through the vector hooks (``elementwise`` / ``all_reduce``), the
-GMRES helpers over a leading systems axis (:func:`stacked`), so the same
-definition serves ``Dense``, ``distributed.Vector`` and the batched head.
+run through the vector protocol (``bind_elementwise`` / ``all_reduce``),
+the GMRES helpers over a vector's ``(systems, rows, cols)`` ``extent``,
+so the same definition serves ``Dense``, ``distributed.Vector`` and the
+batched head (:class:`~repro.ginkgo.krylov_vector.KrylovVector`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ginkgo.matrix.dense import Dense, _coef
+from repro.ginkgo.krylov_vector import _coef
+from repro.ginkgo.matrix.dense import Dense
 from repro.perfmodel import KernelCost, blas1_cost
 
 
@@ -104,16 +106,6 @@ def cgs_step_3(x: Dense, r: Dense, u_hat: Dense, w: Dense, alpha) -> None:
     record_fused(x.executor, "cgs_step_3", x.size.num_elements, x.value_bytes, 6)
 
 
-def stacked(vec) -> np.ndarray:
-    """``vec``'s values as ``(systems, rows, cols)``, a writable view.
-
-    One system for ``Dense`` and ``distributed.Vector`` (the whole
-    arena), the active systems for the batched head.
-    """
-    data = vec._data
-    return data[None] if data.ndim == 2 else vec.head
-
-
 def gmres_project(basis, w, count: int):
     """One Gram-Schmidt pass of ``w`` against ``count`` basis vectors.
 
@@ -126,7 +118,7 @@ def gmres_project(basis, w, count: int):
     order does not depend on the number of systems (BLAS gemv blocks
     its accumulation differently).  Returns the coefficients.
     """
-    wd = stacked(w)
+    wd = w.extent
     systems, rows, _ = wd.shape
     block, length = basis[:, :, :count], systems * rows * count
     coeffs = np.einsum("kij,ki->kj", block, wd[:, :, 0])

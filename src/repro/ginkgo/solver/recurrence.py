@@ -3,18 +3,16 @@
 A :class:`Recurrence` carries its state explicitly — the vectors and
 scalars named in :attr:`Recurrence.vectors` / :attr:`Recurrence.scalars`
 — and advances it with :meth:`Recurrence.step`.  The arithmetic is
-written against the vector API that ``Dense``, ``distributed.Vector``
-and the batched active head share (``compute_dot``, ``compute_norm2``,
-``scale``, ``add_scaled``, ``copy_values_from``, ``fill``) plus three
-hooks each vector type implements:
-
-* ``scratch(ws, name, copy=False)`` — a pooled work vector of the same
-  type and shape, held in the solver's one :class:`Workspace`;
-* ``elementwise(name, op, num_vectors, *coefficients)`` — run
-  ``op(lo, hi, *coefficients)`` as one fused streaming kernel over the
-  vector's extent (all rows / rank by rank / the active systems);
-* ``all_reduce(payload, label)`` — globally reduce a locally reduced
-  payload (a no-op off the distributed path).
+written against the recurrence vector protocol, implemented once by
+:class:`~repro.ginkgo.krylov_vector.KrylovVector` for ``Dense``,
+``distributed.Vector`` and the batched active head: ``compute_dot``,
+``compute_norm2``, ``scale``, ``add_scaled``, ``sub_scaled``,
+``copy_values_from``, ``fill``, ``elementwise`` (run ``op(lo, hi,
+*coefficients)`` as one fused streaming kernel over the vector's
+extent), ``all_reduce`` and the bound forms ``bind_dot``,
+``bind_norm2``, ``bind_elementwise``.  Each vector type adds
+``scratch(ws, name, copy=False)``: a pooled work vector of the same type
+and shape, held in the solver's one :class:`Workspace`.
 
 ``__init__`` binds what ``step`` runs once per solve — operator applies
 (``LinOp.bind``), dots, norms and fused kernels, costs resolved — so a

@@ -20,13 +20,17 @@ import importlib
 import inspect
 import pkgutil
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import repro.ginkgo
+from repro.ginkgo.batch.solver import _Head, _Rows
+from repro.ginkgo.distributed import Partition, Vector
 from repro.ginkgo.executor import ReferenceExecutor
+from repro.ginkgo.krylov_vector import KrylovVector
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import (
@@ -190,3 +194,50 @@ def test_every_iterative_solver_names_its_recurrence():
     for cls in solvers:
         assert isinstance(cls.recurrence, type), cls.__name__
         assert issubclass(cls.recurrence, Recurrence), cls.__name__
+
+
+# One vector protocol: every instance is Dense's arithmetic and charges.
+PROTOCOL = set("""fill copy_values_from scale add_scaled sub_scaled elementwise
+    compute_dot compute_norm2 bind_dot bind_norm2 bind_elementwise all_reduce""".split())
+
+
+def _respelled(classes):
+    return [c.__name__ for c in classes if issubclass(c, KrylovVector)
+            and c is not KrylovVector and PROTOCOL & set(vars(c))]
+
+
+def test_the_vector_protocol_is_defined_once():
+    assert {Dense, Vector, _Head, _Rows} <= set(_ginkgo_classes())
+    assert _respelled(_ginkgo_classes()) == []
+    assert _respelled([type("Own", (Dense,), {"scale": Dense.scale})]) == ["Own"]
+
+
+def _vector(kind, exec_, data):  # K systems: K copies of ``data``
+    k = int(kind[-1])
+    if kind.startswith("head"):
+        active = SimpleNamespace(_exec=exec_, count=k, ids=np.arange(k))
+        return _Head(active, np.stack([data] * k))
+    if kind.startswith("ranks"):
+        return Vector(exec_, Partition.build_uniform(len(data), k), data)
+    return Dense.create(exec_, np.vstack([data] * k))
+
+
+@pytest.mark.parametrize("kind", ["ranks1", "ranks4", "head1", "head3"])
+@pytest.mark.parametrize("op", ["scale", "add_scaled", "sub_scaled"])
+@pytest.mark.parametrize("coef", [0.0, 1.0, "columns"])
+def test_every_instance_is_dense(kind, op, coef):
+    a = np.arange(12.0).reshape(6, 2) - 4.5
+    a[1, 0], a[4, 1] = np.nan, np.inf
+    k = int(kind[-1]) if kind.startswith("head") else 1
+    outcomes = []
+    for name in (f"dense{k}", kind):
+        exec_ = ReferenceExecutor.create(noisy=False)
+        clock = exec_.clock
+        u, v = _vector(name, exec_, a), _vector(name, exec_, a[::-1] * 3)
+        alpha = np.array([0.5, -2.0]) if coef == "columns" else coef
+        if name.startswith("head") and coef == "columns":
+            alpha = np.tile(alpha, (k, 1))
+        now, kernels = clock.now, clock.kernel_count
+        getattr(u, op)(alpha, *([v] if op != "scale" else []))
+        outcomes.append((u.extent.tobytes(), clock.now - now, clock.kernel_count - kernels))
+    assert outcomes[1] == outcomes[0]

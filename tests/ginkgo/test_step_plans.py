@@ -417,3 +417,11 @@ def test_halo_buffers_are_freed_when_the_column_count_changes():
     held = exec_.bytes_allocated
     alternate(50)
     assert exec_.bytes_allocated == held
+    # A rank-failure shrink replaces the gatherer: only the new halo stays.
+    halo = lambda: sum(b.nbytes for b in mtx._gatherer._buffers if b is not None)  # noqa: E731
+    rest = exec_.bytes_allocated - halo()
+    shrunk = pg.distributed.partition(mat.shape[0], 3)
+    for op in (mtx, *(vec for pair in operands for vec in pair)):
+        op.repartition(shrunk)
+    alternate(1)
+    assert exec_.bytes_allocated == rest + halo() > rest
