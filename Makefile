@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 export PYTHONPATH := src
+# Where the smoke gates write their BENCH_*.json reports (gitignored), so
+# a verify run leaves the tracked reports as they are.
+SMOKE_OUT := .bench_build
 
 .PHONY: verify unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke e2e-smoke e2e test bench bench-report
 
@@ -47,39 +50,42 @@ profile-smoke:
 # Fusion acceptance: pg.deferred() must beat the eager operator path by
 # >= 1.5x on the simulated clock with byte-identical residual histories
 # and same-seed traces (the wall-clock ratio is reported, not gated).
-perf-smoke: mixed-smoke
-	$(PYTHON) benchmarks/bench_hot_path.py --smoke
+perf-smoke: mixed-smoke | $(SMOKE_OUT)
+	$(PYTHON) benchmarks/bench_hot_path.py --smoke --out $(SMOKE_OUT)/BENCH_hot_path.json
 	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py tests/ginkgo/test_krylov_core.py
-	$(PYTHON) benchmarks/bench_batch.py --smoke
-	$(PYTHON) benchmarks/bench_overlap.py --smoke
-	$(PYTHON) benchmarks/bench_fusion.py --smoke
-	$(PYTHON) benchmarks/bench_distributed.py --smoke
+	$(PYTHON) benchmarks/bench_batch.py --smoke --out $(SMOKE_OUT)/BENCH_batch.json
+	$(PYTHON) benchmarks/bench_overlap.py --smoke --out $(SMOKE_OUT)/BENCH_overlap.json
+	$(PYTHON) benchmarks/bench_fusion.py --smoke --out $(SMOKE_OUT)/BENCH_fusion.json
+	$(PYTHON) benchmarks/bench_distributed.py --smoke --out $(SMOKE_OUT)/BENCH_distributed.json
 
 # Mixed-precision acceptance: float32-storage Jacobi/ILU inside float64
 # CG/GMRES must beat uniform float64 by >= 1.2x preconditioner-phase
 # simulated time on the bandwidth-bound suite, with iteration counts
 # pinned, the default uniform path byte-identical, and mixed applies
 # routed through the mixed-suffix binding symbols.
-mixed-smoke:
-	$(PYTHON) benchmarks/bench_mixed_precision.py --smoke
+mixed-smoke: | $(SMOKE_OUT)
+	$(PYTHON) benchmarks/bench_mixed_precision.py --smoke --out $(SMOKE_OUT)/BENCH_mixed.json
 
 # Service acceptance: coalesced multi-tenant scheduling must beat the
 # naive one-at-a-time FIFO baseline by >= 3x simulated-clock throughput
 # with every job's solution byte-identical to its solo solve, and the
 # SLO snapshot (latency percentiles, throughput, coalesce ratio) must
-# land in BENCH_service.json for the bench report.  The route-equivalence
+# land in its BENCH_service.json report.  The route-equivalence
 # suite checks every route gives a job the same answer.
-service-smoke:
+service-smoke: | $(SMOKE_OUT)
 	$(PYTHON) -m pytest -x -q tests/integration/test_route_equivalence.py
-	$(PYTHON) benchmarks/bench_service.py --smoke
+	$(PYTHON) benchmarks/bench_service.py --smoke --out $(SMOKE_OUT)/BENCH_service.json
 
 # Chaos acceptance: the seeded fault-schedule suite, then the recovery
 # sweep — every injectable site across scalar/batch/distributed solves
 # must recover bit-identically or report a truthful degraded outcome,
 # with recovered distributed solves within 2x fault-free simulated time.
-chaos-smoke:
+chaos-smoke: | $(SMOKE_OUT)
 	$(PYTHON) -m pytest -x -q tests/ginkgo/test_chaos.py
-	$(PYTHON) benchmarks/bench_chaos.py --smoke
+	$(PYTHON) benchmarks/bench_chaos.py --smoke --out $(SMOKE_OUT)/BENCH_chaos.json
+
+$(SMOKE_OUT):
+	mkdir -p $@
 
 # The end-to-end benchmark's own tests (harness, workloads, catalog) —
 # `unit` only collects tests/, so CI runs these here (~15 s).

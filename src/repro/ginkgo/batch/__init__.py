@@ -18,7 +18,7 @@ from repro.ginkgo.batch.solver import (
     BatchIterativeSolver,
     BatchSolverFactory,
 )
-from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
+from repro.ginkgo.batch.stop import BatchStatus
 from repro.ginkgo.batch.triangular import BatchLowerTrs, BatchUpperTrs
 
 #: The derived solver classes (``BatchCg``, ``BatchCgSolver``, ...).
@@ -30,7 +30,6 @@ _DERIVED = {
 globals().update(_DERIVED)
 
 __all__ = sorted([
-    "BatchCriteria",
     "BatchCsr",
     "BatchDense",
     "BatchIdentity",

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.ginkgo.batch.matrix import BatchCsr, BatchDense
 from repro.ginkgo.batch.preconditioner import BatchIdentity
-from repro.ginkgo.batch.stop import BatchCriteria, BatchStatus
+from repro.ginkgo.batch.stop import BatchStatus
 from repro.ginkgo.exceptions import BadDimension, GinkgoError, SolverBreakdown
 from repro.ginkgo.fault import injector_of
 from repro.ginkgo.krylov_vector import KrylovVector
@@ -45,7 +45,14 @@ from repro.ginkgo.matrix.csr import column_kernel, matvec_into
 from repro.ginkgo.solver import derive_instances
 from repro.ginkgo.solver.base import SolverFactory
 from repro.ginkgo.solver.workspace import Workspace
-from repro.perfmodel import blas1_cost, dot_cost
+from repro.ginkgo.stop import CriterionContext
+from repro.perfmodel import blas1_cost
+
+
+def _per_system(result, m: int) -> np.ndarray:
+    """A criterion result over ``m`` active systems: a clock bound's one
+    decision holds for all of them."""
+    return result if np.ndim(result) else np.full(m, result)
 
 
 class _ActiveSystems:
@@ -299,7 +306,7 @@ class BatchIterativeSolver:
         #: Whether no system of the running apply has a logger.
         self._quiet = True
         self.status = BatchStatus(matrix.num_systems)
-        self._criteria = None
+        self._criterion = None
         self._first_breakdown = None
 
     @staticmethod
@@ -399,11 +406,13 @@ class BatchIterativeSolver:
             # The common check: nothing broke down and nobody listens.
             status.record(ids, maxed)
             clock.synchronize()
-            stop, conv = self._criteria.check(iterations, norms, ids)
+            criterion = self._criterion
+            stop = _per_system(criterion.check(iterations, norms, ids), m)
             if stop.any():
                 status.stop(
-                    ids, iterations, maxed, stop, converged=conv[stop],
-                    timed_out=self._criteria.timed_out[stop],
+                    ids, iterations, maxed, stop,
+                    converged=_per_system(criterion.converged, m)[stop],
+                    timed_out=_per_system(criterion.timed_out, m)[stop],
                 )
             if clock._traced:
                 clock.annotate(
@@ -438,10 +447,14 @@ class BatchIterativeSolver:
         # One host read-back of the stopping status per lockstep check —
         # this, not K read-backs, is the batched API's latency win.
         clock.synchronize()
-        stop, conv = self._criteria.check(iterations[ok], norms[ok], ids[ok])
+        criterion = self._criterion
+        stop = _per_system(
+            criterion.check(iterations[ok], norms[ok], ids[ok]), ok.size
+        )
+        converged = _per_system(criterion.converged, ok.size)
         status.stop(
-            ids, iterations, maxed, ok[stop], converged=conv[stop],
-            timed_out=self._criteria.timed_out[stop],
+            ids, iterations, maxed, ok[stop], converged=converged[stop],
+            timed_out=_per_system(criterion.timed_out, ok.size)[stop],
         )
         keep[ok[stop]] = False
         for pos in np.flatnonzero(heard[ok]):
@@ -450,7 +463,7 @@ class BatchIterativeSolver:
                 s, "criterion_check_completed", iteration=it,
                 stopped=bool(stop[pos]),
             )
-            if stop[pos] and conv[pos]:
+            if stop[pos] and converged[pos]:
                 self._log_system(
                     s, "converged", iteration=it, residual_norm=norms[ok[pos]]
                 )
@@ -494,13 +507,10 @@ class BatchIterativeSolver:
             self._quiet = listeners.size == 0
             for s in listeners:
                 self._log_system(s, "apply_started", b=b, x=x)
-            start_time = clock.now
+            context = CriterionContext(clock=clock, start_time=clock.now)
+            context.rhs_norm = b.compute_norm2()
             B = b.data
             X = x.data
-            rhs_norm = np.sqrt(
-                np.einsum("kij,kij->kj", B, B).astype(np.float64)
-            )
-            exec_.run(dot_cost(mat.size.rows, b.value_bytes, K * b.size.cols))
             # Initial residual r0 = b - A x0, one batched kernel each.
             ops = _ActiveSystems(ws, mat, self._preconditioner)
             r = _Head(ops, ws.tensor_like("batch.r", B))
@@ -508,18 +518,12 @@ class BatchIterativeSolver:
             _HeadOperator(ops.spmv, ws).apply_advanced(
                 -1.0, _Head(ops, X), 1.0, r
             )
-            initial_resnorm = r.compute_norm2()
-            self._criteria = BatchCriteria(
-                self._factory.criteria,
-                rhs_norm,
-                initial_resnorm,
-                clock,
-                start_time,
-            )
+            context.initial_resnorm = r.compute_norm2()
+            self._criterion = self._factory.criteria.generate(context)
             # Iteration-0 check: already-converged systems never iterate
             # and keep their initial guess, exactly like a scalar solve.
             keep = self._monitor(
-                np.zeros(K, dtype=np.int64), initial_resnorm, ops.ids
+                np.zeros(K, dtype=np.int64), context.initial_resnorm, ops.ids
             )
             if keep.any():
                 if not keep.all():

@@ -1,18 +1,12 @@
-"""Per-system stopping for batched solves (``gko::batch::stop``).
+"""Per-system stopping records for batched solves (``gko::batch::stop``).
 
 A batched solver advances all systems in lockstep but each system must
-stop by *its own* criterion, exactly as if it were solved alone.
-:class:`BatchCriteria` binds the scalar criterion factories once per
-batch and evaluates them against a block of per-system residual norms.
-
-For the common factories (``Iteration``, ``ResidualNorm``, ``Deadline``
-— one instant, or one per system — and any ``Combined`` of them) the
-check is fully vectorized — one NumPy comparison for the whole active
-set instead of ``K`` Python calls.  The comparisons are
-elementwise-identical to the scalar ``check`` methods, so stopping
-decisions (and therefore residual histories) match a sequential solve
-bit for bit.  Any other criterion falls back to real
-per-system bound criteria.
+stop by *its own* criterion, exactly as if it were solved alone.  The
+decision is the scalar one: the solver factory's criterion is generated
+once per batch from ``(K, cols)`` norms and checked over the active
+systems (:mod:`repro.ginkgo.stop`), so stopping decisions (and therefore
+residual histories) match a sequential solve bit for bit.
+:class:`BatchStatus` records what each system's stop was.
 """
 
 from __future__ import annotations
@@ -20,13 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.log import ConvergenceLogger
-from repro.ginkgo.stop.criterion import (
-    Combined,
-    CriterionContext,
-    Deadline,
-    Iteration,
-    ResidualNorm,
-)
 
 
 class BatchStatus:
@@ -133,115 +120,3 @@ class BatchStatus:
             f"BatchStatus({self.num_converged}/{self.num_systems} converged, "
             f"{int(self.breakdown.sum())} breakdowns)"
         )
-
-
-def _flatten_factories(factory) -> list | None:
-    """Decompose a criterion factory into its vectorizable leaves.
-
-    Returns ``None`` when any leaf is of another type (no fast path).
-    """
-    if isinstance(factory, Combined):
-        leaves = []
-        for child in factory.factories:
-            sub = _flatten_factories(child)
-            if sub is None:
-                return None
-            leaves.extend(sub)
-        return leaves
-    if isinstance(factory, (Iteration, ResidualNorm, Deadline)):
-        return [factory]
-    return None
-
-
-class BatchCriteria:
-    """Stopping criteria bound to every system of one batched solve.
-
-    Args:
-        factory: The solver factory's criterion (scalar API objects).
-        rhs_norm: ``(K, cols)`` per-system right-hand-side norms.
-        initial_resnorm: ``(K, cols)`` per-system initial residual norms.
-        clock: The executor clock (for time-based criteria).
-        start_time: Solve start on the simulated clock.
-    """
-
-    def __init__(self, factory, rhs_norm, initial_resnorm, clock, start_time):
-        rhs_norm = np.asarray(rhs_norm, dtype=np.float64)
-        initial_resnorm = np.asarray(initial_resnorm, dtype=np.float64)
-        num_systems = rhs_norm.shape[0]
-        self._clock = clock
-        self._fast = None
-        #: Which systems the last :meth:`check` stopped at their deadline.
-        self.timed_out = np.zeros(0, dtype=bool)
-        leaves = _flatten_factories(factory)
-        if leaves is not None:
-            checks = []
-            for leaf in leaves:
-                if isinstance(leaf, Iteration):
-                    checks.append(("iteration", int(leaf.max_iters)))
-                elif isinstance(leaf, Deadline):
-                    at = np.broadcast_to(leaf.at, (num_systems,))
-                    checks.append(("deadline", at))
-                else:
-                    if leaf.baseline == "rhs_norm":
-                        reference = rhs_norm
-                    elif leaf.baseline == "initial_resnorm":
-                        reference = initial_resnorm
-                    else:
-                        reference = np.ones_like(rhs_norm)
-                    # Same guard as the scalar bound criterion: a zero
-                    # reference falls back to an absolute threshold.
-                    reference = np.where(reference > 0.0, reference, 1.0)
-                    checks.append(
-                        ("residual", leaf.reduction_factor * reference)
-                    )
-            self._fast = checks
-            self._bound = None
-        else:
-            self._bound = []
-            for k in range(num_systems):
-                context = CriterionContext(
-                    rhs_norm=rhs_norm[k], clock=clock, start_time=start_time
-                )
-                context.initial_resnorm = initial_resnorm[k]
-                self._bound.append(factory.generate(context))
-
-    @property
-    def vectorized(self) -> bool:
-        return self._fast is not None
-
-    def check(self, iterations, norms, ids):
-        """Evaluate stopping for the systems in ``ids``.
-
-        Args:
-            iterations: ``(m,)`` per-system iteration numbers.
-            norms: ``(m, cols)`` per-system residual norms.
-            ids: ``(m,)`` original system indices.
-
-        Returns:
-            ``(stop, converged)`` boolean masks of shape ``(m,)``;
-            :attr:`timed_out` is set to the deadline stops among them.
-        """
-        iterations = np.asarray(iterations)
-        norms = np.asarray(norms, dtype=np.float64)
-        m = ids.size
-        stop = np.zeros(m, dtype=bool)
-        converged = np.zeros(m, dtype=bool)
-        self.timed_out = timed_out = np.zeros(m, dtype=bool)
-        if self._fast is not None:
-            for kind, param in self._fast:
-                if kind == "iteration":
-                    stop |= iterations >= param
-                elif kind == "deadline":
-                    timed_out |= self._clock.now >= param[ids]
-                    stop |= timed_out
-                else:
-                    met = np.all(norms <= param[ids], axis=1)
-                    stop |= met
-                    converged |= met
-            return stop, converged
-        for i in range(m):
-            criterion = self._bound[int(ids[i])]
-            stop[i] = criterion.check(int(iterations[i]), norms[i])
-            converged[i] = criterion.converged
-            timed_out[i] = getattr(criterion, "timed_out", False)
-        return stop, converged

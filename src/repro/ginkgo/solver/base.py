@@ -288,7 +288,7 @@ class IterativeSolver(LinOp):
             # The host-driven iteration loop reads the stopping status back
             # from the device once per check (Ginkgo behaviour).
             clock.synchronize()
-            stop = criterion.check(iteration, residual_norm)
+            stop = bool(criterion.check(iteration, norms))
             for handler in on_check:
                 handler(self, iteration=iteration, stopped=stop)
             if clock._traced:
@@ -301,11 +301,12 @@ class IterativeSolver(LinOp):
                     stopped=stop,
                 )
             if stop:
+                converged = bool(criterion.converged)
                 self._set_verdict(
-                    iteration, criterion.converged, worst,
-                    timed_out=bool(getattr(criterion, "timed_out", False)),
+                    iteration, converged, worst,
+                    timed_out=bool(criterion.timed_out),
                 )
-                if criterion.converged:
+                if converged:
                     for handler in on_converged:
                         handler(
                             self, iteration=iteration,

@@ -3,8 +3,15 @@
 Each criterion factory produces a stateful checker bound to one solve via
 :meth:`CriterionFactory.generate`; the solver calls :meth:`Criterion.check`
 once per residual update.  ``check`` returns ``True`` when the solve should
-stop; :attr:`Criterion.converged` distinguishes convergence (residual-based
-stops) from exhaustion (iteration/time limits).
+stop; after a stop, :attr:`Criterion.converged` distinguishes convergence
+(residual-based stops) from exhaustion (iteration/time limits) and
+:attr:`Criterion.timed_out` marks a missed deadline.
+
+Every solve instance runs the same checks.  The context's norms carry
+``(cols,)`` per solve, or ``(K, cols)`` for a batched one: each bound is
+an array over that optional leading systems axis, and a batched check
+passes the active systems' rows (``at=ids``) and gets one decision per
+system back, elementwise the comparisons a scalar solve makes.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ class CriterionContext:
     """Per-solve quantities criteria may compare against.
 
     Attributes:
-        rhs_norm: Euclidean norm(s) of the right-hand side.
-        initial_resnorm: Norm(s) of the initial residual ``b - A x0``.
+        rhs_norm: Euclidean norm(s) of the right-hand side, ``(cols,)``,
+            or ``(K, cols)`` for the ``K`` systems of a batched solve.
+        initial_resnorm: Norm(s) of the initial residual ``b - A x0``,
+            shaped like ``rhs_norm``.
         clock: The executor's simulated clock (for Time criteria).
     """
 
@@ -52,15 +61,42 @@ class CriterionFactory:
 
 
 class Criterion:
-    """Base class of bound criteria; ``state`` becomes attributes."""
+    """Base class of bound criteria; ``state`` becomes attributes.
+
+    A criterion whose stop means an :attr:`outcome` keeps its last
+    result as :attr:`hit`; the verdicts read the hits back after a stop.
+    """
+
+    #: The last check's result (per active system of a batched solve).
+    hit = False
+    #: What a hit means: ``"converged"``, ``"timed_out"`` or neither.
+    outcome = None
 
     def __init__(self, **state) -> None:
-        self.converged = False
         self.__dict__.update(state)
 
-    def check(self, iteration: int, residual_norm) -> bool:
-        """Return True when the solver should stop."""
+    def check(self, iteration, residual_norm, at=()):
+        """Whether the solve should stop.
+
+        A batched solve passes the ``(m,)`` iterations and ``(m, cols)``
+        norms of the systems ``at`` and gets ``(m,)`` decisions, or one
+        for all of them (a clock bound).  A scalar solve passes no ``at``:
+        ``()`` selects a whole bound, a 0-d one as a NumPy scalar.
+        """
         raise NotImplementedError
+
+    def _verdict(self, outcome: str):
+        return self.hit if self.outcome == outcome else False
+
+    @property
+    def converged(self):
+        """Whether the last check met a residual bound."""
+        return self._verdict("converged")
+
+    @property
+    def timed_out(self):
+        """Whether the last check met a deadline."""
+        return self._verdict("timed_out")
 
 
 class Iteration(CriterionFactory):
@@ -103,12 +139,10 @@ class ResidualNorm(CriterionFactory):
         self.baseline = baseline
 
     def generate(self, context: CriterionContext) -> Criterion:
-        if self.baseline == "rhs_norm":
-            reference = context.rhs_norm
-        elif self.baseline == "initial_resnorm":
-            reference = context.initial_resnorm
-        else:
-            reference = 1.0
+        if self.baseline == "absolute":
+            reference = np.ones(np.shape(context.rhs_norm))
+        else:  # the context field of that name
+            reference = getattr(context, self.baseline)
         reference = np.asarray(reference, dtype=np.float64)
         # Zero baselines (b = 0, or an exact initial guess) would make
         # the relative threshold unreachable for any nonzero residual;
@@ -116,7 +150,7 @@ class ResidualNorm(CriterionFactory):
         # does, so the b = 0 solve converges to x = 0.
         reference = np.where(reference > 0.0, reference, 1.0)
         return _ResidualNormCheck(
-            factory=self, threshold=self.reduction_factor * reference
+            threshold=np.atleast_1d(self.reduction_factor * reference)
         )
 
     def __repr__(self) -> str:
@@ -143,7 +177,7 @@ class Divergence(CriterionFactory):
     def generate(self, context: CriterionContext) -> Criterion:
         reference = np.asarray(context.initial_resnorm, dtype=np.float64)
         threshold = self.limit * np.where(reference > 0.0, reference, 1.0)
-        return _DivergenceCheck(threshold=threshold)
+        return _DivergenceCheck(threshold=np.atleast_1d(threshold))
 
     def __repr__(self) -> str:
         return f"Divergence(limit={self.limit})"
@@ -179,9 +213,9 @@ class Deadline(CriterionFactory):
     solution instead of burning further attempts.
 
     ``at`` is one instant, or one per system of a batched solve (a
-    length-K array, where ``inf`` marks a system without a deadline);
-    :class:`~repro.ginkgo.batch.stop.BatchCriteria` checks the array in
-    one comparison, and a scalar solve rejects it.
+    length-K array, where ``inf`` marks a system without a deadline),
+    checked against the active systems in one comparison; a scalar
+    solve, whose context has no systems axis, rejects an array.
     """
 
     def __init__(self, at) -> None:
@@ -193,12 +227,15 @@ class Deadline(CriterionFactory):
         self.at = at if at.ndim else float(at)
 
     def generate(self, context: CriterionContext) -> Criterion:
-        if np.ndim(self.at):
+        systems = np.shape(context.rhs_norm)[:-1]
+        if np.ndim(self.at) > len(systems):
             raise GinkgoError(
                 "a per-system deadline needs a batched solve; a scalar "
                 "solve takes one instant"
             )
-        return _DeadlineCheck(clock=context.clock, at=self.at, timed_out=False)
+        return _DeadlineCheck(
+            clock=context.clock, at=np.broadcast_to(self.at, systems)
+        )
 
     def __repr__(self) -> str:
         return f"Deadline(at={self.at})"
@@ -223,52 +260,51 @@ class Combined(CriterionFactory):
 # the bound criteria :meth:`CriterionFactory.generate` returns
 # ----------------------------------------------------------------------
 class _IterationCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
+    def check(self, iteration, residual_norm, at=()):
         return iteration >= self.max_iters
 
 
 class _ResidualNormCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
-        norm = np.asarray(residual_norm, dtype=np.float64)
-        stop = bool((norm <= self.threshold).all())
-        if stop:
-            self.converged = True
-        return stop
+    outcome = "converged"
+
+    def check(self, iteration, residual_norm, at=()):
+        self.hit = (residual_norm <= self.threshold[at]).all(-1)
+        return self.hit
 
 
 class _DivergenceCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
-        norm = np.asarray(residual_norm, dtype=np.float64)
-        return bool(
-            np.any(~np.isfinite(norm)) or np.any(norm > self.threshold)
+    def check(self, iteration, residual_norm, at=()):
+        diverged = ~np.isfinite(residual_norm) | (
+            residual_norm > self.threshold[at]
         )
+        return diverged.any(-1)
 
 
 class _TimeCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
-        if self.clock is None:
-            return False
-        return (self.clock.now - self.start) >= self.time_limit
+    def check(self, iteration, residual_norm, at=()):
+        clock = self.clock
+        return clock is not None and clock.now - self.start >= self.time_limit
 
 
 class _DeadlineCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
-        if self.clock is None:
-            return False
-        if self.clock.now >= self.at:
-            self.timed_out = True
-            return True
-        return False
+    outcome = "timed_out"
+
+    def check(self, iteration, residual_norm, at=()):
+        self.hit = self.clock is not None and self.clock.now >= self.at[at]
+        return self.hit
 
 
 class _AnyCheck(Criterion):
-    def check(self, iteration: int, residual_norm) -> bool:
-        stop = False
+    def check(self, iteration, residual_norm, at=()):
+        stop = np.False_
         for criterion in self.bound:
-            if criterion.check(iteration, residual_norm):
-                stop = True
-                if criterion.converged:
-                    self.converged = True
-                if getattr(criterion, "timed_out", False):
-                    self.timed_out = True
+            hit = criterion.check(iteration, residual_norm, at)
+            if hit is not False:  # a counter or clock short of its bound
+                stop = stop | hit
         return stop
+
+    def _verdict(self, outcome: str):
+        verdict = False
+        for criterion in self.bound:
+            verdict = criterion._verdict(outcome) | verdict
+        return verdict

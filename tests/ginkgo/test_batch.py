@@ -11,7 +11,6 @@ from repro import bindings
 from repro.ginkgo.batch import SOLVERS as BATCH
 from repro.ginkgo.batch import (
     BatchCg,
-    BatchCriteria,
     BatchCsr,
     BatchDense,
     BatchGmres,
@@ -27,6 +26,7 @@ from repro.ginkgo.preconditioner import Jacobi
 from repro.ginkgo.solver import METHODS, Cg, Gmres
 from repro.ginkgo.solver import SOLVERS as SCALAR
 from repro.ginkgo.solver.gmres import GmresRecurrence
+from repro.ginkgo.stop import CriterionContext, Time
 from repro.ginkgo.stop import Deadline, Divergence, Iteration, ResidualNorm
 from repro.ginkgo.executor import OmpExecutor, ReferenceExecutor
 from tests.ginkgo.test_distributed import distributed_history
@@ -51,6 +51,18 @@ def crit():
     return Iteration(300) | ResidualNorm(1e-9, baseline="rhs_norm")
 
 
+#: Criteria whose last leaf stops systems of every batch below.  Residuals
+#: here only fall and the instances' clocks differ, so Divergence and Time
+#: can stop a system in both only at iteration 0.
+CRITERIA = {
+    "": crit(),
+    "divergence": crit() | Divergence(0.5),
+    "time": crit() | Time(1e-12),
+    "initial_resnorm": Iteration(15) | ResidualNorm(1e-9, "initial_resnorm"),
+    "absolute": Iteration(300) | ResidualNorm(1e-9, "absolute"),
+}
+
+
 def scalar_solves(mats, bs, solver_cls, precond=False, criteria=None, **params):
     """Each system solved alone on a fresh executor; returns records."""
     out = []
@@ -72,6 +84,7 @@ def scalar_solves(mats, bs, solver_cls, precond=False, criteria=None, **params):
                 x.to_numpy().copy(),
                 logger.num_iterations,
                 logger.converged,
+                solver.timed_out,
             )
         )
     return out
@@ -160,11 +173,12 @@ class TestBitIdentity:
     """
 
     @pytest.mark.parametrize(
-        "name,value_type",
+        "name,value_type,criteria",
         [
-            pytest.param(
-                name, vt, id=name if vt is np.float64 else f"{name}-float32"
-            )
+            pytest.param(name, vt, criteria, id="-".join(filter(None, (
+                name, "float32" if vt is np.float32 else "", key
+            ))))
+            for key, criteria in CRITERIA.items()
             for vt in (np.float64, np.float32)
             for name, rec in METHODS.items()
             if "batch" in rec.instances
@@ -172,26 +186,29 @@ class TestBitIdentity:
     )
     @pytest.mark.parametrize("precond", [False, True])
     def test_histories_and_solutions_bitwise_equal(
-        self, ref, rng, name, value_type, precond
+        self, ref, rng, name, value_type, criteria, precond
     ):
         mats, bs = make_batch(rng, spd=name in ("cg", "fcg"))
         mats = [mat.astype(value_type) for mat in mats]
         bs = [rhs.astype(value_type) for rhs in bs]
-        scalar = scalar_solves(mats, bs, SCALAR[name], precond)
-        status, x, loggers = batch_solve(ref, mats, bs, BATCH[name], precond)
-        for k, (hist, sol, iters, conv) in enumerate(scalar):
+        scalar = scalar_solves(mats, bs, SCALAR[name], precond, criteria)
+        status, x, loggers = batch_solve(
+            ref, mats, bs, BATCH[name], precond, criteria
+        )
+        for k, (hist, sol, iters, conv, timed_out) in enumerate(scalar):
             bhist = list(loggers[k].residual_norms)
             assert len(hist) == len(bhist)
             assert np.array(hist).tobytes() == np.array(bhist).tobytes()
             assert x.data[k].tobytes() == sol.tobytes()
             assert status.num_iterations[k] == iters
             assert bool(status.converged[k]) == bool(conv)
+            assert bool(status.timed_out[k]) == timed_out
             assert status.residual_norms[k] == bhist
         if name in DISTRIBUTED and not precond and value_type is np.float64:
             hist, sol = scalar[0][:2]
             for ranks in (1, 4):
                 _, dhist, dsol, _ = distributed_history(
-                    mats[0], bs[0], DISTRIBUTED[name], ranks, criteria=crit()
+                    mats[0], bs[0], DISTRIBUTED[name], ranks, criteria=criteria
                 )
                 assert np.array(dhist).tobytes() == np.array(hist).tobytes(), ranks
                 assert dsol.tobytes() == sol.tobytes(), ranks
@@ -244,7 +261,7 @@ class TestBitIdentity:
                 ref, mats, bs, BatchGmres, criteria=criteria,
                 krylov_dim=krylov_dim,
             )
-            for k, (hist, sol, iters, conv) in enumerate(scalar):
+            for k, (hist, sol, iters, conv, _) in enumerate(scalar):
                 assert np.array(hist).tobytes() == np.array(
                     loggers[k].residual_norms
                 ).tobytes(), (case, k)
@@ -270,7 +287,7 @@ class TestMaskedStopping:
         assert status.num_iterations[3] < status.num_iterations.max()
         # The early system's record is frozen at its stop iteration and
         # every later system still matches its solo solve exactly.
-        for k, (hist, sol, iters, conv) in enumerate(scalar):
+        for k, (hist, sol, iters, conv, _) in enumerate(scalar):
             assert status.num_iterations[k] == iters
             assert len(status.residual_norms[k]) == len(hist)
             assert np.array(hist).tobytes() == np.array(
@@ -289,7 +306,7 @@ class TestMaskedStopping:
             status.residual_norms[7]
         ).all()  # breakdown iteration is never appended to the history
         healthy = scalar_solves(mats[:7], bs[:7], Cg)
-        for k, (hist, sol, iters, conv) in enumerate(healthy):
+        for k, (hist, sol, iters, conv, _) in enumerate(healthy):
             assert bool(status.converged[k]) and conv
             assert status.num_iterations[k] == iters
             assert x.data[k].tobytes() == sol.tobytes()
@@ -332,27 +349,22 @@ class TestBatchCriteria:
     def test_iteration_and_residual_combined_is_vectorized(self, ref):
         rhs = np.full((4, 1), 2.0)
         init = np.full((4, 1), 1.0)
-        criteria = BatchCriteria(
-            crit(), rhs, init, ref.clock, ref.clock.now
-        )
-        assert criteria.vectorized
-        ids = np.arange(4)
-        stop, conv = criteria.check(
+        criterion = crit().generate(CriterionContext(rhs, init, ref.clock))
+        stop = criterion.check(
             np.array([300, 1, 1, 1]),
             np.array([[1.0], [1e-10], [1.0], [3.0]]),
-            ids,
+            np.arange(4),
         )
         assert stop.tolist() == [True, True, False, False]
-        assert conv.tolist() == [False, True, False, False]
+        assert criterion.converged.tolist() == [False, True, False, False]
 
     def test_per_system_deadline_is_one_vectorized_comparison(self, ref):
         now, rhs = ref.clock.now, np.ones((3, 1))
         factory = crit() | Deadline([now, now + 1.0, np.inf])
-        criteria = BatchCriteria(factory, rhs, rhs, ref.clock, now)
-        assert criteria.vectorized
-        stop, conv = criteria.check(np.ones(3, int), rhs, np.arange(3))
-        assert stop.tolist() == criteria.timed_out.tolist() == [1, 0, 0]
-        assert not conv.any()
+        criterion = factory.generate(CriterionContext(rhs, rhs, ref.clock))
+        stop = criterion.check(np.ones(3, int), rhs, np.arange(3))
+        assert stop.tolist() == criterion.timed_out.tolist() == [1, 0, 0]
+        assert not criterion.converged.any()
         mats, bs = make_batch(np.random.default_rng(2), K=3)
         scalar = Cg(ref, criteria=factory).generate(
             Csr.from_scipy(ref, mats[0])
@@ -368,14 +380,11 @@ class TestBatchCriteria:
         assert status.timed_out.tolist() == [True, False, False]
         assert status.system(0)["timed_out"] and status.converged[1:].all()
 
-    def test_unknown_criterion_falls_back_to_per_system(self, ref):
+    def test_divergence_is_checked_over_the_systems_axis(self, ref):
         factory = Iteration(10) | Divergence(1e6)
         rhs = np.ones((3, 1))
-        criteria = BatchCriteria(
-            factory, rhs, rhs, ref.clock, ref.clock.now
-        )
-        assert not criteria.vectorized
-        stop, _ = criteria.check(
+        criterion = factory.generate(CriterionContext(rhs, rhs, ref.clock))
+        stop = criterion.check(
             np.array([10, 2, 2]),
             np.array([[1.0], [1.0], [1e7]]),
             np.arange(3),

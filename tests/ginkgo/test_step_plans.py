@@ -349,14 +349,15 @@ def test_rank_failure_after_binding_recovers_as_before(method):
 
 def pricing_calls(monkeypatch, **options) -> int:
     """Kernel-cost evaluations (``blas1_cost``/``dot_cost``/``spmv_cost``)
-    of one batched Jacobi-CG apply."""
+    of one batched Jacobi-CG apply, the head's vector kernels included."""
     calls = Counter()
     for module, price in (
-        ("solver", "blas1_cost"), ("solver", "dot_cost"),
-        ("matrix", "spmv_cost"), ("preconditioner", "spmv_cost"),
-        ("preconditioner", "blas1_cost"),
+        ("batch.solver", "blas1_cost"), ("batch.matrix", "spmv_cost"),
+        ("batch.preconditioner", "spmv_cost"),
+        ("batch.preconditioner", "blas1_cost"),
+        ("krylov_vector", "blas1_cost"), ("krylov_vector", "dot_cost"),
     ):
-        module = importlib.import_module(f"repro.ginkgo.batch.{module}")
+        module = importlib.import_module(f"repro.ginkgo.{module}")
 
         def counting(*args, _price=getattr(module, price), **kwargs):
             calls[_price.__name__] += 1

@@ -1,6 +1,8 @@
 """Stopping-criterion and logger unit tests."""
 
+import ast
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.ginkgo.stop import (
     ResidualNorm,
     Time,
 )
+from repro.ginkgo.stop.criterion import CriterionFactory
 from repro.perfmodel import NVIDIA_A100, SimClock
 
 
@@ -175,6 +178,33 @@ def test_generate_builds_no_class_per_call():
     assert factory.generate(context).check(1, 25.0)  # diverged
     clock.advance(2e-3)
     assert second.check(1, 0.5) and second.timed_out
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+FACTORIES = {cls.__name__ for cls in CriterionFactory.__subclasses__()}
+
+
+def _stop_decisions(source: str) -> list:
+    """Lines testing for a stop factory class or defining a criterion check."""
+    def decides(node) -> bool:
+        if isinstance(node, ast.FunctionDef) and node.name == "check":
+            return ast.unparse(node.args).startswith("self, iteration")
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+            classes = getattr(node.args[-1], "elts", node.args[-1:])
+            return bool({ast.unparse(c).split(".")[-1] for c in classes} & FACTORIES)
+        return False
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if decides(n))
+
+
+def test_the_stopping_decision_lives_in_stop():
+    stop = SRC / "ginkgo" / "stop"
+    assert [f"{p.relative_to(SRC)}:{line}" for p in sorted(SRC.rglob("*.py"))
+            if stop not in p.parents for line in _stop_decisions(p.read_text())] == []
+    assert _stop_decisions(  # the lint's self-check
+        "class Mine:\n    def check(self, iterations, norms):\n"
+        "        return isinstance(self.leaf, (int, stop.Deadline))\n"
+        "isinstance(leaf, Iteration) or isinstance(leaf, Dense)\n"
+    ) == [2, 3, 4]
 
 
 class TestConvergenceLogger:
