@@ -37,6 +37,10 @@ profile-smoke:
 # (Dense, BatchDense, the batched head, distributed.Vector) re-defines a
 # protocol method, and every instance's scale/add_scaled/sub_scaled over
 # NaN and Inf data equals Dense's in bytes, clock and kernel count.
+# Lazy plans: a pg.deferred() flush that replays a kept plan equals a
+# fresh walk of it in bytes, clock, kernel count, cache counts and trace
+# counters (mutated leaves and operators, new alphas, aliasing, a
+# destination aliasing a leaf, a preconditioner node, traced replays).
 # Batch acceptance: one batched solve of 64 small systems must match 64
 # sequential scalar solves byte for byte, cross the factory binding once
 # where they cross it 64 times, and be no slower on the simulated clock;
@@ -52,7 +56,7 @@ profile-smoke:
 # and same-seed traces (the wall-clock ratio is reported, not gated).
 perf-smoke: mixed-smoke | $(SMOKE_OUT)
 	$(PYTHON) benchmarks/bench_hot_path.py --smoke --out $(SMOKE_OUT)/BENCH_hot_path.json
-	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py tests/ginkgo/test_krylov_core.py
+	$(PYTHON) -m pytest -x -q tests/ginkgo/test_step_plans.py tests/ginkgo/test_krylov_core.py tests/ginkgo/test_lazy.py
 	$(PYTHON) benchmarks/bench_batch.py --smoke --out $(SMOKE_OUT)/BENCH_batch.json
 	$(PYTHON) benchmarks/bench_overlap.py --smoke --out $(SMOKE_OUT)/BENCH_overlap.json
 	$(PYTHON) benchmarks/bench_fusion.py --smoke --out $(SMOKE_OUT)/BENCH_fusion.json

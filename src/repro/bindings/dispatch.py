@@ -152,13 +152,10 @@ def resolve(op: str, value_dtype=None, index_dtype=None, exec_=None):
                 if exec_ is not None:
                     overhead.overhead_model_for(exec_)
                 _CACHE[key] = entry
-    cachestats.record(
-        "dispatch",
-        hit,
-        clock=exec_.clock if exec_ is not None else None,
-        op=op,
-        symbol=getattr(entry, "_binding_tag", op),
-    )
+    clock = exec_.clock if exec_ is not None else None
+    meta = ({"op": op, "symbol": getattr(entry, "_binding_tag", op)}
+            if clock is not None and clock._traced else None)
+    cachestats.record("dispatch", hit, clock, meta)
     return entry
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from repro import bindings
 from repro.core.device import device as _device_factory
 from repro.core.types import value_dtype
+from repro.ginkgo import lazy
 from repro.ginkgo.exceptions import GinkgoError
 from repro.ginkgo.executor import Executor
 from repro.ginkgo.matrix.dense import Dense, _clone_as
@@ -115,8 +116,6 @@ class Tensor:
         )
 
     def __add__(self, other):
-        from repro.ginkgo import lazy
-
         if lazy.is_recording() or isinstance(other, lazy.LazyExpr):
             return lazy.add_expr(self, other)
         other = self._coerce(other)
@@ -125,8 +124,6 @@ class Tensor:
         return Tensor(out)
 
     def __sub__(self, other):
-        from repro.ginkgo import lazy
-
         if lazy.is_recording() or isinstance(other, lazy.LazyExpr):
             return lazy.add_expr(self, other, sign=-1.0)
         other = self._coerce(other)
@@ -135,8 +132,6 @@ class Tensor:
         return Tensor(out)
 
     def __mul__(self, scalar):
-        from repro.ginkgo import lazy
-
         if lazy.is_recording():
             return lazy.scale_expr(float(scalar), self)
         out = self._dense.clone()

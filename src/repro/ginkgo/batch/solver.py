@@ -496,6 +496,9 @@ class BatchIterativeSolver:
             raise BadDimension(
                 f"b has {b.size.cols} columns but x has {x.size.cols}"
             )
+        # Criteria that cannot serve K systems fail here, before any kernel.
+        probe = CriterionContext(rhs_norm=np.zeros((K, b.size.cols)))
+        self._factory.criteria.generate(probe)
         exec_ = self._exec
         clock = exec_.clock
         ws = self._workspace

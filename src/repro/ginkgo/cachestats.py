@@ -46,28 +46,29 @@ _KEYS = {
 }
 
 
-def record(kind: str, hit: bool, clock=None, **meta) -> None:
-    """Count one cache lookup.
+def record(kind: str, hit: bool, clock=None, meta=None, n: int = 1) -> None:
+    """Count ``n`` cache lookups (a replayed lazy plan counts its slots).
 
-    With no sink registered and no traced clock this only bumps the
-    counter.
+    With no sink registered and no ``meta`` this only bumps the counter;
+    callers build ``meta`` only when ``clock`` is traced.
 
     Args:
         kind: Cache family (``"workspace"``/``"format"``/``"dispatch"``).
         hit: Whether the lookup was served from the cache.
-        clock: Optional :class:`~repro.perfmodel.SimClock` to annotate;
-            the mark is a free instant (no simulated time is charged), so
-            reuse never perturbs modeled timings.
-        **meta: Scalar details recorded on the trace instant (buffer name,
-            byte size, symbol, ...).
+        clock: The :class:`~repro.perfmodel.SimClock` that ``meta``
+            annotates with a free instant (no simulated time is charged),
+            so reuse never perturbs modeled timings.
+        meta: Scalar details of that instant (buffer name, byte size,
+            symbol, ...), or ``None``: no instant.
+        n: Lookups this call counts.
     """
     key = _KEYS.get((kind, hit)) or f"cache_{kind}_{'hit' if hit else 'miss'}"
     with _LOCK:
-        _COUNTS[key] = _COUNTS.get(key, 0) + 1
+        _COUNTS[key] = _COUNTS.get(key, 0) + n
         sinks = [entry[0] for entry in _SINKS.values()] if _SINKS else ()
     for sink in sinks:
-        sink.counter(key).inc()
-    if clock is not None and clock._traced:
+        sink.counter(key).inc(n)
+    if meta is not None:
         clock.annotate("cache_hit" if hit else "cache_miss", kind=kind, **meta)
 
 

@@ -31,6 +31,7 @@ from repro.perfmodel import (
     NVIDIA_A100,
     KernelCost,
     SimClock,
+    memcpy_cost,
 )
 from repro.perfmodel.specs import DeviceSpec
 
@@ -45,9 +46,9 @@ _CREATE_PERMIT = object()
 
 
 def _nbytes_of(shape, dtype) -> int:
-    """Size of an allocation request without performing it."""
+    """Size of an allocation request (int or sequence shape), unperformed."""
     count = 1
-    for extent in np.atleast_1d(shape):
+    for extent in (shape,) if isinstance(shape, (int, np.integer)) else shape:
         count *= int(extent)
     return count * np.dtype(dtype).itemsize
 
@@ -150,21 +151,15 @@ class Executor:
     # ------------------------------------------------------------------
     def alloc(self, shape, dtype) -> np.ndarray:
         """Allocate a zero-initialised buffer in this memory space."""
-        self._check_capacity(_nbytes_of(shape, dtype))
-        arr = np.zeros(shape, dtype=dtype)
-        self._track_alloc(arr.nbytes)
-        self._live_buffers[id(arr)] = arr.nbytes
-        self.clock.annotate("alloc", nbytes=arr.nbytes)
-        return arr
+        nbytes = _nbytes_of(shape, dtype)
+        self._check_capacity(nbytes)
+        return self._adopt(np.zeros(shape, dtype=dtype), nbytes)
 
     def alloc_like(self, data: np.ndarray) -> np.ndarray:
         """Allocate an uninitialised buffer with ``data``'s shape/dtype."""
-        self._check_capacity(data.nbytes)
-        arr = np.empty_like(data)
-        self._track_alloc(arr.nbytes)
-        self._live_buffers[id(arr)] = arr.nbytes
-        self.clock.annotate("alloc", nbytes=arr.nbytes)
-        return arr
+        nbytes = data.nbytes
+        self._check_capacity(nbytes)
+        return self._adopt(np.empty_like(data), nbytes)
 
     def _check_capacity(self, nbytes: int) -> None:
         """Fail a too-large request before touching host memory.
@@ -179,8 +174,19 @@ class Executor:
                 available=int(self.spec.memory_capacity - self._bytes_allocated),
             )
 
+    def _adopt(self, arr: np.ndarray, nbytes: int) -> np.ndarray:
+        """Account ``arr`` (``nbytes``), whose size passed the capacity check."""
+        self._live_buffers[id(arr)] = nbytes
+        self._count_alloc(nbytes)
+        if self.clock._traced:
+            self.clock.annotate("alloc", nbytes=nbytes)
+        return arr
+
     def _track_alloc(self, nbytes: int) -> None:
         self._check_capacity(nbytes)
+        self._count_alloc(nbytes)
+
+    def _count_alloc(self, nbytes: int) -> None:
         self._bytes_allocated += nbytes
         self._allocation_count += 1
         self._peak_bytes = max(self._peak_bytes, self._bytes_allocated)
@@ -248,9 +254,7 @@ class Executor:
     def _charge_copy(self, src_exec: "Executor", nbytes: int) -> None:
         """Advance the clock(s) for one ``nbytes`` transfer from ``src_exec``."""
         if src_exec is self:
-            self.clock.record(
-                KernelCost("device_memcpy", 0.0, 2.0 * nbytes, launches=1)
-            )
+            self.clock.record(memcpy_cost(nbytes))
         elif self.is_host and src_exec.is_host:
             self.clock.advance(
                 nbytes / self.spec.memory_bandwidth,

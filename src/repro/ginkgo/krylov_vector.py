@@ -56,9 +56,9 @@ def _scale_into(src: np.ndarray, coef, out: np.ndarray) -> None:
     copies.  Eager ``scale`` and lazy regions share this, so their bits
     match.
     """
-    if np.ndim(coef) == 0 and coef == 0.0:
+    if (scalar := coef.ndim == 0) and coef == 0.0:
         out.fill(0.0)
-    elif np.ndim(coef) != 0 or coef != 1.0:
+    elif not scalar or coef != 1.0:
         np.multiply(src, coef, out=out)
     elif out is not src:
         np.copyto(out, src)
@@ -81,9 +81,9 @@ def _add_scaled(lo, hi, dst, src, a) -> None:
     """``dst += a * src``: a scalar ``1.0`` adds ``src``, and ``0.0``
     leaves ``dst`` as it is, whatever ``src`` holds."""
     block = dst[lo:hi]
-    if np.ndim(a) == 0 and a == 1.0:
+    if (scalar := a.ndim == 0) and a == 1.0:
         block += src[lo:hi]
-    elif np.ndim(a) != 0 or a != 0.0:
+    elif not scalar or a != 0.0:
         block += a * src[lo:hi]
 
 
@@ -196,7 +196,7 @@ class KrylovVector:
     def sub_scaled(self, alpha, other):
         """``self -= alpha * other`` in place."""
         a = _coef(alpha, self.dtype, self._coef_shape)
-        return self.add_scaled(-a if np.ndim(a) else -float(a), other)
+        return self.add_scaled(-a if a.ndim else -float(a), other)
 
     def elementwise(self, name: str, op, num_vectors: int, *coefficients):
         """Run ``op(lo, hi, *coefficients)`` over the extent as one fused

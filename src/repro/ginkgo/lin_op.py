@@ -10,6 +10,7 @@ operator combinations.
 
 from __future__ import annotations
 
+from repro.ginkgo import cachestats
 from repro.ginkgo.dim import Dim
 from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
 from repro.ginkgo.executor import Executor
@@ -82,8 +83,6 @@ class LinOp:
         the lookup so cached conversions still cost what the performance
         model dictates.
         """
-        from repro.ginkgo import cachestats
-
         entry = self._derived_cache.get(key)
         hit = entry is not None and entry[0] == self._data_version
         if hit:
@@ -91,10 +90,10 @@ class LinOp:
         else:
             value = builder()
             self._derived_cache[key] = (self._data_version, value)
-        cachestats.record(
-            "format", hit, clock=self._exec.clock, op=key,
-            format=getattr(self, "_format_name", type(self).__name__.lower()),
-        )
+        clock = self._exec.clock
+        meta = {"op": key, "format": getattr(
+            self, "_format_name", type(self).__name__.lower())} if clock._traced else None
+        cachestats.record("format", hit, clock, meta)
         return value
 
     # ------------------------------------------------------------------

@@ -174,10 +174,9 @@ class SparseBase(LinOp):
         hit = self._scipy_cache is not None
         if not hit:
             self._scipy_cache = self._to_scipy()
-        cachestats.record(
-            "format", hit, clock=self._exec.clock,
-            op="scipy_view", format=self._format_name,
-        )
+        clock = self._exec.clock
+        meta = {"op": "scipy_view", "format": self._format_name} if clock._traced else None
+        cachestats.record("format", hit, clock, meta)
         return self._scipy_cache
 
     def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:

@@ -174,6 +174,15 @@ class Csr(SparseBase):
         matvec_into(self._scipy_view(), bd, xd)
         self._exec.run(self._spmv_cost(1))
 
+    def _spmv_arrays(self, b: np.ndarray) -> np.ndarray:
+        """``A b`` into a fresh array, by the kernel :meth:`_apply_impl`
+        picks (what a lazy region's SpMV runs)."""
+        if not column_kernel(b, b, self._value_dtype):  # ``y`` is laid out as ``b``
+            return super()._spmv_arrays(b)
+        y = np.empty((self._size.rows, 1), dtype=b.dtype)
+        matvec_into(self._scipy_view(), b, y)
+        return y
+
     def _to_scipy(self) -> sp.csr_matrix:
         from repro.ginkgo.matrix.base import scipy_safe
 

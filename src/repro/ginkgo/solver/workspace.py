@@ -133,10 +133,9 @@ class Workspace:
                     free(buf)
                 buf = table[name] = make()
         nbytes = buf._data.nbytes if table is self._dense else buf.nbytes
-        cachestats.record(
-            "workspace", hit, clock=self._exec.clock,
-            buffer=name, nbytes=nbytes,
-        )
+        clock = self._exec.clock
+        meta = {"buffer": name, "nbytes": nbytes} if clock._traced else None
+        cachestats.record("workspace", hit, clock, meta)
         return buf, hit
 
     def vectors(self) -> tuple:
@@ -164,22 +163,17 @@ class Workspace:
         """
         with self._lock:
             cached = self._columns.get(name)
-            if cached is not None:
-                owner, wrapper = cached
-                if owner == (id(block._data), index):
-                    cachestats.record(
-                        "workspace", True, clock=self._exec.clock,
-                        buffer=name, column=index,
-                    )
-                    return wrapper
-            wrapper = Dense._wrap(
-                self._exec, block._data[:, index : index + 1]
-            )
-            self._columns[name] = ((id(block._data), index), wrapper)
-        cachestats.record(
-            "workspace", False, clock=self._exec.clock,
-            buffer=name, column=index,
-        )
+            hit = cached is not None and cached[0] == (id(block._data), index)
+            if hit:
+                wrapper = cached[1]
+            else:
+                wrapper = Dense._wrap(
+                    self._exec, block._data[:, index : index + 1]
+                )
+                self._columns[name] = ((id(block._data), index), wrapper)
+        clock = self._exec.clock
+        meta = {"buffer": name, "column": index} if clock._traced else None
+        cachestats.record("workspace", hit, clock, meta)
         return wrapper
 
     def tensor(self, name: str, shape, dtype, zero: bool = False) -> np.ndarray:
@@ -199,6 +193,18 @@ class Workspace:
         if hit and zero:
             buf.fill(0)
         return buf
+
+    def held(self, slots, count: bool) -> bool:
+        """Whether each ``[name, shape, dtype, buffer]`` of ``slots`` still
+        holds its :meth:`tensor` slot; if so and ``count``, count the hit
+        each lookup would (a replayed lazy plan stands in for them)."""
+        tensors = self._tensors
+        for name, _, _, buf in slots:
+            if tensors.get(name) is not buf:
+                return False
+        if count and slots:
+            cachestats.record("workspace", True, n=len(slots))
+        return True
 
     def tensor_like(self, name: str, src: np.ndarray) -> np.ndarray:
         """A pooled copy of the executor-resident array ``src``.

@@ -233,6 +233,9 @@ class Deadline(CriterionFactory):
                 "a per-system deadline needs a batched solve; a scalar "
                 "solve takes one instant"
             )
+        if np.ndim(self.at) and np.shape(self.at) != systems:
+            raise GinkgoError(f"a per-system deadline has {np.size(self.at)} "
+                              f"instants for {systems[0]} systems")
         return _DeadlineCheck(
             clock=context.clock, at=np.broadcast_to(self.at, systems)
         )

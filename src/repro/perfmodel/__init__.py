@@ -45,6 +45,7 @@ from repro.perfmodel.kernels import (
     factorization_cost,
     fused_axpby_cost,
     fused_spmv_axpby_cost,
+    memcpy_cost,
     spmv_cost,
     trsv_cost,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "get_device_spec",
     "get_library_profile",
     "halo_exchange_time",
+    "memcpy_cost",
     "p2p_time",
     "spmv_cost",
     "thread_scaling",

@@ -251,6 +251,12 @@ def fused_spmv_axpby_cost(
 
 
 @lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
+def memcpy_cost(nbytes: int) -> KernelCost:
+    """Cost of a copy within one memory space (read and write ``nbytes``)."""
+    return KernelCost("device_memcpy", 0.0, 2.0 * nbytes, launches=1)
+
+
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def dot_cost(length: int, value_bytes: int, num_rhs: int = 1) -> KernelCost:
     """Cost of a dot product / norm reduction (two launches: map + reduce)."""
     if length < 0:

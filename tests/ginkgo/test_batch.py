@@ -380,6 +380,19 @@ class TestBatchCriteria:
         assert status.timed_out.tolist() == [True, False, False]
         assert status.system(0)["timed_out"] and status.converged[1:].all()
 
+    def test_deadline_of_another_length_fails_before_any_kernel(self, ref):
+        mats, bs = make_batch(np.random.default_rng(4), K=3)
+        factory = Iteration(5) | Deadline([1.0, 2.0])
+        solver = BatchCg(ref, criteria=factory).generate(
+            BatchCsr.from_scipy_list(ref, mats)
+        )
+        b = BatchDense(ref, np.stack(bs))
+        x = BatchDense(ref, 0 * b.data)
+        now, kernels = ref.clock.now, ref.clock.kernel_count
+        with pytest.raises(GinkgoError, match="2 instants for 3 systems"):
+            solver.apply(b, x)
+        assert (ref.clock.now, ref.clock.kernel_count) == (now, kernels)
+
     def test_divergence_is_checked_over_the_systems_axis(self, ref):
         factory = Iteration(10) | Divergence(1e6)
         rhs = np.ones((3, 1))

@@ -1,11 +1,16 @@
 """Lazy expression recording, fusion accounting, and bit-identity."""
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import repro as pg
-from repro.ginkgo import lazy
+from repro.bindings import dispatch
+from repro.bindings.overhead import reset_models
+from repro.ginkgo import cachestats, lazy
+from repro.ginkgo.executor import ReferenceExecutor
 from repro.ginkgo.exceptions import DimensionMismatch, ExecutorMismatch
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Jacobi
@@ -313,3 +318,213 @@ class TestImmediatePath:
         np.testing.assert_array_equal(
             np.asarray(out), small_sp @ np.asarray(x)
         )
+
+
+# ----------------------------------------------------------------------
+# plan cache: a replayed flush against a fresh walk of the same flush
+# ----------------------------------------------------------------------
+def _plan_operands(exec_, n=16, dtype=np.float64):
+    rng = np.random.default_rng(7)
+    mat = sp.random(n, n, density=0.35, format="csr", random_state=rng)
+    mat.setdiag(5.0)
+    A = Csr.from_scipy(exec_, mat.astype(dtype))
+    x, y = (Dense(exec_, rng.standard_normal((n, 1)).astype(dtype)) for _ in "xy")
+    return A, x, y, Dense.zeros(exec_, (n, 1), dtype)
+
+
+def leaf_mutated(exec_):
+    A, x, y, out = _plan_operands(exec_)
+
+    def second():
+        (2.0 * (A @ x) + y).into(out)
+        x.writable_view()[:] += 1.0  # after recording: the flush recomputes
+        x.mark_modified()
+
+    return lambda: (2.0 * (A @ x) + y).into(out), second, [out]
+
+
+def alpha_value(exec_):
+    A, x, y, out = _plan_operands(exec_)
+    return (
+        lambda: (2.0 * (A @ x) + y).into(out),
+        lambda: (-3.5 * (A @ x) + y).into(out), [out],
+    )
+
+
+def alpha_zero_over_inf(exec_):
+    _, x, y, out = _plan_operands(exec_)
+
+    def second():
+        x.writable_view()[:] = np.inf
+        x.mark_modified()
+        (0.0 * x + y).into(out)  # zero-fills: no inf * 0 = nan
+
+    return lambda: (2.0 * x + y).into(out), second, [out]
+
+
+def alpha_kind(exec_):
+    A, x, y, out = _plan_operands(exec_)
+    alpha = Dense(exec_, np.full((1, 1), 0.25))
+    return (
+        lambda: (2.0 * (A @ x) + y).into(out),
+        lambda: (lazy.scale_expr(alpha, A @ x) + y).into(out), [out],
+    )
+
+
+def operator_modified(exec_):
+    A, x, y, out = _plan_operands(exec_)
+
+    def second():
+        A.writable_values()[:] *= 3.0
+        A.mark_modified()
+        (2.0 * (A @ x) + y).into(out)
+
+    return lambda: (2.0 * (A @ x) + y).into(out), second, [out]
+
+
+def operator_repriced(exec_):
+    A, x, y, out = _plan_operands(exec_)
+
+    def second():
+        A.strategy = "merge_path"  # a new SpMV price: the plan is rebuilt
+        (2.0 * (A @ x) + y).into(out)
+
+    return lambda: (2.0 * (A @ x) + y).into(out), second, [out]
+
+
+def other_operator(exec_):
+    A, x, y, out = _plan_operands(exec_)
+    B = Csr.from_scipy(exec_, 2.0 * A._scipy_view())
+    return (
+        lambda: (2.0 * (A @ x) + y).into(out),
+        lambda: (2.0 * (B @ x) + y).into(out), [out],
+    )
+
+
+def other_dtype_and_shape(exec_):
+    A, x, y, out = _plan_operands(exec_)
+    A32, x32, y32, out32 = _plan_operands(exec_, dtype=np.float32)
+    B, u, v, out9 = _plan_operands(exec_, n=9)
+
+    def second():
+        (2.0 * (A32 @ x32) + y32).into(out32)
+        (2.0 * (B @ u) + v).into(out9)
+
+    return lambda: (2.0 * (A @ x) + y).into(out), second, [out, out32, out9]
+
+
+def aliased_leaves(exec_):
+    _, x, y, out = _plan_operands(exec_)
+    return lambda: (x + y).into(out), lambda: (x + x).into(out), [out]
+
+
+def one_node_into(exec_):
+    _, x, y, out = _plan_operands(exec_)
+    body = lambda: (x + y).into(out)  # noqa: E731  (streams: no slots)
+    return body, body, [out]
+
+
+def into_aliasing_leaf(exec_):
+    _, x, y, out = _plan_operands(exec_)
+    return lambda: (2.0 * x + y).into(out), lambda: (2.0 * x + y).into(x), [x]
+
+
+def into_aliasing_leaf_twice(exec_):
+    _, x, y, _ = _plan_operands(exec_)
+    body = lambda: (2.0 * x + y).into(x)  # noqa: E731
+    return body, body, [x]
+
+
+def preconditioner(exec_):
+    A, x, _, out = _plan_operands(exec_)
+    M = Jacobi(exec_).generate(A)
+    body = lambda: (M @ (A @ x) + x).into(out)  # noqa: E731
+    return body, body, [out]
+
+
+def shared_subtree(exec_):
+    A, x, r, s = _plan_operands(exec_)
+
+    def body():
+        q = A @ x
+        (2.0 * q).into(r)
+        (0.5 * q + x).into(s)
+
+    return body, body, [r, s]
+
+
+def _second_flush(monkeypatch, case, replay, traced=False):
+    """What the second of two flushes of ``case`` in one region produced
+    and charged, with the number of plans it built.  The first flush
+    plans; the second replays those plans, or walks afresh against the
+    same pool when ``replay`` is False."""
+    reset_models()
+    dispatch.clear()
+    exec_ = ReferenceExecutor.create(noisy=False)
+    first, second, outs = case(exec_)
+    planned, build = [], lazy._plan
+    monkeypatch.setattr(lazy, "_plan", lambda *a: planned.append(1) or build(*a))
+    with ExitStack() as stack:
+        prof = stack.enter_context(pg.profile(exec_)) if traced else None
+        with pg.deferred() as trace:
+            first()
+            trace.flush()
+            if not replay:
+                trace._plans.clear()
+            cachestats.reset()
+            del planned[:]
+            before = (trace.regions, trace.ops_replaced, trace.recomputed)
+            second()
+            trace.flush()
+            after = (trace.regions, trace.ops_replaced, trace.recomputed)
+    monkeypatch.setattr(lazy, "_plan", build)
+    return {
+        "bytes": [out.to_numpy().tobytes() for out in outs],
+        "now": exec_.clock.now.hex(),
+        "kernels": exec_.clock.kernel_count,
+        "counts": cachestats.snapshot(),  # keys included: no zero entries
+        "trace": tuple(b - a for a, b in zip(before, after)),
+        "chrome": prof.to_chrome_trace() if traced else None,
+    }, len(planned)
+
+
+#: case -> plans the replayed second flush builds (0: it replays them all).
+PLAN_CASES = {
+    leaf_mutated: 0, alpha_value: 0, alpha_zero_over_inf: 0, alpha_kind: 1,
+    operator_modified: 0, operator_repriced: 1, other_operator: 1, other_dtype_and_shape: 2,
+    aliased_leaves: 1, one_node_into: 0, into_aliasing_leaf: 1, into_aliasing_leaf_twice: 0,
+    preconditioner: 0, shared_subtree: 1,
+}
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("case", PLAN_CASES, ids=lambda c: c.__name__)
+    def test_replay_matches_a_fresh_walk(self, monkeypatch, case):
+        replayed, planned = _second_flush(monkeypatch, case, replay=True)
+        walked, _ = _second_flush(monkeypatch, case, replay=False)
+        assert replayed == walked
+        assert planned == PLAN_CASES[case]
+
+    def test_replay_reads_live_operands(self, monkeypatch):
+        mutated, _ = _second_flush(monkeypatch, leaf_mutated, replay=True)
+        assert mutated["trace"][2] > 0  # recomputed, from the nodes' deps
+        zeroed, _ = _second_flush(monkeypatch, alpha_zero_over_inf, replay=True)
+        exec_ = ReferenceExecutor.create(noisy=False)
+        _, _, y, _ = _plan_operands(exec_)
+        assert zeroed["bytes"] == [y.to_numpy().tobytes()]
+
+    def test_traced_replay_trace_is_byte_identical(self, monkeypatch):
+        replayed, planned = _second_flush(
+            monkeypatch, alpha_value, replay=True, traced=True
+        )
+        walked, _ = _second_flush(monkeypatch, alpha_value, replay=False, traced=True)
+        assert planned == 0 and replayed["chrome"]
+        assert replayed == walked
+
+    def test_throwaway_trace_keeps_no_plan(self, monkeypatch):
+        planned, build = [], lazy._plan
+        monkeypatch.setattr(lazy, "_plan", lambda *a: planned.append(1) or build(*a))
+        A, x, y, _ = _plan_operands(ReferenceExecutor.create(noisy=False))
+        for _ in range(2):  # outside a region: a lazy leaf records
+            (2.0 * (A @ lazy.LazyExpr.leaf(x)) + y).evaluate()
+        assert len(planned) == 2

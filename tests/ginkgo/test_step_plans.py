@@ -100,8 +100,11 @@ def test_csr_column_kernel_is_scipys_matmul(dtype):
     rhs = np.random.default_rng(3).standard_normal((n, 2)).astype(dtype)
     for b in (rhs[:, :1], rhs):  # the compiled column kernel, then ``@``
         x = Dense.full(exec_, b.shape, 1.0, dtype)  # apply overwrites x
-        mtx.apply(Dense.create(exec_, b), x)
-        assert x.to_numpy().tobytes() == (mtx._scipy_view() @ b).tobytes()
+        operand = Dense.create(exec_, b)
+        mtx.apply(operand, x)
+        expected = (mtx._scipy_view() @ b).tobytes()
+        assert x.to_numpy().tobytes() == expected
+        assert mtx._spmv_arrays(operand._data).tobytes() == expected  # a lazy SpMV
 
 
 def cg_validations(monkeypatch, iterations: int) -> int:
